@@ -93,7 +93,6 @@ from .space import (
     WeightedSpace,
     adjoint_defect,
     coercivity,
-    inner,
     op_norm,
 )
 

@@ -82,9 +82,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -694,12 +694,12 @@ def _write_trace_csv(path: Path, trace, ledger) -> None:
 
 def _write_bounds_csv(path: Path, trace, ledger) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["inequality,iter,measured,bound,holds"]
-    for r in monitor_rows(trace, ledger):
-        lines.append(
-            f"{r.name},{r.iteration},{_fmt(r.measured)},{_fmt(r.bound)},{r.holds}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    t = monitor_rows(trace, ledger)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("inequality,iter,measured,bound,holds\n")
+        rows = zip(t.name, t.iteration, t.measured, t.bound, t.holds)
+        for name, i, measured, bound, holds in rows:
+            fh.write(f"{name},{i},{_fmt(measured)},{_fmt(bound)},{holds}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +787,6 @@ def _set_axis(cfg: dict, axis: str, value: float) -> dict:
     return cfg
 
 
-def _one_sweep_run(cfg: dict, outdir: Path) -> tuple[int, dict]:
-    problem = build_problem(cfg)
-    report = execute(problem, cfg, outdir)
-    return int(report["exit_code"]), report
-
-
 def sweep(
     config_path: str,
     axis: str,
@@ -800,13 +794,13 @@ def sweep(
     out: str | None = None,
     seed: int | None = None,
 ) -> int:
-    """Run one experiment per value, in parallel, and write a summary table."""
+    """Run one experiment per value, in sequence, and write a summary table."""
     try:
         base = _apply_cli_overrides(_load_config(config_path), out, seed)
         if axis not in SWEEP_AXES:
             raise InvalidConfig(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
-        if not values:
-            raise InvalidConfig("sweep requires at least one value")
+        if not values or not all(map(math.isfinite, values)):
+            raise InvalidConfig(f"sweep requires at least one value, all finite; got {values}")
         root = Path(base["output"]["dir"])
         configs = []
         for v in values:
@@ -821,14 +815,10 @@ def sweep(
     results = []
     worst = EXIT_OK
     try:
-        with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-            futures = [
-                (v, pool.submit(_one_sweep_run, cfg, sub)) for v, cfg, sub in configs
-            ]
-            for v, fut in futures:
-                code, report = fut.result()
-                worst = max(worst, code)
-                results.append((v, report))
+        for v, cfg, sub in configs:
+            report = execute(build_problem(cfg), cfg, sub)
+            worst = max(worst, int(report["exit_code"]))
+            results.append((v, report))
     except PlgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -874,7 +864,11 @@ def main(argv=None) -> int:
         return run_experiment(args.config, out=args.out, seed=args.seed)
     if args.command == "check":
         return check_experiment(args.config, out=args.out, seed=args.seed)
-    values = [float(v) for v in args.values.split(",") if v != ""]
+    try:
+        values = [float(v) for v in args.values.split(",") if v != ""]
+    except ValueError as exc:
+        print(f"error: --values: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return sweep(args.config, args.axis, values, out=args.out, seed=args.seed)
 
 

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfig, MissingCertificate, NumericFailure
+from .errors import InvalidConfig, MissingCertificate, NumericFailure, SolverCapExceeded
 from .objective import ScalarObjective
 from .smoothmap import CertValue, MapCertificate, SmoothMap
-from .space import SpaceVec
+from .space import SpaceVec, require_dense, symmetrize, weighted_pinv_solve
 
 #: relative slack granted to every monitored inequality
 REL_TOL = 1e-9
@@ -319,22 +320,48 @@ class BoundVerdicts:
         return [v.as_dict() for v in self.verdicts.values()]
 
 
-@dataclass(frozen=True)
-class MonitorRow:
-    """One evaluated inequality: measured vs bound at an iteration."""
+#: the monitored inequalities that bound the measured value from below;
+#: every other one bounds it from above
+LOWER_BOUNDS = ("composition_pl",)
 
-    name: str
-    iteration: int
-    measured: float
-    bound: float
-    kind: str  # "ub": measured <= bound, "lb": measured >= bound
-    tol: float
 
-    @property
-    def holds(self) -> bool:
-        if self.kind == "ub":
-            return self.measured <= self.bound + self.tol
-        return self.measured >= self.bound - self.tol
+@dataclass(frozen=True, eq=False)
+class MonitorTable:
+    """Every evaluated inequality along a trajectory, one row per check.
+
+    The columns are parallel arrays.  Row r compares ``measured[r]`` with
+    ``bound[r]`` for inequality ``name[r]`` at iteration ``iteration[r]``:
+    ``holds[r]`` is ``measured <= bound + tol`` for an upper bound and
+    ``measured >= bound - tol`` for the names in :data:`LOWER_BOUNDS`.
+    Rows are in bounds.csv order.
+    """
+
+    name: np.ndarray
+    iteration: np.ndarray
+    measured: np.ndarray
+    bound: np.ndarray
+    tol: np.ndarray
+    holds: np.ndarray
+
+    def __len__(self) -> int:
+        return self.iteration.size
+
+
+def _columns(name: str, iteration, measured, bound, tol) -> tuple:
+    """The columns of one inequality, scalars broadcast to one per row."""
+    measured, bound, tol = (np.broadcast_to(c, iteration.shape) for c in (measured, bound, tol))
+    holds = measured >= bound - tol if name in LOWER_BOUNDS else measured <= bound + tol
+    return (np.full(iteration.size, name, dtype=object), iteration, measured, bound, tol, holds)
+
+
+def _scalar_pow(bases, exponents) -> np.ndarray:
+    """Elementwise power of Python floats through Python's ``**``.
+
+    numpy's vectorized power and square round differently in the last bit
+    for a few elements; the scalar keeps the 17-digit bounds.csv cells and
+    the verdicts stable.
+    """
+    return np.fromiter(map(pow, bases, exponents), dtype=float)
 
 
 def predicted_iterations(ledger: ConstantsLedger, gap0: float, stop_gap: float) -> Optional[int]:
@@ -350,125 +377,78 @@ def predicted_iterations(ledger: ConstantsLedger, gap0: float, stop_gap: float) 
     return int(math.ceil(math.log(stop_gap / gap0) / math.log(ledger.q)))
 
 
-def monitor_rows(trace: DescentTrace, ledger: ConstantsLedger) -> list[MonitorRow]:
+def monitor_rows(trace: DescentTrace, ledger: ConstantsLedger) -> MonitorTable:
     """Evaluate every monitorable inequality along the recorded trajectory.
 
     This is the single source for both verdict aggregation and the
     bounds.csv export; nothing downstream recomputes a bound differently.
     """
-    rows: list[MonitorRow] = []
-    if ledger.f_star is None:
-        return rows
-    gaps = trace.losses - ledger.f_star
-    gap0 = float(gaps[0])
-    n = len(gaps)
-    alpha = ledger.alpha
-    loss_tol = REL_TOL * max(gap0, 0.0) + ABS_TOL
+    blocks = []
+    if ledger.f_star is not None:
+        gaps = trace.losses - ledger.f_star
+        gap0 = float(gaps[0])
+        n, n_steps = gaps.size, trace.n_steps
+        iters, steps = np.arange(n), np.arange(n_steps)
+        alpha = ledger.alpha
+        loss_tol = REL_TOL * max(gap0, 0.0) + ABS_TOL
 
-    if ledger.q is not None and ledger.K is not None:
-        q, k_total = ledger.q, ledger.K
-        sq = math.sqrt(q)
-        dist_bound = ledger.dist_bound()
-        cum = 0.0
-        for i in range(n):
-            rows.append(
-                MonitorRow("q_decay", i, float(gaps[i]), (q**i) * gap0, "ub", loss_tol)
+        if ledger.q is not None and ledger.K is not None:
+            q = ledger.q
+            q_bound = _scalar_pow(repeat(q), range(n)) * gap0
+            blocks.append(_columns("q_decay", iters, gaps, q_bound, loss_tol))
+            step_bound = alpha * _scalar_pow(repeat(math.sqrt(q)), range(n_steps)) * ledger.K
+            step_tol = REL_TOL * step_bound + ABS_TOL
+            path = np.cumsum(trace.step_norms)
+            dist_bound = ledger.dist_bound()
+            dist_tol = REL_TOL * dist_bound + ABS_TOL
+            per_step = (
+                _columns("per_step_decay", steps, gaps[1:], q * gaps[:-1], loss_tol),
+                _columns("step_norm", steps, trace.step_norms, step_bound, step_tol),
+                _columns("path_length", steps, path, dist_bound, dist_tol),
             )
-        for i in range(trace.n_steps):
-            rows.append(
-                MonitorRow(
-                    "per_step_decay", i, float(gaps[i + 1]), q * float(gaps[i]), "ub", loss_tol
-                )
-            )
-            step_bound = alpha * (sq**i) * k_total
-            rows.append(
-                MonitorRow(
-                    "step_norm",
-                    i,
-                    float(trace.step_norms[i]),
-                    step_bound,
-                    "ub",
-                    REL_TOL * step_bound + ABS_TOL,
-                )
-            )
-            cum += float(trace.step_norms[i])
-            rows.append(
-                MonitorRow(
-                    "path_length", i, cum, dist_bound, "ub", REL_TOL * dist_bound + ABS_TOL
-                )
-            )
+            # bounds.csv lists the three inequalities of each step together
+            blocks.append(tuple(np.stack(c, axis=1).reshape(-1) for c in zip(*per_step)))
 
-    if ledger.lam is not None:
-        for i in range(n):
-            rows.append(
-                MonitorRow(
-                    "composition_pl",
-                    i,
-                    0.5 * float(trace.grad_norms[i]) ** 2,
-                    ledger.lam * float(gaps[i]),
-                    "lb",
-                    REL_TOL * ledger.lam * max(gap0, 0.0) + ABS_TOL,
-                )
+        sq_grad = _scalar_pow(trace.grad_norms.tolist(), repeat(2))
+        if ledger.lam is not None:
+            pl_tol = REL_TOL * ledger.lam * max(gap0, 0.0) + ABS_TOL
+            blocks.append(
+                _columns("composition_pl", iters, 0.5 * sq_grad, ledger.lam * gaps, pl_tol)
             )
+        if ledger.L is not None:
+            lg_tol = REL_TOL * ledger.L * max(gap0, 0.0) + ABS_TOL
+            blocks.append(
+                _columns("composition_lg_bound", iters, 0.5 * sq_grad, ledger.L * gaps, lg_tol)
+            )
+            # Taylor remainder on consecutive iterates; the descent direction
+            # makes <grad_i, x_{i+1} - x_i> = -alpha ||grad_i||^2.
+            remainder = np.abs(trace.losses[1:] - trace.losses[:-1] + alpha * sq_grad[:-1])
+            taylor = 0.5 * ledger.L * _scalar_pow(trace.step_norms.tolist(), repeat(2))
+            blocks.append(_columns("taylor_bound", steps, remainder, taylor, loss_tol))
 
-    if ledger.L is not None:
-        for i in range(n):
-            rows.append(
-                MonitorRow(
-                    "composition_lg_bound",
-                    i,
-                    0.5 * float(trace.grad_norms[i]) ** 2,
-                    ledger.L * float(gaps[i]),
-                    "ub",
-                    REL_TOL * ledger.L * max(gap0, 0.0) + ABS_TOL,
-                )
-            )
-        # Taylor remainder on consecutive iterates; the descent direction
-        # makes <grad_i, x_{i+1} - x_i> = -alpha ||grad_i||^2.
-        for i in range(trace.n_steps):
-            remainder = abs(
-                float(trace.losses[i + 1])
-                - float(trace.losses[i])
-                + alpha * float(trace.grad_norms[i]) ** 2
-            )
-            rows.append(
-                MonitorRow(
-                    "taylor_bound",
-                    i,
-                    remainder,
-                    0.5 * ledger.L * float(trace.step_norms[i]) ** 2,
-                    "ub",
-                    loss_tol,
-                )
-            )
-    return rows
+    empty = _columns("", np.arange(0), np.empty(0), np.empty(0), np.empty(0))
+    return MonitorTable(*(np.concatenate(c) for c in zip(empty, *blocks)))
 
 
-def _aggregate(rows: list[MonitorRow], name: str) -> Optional[Verdict]:
-    mine = [r for r in rows if r.name == name]
-    if not mine:
+def _aggregate(table: MonitorTable, name: str) -> Optional[Verdict]:
+    mine = np.flatnonzero(table.name == name)
+    if mine.size == 0:
         return None
-    violations = [r for r in mine if not r.holds]
-    if violations:
-        worst = max(
-            violations,
-            key=lambda r: (r.measured - r.bound) if r.kind == "ub" else (r.bound - r.measured),
-        )
-        passed = False
-    else:
-        worst = max(
-            mine,
-            key=lambda r: (r.measured - r.bound) if r.kind == "ub" else (r.bound - r.measured),
-        )
-        passed = True
+    measured, bound = table.measured[mine], table.bound[mine]
+    margin = bound - measured if name in LOWER_BOUNDS else measured - bound
+    violated = ~table.holds[mine]
+    n_violations = int(violated.sum())
+    # the largest violation if any, else the tightest margin; the first on ties
+    candidates = np.flatnonzero(violated) if n_violations else np.arange(mine.size)
+    worst = candidates[np.argmax(margin[candidates])]
     return Verdict(
         name=name,
-        passed=passed,
-        measured=worst.measured,
-        bound=worst.bound,
-        n_checked=len(mine),
-        n_violations=len(violations),
-        worst_iter=worst.iteration,
+        passed=n_violations == 0,
+        measured=float(measured[worst]),
+        bound=float(bound[worst]),
+        n_checked=int(mine.size),
+        n_violations=n_violations,
+        worst_iter=int(table.iteration[mine[worst]]),
     )
 
 
@@ -478,21 +458,23 @@ def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[Spac
     Supported when the map is linear and the objective has a unique known
     minimizer h*: the optimum set is the affine solution set of
     ``A x = h*`` and the closest point is ``x0 + A*(A A*)^+ (h* - A x0)``
-    in the weighted metrics.  Returns None otherwise, or when the optimum
-    set is empty (h* not attainable).
+    in the weighted metrics.  Returns None otherwise, when the optimum set
+    is empty (h* not attainable), or when the codomain is above the dense
+    solver cap.
     """
     if f_map.linear_op is None or obj.minimizer is None:
         return None
-    x0c = f_map.domain._coords(x0)
     a = f_map.linear_op
+    try:
+        require_dense(a.codomain.dim)
+    except SolverCapExceeded:
+        return None
+    x0c = f_map.domain._coords(x0)
     r = obj.minimizer - a.apply(x0c)
     mat_a = a.matrix()
     mat_adj = np.stack([a.adjoint_apply(e) for e in np.eye(a.codomain.dim)], axis=1)
-    m_gram = mat_a @ mat_adj
-    d_half = np.sqrt(a.codomain.weights)
-    sym = (m_gram * d_half[:, None]) / d_half[None, :]
-    sym = 0.5 * (sym + sym.T)
-    y = (np.linalg.pinv(sym, rcond=1e-12) @ (d_half * r)) / d_half
+    weights = a.codomain.weights
+    y = weighted_pinv_solve(symmetrize(mat_a @ mat_adj, weights), weights, r)
     delta = mat_adj @ y
     residual = a.codomain.norm(mat_a @ delta - r)
     if residual > 1e-8 * (1.0 + a.codomain.norm(r)):

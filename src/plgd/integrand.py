@@ -45,7 +45,13 @@ class SamplePoint:
     mix_gen: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        x = np.asarray(self.x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise InvalidDataset(f"sample inputs must be finite, got {x.tolist()}")
+        if not (self.target is None or isinstance(self.target, (int, np.integer))):
+            if not np.all(np.isfinite(self.target_array())):
+                raise InvalidDataset(f"sample targets must be finite, got {self.target!r}")
+        object.__setattr__(self, "x", x)
 
     def target_array(self) -> np.ndarray:
         if self.target is None:
@@ -67,8 +73,8 @@ class Dataset:
             raise InvalidDataset("dataset must contain at least one point")
         if w.shape != (len(pts),):
             raise InvalidDataset("weights must match the number of points")
-        if np.any(w <= 0):
-            raise InvalidDataset("weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise InvalidDataset("weights must be finite and strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise InvalidDataset(f"weights must sum to 1, got {w.sum()!r}")
         w.setflags(write=False)

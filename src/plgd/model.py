@@ -22,10 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, SolverCapExceeded
+from .errors import DimensionMismatch
 from .integrand import Dataset
 from .smoothmap import SmoothMap
-from .space import DENSE_EIG_CAP, LinOp, WeightedSpace
+from .space import LinOp, WeightedSpace, require_dense, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,19 +157,13 @@ def ntk_gram(model: Model, data: Dataset, theta) -> NTKGram:
     """Assemble the tangent-kernel Gram operator and its spectral range."""
     theta = np.asarray(theta, dtype=float)
     d, l = len(data), model.out_dim
-    if d * l > DENSE_EIG_CAP:
-        raise SolverCapExceeded(
-            f"dense Gram supports d*l <= {DENSE_EIG_CAP}, got {d * l}"
-        )
+    require_dense(d * l)
     js = np.empty((d * l, model.param_dim))
     for i, p in enumerate(data.points):
         js[i * l : (i + 1) * l] = model.jac_fn(p.x, theta)
-    raw = js @ js.T
     wrep = np.repeat(data.weights, l)
-    matrix = raw * wrep[None, :]
-    d_half = np.sqrt(wrep)
-    sym = raw * np.outer(d_half, d_half)
-    sym = 0.5 * (sym + sym.T)
+    matrix = (js @ js.T) * wrep[None, :]
+    sym = symmetrize(matrix, wrep)
     eigs = np.linalg.eigvalsh(sym)
     return NTKGram(
         theta=theta,

@@ -15,9 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MissingCertificate, SolverCapExceeded
+from .errors import MissingCertificate
 from .smoothmap import Ball, CertValue, SmoothMap, _sample_pairs, sample_ball
-from .space import DENSE_EIG_CAP, LinOp, SpaceVec, WeightedSpace
+from .space import LinOp, SpaceVec, WeightedSpace, require_dense, symmetrize, weighted_pinv_solve
 
 #: points closer than this to optimal are excluded from PL ratios (0/0 hygiene)
 PL_GAP_FLOOR = 1e-12
@@ -93,16 +93,10 @@ def quadratic(space: WeightedSpace, a_mat, b=None, name: str = "quadratic") -> S
     norm solution of ``A h = b``.
     """
     a = np.asarray(a_mat, dtype=float)
-    dim = space.dim
-    if dim > DENSE_EIG_CAP:
-        raise SolverCapExceeded(f"quadratic objective supports dim <= {DENSE_EIG_CAP}")
-    b = np.zeros(dim) if b is None else np.asarray(b, dtype=float)
+    require_dense(space.dim)
+    b = np.zeros(space.dim) if b is None else np.asarray(b, dtype=float)
 
-    d_half = np.sqrt(space.weights)
-    sym = (a * d_half[:, None]) / d_half[None, :]
-    if float(np.abs(sym - sym.T).max()) > 1e-10 * max(1.0, float(np.abs(sym).max())):
-        raise ValueError("quadratic form must be self-adjoint in the weighted metric")
-    sym = 0.5 * (sym + sym.T)
+    sym = symmetrize(a, space.weights)
     eigs = np.linalg.eigvalsh(sym)
     if eigs[0] < -1e-10 * max(1.0, eigs[-1]):
         raise ValueError("quadratic form must be positive semidefinite")
@@ -110,8 +104,7 @@ def quadratic(space: WeightedSpace, a_mat, b=None, name: str = "quadratic") -> S
     positive = eigs[eigs > 1e-12 * max(1.0, eigs[-1])]
     lam_const = float(positive[0]) if positive.size else None
 
-    # minimum-norm minimizer via the symmetrized pseudoinverse
-    h_star = (np.linalg.pinv(sym, rcond=1e-12) @ (d_half * b)) / d_half
+    h_star = weighted_pinv_solve(sym, space.weights, b)
 
     def value_fn(h):
         return 0.5 * space.inner(h, a @ h) - space.inner(b, h)

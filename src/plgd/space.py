@@ -90,11 +90,6 @@ class WeightedSpace:
         )
 
 
-def inner(space: WeightedSpace, u, v) -> float:
-    """Weighted inner product of two vectors of ``space``."""
-    return space.inner(u, v)
-
-
 @dataclass(frozen=True, eq=False)
 class SpaceVec:
     """A vector of a :class:`WeightedSpace`, stored in raw coordinates."""
@@ -252,15 +247,26 @@ def op_norm(a: LinOp, tol: float = ITER_TOL, max_iter: int = 1000, seed: int = 0
     return float(sigma)
 
 
-def _symmetrized_matrix(b: LinOp, sym_tol: float) -> np.ndarray:
-    """Coordinate matrix of ``b`` conjugated into symmetric form.
+def require_dense(dim: int, cap: int = DENSE_EIG_CAP) -> None:
+    """Refuse a dense eigensolve or pseudo-inverse above ``cap`` dimensions.
+
+    Callers check before they assemble the matrix, so a refusal costs
+    nothing.
+    """
+    if dim > cap:
+        raise SolverCapExceeded(f"dense eigensolver supports dim <= {cap}, got {dim}")
+
+
+def symmetrize(m, weights, sym_tol: float = IDENTITY_TOL) -> np.ndarray:
+    """Coordinate matrix of a self-adjoint operator conjugated into symmetric form.
 
     For a self-adjoint operator with coordinate matrix M on a space with
     weight diagonal D, ``S = D^1/2 M D^-1/2`` is symmetric and has the same
     spectrum.  (When M = G D for a raw kernel G this is ``D^1/2 G D^1/2``.)
+    Raises :class:`NotSelfAdjoint` when S is asymmetric beyond ``sym_tol``
+    relative to its largest entry (at least 1).
     """
-    m = b.matrix()
-    d = np.sqrt(b.domain.weights)
+    d = np.sqrt(weights)
     s = (m * d[:, None]) / d[None, :]
     scale = max(1.0, float(np.abs(s).max()))
     asym = float(np.abs(s - s.T).max())
@@ -272,6 +278,16 @@ def _symmetrized_matrix(b: LinOp, sym_tol: float) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
+def weighted_pinv_solve(sym: np.ndarray, weights, r) -> np.ndarray:
+    """Minimum-norm solution y of ``M y = r`` from ``sym = symmetrize(M, weights)``.
+
+    Returns ``D^-1/2 S^+ D^1/2 r``, the solution of least weighted norm
+    when r lies in the range of M.
+    """
+    d = np.sqrt(weights)
+    return (np.linalg.pinv(sym, rcond=1e-12) @ (d * r)) / d
+
+
 def coercivity(b: LinOp, sym_tol: float = 1e-8, cap: int = DENSE_EIG_CAP) -> float:
     """Smallest eigenvalue of a self-adjoint operator on its weighted space.
 
@@ -281,10 +297,7 @@ def coercivity(b: LinOp, sym_tol: float = 1e-8, cap: int = DENSE_EIG_CAP) -> flo
     """
     if not b.domain.compatible(b.codomain):
         raise DimensionMismatch("coercivity requires an endomorphism")
-    if b.domain.dim > cap:
-        raise SolverCapExceeded(
-            f"dense eigensolver supports dim <= {cap}, got {b.domain.dim}"
-        )
+    require_dense(b.domain.dim, cap)
     # adjoint-identity probe before paying for the dense assembly
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -296,5 +309,5 @@ def coercivity(b: LinOp, sym_tol: float = 1e-8, cap: int = DENSE_EIG_CAP) -> flo
             raise NotSelfAdjoint(
                 f"adjoint identity violated on probe: |{lhs} - {rhs}|"
             )
-    s = _symmetrized_matrix(b, sym_tol)
+    s = symmetrize(b.matrix(), b.domain.weights, sym_tol)
     return float(np.linalg.eigvalsh(s)[0])

@@ -12,6 +12,7 @@ from plgd.cli import (
     build_problem,
     check_experiment,
     execute,
+    main,
     normalize_config,
     run_experiment,
     sweep,
@@ -89,6 +90,32 @@ class TestRunCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert run_experiment(str(tmp_path / "nope.json")) == EXIT_CONFIG
+
+    def test_non_finite_input_is_dataset_error(self, tmp_path, capsys):
+        # Python's json reads NaN, so it can arrive in an inline dataset
+        cfg = tight_config(tmp_path / "out")
+        cfg["problem"]["dataset"]["inline"]["inputs"] = [[float("nan"), 1.0]]
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert "error: sample inputs must be finite" in capsys.readouterr().err
+
+    def test_bounds_csv_rows_in_documented_order(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_experiment(write_config(tmp_path, tight_config(out, alpha=0.125))) == EXIT_OK
+        n = len((out / "trace.csv").read_text().splitlines()) - 1
+        assert n > 2
+        lines = (out / "bounds.csv").read_text().splitlines()
+        assert lines[0] == "inequality,iter,measured,bound,holds"
+        steps = range(n - 1)
+        expected = (
+            [("q_decay", i) for i in range(n)]
+            + [(name, i) for i in steps for name in ("per_step_decay", "step_norm", "path_length")]
+            + [("composition_pl", i) for i in range(n)]
+            + [("composition_lg_bound", i) for i in range(n)]
+            + [("taylor_bound", i) for i in steps]
+        )
+        cells = [line.split(",") for line in lines[1:]]
+        assert [(c[0], int(c[1])) for c in cells] == expected
+        assert all(c[4] == "True" for c in cells)
 
     def test_dataset_from_file(self, tmp_path):
         data_path = tmp_path / "data.json"
@@ -242,6 +269,16 @@ class TestSweep:
         qs = [(float(l.split(",")[0]), float(l.split(",")[2])) for l in lines]
         best_alpha = min(qs, key=lambda t: t[1])[0]
         assert best_alpha == pytest.approx(inv, rel=1e-9)
+
+    def test_bad_values_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, rf_config(tmp_path / "x"))
+        for values, message in (
+            ("abc", "error: --values: could not convert string to float: 'abc'"),
+            ("8,nan", "error: sweep requires at least one value, all finite; got [8.0, nan]"),
+        ):
+            assert main(["sweep", path, "--axis", "width", "--values", values]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_axis_rejected(self, tmp_path):
         path = write_config(tmp_path, rf_config(tmp_path / "x"))

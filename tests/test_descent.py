@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from plgd.descent import (
+    ConstantsLedger,
+    DescentTrace,
     build_ledger,
     closest_optimum,
     gd_step,
@@ -12,6 +14,7 @@ from plgd.descent import (
     predicted_iterations,
     run,
     trace_table,
+    verify,
 )
 from plgd.errors import InvalidConfig, MissingCertificate
 from plgd.integrand import Dataset, integral_functional, least_squares
@@ -210,6 +213,64 @@ class TestClosestOptimum:
         prob = supervised(model, data, least_squares(k=1))
         assert closest_optimum(prob.F, prob.f, prob.theta0) is None
 
+    def test_above_dense_cap_not_computable(self):
+        # d*l = 5 * 1000 exceeds the dense cap; theta = v attains every target
+        x = np.arange(1.0, 6.0)
+        v = np.linspace(-1.0, 1.0, 1000)
+        data = Dataset.from_arrays(x[:, None], targets=[xi * v for xi in x])
+        prob = supervised(linear_model(1, out_dim=1000), data, least_squares(k=1000))
+        op = prob.F.linear_op
+        calls = []
+
+        def apply_fn(u):
+            calls.append(u)
+            return op.apply_fn(u)
+
+        f_map = SmoothMap.linear(dataclasses.replace(op, apply_fn=apply_fn))
+        assert closest_optimum(f_map, prob.f, prob.theta0) is None
+        assert calls == []  # refused before assembling anything
+
+
+S1 = WeightedSpace.unit(1)
+
+
+def planted_trace():
+    """Gaps 4, 2, 1, 1 (f_star = 0) with hand-picked gradient and step norms."""
+    return DescentTrace(
+        iterates=[np.zeros(1)] * 4,
+        losses=np.array([4.0, 2.0, 1.0, 1.0]),
+        grad_norms=np.array([2.0, 0.0, 2.0, 4.0]),
+        step_norms=np.array([1.0, 0.5, 0.5]),
+        dist_from_init=np.zeros(4),
+        stop_gap=0.0,
+        predicted_iters=None,
+    )
+
+
+class TestMonitorVerdicts:
+    def test_planted_violations_and_ties(self):
+        # lam = 1, L = 4, alpha = 1/4; half squared gradient norms 2, 0, 2, 8
+        ledger = ConstantsLedger(alpha=0.25, f_star=0.0, L=4.0, lam=1.0)
+        obj = ScalarObjective(S1, lambda h: 0.5 * float(h @ h), lambda h: h)
+        verdicts = verify(planted_trace(), ledger, SmoothMap.identity(S1), obj)
+
+        # lower bound 0.5 g^2 >= lam gap: iterates 0 and 1 both miss by 2
+        pl = verdicts.get("composition_pl")
+        assert (pl.passed, pl.n_checked, pl.n_violations) == (False, 4, 2)
+        assert (pl.worst_iter, pl.measured, pl.bound) == (0, 2.0, 4.0)
+
+        # upper bound 0.5 g^2 <= L gap: only iterate 3 (8 > 4)
+        lg = verdicts.get("composition_lg_bound")
+        assert (lg.passed, lg.n_checked, lg.n_violations) == (False, 4, 1)
+        assert (lg.worst_iter, lg.measured, lg.bound) == (3, 8.0, 4.0)
+
+        # Taylor remainder 1 at every step against 2 L s^2 = 2, 0.5, 0.5
+        taylor = verdicts.get("taylor_bound")
+        assert (taylor.passed, taylor.n_checked, taylor.n_violations) == (False, 3, 2)
+        assert (taylor.worst_iter, taylor.measured, taylor.bound) == (1, 1.0, 0.5)
+
+        assert verdicts.get("q_decay").passed is None  # no q in the ledger
+
 
 class TestExports:
     def test_trace_table_and_monitor_rows_consistent(self):
@@ -220,9 +281,9 @@ class TestExports:
         assert [r["iter"] for r in rows] == [0, 1]
         assert rows[0]["q_bound"] == pytest.approx(8.0)
         monitors = monitor_rows(trace, led)
-        q_rows = [r for r in monitors if r.name == "q_decay"]
-        assert [r.bound for r in q_rows] == [rows[0]["q_bound"], rows[1]["q_bound"]]
-        assert all(r.holds for r in monitors)
+        q_rows = monitors.name == "q_decay"
+        assert monitors.bound[q_rows].tolist() == [rows[0]["q_bound"], rows[1]["q_bound"]]
+        assert monitors.holds.all()
 
     def test_predicted_iterations_formula(self):
         led = minimal_ledger(1.0)

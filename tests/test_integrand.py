@@ -37,6 +37,19 @@ class TestDataset:
         with pytest.raises(InvalidDataset):
             Dataset.from_arrays([[0.0], [1.0]], weights=np.array([1.0, 0.0]))
 
+    def test_inputs_must_be_finite(self):
+        with pytest.raises(InvalidDataset, match="inputs must be finite"):
+            Dataset.from_arrays([[0.0], [math.nan]])
+
+    def test_array_targets_must_be_finite(self):
+        with pytest.raises(InvalidDataset, match="targets must be finite"):
+            Dataset.from_arrays([[0.0], [1.0]], targets=[np.array([1.0]), np.array([math.inf])])
+
+    def test_weights_must_be_finite(self):
+        # NaN compares false both ways, so it passes a plain "w <= 0" check
+        with pytest.raises(InvalidDataset, match="finite"):
+            Dataset.from_arrays([[0.0], [1.0]], weights=np.array([math.nan, 0.5]))
+
     def test_uniform_default_and_function_space(self):
         d = Dataset.from_arrays([[0.0], [1.0], [2.0], [3.0]])
         assert np.allclose(d.weights, 0.25)

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plgd.errors import DimensionMismatch, NotSelfAdjoint, SolverCapExceeded
 from plgd.space import (
@@ -8,23 +11,25 @@ from plgd.space import (
     WeightedSpace,
     adjoint_defect,
     coercivity,
-    inner,
     op_norm,
+    require_dense,
+    symmetrize,
+    weighted_pinv_solve,
 )
 
 
 class TestInner:
     def test_unit_weights(self):
         s = WeightedSpace.unit(2)
-        assert inner(s, [1.0, 1.0], [1.0, 1.0]) == 2.0
+        assert s.inner([1.0, 1.0], [1.0, 1.0]) == 2.0
 
     def test_probability_weights_normalize(self):
         s = WeightedSpace([0.5, 0.5])
-        assert inner(s, [1.0, 1.0], [1.0, 1.0]) == 1.0
+        assert s.inner([1.0, 1.0], [1.0, 1.0]) == 1.0
 
     def test_hand_sum(self):
         s = WeightedSpace([0.25, 0.75])
-        assert inner(s, [2.0, 0.0], [2.0, 4.0]) == pytest.approx(1.0, abs=1e-15)
+        assert s.inner([2.0, 0.0], [2.0, 4.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_dimension_mismatch(self):
         s = WeightedSpace.unit(2)
@@ -150,3 +155,62 @@ class TestAdjoint:
         d = a - b
         assert np.allclose(d.apply([1.0, 2.0, 3.0]), [-1.0, -2.0, -3.0])
         assert adjoint_defect(d, n_probes=20) <= 1e-12
+
+
+@st.composite
+def weighted_kernels(draw):
+    """A symmetric raw kernel G and masses w; ``G * w`` is self-adjoint in w."""
+    n = draw(st.integers(1, 12))
+    w = draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal((n, n))
+    g = b @ b.T if draw(st.booleans()) else b + b.T
+    return g, w
+
+
+class TestSymmetrize:
+    @settings(deadline=None)
+    @given(weighted_kernels())
+    def test_spectrum_matches_unsymmetrized(self, kernel):
+        g, w = kernel
+        m = g * w[None, :]
+        ours = np.linalg.eigvalsh(symmetrize(m, w))
+        ref = np.sort(np.linalg.eigvals(m).real)
+        scale = float(np.abs(ref).max())
+        assert np.abs(ours - ref).max() <= 1e-9 * scale
+
+    @settings(deadline=None)
+    @given(weighted_kernels())
+    def test_rejects_non_self_adjoint(self, kernel):
+        g, w = kernel
+        if g.shape[0] < 2:
+            g, w = np.eye(2), np.ones(2)
+        skew = np.zeros_like(g)
+        skew[0, 1], skew[1, 0] = 1.0, -1.0
+        m = (g + (np.abs(g).max() + 1.0) * skew) * w[None, :]
+        with pytest.raises(NotSelfAdjoint):
+            symmetrize(m, w)
+
+    @given(st.integers(1, 12), st.integers(1, 12))
+    def test_refused_above_cap_before_assembly(self, cap, extra):
+        dim = cap + extra
+        with pytest.raises(SolverCapExceeded, match=f"got {dim}"):
+            require_dense(dim, cap)
+        calls = []
+
+        def apply_fn(u):
+            calls.append(u)
+            return u
+
+        s = WeightedSpace.unit(dim)
+        with pytest.raises(SolverCapExceeded):
+            coercivity(LinOp(s, s, apply_fn, apply_fn), cap=cap)
+        assert calls == []
+
+    def test_pinv_solve_is_weighted_minimum_norm(self):
+        # M = G D with G all ones: M y = (2, 2) exactly when <w, y> = 2, and
+        # the solution of least weighted norm sum_k w_k y_k^2 is y = (2, 2)
+        w = np.array([0.25, 0.75])
+        m = np.ones((2, 2)) * w[None, :]
+        y = weighted_pinv_solve(symmetrize(m, w), w, np.array([2.0, 2.0]))
+        assert np.allclose(y, [2.0, 2.0], rtol=0.0, atol=1e-12)
