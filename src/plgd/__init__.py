@@ -34,7 +34,6 @@ from .errors import (
 from .integrand import (
     Dataset,
     Integrand,
-    SamplePoint,
     gan_integrand,
     gaussian_nll,
     integral_functional,

@@ -92,7 +92,7 @@ import numpy as np
 from . import descent as descent_mod
 from .descent import build_ledger, minimal_ledger, monitor_rows, run, trace_table
 from .errors import InvalidConfig, InvalidDataset, MissingCertificate, PlgdError
-from .integrand import Dataset, SamplePoint, gaussian_nll, least_squares, softmax_ce
+from .integrand import Dataset, gaussian_nll, least_squares, softmax_ce
 from .model import (
     linear_disc,
     linear_model,
@@ -334,21 +334,8 @@ def _dataset_from_inline(spec: dict) -> tuple[Dataset, list | None]:
         {"inputs": ..., "targets": None, "weights": None, "side": None},
         "dataset",
     )
-    inputs = [np.asarray(x, dtype=float) for x in spec["inputs"]]
-    n = len(inputs)
-    if n == 0:
-        raise InvalidDataset("dataset: inputs must be non-empty")
-    weights = (
-        np.full(n, 1.0 / n) if spec["weights"] is None else np.asarray(spec["weights"], float)
-    )
-    targets = spec["targets"]
-    pts = []
-    for i, x in enumerate(inputs):
-        t = None
-        if targets is not None:
-            t = targets[i] if isinstance(targets[i], int) else np.asarray(targets[i], float)
-        pts.append(SamplePoint(x=x, target=t))
-    return Dataset(tuple(pts), weights), spec["side"]
+    data = Dataset(spec["inputs"], targets=spec["targets"], weights=spec["weights"])
+    return data, spec["side"]
 
 
 def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
@@ -364,9 +351,9 @@ def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
         targets = (
             None
             if spec["target_dim"] == 0
-            else list(rng.standard_normal((spec["d"], spec["target_dim"])))
+            else rng.standard_normal((spec["d"], spec["target_dim"]))
         )
-        return Dataset.from_arrays(list(inputs), targets), None
+        return Dataset(inputs, targets), None
     if kind == "classes":
         spec = _require_keys(
             spec,
@@ -375,8 +362,7 @@ def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
         )
         rng = np.random.default_rng(spec["seed"])
         inputs = rng.standard_normal((spec["d"], spec["in_dim"]))
-        targets = [int(t) for t in rng.integers(1, spec["classes"] + 1, size=spec["d"])]
-        return Dataset.from_arrays(list(inputs), targets), None
+        return Dataset(inputs, rng.integers(1, spec["classes"] + 1, size=spec["d"])), None
     if kind == "orthonormal":
         spec = _require_keys(
             spec,
@@ -385,13 +371,11 @@ def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
         )
         if spec["d"] > spec["in_dim"]:
             raise InvalidConfig("dataset.synthetic: orthonormal needs d <= in_dim")
-        inputs = list(np.eye(spec["in_dim"])[: spec["d"]])
-        if spec["targets"] is not None:
-            targets = [np.asarray(t, float) for t in spec["targets"]]
-        else:
-            rng = np.random.default_rng(spec["seed"])
-            targets = list(rng.standard_normal((spec["d"], 1)))
-        return Dataset.from_arrays(inputs, targets), None
+        inputs = np.eye(spec["in_dim"])[: spec["d"]]
+        targets = spec["targets"]
+        if targets is None:
+            targets = np.random.default_rng(spec["seed"]).standard_normal((spec["d"], 1))
+        return Dataset(inputs, targets), None
     if kind == "two_gaussians":
         spec = _require_keys(
             spec,
@@ -402,9 +386,8 @@ def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
         half = 0.5 * spec["separation"]
         real = rng.standard_normal((spec["n_real"], spec["in_dim"])) + half
         gen = rng.standard_normal((spec["n_gen"], spec["in_dim"])) - half
-        data = Dataset.from_arrays(list(real) + list(gen))
         side = ["real"] * spec["n_real"] + ["generated"] * spec["n_gen"]
-        return data, side
+        return Dataset(np.concatenate([real, gen])), side
     raise InvalidConfig(f"dataset.synthetic.kind: unknown kind {kind!r}")
 
 
@@ -417,12 +400,11 @@ def build_dataset(ds_cfg: dict) -> tuple[Dataset, list | None]:
 
 
 def _target_dim(data: Dataset) -> int:
-    t = data.points[0].target
-    if t is None:
+    if data.targets is None:
         raise InvalidConfig("dataset provides no targets for a supervised problem")
-    if isinstance(t, (int, np.integer)):
+    if data.targets.ndim == 1:
         raise InvalidConfig("integer class targets need the softmax integrand")
-    return np.asarray(t).size
+    return data.targets.shape[1]
 
 
 def _build_supervised(prob: dict) -> PrototypeProblem:
@@ -466,13 +448,13 @@ def _build_supervised(prob: dict) -> PrototypeProblem:
 
 def _build_vae(prob: dict) -> PrototypeProblem:
     data, _side = build_dataset(prob["dataset"])
-    ys = [p.x for p in data.points]
-    y_dim = ys[0].size
+    ys = data.inputs
+    y_dim = ys.shape[1]
     l_z = prob["latent_dim"]
     encoder = shallow_net(y_dim, prob["encoder"]["width"], out_dim=2 * l_z, seed=prob["encoder"]["seed"])
     decoder = shallow_net(l_z, prob["decoder"]["width"], out_dim=y_dim, seed=prob["decoder"]["seed"])
     rng = np.random.default_rng(prob["noise"]["seed"])
-    noise = list(rng.standard_normal((prob["noise"]["count"], l_z)))
+    noise = rng.standard_normal((prob["noise"]["count"], l_z))
     sigma = prob["recon_sigma"]
     ell = least_squares(sigma=sigma, k=y_dim)
     return vae(encoder, decoder, ys, noise, ell, prob["beta"], ball_radius=prob["ball_radius"])
@@ -482,9 +464,11 @@ def _build_gan(prob: dict) -> PrototypeProblem:
     data, side = build_dataset(prob["dataset"])
     if side is None:
         raise InvalidConfig("adversarial datasets must label points real/generated")
-    real = [p.x for p, s in zip(data.points, side) if s == "real"]
-    gen = [p.x for p, s in zip(data.points, side) if s == "generated"]
-    in_dim = real[0].size if real else gen[0].size
+    side = np.asarray(side)
+    if side.shape != (len(data),) or not np.isin(side, ("real", "generated")).all():
+        raise InvalidDataset(f"side must label each of the {len(data)} inputs real or generated")
+    real, gen = data.inputs[side == "real"], data.inputs[side == "generated"]
+    in_dim = data.inputs.shape[1]
     dcfg = prob["disc"]
     if dcfg["kind"] == "linear":
         disc = linear_disc(in_dim)

@@ -1,23 +1,26 @@
 """Pointwise losses, empirical datasets and the induced integral objective.
 
-An :class:`Integrand` is a loss ``iota(x, z)`` over sample payloads x and
-model outputs z in R^l, with its gradient in z and, where they exist
-globally, its Lipschitz-gradient constant, PL constant and pointwise
-infimum.  :func:`integral_functional` turns an integrand and a weighted
-dataset into a :class:`ScalarObjective` on the function space of values at
-the sample points; the integrand's constants are inherited unchanged and
-the functional's gradient acts pointwise in function coordinates.
+A :class:`Dataset` is an empirical measure stored as arrays, one row per
+atom: inputs, masses and, where a loss needs them, targets or mixture
+densities.  An :class:`Integrand` is a loss ``iota(x, z)`` over atoms x
+and model outputs z in R^l, evaluated on a whole (d, l) block of outputs
+at once, with its gradient in z and, where they exist globally, its
+Lipschitz-gradient constant, PL constant and pointwise infimum.
+:func:`integral_functional` turns an integrand and a dataset into a
+:class:`ScalarObjective` on the function space of values at the atoms;
+the integrand's constants are inherited unchanged and the functional's
+gradient acts row by row in function coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidDataset, NumericFailure
+from .errors import DimensionMismatch, InvalidDataset, NumericFailure
 from .objective import ScalarObjective
 from .smoothmap import CertValue
 from .space import WeightedSpace
@@ -28,73 +31,106 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 EXP_DOMAIN = 700.0
 
 
-@dataclass(frozen=True, eq=False)
-class SamplePoint:
-    """One atom of an empirical measure.
+class SamplePoint(NamedTuple):
+    """One row of a :class:`Dataset`, as listed by ``Dataset.points``.
 
-    ``x`` are the input features.  ``target`` is the supervised target
-    (array) or 1-based class label (int) when applicable.  ``mix_real``
-    and ``mix_gen`` are the Radon-Nikodym densities of the real and
-    generated distributions with respect to the mixture, carried only by
-    adversarial datasets (exactly 2.0 or 0.0 for the even mixture).
+    ``target`` is the row of float targets, the 1-based class label (int)
+    or None.
     """
 
     x: np.ndarray
     target: Optional[object] = None
-    mix_real: Optional[float] = None
-    mix_gen: Optional[float] = None
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise InvalidDataset(f"sample inputs must be finite, got {x.tolist()}")
-        if not (self.target is None or isinstance(self.target, (int, np.integer))):
-            if not np.all(np.isfinite(self.target_array())):
-                raise InvalidDataset(f"sample targets must be finite, got {self.target!r}")
-        object.__setattr__(self, "x", x)
 
-    def target_array(self) -> np.ndarray:
-        if self.target is None:
-            raise InvalidDataset("sample point has no target")
-        return np.asarray(self.target, dtype=float)
+def _array(values, name: str, dtype=float) -> np.ndarray:
+    """A fresh array of ``values``; ragged or non-numeric input is invalid data."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDataset(f"{name} must be a rectangular numeric array ({exc})") from None
+
+
+def _first_bad_row(a: np.ndarray):
+    """Index of the first row of ``a`` with a non-finite entry, or None."""
+    bad = ~np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _require_finite(a: np.ndarray, name: str) -> None:
+    i = _first_bad_row(a)
+    if i is not None:
+        raise InvalidDataset(f"sample {name} must be finite, got {a[i].tolist()} at row {i}")
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Sample points with strictly positive masses summing to one."""
+    """An empirical measure with one array row per atom.
 
-    points: tuple
-    weights: np.ndarray
+    ``inputs`` is (d, in_dim).  ``targets`` is optional: (d, k) floats (a
+    1-d float array reads as (d, 1)) or (d,) 1-based integer class labels.
+    ``weights`` are strictly positive masses summing to one, uniform when
+    omitted.  ``mix`` (d, 2), carried only by adversarial datasets, holds
+    the Radon-Nikodym densities of the real and generated distributions
+    with respect to the mixture (exactly 2.0 or 0.0 for the even mixture).
+    Shapes and finiteness are checked here, once; the arrays are read-only.
+    """
+
+    inputs: np.ndarray
+    targets: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
+    mix: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        w = np.asarray(self.weights, dtype=float)
-        if len(pts) == 0:
-            raise InvalidDataset("dataset must contain at least one point")
-        if w.shape != (len(pts),):
+        x = _array(self.inputs, "inputs")
+        if x.ndim != 2 or len(x) == 0:
+            raise InvalidDataset(
+                f"inputs must be a non-empty (d, in_dim) array, got shape {x.shape}"
+            )
+        _require_finite(x, "inputs")
+        d = len(x)
+
+        t = self.targets
+        if t is not None:
+            t = _array(t, "targets", dtype=None)
+            if t.ndim == 0 or len(t) != d:
+                raise InvalidDataset(f"targets must have one row per input ({d})")
+            if t.ndim == 1 and t.dtype.kind in "iu":
+                t = t.astype(np.int64)
+            elif t.ndim in (1, 2) and t.dtype.kind in "iuf":
+                t = t.astype(float).reshape(d, -1)
+                _require_finite(t, "targets")
+            else:
+                raise InvalidDataset("targets must be (d, k) floats or (d,) integer class labels")
+
+        w = np.full(d, 1.0 / d) if self.weights is None else _array(self.weights, "weights")
+        if w.shape != (d,):
             raise InvalidDataset("weights must match the number of points")
         if not np.all(np.isfinite(w) & (w > 0)):
             raise InvalidDataset("weights must be finite and strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise InvalidDataset(f"weights must sum to 1, got {w.sum()!r}")
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
 
-    @staticmethod
-    def from_arrays(inputs, targets=None, weights=None) -> "Dataset":
-        inputs = [np.asarray(x, dtype=float) for x in inputs]
-        n = len(inputs)
-        if weights is None:
-            weights = np.full(n, 1.0 / n)
-        pts = []
-        for i, x in enumerate(inputs):
-            t = None if targets is None else targets[i]
-            pts.append(SamplePoint(x=x, target=t))
-        return Dataset(tuple(pts), weights)
+        mix = self.mix
+        if mix is not None:
+            mix = _array(mix, "mix")
+            if mix.shape != (d, 2):
+                raise InvalidDataset(f"mix must be a ({d}, 2) array, got shape {mix.shape}")
+            _require_finite(mix, "mix")
+
+        for name, a in (("inputs", x), ("targets", t), ("weights", w), ("mix", mix)):
+            if a is not None:
+                a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.inputs)
+
+    @property
+    def points(self) -> tuple:
+        """Per-row view of ``inputs`` and ``targets`` for external readers."""
+        t = self.targets
+        rows = [None] * len(self) if t is None else (t.tolist() if t.ndim == 1 else list(t))
+        return tuple(SamplePoint(x, target) for x, target in zip(self.inputs, rows))
 
     def function_space(self, out_dim: int) -> WeightedSpace:
         """The weighted space of R^out_dim-valued functions on the atoms."""
@@ -105,44 +141,57 @@ class Dataset:
 class Integrand:
     """A pointwise loss with gradient and optional global constants.
 
-    ``lipschitz`` and ``pl`` are the Lipschitz-gradient and PL constants
-    of ``iota(x, .)`` valid for every payload, or None.  ``pointwise_inf``
-    maps a payload to ``inf_z iota(x, z)`` (None when unknown);
-    ``inf_attained`` records whether that infimum is attained.
-    ``pointwise_argmin`` gives the unique pointwise minimizer when one is
-    known in closed form.
+    ``value_fn(data, Z)`` maps a (d, out_dim) block of outputs, row i at
+    atom i of ``data``, to the (d,) per-row losses; ``grad_fn(data, Z)``
+    returns the (d, out_dim) per-row gradients in z.  ``lipschitz`` and
+    ``pl`` are the Lipschitz-gradient and PL constants of ``iota(x, .)``
+    valid for every atom, or None.  ``pointwise_inf(data)`` gives the (d,)
+    values ``inf_z iota(x_i, z)`` (None when unknown); ``inf_attained``
+    records whether that infimum is attained.  ``pointwise_argmin(data)``
+    gives the (d, out_dim) unique pointwise minimizers when known in
+    closed form.
     """
 
     out_dim: int
-    value_fn: Callable[[SamplePoint, np.ndarray], float]
-    grad_fn: Callable[[SamplePoint, np.ndarray], np.ndarray]
+    value_fn: Callable[[Dataset, np.ndarray], np.ndarray]
+    grad_fn: Callable[[Dataset, np.ndarray], np.ndarray]
     lipschitz: Optional[float] = None
     pl: Optional[float] = None
-    pointwise_inf: Optional[Callable[[SamplePoint], float]] = None
-    pointwise_argmin: Optional[Callable[[SamplePoint], np.ndarray]] = None
+    pointwise_inf: Optional[Callable[[Dataset], np.ndarray]] = None
+    pointwise_argmin: Optional[Callable[[Dataset], np.ndarray]] = None
     inf_attained: bool = True
     name: str = ""
 
-    def value(self, point: SamplePoint, z) -> float:
-        return float(self.value_fn(point, np.asarray(z, dtype=float)))
+    def _block(self, data: Dataset, z) -> np.ndarray:
+        return np.reshape(np.asarray(z, dtype=float), (len(data), self.out_dim))
 
-    def grad(self, point: SamplePoint, z) -> np.ndarray:
-        return np.asarray(self.grad_fn(point, np.asarray(z, dtype=float)), dtype=float)
+    def value(self, data: Dataset, z) -> np.ndarray:
+        return np.asarray(self.value_fn(data, self._block(data, z)), dtype=float)
+
+    def grad(self, data: Dataset, z) -> np.ndarray:
+        return np.asarray(self.grad_fn(data, self._block(data, z)), dtype=float)
 
 
-def fd_check_integrand(
-    iota: Integrand, point: SamplePoint, z, h: float = 1e-6
-) -> float:
-    """Relative mismatch of grad_z against central finite differences."""
-    z = np.asarray(z, dtype=float)
-    g = iota.grad(point, z)
-    fd = np.zeros_like(g)
-    for k in range(z.size):
-        e = np.zeros_like(z)
+def fd_check_integrand(iota: Integrand, data: Dataset, z, h: float = 1e-6) -> float:
+    """Worst per-row relative mismatch of grad_z against central differences."""
+    z = iota._block(data, z)
+    g = iota.grad(data, z)
+    fd = np.empty_like(g)
+    for k in range(iota.out_dim):
+        e = np.zeros(iota.out_dim)
         e[k] = h
-        fd[k] = (iota.value(point, z + e) - iota.value(point, z - e)) / (2 * h)
-    scale = max(float(np.linalg.norm(g)), float(np.linalg.norm(fd)), 1e-8)
-    return float(np.linalg.norm(fd - g)) / scale
+        fd[:, k] = (iota.value(data, z + e) - iota.value(data, z - e)) / (2 * h)
+    scale = np.maximum(np.maximum(np.linalg.norm(g, axis=1), np.linalg.norm(fd, axis=1)), 1e-8)
+    return float(np.max(np.linalg.norm(fd - g, axis=1) / scale))
+
+
+def _float_targets(data: Dataset, k: int) -> np.ndarray:
+    t = data.targets
+    if t is None or t.ndim != 2:
+        raise InvalidDataset("the loss needs (d, k) float targets on every sample")
+    if t.shape[1] != k:
+        raise DimensionMismatch(f"targets have {t.shape[1]} columns, the loss expects {k}")
+    return t
 
 
 def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> Integrand:
@@ -175,12 +224,12 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
             const = float(np.sum(np.log(s))) + 0.5 * k * math.log(2.0 * math.pi)
         name = "gaussian_fixed_var"
 
-    def value_fn(p, z):
-        r = p.target_array() - z
-        return 0.5 * float(np.dot(inv2 * r, r)) + const
+    def value_fn(data, z):
+        r = _float_targets(data, k) - z
+        return 0.5 * np.sum(inv2 * r * r, axis=1) + const
 
-    def grad_fn(p, z):
-        return inv2 * (z - p.target_array())
+    def grad_fn(data, z):
+        return inv2 * (z - _float_targets(data, k))
 
     return Integrand(
         out_dim=k,
@@ -188,8 +237,8 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
         grad_fn=grad_fn,
         lipschitz=float(inv2.max()),
         pl=float(inv2.min()),
-        pointwise_inf=lambda p: const,
-        pointwise_argmin=lambda p: p.target_array().copy(),
+        pointwise_inf=lambda data: np.full(len(data), const),
+        pointwise_argmin=lambda data: _float_targets(data, k).copy(),
         name=name,
     )
 
@@ -211,44 +260,38 @@ def gaussian_nll(k: int = 1, normalization: str = "verbatim") -> Integrand:
     if normalization not in ("verbatim", "textbook"):
         raise ValueError(f"unknown normalization {normalization!r}")
 
-    def split(z):
-        if np.any(np.abs(z[k:]) > EXP_DOMAIN):
+    def split(data, z):
+        if np.any(np.abs(z[:, k:]) > EXP_DOMAIN):
             raise NumericFailure("log-variance output beyond exp() domain (|s| > 700)")
-        return z[:k], z[k:]
+        return _float_targets(data, k), z[:, :k], z[:, k:]
 
     if normalization == "verbatim":
 
-        def value_fn(p, z):
-            mean, logv = split(z)
-            r = (p.target_array() - mean) * np.exp(-logv)
-            return 0.5 * float(np.dot(r, r)) + SQRT_2PI * float(np.exp(logv.sum()))
+        def normalizer(logv):
+            return SQRT_2PI * np.exp(logv.sum(axis=1))
 
-        def grad_fn(p, z):
-            mean, logv = split(z)
-            t = p.target_array()
-            g = np.empty(2 * k)
-            g[:k] = (mean - t) * np.exp(-2.0 * logv)
-            g[k:] = -((t - mean) ** 2) * np.exp(-2.0 * logv) + SQRT_2PI * np.exp(logv.sum())
-            return g
+        def normalizer_grad(logv):
+            return SQRT_2PI * np.exp(logv.sum(axis=1, keepdims=True))
 
     else:
 
-        def value_fn(p, z):
-            mean, logv = split(z)
-            r = (p.target_array() - mean) * np.exp(-logv)
-            return (
-                0.5 * float(np.dot(r, r))
-                + float(logv.sum())
-                + 0.5 * k * math.log(2.0 * math.pi)
-            )
+        def normalizer(logv):
+            return logv.sum(axis=1) + 0.5 * k * math.log(2.0 * math.pi)
 
-        def grad_fn(p, z):
-            mean, logv = split(z)
-            t = p.target_array()
-            g = np.empty(2 * k)
-            g[:k] = (mean - t) * np.exp(-2.0 * logv)
-            g[k:] = -((t - mean) ** 2) * np.exp(-2.0 * logv) + 1.0
-            return g
+        def normalizer_grad(logv):
+            return 1.0
+
+    def value_fn(data, z):
+        t, mean, logv = split(data, z)
+        r = (t - mean) * np.exp(-logv)
+        return 0.5 * np.sum(r * r, axis=1) + normalizer(logv)
+
+    def grad_fn(data, z):
+        t, mean, logv = split(data, z)
+        g = np.empty_like(z)
+        g[:, :k] = (mean - t) * np.exp(-2.0 * logv)
+        g[:, k:] = -((t - mean) ** 2) * np.exp(-2.0 * logv) + normalizer_grad(logv)
+        return g
 
     return Integrand(out_dim=2 * k, value_fn=value_fn, grad_fn=grad_fn, name="gaussian_nll")
 
@@ -262,23 +305,27 @@ def softmax_ce(k: int) -> Integrand:
     1.  The pointwise infimum 0 is approached but never attained.
     """
 
-    def check_target(p):
-        t = p.target
-        if not isinstance(t, (int, np.integer)) or not (1 <= int(t) <= k):
-            raise InvalidDataset(f"classification target must be in 1..{k}, got {t!r}")
-        return int(t) - 1
+    def labels(data):
+        t = data.targets
+        if t is None or t.ndim != 1:
+            raise InvalidDataset(f"classification targets must be integer labels in 1..{k}")
+        bad = (t < 1) | (t > k)
+        if bad.any():
+            raise InvalidDataset(
+                f"classification target must be in 1..{k}, got {int(t[np.argmax(bad)])}"
+            )
+        return np.arange(len(t)), t - 1
 
-    def value_fn(p, z):
-        t = check_target(p)
-        m = float(z.max())
-        return m + float(np.log(np.exp(z - m).sum())) - float(z[t])
+    def value_fn(data, z):
+        rows, t = labels(data)
+        m = z.max(axis=1)
+        return m + np.log(np.exp(z - m[:, None]).sum(axis=1)) - z[rows, t]
 
-    def grad_fn(p, z):
-        t = check_target(p)
-        m = float(z.max())
-        e = np.exp(z - m)
-        g = e / e.sum()
-        g[t] -= 1.0
+    def grad_fn(data, z):
+        rows, t = labels(data)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        g = e / e.sum(axis=1, keepdims=True)
+        g[rows, t] -= 1.0
         return g
 
     return Integrand(
@@ -286,23 +333,24 @@ def softmax_ce(k: int) -> Integrand:
         value_fn=value_fn,
         grad_fn=grad_fn,
         lipschitz=1.0,
-        pointwise_inf=lambda p: 0.0,
+        pointwise_inf=lambda data: np.zeros(len(data)),
         inf_attained=False,
         name="softmax_ce",
     )
 
 
-def kl_diag_gaussian(z_e: np.ndarray) -> float:
-    """KL divergence of N(m, diag(s^2)) from N(0, I); z_e = (m, log s)."""
-    half = z_e.size // 2
-    m, t = z_e[:half], z_e[half:]
-    return 0.5 * float(np.sum(m**2 + np.exp(2.0 * t) - 1.0 - 2.0 * t))
+def kl_diag_gaussian(z_e: np.ndarray) -> np.ndarray:
+    """KL divergence of N(m, diag(s^2)) from N(0, I) over the last axis;
+    z_e = (m, log s)."""
+    half = z_e.shape[-1] // 2
+    m, t = z_e[..., :half], z_e[..., half:]
+    return 0.5 * np.sum(m**2 + np.exp(2.0 * t) - 1.0 - 2.0 * t, axis=-1)
 
 
 def kl_diag_gaussian_grad(z_e: np.ndarray) -> np.ndarray:
-    half = z_e.size // 2
-    m, t = z_e[:half], z_e[half:]
-    return np.concatenate([m, np.exp(2.0 * t) - 1.0])
+    half = z_e.shape[-1] // 2
+    m, t = z_e[..., :half], z_e[..., half:]
+    return np.concatenate([m, np.exp(2.0 * t) - 1.0], axis=-1)
 
 
 def vae_integrand(ell: Integrand, beta: float, latent_dim: int) -> Integrand:
@@ -317,24 +365,20 @@ def vae_integrand(ell: Integrand, beta: float, latent_dim: int) -> Integrand:
         raise ValueError("beta must be positive")
     enc = 2 * latent_dim
 
-    def value_fn(p, z):
-        return ell.value(p, z[enc:]) + beta * kl_diag_gaussian(z[:enc])
+    def value_fn(data, z):
+        return ell.value_fn(data, z[:, enc:]) + beta * kl_diag_gaussian(z[:, :enc])
 
-    def grad_fn(p, z):
+    def grad_fn(data, z):
         return np.concatenate(
-            [beta * kl_diag_gaussian_grad(z[:enc]), ell.grad(p, z[enc:])]
+            [beta * kl_diag_gaussian_grad(z[:, :enc]), ell.grad_fn(data, z[:, enc:])], axis=1
         )
 
-    inf_fn = None
-    if ell.pointwise_inf is not None:
-        # KL term attains 0 at (m, log s) = 0, so infima add up
-        inf_fn = lambda p: ell.pointwise_inf(p)
-
+    # KL term attains 0 at (m, log s) = 0, so infima add up
     return Integrand(
         out_dim=enc + ell.out_dim,
         value_fn=value_fn,
         grad_fn=grad_fn,
-        pointwise_inf=inf_fn,
+        pointwise_inf=ell.pointwise_inf,
         inf_attained=ell.inf_attained,
         name=f"vae[{ell.name},beta={beta}]",
     )
@@ -343,8 +387,8 @@ def vae_integrand(ell: Integrand, beta: float, latent_dim: int) -> Integrand:
 def gan_integrand(kind: str, beta: float, k: int) -> Integrand:
     """Gradient-penalized adversarial losses on z = (score y, input-grad w).
 
-    Payloads must carry the mixture densities ``mix_real`` / ``mix_gen``.
-    kind "wgan_gp" uses ``y - beta (||w|| - 1)^2`` on real mass and
+    The dataset must carry the mixture densities ``mix``.  kind "wgan_gp"
+    uses ``y - beta (||w|| - 1)^2`` on real mass and
     ``-y - beta (||w|| - 1)^2`` on generated mass; kind "r1" uses
     ``log(y) - beta ||w||^2`` on real mass (domain y > 0) and
     ``log(1 - y)`` on generated mass (domain y < 1).  No global constants
@@ -355,59 +399,53 @@ def gan_integrand(kind: str, beta: float, k: int) -> Integrand:
     if beta <= 0:
         raise ValueError("beta must be positive")
 
-    def mixture(p):
-        if p.mix_real is None or p.mix_gen is None:
-            raise InvalidDataset("adversarial payloads must carry mix_real/mix_gen")
-        return float(p.mix_real), float(p.mix_gen)
+    def mixture(data):
+        if data.mix is None:
+            raise InvalidDataset("adversarial datasets must carry the mixture densities")
+        return data.mix[:, 0], data.mix[:, 1]
 
     if kind == "wgan_gp":
 
-        def value_fn(p, z):
-            dr, dg = mixture(p)
-            y, w = z[0], z[1:]
-            pen = beta * (float(np.linalg.norm(w)) - 1.0) ** 2
+        def value_fn(data, z):
+            dr, dg = mixture(data)
+            y, w = z[:, 0], z[:, 1:]
+            pen = beta * (np.linalg.norm(w, axis=1) - 1.0) ** 2
             return dr * (y - pen) + dg * (-y - pen)
 
-        def grad_fn(p, z):
-            dr, dg = mixture(p)
-            w = z[1:]
-            nw = float(np.linalg.norm(w))
-            g = np.zeros_like(z)
-            g[0] = dr - dg
-            if nw > 1e-30:
-                # cone point of ||w|| at 0: penalty gradient taken as 0 there
-                g[1:] = -(dr + dg) * beta * 2.0 * (nw - 1.0) * (w / nw)
+        def grad_fn(data, z):
+            dr, dg = mixture(data)
+            w = z[:, 1:]
+            nw = np.linalg.norm(w, axis=1)
+            # cone point of ||w|| at 0: penalty gradient taken as 0 there
+            cone = nw <= 1e-30
+            coef = np.where(cone, 0.0, -(dr + dg) * beta * 2.0 * (nw - 1.0))
+            g = np.empty_like(z)
+            g[:, 0] = dr - dg
+            g[:, 1:] = coef[:, None] * (w / np.where(cone, 1.0, nw)[:, None])
             return g
 
     else:  # r1
 
-        def value_fn(p, z):
-            dr, dg = mixture(p)
-            y, w = z[0], z[1:]
-            total = 0.0
-            if dr != 0.0:
-                if y <= 0.0:
-                    raise NumericFailure("r1 real-side score must satisfy y > 0")
-                total += dr * (math.log(y) - beta * float(np.dot(w, w)))
-            if dg != 0.0:
-                if y >= 1.0:
-                    raise NumericFailure("r1 generated-side score must satisfy y < 1")
-                total += dg * math.log(1.0 - y)
-            return total
+        def sides(data, y):
+            dr, dg = mixture(data)
+            real, gen = dr != 0.0, dg != 0.0
+            if np.any(real & (y <= 0.0)):
+                raise NumericFailure("r1 real-side score must satisfy y > 0")
+            if np.any(gen & (y >= 1.0)):
+                raise NumericFailure("r1 generated-side score must satisfy y < 1")
+            # off-side rows read a harmless 1.0 and carry zero density
+            return dr, dg, np.where(real, y, 1.0), np.where(gen, 1.0 - y, 1.0)
 
-        def grad_fn(p, z):
-            dr, dg = mixture(p)
-            y, w = z[0], z[1:]
-            g = np.zeros_like(z)
-            if dr != 0.0:
-                if y <= 0.0:
-                    raise NumericFailure("r1 real-side score must satisfy y > 0")
-                g[0] += dr / y
-                g[1:] += -dr * beta * 2.0 * w
-            if dg != 0.0:
-                if y >= 1.0:
-                    raise NumericFailure("r1 generated-side score must satisfy y < 1")
-                g[0] += -dg / (1.0 - y)
+        def value_fn(data, z):
+            w = z[:, 1:]
+            dr, dg, y_real, y_gen = sides(data, z[:, 0])
+            return dr * (np.log(y_real) - beta * np.sum(w * w, axis=1)) + dg * np.log(y_gen)
+
+        def grad_fn(data, z):
+            dr, dg, y_real, y_gen = sides(data, z[:, 0])
+            g = np.empty_like(z)
+            g[:, 0] = dr / y_real - dg / y_gen
+            g[:, 1:] = (-dr * beta * 2.0)[:, None] * z[:, 1:]
             return g
 
     return Integrand(
@@ -422,8 +460,8 @@ def negate(iota: Integrand) -> Integrand:
     """Flip the sign of an integrand (descend the maximizing player)."""
     return Integrand(
         out_dim=iota.out_dim,
-        value_fn=lambda p, z: -iota.value_fn(p, z),
-        grad_fn=lambda p, z: -np.asarray(iota.grad_fn(p, z)),
+        value_fn=lambda data, z: -iota.value_fn(data, z),
+        grad_fn=lambda data, z: -iota.grad_fn(data, z),
         lipschitz=iota.lipschitz,
         name=f"neg[{iota.name}]",
     )
@@ -441,41 +479,30 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
     l = iota.out_dim
     space = data.function_space(l)
     w = data.weights
-    pts = data.points
-    d = len(pts)
+    d = len(data)
 
     def value_fn(h):
-        z = h.reshape(d, l)
-        total = 0.0
-        for i in range(d):
-            v = iota.value_fn(pts[i], z[i])
-            if not np.isfinite(v):
-                raise NumericFailure(f"non-finite integrand value at sample {i}")
-            total += w[i] * v
-        return total
+        v = iota.value_fn(data, h.reshape(d, l))
+        i = _first_bad_row(v)
+        if i is not None:
+            raise NumericFailure(f"non-finite integrand value at sample {i}")
+        return float(w @ v)
 
     def grad_fn(h):
-        z = h.reshape(d, l)
-        g = np.empty_like(z)
-        for i in range(d):
-            gi = np.asarray(iota.grad_fn(pts[i], z[i]), dtype=float)
-            if not np.all(np.isfinite(gi)):
-                raise NumericFailure(f"non-finite integrand gradient at sample {i}")
-            g[i] = gi
+        g = iota.grad_fn(data, h.reshape(d, l))
+        i = _first_bad_row(g)
+        if i is not None:
+            raise NumericFailure(f"non-finite integrand gradient at sample {i}")
         return g.reshape(-1)
 
     f_star = None
     if iota.pointwise_inf is not None:
-        infs = [iota.pointwise_inf(p) for p in pts]
-        if all(v is not None for v in infs):
-            f_star = float(np.dot(w, np.asarray(infs, dtype=float)))
+        f_star = float(w @ iota.pointwise_inf(data))
 
     minimizer = None
     if iota.pointwise_argmin is not None:
         try:
-            minimizer = np.concatenate(
-                [np.asarray(iota.pointwise_argmin(p), dtype=float) for p in pts]
-            )
+            minimizer = iota.pointwise_argmin(data).reshape(-1)
         except InvalidDataset:
             minimizer = None
 

@@ -1,13 +1,16 @@
 """Parametric models, their induced maps on function space, and the
 tangent-kernel Gram operator.
 
-A :class:`Model` is ``N(x, theta) in R^l`` with a hand-written parameter
-Jacobian (and, where needed downstream, an input Jacobian).  Activations
-are everywhere differentiable (tanh); widths and depths are desk scale.
+A :class:`Model` is ``N(x, theta) in R^l`` evaluated on a whole batch of
+inputs at once: ``forward(X, theta)`` maps the (d, in_dim) rows of X to
+(d, l) outputs, ``jacobian(X, theta)`` gives the (d, l, p) hand-written
+parameter Jacobians and the optional ``jac_x(X, theta)`` the (d, l, in_dim)
+input Jacobians.  Rows never interact.  Activations are everywhere
+differentiable (tanh); widths and depths are desk scale.
 :func:`induce` lifts a model over a weighted dataset to a
 :class:`SmoothMap` from parameter space into the function space, whose
-Jacobian stacks the per-sample Jacobians and whose adjoint is the
-mass-weighted sum of transposed actions.  :func:`ntk_gram` assembles the
+Jacobian is the (d l, p) stack of the per-sample Jacobians and whose
+adjoint is the mass-weighted transpose.  :func:`ntk_gram` assembles the
 Gram operator ``J J*`` on function space in closed form and reports its
 spectral range; a positive smallest eigenvalue certifies coercivity at
 that parameter point.
@@ -32,48 +35,47 @@ from .space import LinOp, WeightedSpace, require_dense, symmetrize
 class Model:
     """A parametric map ``N(x, theta) in R^out_dim`` with explicit Jacobians.
 
-    ``jac_fn`` returns the (out_dim, param_dim) parameter Jacobian;
-    ``jac_x_fn`` (optional) the (out_dim, in_dim) input Jacobian.  ``init``
-    is the seeded initial parameter vector; ``param_shapes`` documents how
-    the flat vector splits into arrays.  ``linear_in_params`` marks models
-    whose output is exactly linear in theta.
+    ``forward(X, theta)`` returns the (d, out_dim) outputs of the (d,
+    in_dim) input rows X; ``jacobian(X, theta)`` the (d, out_dim,
+    param_dim) parameter Jacobians; ``jac_x`` (optional) the (d, out_dim,
+    in_dim) input Jacobians.  ``init`` is the seeded initial parameter
+    vector; ``param_shapes`` documents how the flat vector splits into
+    arrays.  ``linear_in_params`` marks models whose output is exactly
+    linear in theta.
     """
 
     in_dim: int
     out_dim: int
     param_dim: int
-    value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    forward: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     init: np.ndarray
-    jac_x_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    jac_x: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     param_shapes: tuple = ()
     linear_in_params: bool = False
     name: str = ""
 
-    def value(self, x, theta) -> np.ndarray:
-        return np.asarray(self.value_fn(np.asarray(x, float), np.asarray(theta, float)), float)
-
-    def jac(self, x, theta) -> np.ndarray:
-        return np.asarray(self.jac_fn(np.asarray(x, float), np.asarray(theta, float)), float)
-
-    def jac_x(self, x, theta) -> np.ndarray:
-        if self.jac_x_fn is None:
-            raise NotImplementedError(f"model {self.name!r} has no input Jacobian")
-        return np.asarray(self.jac_x_fn(np.asarray(x, float), np.asarray(theta, float)), float)
-
 
 def fd_check_model(model: Model, x, theta, h: float = 1e-6) -> float:
-    """Relative mismatch of the parameter Jacobian vs central differences."""
+    """Worst per-row relative mismatch of the parameter Jacobians on the
+    rows of x vs central differences."""
     x = np.asarray(x, float)
     theta = np.asarray(theta, float)
-    jac = model.jac(x, theta)
+    jac = model.jacobian(x, theta)
     fd = np.empty_like(jac)
     for k in range(model.param_dim):
         e = np.zeros(model.param_dim)
         e[k] = h
-        fd[:, k] = (model.value(x, theta + e) - model.value(x, theta - e)) / (2 * h)
-    scale = max(float(np.abs(jac).max(initial=0.0)), float(np.abs(fd).max(initial=0.0)), 1e-8)
-    return float(np.abs(fd - jac).max()) / scale
+        fd[..., k] = (model.forward(x, theta + e) - model.forward(x, theta - e)) / (2 * h)
+    jac, fd = jac.reshape(len(x), -1), fd.reshape(len(x), -1)
+    scale = np.maximum(np.maximum(np.abs(jac).max(axis=1), np.abs(fd).max(axis=1)), 1e-8)
+    return float(np.max(np.abs(fd - jac).max(axis=1) / scale))
+
+
+def _stacked_jacobian(model: Model, data: Dataset, theta) -> np.ndarray:
+    """The (d l, p) Jacobian of the induced map: per-sample blocks stacked."""
+    d, l = len(data), model.out_dim
+    return model.jacobian(data.inputs, np.asarray(theta, dtype=float)).reshape(d * l, -1)
 
 
 def induce(model: Model, data: Dataset) -> SmoothMap:
@@ -84,34 +86,21 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     ``f -> sum_i w_i J_i^T f_i``, matching the weighted metric on both
     sides (checked by the adjoint-identity tests).
     """
+    if data.inputs.shape[1] != model.in_dim:
+        raise DimensionMismatch(
+            f"model {model.name!r} takes inputs of width {model.in_dim}, "
+            f"the data has width {data.inputs.shape[1]}"
+        )
     theta_space = WeightedSpace.unit(model.param_dim)
     fn_space = data.function_space(model.out_dim)
-    d, l = len(data), model.out_dim
-    w = data.weights
+    wrep = fn_space.weights
 
     def value_fn(theta):
-        out = np.empty((d, l))
-        for i, p in enumerate(data.points):
-            out[i] = model.value_fn(p.x, theta)
-        return out.reshape(-1)
-
-    def stack_jac(theta):
-        js = np.empty((d * l, model.param_dim))
-        for i, p in enumerate(data.points):
-            js[i * l : (i + 1) * l] = model.jac_fn(p.x, theta)
-        return js
+        return model.forward(data.inputs, theta).reshape(-1)
 
     def jac_fn(theta):
-        js = stack_jac(theta)
-        wrep = np.repeat(w, l)
-
-        def apply_fn(eta, js=js):
-            return js @ eta
-
-        def adjoint_fn(f, js=js, wrep=wrep):
-            return js.T @ (wrep * f)
-
-        return LinOp(theta_space, fn_space, apply_fn, adjoint_fn)
+        js = _stacked_jacobian(model, data, theta)
+        return LinOp(theta_space, fn_space, lambda eta: js @ eta, lambda f: js.T @ (wrep * f))
 
     linear_op = jac_fn(model.init) if model.linear_in_params else None
     return SmoothMap(
@@ -131,8 +120,7 @@ def aggregated_jacobian_bound(model: Model, data: Dataset, theta) -> float:
     norm at theta; aggregating per sample is tighter than a uniform sup
     over the dataset.
     """
-    theta = np.asarray(theta, dtype=float)
-    per = [np.linalg.norm(model.jac_fn(p.x, theta), 2) for p in data.points]
+    per = np.linalg.norm(model.jacobian(data.inputs, np.asarray(theta, float)), 2, axis=(1, 2))
     return float(np.sqrt(np.dot(data.weights, np.square(per))))
 
 
@@ -156,12 +144,9 @@ class NTKGram:
 def ntk_gram(model: Model, data: Dataset, theta) -> NTKGram:
     """Assemble the tangent-kernel Gram operator and its spectral range."""
     theta = np.asarray(theta, dtype=float)
-    d, l = len(data), model.out_dim
-    require_dense(d * l)
-    js = np.empty((d * l, model.param_dim))
-    for i, p in enumerate(data.points):
-        js[i * l : (i + 1) * l] = model.jac_fn(p.x, theta)
-    wrep = np.repeat(data.weights, l)
+    require_dense(len(data) * model.out_dim)
+    js = _stacked_jacobian(model, data, theta)
+    wrep = np.repeat(data.weights, model.out_dim)
     matrix = (js @ js.T) * wrep[None, :]
     sym = symmetrize(matrix, wrep)
     eigs = np.linalg.eigvalsh(sym)
@@ -178,50 +163,43 @@ def ntk_gram(model: Model, data: Dataset, theta) -> NTKGram:
 # model zoo
 
 
-def linear_model(in_dim: int, out_dim: int = 1, feature_map=None, feature_dim=None) -> Model:
-    """``N(x, theta) = theta @ phi(x)`` per output row; exactly linear.
+def _readout_jacobian(features: np.ndarray, out_dim: int) -> np.ndarray:
+    """Jacobian (d, out_dim, out_dim * m) of ``features @ A.T`` in the row-major
+    flattened (out_dim, m) readout A: row c holds the features in block c."""
+    d, m = features.shape
+    eye = np.eye(out_dim)
+    return (eye[None, :, :, None] * features[:, None, None, :]).reshape(d, out_dim, out_dim * m)
 
-    The default feature map is the identity.  Parameters are the (out_dim,
-    feature_dim) weight matrix, flattened row-major; the initial point is
-    zero.
+
+def linear_model(in_dim: int, out_dim: int = 1) -> Model:
+    """``N(x, theta) = theta @ x`` per output row; exactly linear.
+
+    Parameters are the (out_dim, in_dim) weight matrix, flattened
+    row-major; the initial point is zero.
     """
-    if feature_map is None:
-        feature_map = lambda x: x
-        feature_dim = in_dim
-    if feature_dim is None:
-        raise ValueError("feature_dim is required with a custom feature_map")
-    p = out_dim * feature_dim
+    p = out_dim * in_dim
 
-    def value_fn(x, theta):
-        return theta.reshape(out_dim, feature_dim) @ feature_map(x)
+    def forward(x, theta):
+        return x @ theta.reshape(out_dim, in_dim).T
 
-    def jac_fn(x, theta):
-        phi = feature_map(x)
-        j = np.zeros((out_dim, p))
-        for c in range(out_dim):
-            j[c, c * feature_dim : (c + 1) * feature_dim] = phi
-        return j
+    def jacobian(x, theta):
+        return _readout_jacobian(x, out_dim)
 
-    jac_x_fn = None
-    if feature_dim == in_dim:
-        jac_x_fn = lambda x, theta: theta.reshape(out_dim, feature_dim)
+    def jac_x(x, theta):
+        return np.broadcast_to(theta.reshape(out_dim, in_dim), (len(x), out_dim, in_dim))
 
     return Model(
         in_dim=in_dim,
         out_dim=out_dim,
         param_dim=p,
-        value_fn=value_fn,
-        jac_fn=jac_fn,
-        jac_x_fn=jac_x_fn,
+        forward=forward,
+        jacobian=jacobian,
+        jac_x=jac_x,
         init=np.zeros(p),
-        param_shapes=((out_dim, feature_dim),),
+        param_shapes=((out_dim, in_dim),),
         linear_in_params=True,
         name="linear",
     )
-
-
-def _tanh_features(w_mat, x):
-    return np.tanh(w_mat @ x)
 
 
 def random_features(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) -> Model:
@@ -235,28 +213,24 @@ def random_features(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) ->
     scale = 1.0 / np.sqrt(width)
     p = out_dim * width
 
-    def value_fn(x, theta):
-        return scale * (theta.reshape(out_dim, width) @ _tanh_features(w_mat, x))
+    def forward(x, theta):
+        return scale * (np.tanh(x @ w_mat.T) @ theta.reshape(out_dim, width).T)
 
-    def jac_fn(x, theta):
-        tau = _tanh_features(w_mat, x)
-        j = np.zeros((out_dim, p))
-        for c in range(out_dim):
-            j[c, c * width : (c + 1) * width] = scale * tau
-        return j
+    def jacobian(x, theta):
+        return _readout_jacobian(scale * np.tanh(x @ w_mat.T), out_dim)
 
-    def jac_x_fn(x, theta):
-        tau = _tanh_features(w_mat, x)
-        return scale * ((theta.reshape(out_dim, width) * (1.0 - tau**2)[None, :]) @ w_mat)
+    def jac_x(x, theta):
+        dtau = 1.0 - np.tanh(x @ w_mat.T) ** 2
+        return scale * ((theta.reshape(out_dim, width)[None] * dtau[:, None, :]) @ w_mat)
 
     init = rng.standard_normal(p)
     return Model(
         in_dim=in_dim,
         out_dim=out_dim,
         param_dim=p,
-        value_fn=value_fn,
-        jac_fn=jac_fn,
-        jac_x_fn=jac_x_fn,
+        forward=forward,
+        jacobian=jacobian,
+        jac_x=jac_x,
         init=init,
         param_shapes=((out_dim, width),),
         linear_in_params=True,
@@ -279,34 +253,32 @@ def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0, scale=
     def split(theta):
         return theta[:n_w].reshape(width, in_dim), theta[n_w:].reshape(out_dim, width)
 
-    def value_fn(x, theta):
+    def forward(x, theta):
         w_mat, a = split(theta)
-        return scale * (a @ np.tanh(w_mat @ x))
+        return scale * (np.tanh(x @ w_mat.T) @ a.T)
 
-    def jac_fn(x, theta):
+    def jacobian(x, theta):
         w_mat, a = split(theta)
-        tau = np.tanh(w_mat @ x)
+        tau = np.tanh(x @ w_mat.T)                              # (d, width)
         dtau = 1.0 - tau**2
-        j = np.zeros((out_dim, p))
         # d/dW_{j,k} = scale * a_{c,j} * (1 - tau_j^2) * x_k
-        for c in range(out_dim):
-            j[c, :n_w] = (scale * (a[c] * dtau)[:, None] * x[None, :]).reshape(-1)
-            j[c, n_w + c * width : n_w + (c + 1) * width] = scale * tau
-        return j
+        j_w = (scale * (a[None] * dtau[:, None, :]))[..., None] * x[:, None, None, :]
+        j_a = _readout_jacobian(scale * tau, out_dim)
+        return np.concatenate([j_w.reshape(len(x), out_dim, n_w), j_a], axis=2)
 
-    def jac_x_fn(x, theta):
+    def jac_x(x, theta):
         w_mat, a = split(theta)
-        tau = np.tanh(w_mat @ x)
-        return scale * ((a * (1.0 - tau**2)[None, :]) @ w_mat)
+        dtau = 1.0 - np.tanh(x @ w_mat.T) ** 2
+        return scale * ((a[None] * dtau[:, None, :]) @ w_mat)
 
     init = rng.standard_normal(p)
     return Model(
         in_dim=in_dim,
         out_dim=out_dim,
         param_dim=p,
-        value_fn=value_fn,
-        jac_fn=jac_fn,
-        jac_x_fn=jac_x_fn,
+        forward=forward,
+        jacobian=jacobian,
+        jac_x=jac_x,
         init=init,
         param_shapes=((width, in_dim), (out_dim, width)),
         name=f"shallow[m={width}]",
@@ -316,11 +288,12 @@ def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0, scale=
 def vae_model(encoder: Model, decoder: Model) -> Model:
     """Encoder/decoder composite through the reparameterized latent.
 
-    Payloads are ``x = (y, w)`` with y the data point and w the noise draw;
-    with encoder output ``(m, log s)`` the latent is ``m + e^{log s} * w``
-    and the composite output stacks the encoder output and the decoder
-    output at that latent.  The Jacobian chains the decoder's input
-    Jacobian through the reparameterization into the encoder block.
+    Input rows are ``x = (y, w)`` with y the data point and w the noise
+    draw; with encoder output ``(m, log s)`` the latent is
+    ``m + e^{log s} * w`` and the composite output stacks the encoder
+    output and the decoder output at that latent.  The Jacobian chains the
+    decoder's input Jacobian through the reparameterization into the
+    encoder block.
     """
     if encoder.out_dim % 2 != 0:
         raise DimensionMismatch("encoder output must stack (mean, log std) pairs")
@@ -329,57 +302,49 @@ def vae_model(encoder: Model, decoder: Model) -> Model:
         raise DimensionMismatch(
             f"decoder input dim {decoder.in_dim} must equal latent dim {l_z}"
         )
-    if decoder.jac_x_fn is None:
+    if decoder.jac_x is None:
         raise DimensionMismatch("decoder must expose an input Jacobian")
     y_dim = encoder.in_dim
     p_e, p_d = encoder.param_dim, decoder.param_dim
     out_dim = encoder.out_dim + decoder.out_dim
 
-    def split_x(x):
-        return x[:y_dim], x[y_dim:]
+    def latent(x, theta):
+        y, w = x[:, :y_dim], x[:, y_dim:]
+        th_e, th_d = theta[:p_e], theta[p_e:]
+        z_e = encoder.forward(y, th_e)
+        spread = np.exp(z_e[:, l_z:]) * w                       # e^{log s} * w
+        return y, th_e, th_d, z_e, spread, z_e[:, :l_z] + spread
 
     def forward(x, theta):
-        y, w = split_x(x)
-        th_e, th_d = theta[:p_e], theta[p_e:]
-        z_e = encoder.value_fn(y, th_e)
-        m, log_s = z_e[:l_z], z_e[l_z:]
-        xi = m + np.exp(log_s) * w
-        return y, w, th_e, th_d, z_e, log_s, xi
+        _, _, th_d, z_e, _, xi = latent(x, theta)
+        return np.concatenate([z_e, decoder.forward(xi, th_d)], axis=1)
 
-    def value_fn(x, theta):
-        _, _, _, th_d, z_e, _, xi = forward(x, theta)
-        return np.concatenate([z_e, decoder.value_fn(xi, th_d)])
-
-    def jac_fn(x, theta):
-        y, w, th_e, th_d, z_e, log_s, xi = forward(x, theta)
-        j_e = encoder.jac_fn(y, th_e)                      # (2 l_z, p_e)
-        j_d_theta = decoder.jac_fn(xi, th_d)               # (l_d, p_d)
-        j_d_in = decoder.jac_x_fn(xi, th_d)                # (l_d, l_z)
+    def jacobian(x, theta):
+        y, th_e, th_d, z_e, spread, xi = latent(x, theta)
+        j_e = encoder.jacobian(y, th_e)                         # (d, 2 l_z, p_e)
         # d xi / d z_e = [I | diag(e^{log s} * w)]
-        r = np.concatenate([np.eye(l_z), np.diag(np.exp(log_s) * w)], axis=1)
-        j = np.zeros((out_dim, p_e + p_d))
-        j[: encoder.out_dim, :p_e] = j_e
-        j[encoder.out_dim :, :p_e] = j_d_in @ r @ j_e
-        j[encoder.out_dim :, p_e:] = j_d_theta
+        dxi = j_e[:, :l_z] + spread[:, :, None] * j_e[:, l_z:]  # (d, l_z, p_e)
+        j = np.zeros((len(x), out_dim, p_e + p_d))
+        j[:, : encoder.out_dim, :p_e] = j_e
+        j[:, encoder.out_dim :, :p_e] = decoder.jac_x(xi, th_d) @ dxi
+        j[:, encoder.out_dim :, p_e:] = decoder.jacobian(xi, th_d)
         return j
 
     return Model(
         in_dim=y_dim + l_z,
         out_dim=out_dim,
         param_dim=p_e + p_d,
-        value_fn=value_fn,
-        jac_fn=jac_fn,
+        forward=forward,
+        jacobian=jacobian,
         init=np.concatenate([encoder.init, decoder.init]),
         param_shapes=encoder.param_shapes + decoder.param_shapes,
         name=f"vae[{encoder.name}|{decoder.name}]",
     )
 
 
-def _sigmoid(u: float) -> float:
-    if u >= 0:
-        return 1.0 / (1.0 + np.exp(-u))
-    e = np.exp(u)
-    return e / (1.0 + e)
+def _sigmoid(u: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -> Model:
@@ -400,63 +365,64 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
 
     def raw_parts(x, theta):
         w_mat, a = split(theta)
-        tau = np.tanh(w_mat @ x)
+        tau = np.tanh(x @ w_mat.T)                              # (d, width)
         dtau = 1.0 - tau**2
-        u = scale * float(a @ tau)
-        grad_x = scale * (w_mat.T @ (a * dtau))            # (in_dim,)
+        u = scale * (tau @ a)                                   # (d,)
+        grad_x = scale * ((a * dtau) @ w_mat)                   # (d, in_dim)
         return w_mat, a, tau, dtau, u, grad_x
 
     def raw_jacobians(x, theta):
         w_mat, a, tau, dtau, u, grad_x = raw_parts(x, theta)
-        du = np.empty(p)
-        du[:n_w] = (scale * (a * dtau)[:, None] * x[None, :]).reshape(-1)
-        du[n_w:] = scale * tau
+        d = len(x)
+        du = np.empty((d, p))
+        du[:, :n_w] = (scale * (a * dtau)[:, :, None] * x[:, None, :]).reshape(d, n_w)
+        du[:, n_w:] = scale * tau
         # d grad_x[c] / d a_j = scale (1 - tau_j^2) W_{j,c}
-        # d grad_x[c] / d W_{j,d} = scale a_j (-2 tau_j dtau_j x_d W_{j,c}
-        #                                      + dtau_j delta_{cd})
-        dgrad = np.empty((in_dim, p))
-        dgrad[:, n_w:] = (dtau[None, :] * w_mat.T) * scale
+        # d grad_x[c] / d W_{j,e} = scale a_j (-2 tau_j dtau_j x_e W_{j,c}
+        #                                      + dtau_j delta_{ce})
+        dgrad = np.empty((d, in_dim, p))
+        dgrad[:, :, n_w:] = (dtau[:, None, :] * w_mat.T[None]) * scale
         block = (
-            -2.0 * scale * (a * tau * dtau)[None, :, None] * w_mat.T[:, :, None] * x[None, None, :]
-        )  # (in_dim c, width j, in_dim d)
-        eye = np.eye(in_dim)
-        block += scale * (a * dtau)[None, :, None] * eye[:, None, :]
-        dgrad[:, :n_w] = block.reshape(in_dim, n_w)
+            -2.0 * scale * (a * tau * dtau)[:, None, :, None]
+            * w_mat.T[None, :, :, None] * x[:, None, None, :]
+        )  # (d, in_dim c, width j, in_dim e)
+        block += scale * (a * dtau)[:, None, :, None] * np.eye(in_dim)[None, :, None, :]
+        dgrad[:, :, :n_w] = block.reshape(d, in_dim, n_w)
         return u, grad_x, du, dgrad
 
     if not squash:
 
-        def value_fn(x, theta):
+        def forward(x, theta):
             *_, u, grad_x = raw_parts(x, theta)
-            return np.concatenate([[u], grad_x])
+            return np.concatenate([u[:, None], grad_x], axis=1)
 
-        def jac_fn(x, theta):
+        def jacobian(x, theta):
             u, grad_x, du, dgrad = raw_jacobians(x, theta)
-            return np.concatenate([du[None, :], dgrad], axis=0)
+            return np.concatenate([du[:, None, :], dgrad], axis=1)
 
     else:
 
-        def value_fn(x, theta):
+        def forward(x, theta):
             *_, u, grad_x = raw_parts(x, theta)
             s = _sigmoid(u)
-            return np.concatenate([[s], s * (1.0 - s) * grad_x])
+            return np.concatenate([s[:, None], (s * (1.0 - s))[:, None] * grad_x], axis=1)
 
-        def jac_fn(x, theta):
+        def jacobian(x, theta):
             u, grad_x, du, dgrad = raw_jacobians(x, theta)
             s = _sigmoid(u)
-            ds = s * (1.0 - s)
-            dds = ds * (1.0 - 2.0 * s)
+            ds = (s * (1.0 - s))[:, None]
+            dds = ds * (1.0 - 2.0 * s[:, None])
             top = ds * du
-            rest = dds * np.outer(grad_x, du) + ds * dgrad
-            return np.concatenate([top[None, :], rest], axis=0)
+            rest = dds[:, :, None] * (grad_x[:, :, None] * du[:, None, :]) + ds[:, :, None] * dgrad
+            return np.concatenate([top[:, None, :], rest], axis=1)
 
     init = rng.standard_normal(p)
     return Model(
         in_dim=in_dim,
         out_dim=1 + in_dim,
         param_dim=p,
-        value_fn=value_fn,
-        jac_fn=jac_fn,
+        forward=forward,
+        jacobian=jacobian,
         init=init,
         param_shapes=((width, in_dim), (width,)),
         name=f"shallow_disc[m={width}{',squash' if squash else ''}]",
@@ -467,18 +433,19 @@ def linear_disc(in_dim: int) -> Model:
     """Linear critic with its input gradient: ``N(x, theta) = (<x, theta>, theta)``."""
     out = 1 + in_dim
 
-    def value_fn(x, theta):
-        return np.concatenate([[float(x @ theta)], theta])
+    def forward(x, theta):
+        return np.concatenate([(x @ theta)[:, None], np.broadcast_to(theta, x.shape)], axis=1)
 
-    def jac_fn(x, theta):
-        return np.concatenate([x[None, :], np.eye(in_dim)], axis=0)
+    def jacobian(x, theta):
+        eye = np.broadcast_to(np.eye(in_dim), (len(x), in_dim, in_dim))
+        return np.concatenate([x[:, None, :], eye], axis=1)
 
     return Model(
         in_dim=in_dim,
         out_dim=out,
         param_dim=in_dim,
-        value_fn=value_fn,
-        jac_fn=jac_fn,
+        forward=forward,
+        jacobian=jacobian,
         init=np.zeros(in_dim),
         param_shapes=((in_dim,),),
         linear_in_params=True,

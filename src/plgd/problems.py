@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, InvalidConfig, InvalidDataset, NumericFai
 from .integrand import (
     Dataset,
     Integrand,
-    SamplePoint,
     gan_integrand,
     integral_functional,
     negate,
@@ -98,23 +97,14 @@ def supervised(
     Duplicate inputs with conflicting targets are rejected (the loss is a
     function of the input only through its unique target).
     """
-    seen: dict[bytes, SamplePoint] = {}
-    for p in data.points:
-        if p.target is None:
-            raise InvalidDataset("supervised data requires a target on every point")
-        key = np.ascontiguousarray(p.x).tobytes()
-        prev = seen.get(key)
-        if prev is not None:
-            same = (
-                prev.target == p.target
-                if isinstance(p.target, (int, np.integer))
-                else np.array_equal(prev.target_array(), p.target_array())
-            )
-            if not same:
-                raise InvalidDataset(
-                    f"conflicting targets for duplicated input {p.x.tolist()}"
-                )
-        seen[key] = p
+    if data.targets is None:
+        raise InvalidDataset("supervised data requires a target on every point")
+    _, first, group = np.unique(data.inputs, axis=0, return_index=True, return_inverse=True)
+    t = data.targets
+    conflict = (t != t[first[group.reshape(-1)]]).reshape(len(t), -1).any(axis=1)
+    if conflict.any():
+        x = data.inputs[np.argmax(conflict)]
+        raise InvalidDataset(f"conflicting targets for duplicated input {x.tolist()}")
     return _make_problem(
         f"supervised[{model.name}/{iota.name}]",
         "supervised",
@@ -137,8 +127,8 @@ def vae(
     """Encoder/decoder training over the product of data and noise draws.
 
     The measure has one atom per (data point, noise draw) pair with
-    product weights; each payload input is the concatenation (y, w) and
-    the reconstruction target is y itself.
+    product weights; each input row is the concatenation (y, w) and the
+    reconstruction target is y itself.
     """
     if encoder.out_dim % 2 != 0 or decoder.in_dim != encoder.out_dim // 2:
         raise InvalidConfig(
@@ -148,18 +138,14 @@ def vae(
 
     composite = vae_model(encoder, decoder)
     l_z = decoder.in_dim
-    ys = [np.asarray(y, dtype=float) for y in data_y]
-    ws = [np.asarray(w, dtype=float) for w in noise_w]
-    if any(w.shape != (l_z,) for w in ws):
+    ys = np.asarray(data_y, dtype=float)
+    ws = np.asarray(noise_w, dtype=float)
+    if ws.ndim != 2 or ws.shape[1] != l_z:
         raise InvalidConfig(f"noise draws must have the latent dimension {l_z}")
     if ell.out_dim != decoder.out_dim:
         raise InvalidConfig("reconstruction loss dimension must match the decoder")
-    pts = []
-    for y in ys:
-        for w in ws:
-            pts.append(SamplePoint(x=np.concatenate([y, w]), target=y))
-    n = len(pts)
-    data = Dataset(tuple(pts), np.full(n, 1.0 / n))
+    y_rep = np.repeat(ys, len(ws), axis=0)  # atom (i, j) at row i * len(ws) + j
+    data = Dataset(np.concatenate([y_rep, np.tile(ws, (len(ys), 1))], axis=1), targets=y_rep)
     iota = vae_integrand(ell, beta, l_z)
     return _make_problem(
         f"vae[beta={beta}]",
@@ -183,49 +169,43 @@ def gan_discriminator(
     """Gradient-penalized critic on the even real/generated mixture.
 
     The pooled dataset weights each real atom ``1/(2 n_real)`` and each
-    generated atom ``1/(2 n_gen)``; payloads carry the mixture densities
-    (2, 0) and (0, 2).  ``direction="max"`` (the critic's own objective)
-    descends the negated integrand.
+    generated atom ``1/(2 n_gen)``; its mixture densities are (2, 0) and
+    (0, 2).  ``direction="max"`` (the critic's own objective) descends the
+    negated integrand.
     """
     if direction not in ("min", "max"):
         raise InvalidConfig("direction must be 'min' or 'max'")
     k = disc.in_dim
     if disc.out_dim != 1 + k:
         raise InvalidConfig("critic model must output (score, input gradient)")
-    real = [np.asarray(x, dtype=float) for x in real_points]
-    gen = [np.asarray(x, dtype=float) for x in gen_points]
-    if not real or not gen:
+    if len(real_points) == 0 or len(gen_points) == 0:
         raise InvalidDataset("need at least one real and one generated point")
-    pts, masses = [], []
-    for x in real:
-        pts.append(SamplePoint(x=x, mix_real=2.0, mix_gen=0.0))
-        masses.append(0.5 / len(real))
-    for x in gen:
-        pts.append(SamplePoint(x=x, mix_real=0.0, mix_gen=2.0))
-        masses.append(0.5 / len(gen))
-    data = Dataset(tuple(pts), np.asarray(masses))
-
+    real, gen = np.asarray(real_points, dtype=float), np.asarray(gen_points, dtype=float)
+    n_r, n_g = len(real), len(gen)
+    data = Dataset(
+        np.concatenate([real, gen]),
+        weights=np.concatenate([np.full(n_r, 0.5 / n_r), np.full(n_g, 0.5 / n_g)]),
+        mix=np.repeat([[2.0, 0.0], [0.0, 2.0]], [n_r, n_g], axis=0),
+    )
     iota = gan_integrand(kind, beta, k)
-    if kind == "r1":
-        for p in data.points:
-            y = float(disc.value(p.x, disc.init)[0])
-            if not (0.0 < y < 1.0):
-                warnings.warn(
-                    f"r1 critic score {y} outside (0, 1) at init on a probe point; "
-                    "use a squashed critic",
-                    RuntimeWarning,
-                )
-                break
-    if direction == "max":
-        iota = negate(iota)
-    return _make_problem(
+    problem = _make_problem(
         f"gan[{kind},beta={beta},{direction}]",
         "gan",
         disc,
         data,
-        integral_functional(iota, data),
+        integral_functional(negate(iota) if direction == "max" else iota, data),
         ball_radius,
     )
+    if kind == "r1":
+        y = disc.forward(data.inputs, disc.init)[:, 0]
+        outside = ~((0.0 < y) & (y < 1.0))
+        if outside.any():
+            warnings.warn(
+                f"r1 critic score {y[np.argmax(outside)]} outside (0, 1) at init on a "
+                "probe point; use a squashed critic",
+                RuntimeWarning,
+            )
+    return problem
 
 
 def analytic_certificates(problem: PrototypeProblem) -> MapCertificate:

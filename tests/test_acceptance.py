@@ -15,7 +15,6 @@ from plgd.cli import EXIT_OK, run_experiment
 from plgd.descent import build_ledger, run
 from plgd.integrand import (
     Dataset,
-    SamplePoint,
     fd_check_integrand,
     gan_integrand,
     gaussian_nll,
@@ -63,7 +62,7 @@ def timed(budget_s):
 def composition_problem():
     """Random-features least squares: d=8, l=1, m=64, fixed seeds."""
     rng = np.random.default_rng(101)
-    data = Dataset.from_arrays(
+    data = Dataset(
         list(rng.standard_normal((8, 4))), targets=list(rng.standard_normal((8, 1)))
     )
     model = random_features(4, 64, out_dim=1, seed=1)
@@ -76,7 +75,7 @@ def composition_problem():
 
 def test_criterion_1_tight_linear_case():
     with timed(1.0):
-        data = Dataset.from_arrays([[1.0, 1.0]], targets=[np.array([4.0])])
+        data = Dataset([[1.0, 1.0]], targets=[np.array([4.0])])
         prob = supervised(linear_model(2, out_dim=1), data, least_squares(k=1))
         cert = analytic_certificates(prob)
         ledger = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha=0.5)
@@ -158,7 +157,7 @@ def test_criterion_4_ntk_coercivity_and_interpolation():
 
 def _assembled_problems():
     rng = np.random.default_rng(7)
-    sup_data = Dataset.from_arrays(
+    sup_data = Dataset(
         list(rng.standard_normal((4, 3))), targets=list(rng.standard_normal((4, 2)))
     )
     sup = supervised(shallow_net(3, 5, out_dim=2, seed=3), sup_data, least_squares(k=2))
@@ -186,39 +185,31 @@ def test_criterion_5_gradient_oracles():
     with timed(30.0):
         rng = np.random.default_rng(0)
 
-        # every shipped integrand, 50 probes each
+        # every shipped integrand on a 50-row batch, each row within the bound
+        n = 50
+        zeros = np.zeros((n, 1))
         integrand_cases = []
         for iota in (least_squares(k=2), least_squares(sigma=[0.7, 1.3]), gaussian_nll(2)):
-            integrand_cases += [
-                (iota,
-                 SamplePoint(x=np.zeros(1), target=rng.standard_normal(2)),
-                 rng.standard_normal(iota.out_dim))
-                for _ in range(50)
-            ]
-        sm = softmax_ce(3)
-        integrand_cases += [
-            (sm, SamplePoint(x=np.zeros(1), target=int(rng.integers(1, 4))),
-             rng.standard_normal(3))
-            for _ in range(50)
-        ]
-        va = vae_integrand(least_squares(k=2), beta=1.5, latent_dim=2)
-        integrand_cases += [
-            (va, SamplePoint(x=np.zeros(4), target=rng.standard_normal(2)),
-             rng.standard_normal(6))
-            for _ in range(50)
-        ]
+            integrand_cases.append((iota,
+                                    Dataset(zeros, targets=rng.standard_normal((n, 2))),
+                                    rng.standard_normal((n, iota.out_dim))))
+        integrand_cases.append((softmax_ce(3),
+                                Dataset(zeros, targets=rng.integers(1, 4, size=n)),
+                                rng.standard_normal((n, 3))))
+        integrand_cases.append((vae_integrand(least_squares(k=2), beta=1.5, latent_dim=2),
+                                Dataset(np.zeros((n, 4)), targets=rng.standard_normal((n, 2))),
+                                rng.standard_normal((n, 6))))
         for kind, beta in (("wgan_gp", 10.0), ("r1", 5.0)):
-            iota = gan_integrand(kind, beta, k=2)
-            for _ in range(50):
-                real_side = rng.uniform() < 0.5
-                p = SamplePoint(x=np.zeros(2), mix_real=2.0 * real_side,
-                                mix_gen=2.0 * (not real_side))
-                y = rng.standard_normal() if kind == "wgan_gp" else 0.05 + 0.9 * rng.uniform()
-                integrand_cases.append((iota, p, np.concatenate([[y], rng.standard_normal(2)])))
-        for iota, p, z in integrand_cases:
-            assert fd_check_integrand(iota, p, z) <= 1e-5, iota.name
+            real_side = rng.uniform(size=n) < 0.5
+            mix = 2.0 * np.column_stack([real_side, ~real_side])
+            y = rng.standard_normal(n) if kind == "wgan_gp" else 0.05 + 0.9 * rng.uniform(size=n)
+            integrand_cases.append((gan_integrand(kind, beta, k=2),
+                                    Dataset(np.zeros((n, 2)), mix=mix),
+                                    np.column_stack([y, rng.standard_normal((n, 2))])))
+        for iota, data, z in integrand_cases:
+            assert fd_check_integrand(iota, data, z) <= 1e-5, iota.name
 
-        # every shipped model, 50 probes each
+        # every shipped model, 50 parameter probes each on 4-row batches
         enc = shallow_net(2, 4, out_dim=2, seed=2)
         dec = shallow_net(1, 4, out_dim=2, seed=3)
         models = [
@@ -232,7 +223,7 @@ def test_criterion_5_gradient_oracles():
         ]
         for m in models:
             for _ in range(50):
-                x = rng.standard_normal(m.in_dim)
+                x = rng.standard_normal((4, m.in_dim))
                 th = rng.standard_normal(m.param_dim)
                 assert fd_check_model(m, x, th) <= 1e-5, m.name
 
@@ -247,7 +238,7 @@ def test_criterion_5_gradient_oracles():
 def test_criterion_6_integral_functional_inheritance():
     with timed(10.0):
         rng = np.random.default_rng(6)
-        data = Dataset.from_arrays(
+        data = Dataset(
             list(rng.standard_normal((4, 1))),
             targets=[rng.uniform(-1.5, 1.5, size=2) for _ in range(4)],
             weights=np.array([0.1, 0.2, 0.3, 0.4]),
@@ -265,10 +256,9 @@ def test_criterion_6_integral_functional_inheritance():
 
         # infimum interchange against a 21-point-per-axis grid oracle
         axis = np.linspace(-3.0, 3.0, 21)
-        total = 0.0
-        for p, w in zip(data.points, data.weights):
-            best = min(iota.value(p, np.array(z)) for z in itertools.product(axis, axis))
-            total += w * best
+        grid = np.array(list(itertools.product(axis, axis)))
+        best = [iota.value(data, np.tile(z, (len(data), 1))) for z in grid]
+        total = float(data.weights @ np.min(best, axis=0))
         step = axis[1] - axis[0]
         resolution = 0.5 * iota.lipschitz * 2 * (step / 2) ** 2
         assert abs(total - f.f_star) <= resolution + 1e-9
@@ -278,7 +268,7 @@ def test_criterion_6_integral_functional_inheritance():
 
 def test_criterion_7_underparameterization_detector():
     with timed(1.0):
-        data = Dataset.from_arrays(
+        data = Dataset(
             [[1.0], [2.0]], targets=[np.array([1.0]), np.array([-1.0])]
         )
         model = linear_model(1, out_dim=1)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,46 @@ class TestRunCommand:
         assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
         assert "error: sample inputs must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dataset, match",
+        [
+            ({"inline": {"inputs": [[1.0, 1.0], [1.0]], "targets": [[4.0], [1.0]]}},
+             "rectangular"),
+            ({"inline": {"inputs": [1.0, 1.0], "targets": [[4.0]]}}, r"\(d, in_dim\)"),
+            ({"inline": {"inputs": [[1.0, 1.0], [0.0, 1.0]], "targets": [[4.0], [1.0, 2.0]]}},
+             "rectangular"),
+            ({"inline": {"inputs": [[1.0, 1.0], [0.0, 1.0]], "targets": [[4.0], 2]}},
+             "rectangular"),
+            ({"inline": {"inputs": [[1.0, 1.0, 1.0]], "targets": [[4.0]]}}, "width 2"),
+            ({"synthetic": {"kind": "orthonormal", "d": 2, "in_dim": 2,
+                            "targets": [[1.0], [1.0, 2.0]]}}, "rectangular"),
+        ],
+        ids=["ragged_inputs", "flat_inputs", "ragged_targets", "mixed_targets", "in_dim",
+             "ragged_orthonormal_targets"],
+    )
+    def test_malformed_dataset_shape_is_config_error(self, tmp_path, capsys, dataset, match):
+        cfg = tight_config(tmp_path / "out")
+        cfg["problem"]["dataset"] = dataset
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(match, err), err
+
+    @pytest.mark.parametrize("side", [["real", "generated"], ["real", "generated", "fake"]])
+    def test_gan_side_labels_must_cover_inputs(self, tmp_path, capsys, side):
+        cfg = {
+            "problem": {
+                "family": "gan",
+                "disc": {"kind": "linear"},
+                "gan_kind": "wgan_gp",
+                "beta": 1.0,
+                "dataset": {"inline": {"inputs": [[1.0], [-1.0], [0.5]], "side": side}},
+            },
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: side must label each of the 3 inputs real or generated" in err
+
     def test_bounds_csv_rows_in_documented_order(self, tmp_path):
         out = tmp_path / "out"
         assert run_experiment(write_config(tmp_path, tight_config(out, alpha=0.125))) == EXIT_OK
@@ -131,7 +172,7 @@ class TestRunCommand:
         problem = build_problem(cfg)
         buggy_model = dataclasses.replace(
             problem.model,
-            jac_fn=lambda x, th, f=problem.model.jac_fn: 2.0 * f(x, th),
+            jacobian=lambda x, th, f=problem.model.jacobian: 2.0 * f(x, th),
         )
         from plgd.problems import supervised
         from plgd.integrand import least_squares

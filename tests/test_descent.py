@@ -29,7 +29,7 @@ S2 = WeightedSpace.unit(2)
 
 def tight_problem():
     """F = [1 1] row, f = 1/2 (h - 4)^2, x0 = 0: the hand-computed case."""
-    data = Dataset.from_arrays([[1.0, 1.0]], targets=[np.array([4.0])])
+    data = Dataset([[1.0, 1.0]], targets=[np.array([4.0])])
     model = linear_model(2, out_dim=1)
     prob = supervised(model, data, least_squares(k=1))
     cert = analytic_certificates(prob)
@@ -198,7 +198,7 @@ class TestClosestOptimum:
         assert np.allclose(x_hat.coords, [2.0, 2.0], atol=1e-12)
 
     def test_nonlinear_family_unsupported(self):
-        data = Dataset.from_arrays(
+        data = Dataset(
             list(np.eye(3)[:2]), targets=[np.array([1.0]), np.array([0.0])]
         )
         model = shallow_net(3, 4, seed=0)
@@ -208,7 +208,7 @@ class TestClosestOptimum:
 
     def test_unreachable_target_returns_none(self):
         # p = 1 into two distinct values: the optimum set is empty
-        data = Dataset.from_arrays([[1.0], [2.0]], targets=[np.array([1.0]), np.array([-1.0])])
+        data = Dataset([[1.0], [2.0]], targets=[np.array([1.0]), np.array([-1.0])])
         model = linear_model(1, out_dim=1)
         prob = supervised(model, data, least_squares(k=1))
         assert closest_optimum(prob.F, prob.f, prob.theta0) is None
@@ -217,7 +217,7 @@ class TestClosestOptimum:
         # d*l = 5 * 1000 exceeds the dense cap; theta = v attains every target
         x = np.arange(1.0, 6.0)
         v = np.linspace(-1.0, 1.0, 1000)
-        data = Dataset.from_arrays(x[:, None], targets=[xi * v for xi in x])
+        data = Dataset(x[:, None], targets=[xi * v for xi in x])
         prob = supervised(linear_model(1, out_dim=1000), data, least_squares(k=1000))
         op = prob.F.linear_op
         calls = []

@@ -41,47 +41,63 @@ class TestJacobians:
         rng = np.random.default_rng(0)
         for model in zoo(rng):
             for _ in range(10):
-                x = rng.standard_normal(model.in_dim)
+                x = rng.standard_normal((4, model.in_dim))
                 th = rng.standard_normal(model.param_dim)
                 assert fd_check_model(model, x, th) <= 1e-5, model.name
+
+    def test_batched_calls_match_single_rows(self):
+        # rows never interact: a d-row call equals the d one-row calls
+        rng = np.random.default_rng(5)
+        for model in zoo(rng):
+            x = rng.standard_normal((6, model.in_dim))
+            th = rng.standard_normal(model.param_dim)
+            calls = [model.forward, model.jacobian] + ([model.jac_x] if model.jac_x else [])
+            for call in calls:
+                batch = call(x, th)
+                assert batch.shape[:2] == (6, model.out_dim), model.name
+                for i in range(len(x)):
+                    np.testing.assert_allclose(
+                        call(x[i : i + 1], th), batch[i : i + 1], rtol=1e-12, atol=1e-14,
+                        err_msg=model.name,
+                    )
 
     def test_planted_bug_is_caught(self):
         base = shallow_net(2, 3, seed=0)
         buggy = Model(
             in_dim=2, out_dim=1, param_dim=base.param_dim,
-            value_fn=base.value_fn,
-            jac_fn=lambda x, th: 2.0 * base.jac_fn(x, th),
+            forward=base.forward,
+            jacobian=lambda x, th: 2.0 * base.jacobian(x, th),
             init=base.init,
         )
         rng = np.random.default_rng(1)
-        err = fd_check_model(buggy, rng.standard_normal(2), rng.standard_normal(base.param_dim))
+        err = fd_check_model(buggy, rng.standard_normal((3, 2)), rng.standard_normal(base.param_dim))
         assert err > 0.3
 
     def test_shallow_zero_output_layer(self):
         m = shallow_net(2, 4, seed=0)
         th = m.init.copy()
         th[4 * 2 :] = 0.0  # zero the readout
-        for x in np.random.default_rng(2).standard_normal((5, 2)):
-            assert np.allclose(m.value(x, th), 0.0)
+        x = np.random.default_rng(2).standard_normal((5, 2))
+        assert np.allclose(m.forward(x, th), 0.0)
 
     def test_input_jacobians_pass_fd(self):
         rng = np.random.default_rng(3)
         for model in (linear_model(3, out_dim=2), random_features(3, 8, out_dim=2, seed=1),
                       shallow_net(3, 5, out_dim=2, seed=1)):
             th = rng.standard_normal(model.param_dim)
-            x = rng.standard_normal(3)
+            x = rng.standard_normal((4, 3))
             jx = model.jac_x(x, th)
             h = 1e-6
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
-                fd = (model.value(x + e, th) - model.value(x - e, th)) / (2 * h)
-                assert np.allclose(fd, jx[:, k], atol=1e-6), model.name
+                fd = (model.forward(x + e, th) - model.forward(x - e, th)) / (2 * h)
+                assert np.allclose(fd, jx[:, :, k], atol=1e-6), model.name
 
 
 class TestInduce:
     def orthonormal_data(self):
-        return Dataset.from_arrays(
+        return Dataset(
             list(np.eye(2)), targets=[np.array([1.0]), np.array([-1.0])]
         )
 
@@ -94,8 +110,8 @@ class TestInduce:
     def test_constant_model_zero_jacobian(self):
         const = Model(
             in_dim=2, out_dim=1, param_dim=3,
-            value_fn=lambda x, th: np.array([1.0]),
-            jac_fn=lambda x, th: np.zeros((1, 3)),
+            forward=lambda x, th: np.ones((len(x), 1)),
+            jacobian=lambda x, th: np.zeros((len(x), 1, 3)),
             init=np.zeros(3),
             linear_in_params=False,
         )
@@ -106,7 +122,7 @@ class TestInduce:
 
     def test_adjoint_identity_on_probes(self):
         rng = np.random.default_rng(4)
-        data = Dataset.from_arrays(
+        data = Dataset(
             list(rng.standard_normal((5, 3))),
             targets=list(rng.standard_normal((5, 2))),
             weights=np.array([0.1, 0.2, 0.3, 0.25, 0.15]),
@@ -124,7 +140,7 @@ class TestInduce:
 
 class TestNTKGram:
     def test_orthonormal_linear_gram(self):
-        data = Dataset.from_arrays(list(np.eye(2)), targets=[np.array([0.0]), np.array([0.0])])
+        data = Dataset(list(np.eye(2)), targets=[np.array([0.0]), np.array([0.0])])
         g = ntk_gram(linear_model(2, out_dim=1), data, np.zeros(2))
         assert g.lambda_min == pytest.approx(0.5, rel=1e-12)
         assert g.lambda_max == pytest.approx(0.5, rel=1e-12)
@@ -132,20 +148,20 @@ class TestNTKGram:
         assert np.allclose(g.matrix, 0.5 * np.eye(2))
 
     def test_underparameterized_rank_deficiency(self):
-        data = Dataset.from_arrays([[1.0], [2.0]], targets=[np.array([0.0]), np.array([0.0])])
+        data = Dataset([[1.0], [2.0]], targets=[np.array([0.0]), np.array([0.0])])
         g = ntk_gram(linear_model(1, out_dim=1), data, np.zeros(1))
         assert abs(g.lambda_min) <= 1e-10
         assert g.lambda_max > 0
 
     def test_duplicated_point_rank_deficiency(self):
-        data = Dataset.from_arrays([[1.0, 0.0], [1.0, 0.0]],
+        data = Dataset([[1.0, 0.0], [1.0, 0.0]],
                                    targets=[np.array([0.0]), np.array([0.0])])
         g = ntk_gram(linear_model(2, out_dim=1), data, np.zeros(2))
         assert abs(g.lambda_min) <= 1e-10
 
     def test_symmetrized_form_is_symmetric(self):
         rng = np.random.default_rng(6)
-        data = Dataset.from_arrays(
+        data = Dataset(
             list(rng.standard_normal((4, 3))),
             weights=np.array([0.4, 0.3, 0.2, 0.1]),
         )
@@ -157,7 +173,7 @@ class TestNTKGram:
     def test_matches_pointwise_conditioning(self):
         # two code paths, one quantity: dense Gram vs J J* coercivity
         rng = np.random.default_rng(8)
-        data = Dataset.from_arrays(list(rng.standard_normal((3, 2))))
+        data = Dataset(list(rng.standard_normal((3, 2))))
         model = shallow_net(2, 9, out_dim=1, seed=9)
         f_map = induce(model, data)
         th = model.init + 0.3 * rng.standard_normal(model.param_dim)
@@ -166,7 +182,7 @@ class TestNTKGram:
 
     def test_spectrum_bounds_sampled_jacobian_norm(self):
         rng = np.random.default_rng(10)
-        data = Dataset.from_arrays(list(rng.standard_normal((3, 2))))
+        data = Dataset(list(rng.standard_normal((3, 2))))
         model = shallow_net(2, 5, out_dim=1, seed=11)
         f_map = induce(model, data)
         ball = Ball(SpaceVec(f_map.domain, model.init), 1.0)
@@ -180,7 +196,7 @@ class TestNTKGram:
         assert k_hat <= worst * (1 + 1e-6)
 
     def test_dense_cap(self):
-        data = Dataset.from_arrays(list(np.zeros((5, 1))))
+        data = Dataset(list(np.zeros((5, 1))))
         model = linear_model(1, out_dim=1000)
         with pytest.raises(SolverCapExceeded):
             ntk_gram(model, data, np.zeros(model.param_dim))
@@ -188,7 +204,7 @@ class TestNTKGram:
     def test_wide_random_features_usually_coercive(self):
         rng = np.random.default_rng(12)
         d, l, in_dim = 4, 1, 3
-        data = Dataset.from_arrays(list(rng.standard_normal((d, in_dim))))
+        data = Dataset(list(rng.standard_normal((d, in_dim))))
         hits = 0
         n_seeds = 20
         for seed in range(n_seeds):
@@ -200,7 +216,7 @@ class TestNTKGram:
 
 class TestCertificates:
     def test_random_features_jacobian_lipschitz_zero(self):
-        data = Dataset.from_arrays(list(np.random.default_rng(13).standard_normal((3, 2))))
+        data = Dataset(list(np.random.default_rng(13).standard_normal((3, 2))))
         f_map = induce(random_features(2, 8, seed=0), data)
         ball = Ball(SpaceVec(f_map.domain, np.zeros(8)), 2.0)
         cert = certify(f_map, ball, n=8, seed=0)

@@ -18,7 +18,7 @@ from plgd.problems import (
 
 def rf_least_squares(seed=1, d=8, in_dim=4, width=64):
     rng = np.random.default_rng(100 + seed)
-    data = Dataset.from_arrays(
+    data = Dataset(
         list(rng.standard_normal((d, in_dim))),
         targets=list(rng.standard_normal((d, 1))),
     )
@@ -28,14 +28,14 @@ def rf_least_squares(seed=1, d=8, in_dim=4, width=64):
 
 class TestSupervised:
     def test_tight_case_assembly(self):
-        data = Dataset.from_arrays([[1.0, 1.0]], targets=[np.array([4.0])])
+        data = Dataset([[1.0, 1.0]], targets=[np.array([4.0])])
         prob = supervised(linear_model(2, out_dim=1), data, least_squares(k=1))
         assert prob.F.codomain.dim == 1
         assert prob.declared_ball.radius == DEFAULT_BALL_RADIUS
         assert prob.f.f_star == 0.0
 
     def test_conflicting_targets_rejected_with_input_named(self):
-        data = Dataset.from_arrays(
+        data = Dataset(
             [[1.0, 2.0], [1.0, 2.0]],
             targets=[np.array([1.0]), np.array([2.0])],
         )
@@ -43,19 +43,19 @@ class TestSupervised:
             supervised(linear_model(2, out_dim=1), data, least_squares(k=1))
 
     def test_duplicate_inputs_with_same_target_allowed(self):
-        data = Dataset.from_arrays(
+        data = Dataset(
             [[1.0], [1.0]], targets=[np.array([2.0]), np.array([2.0])]
         )
         supervised(linear_model(1, out_dim=1), data, least_squares(k=1))
 
     def test_missing_targets_rejected(self):
-        data = Dataset.from_arrays([[1.0]])
+        data = Dataset([[1.0]])
         with pytest.raises(InvalidDataset):
             supervised(linear_model(1, out_dim=1), data, least_squares(k=1))
 
     def test_softmax_random_features_runs_lg_only(self):
         rng = np.random.default_rng(0)
-        data = Dataset.from_arrays(
+        data = Dataset(
             list(rng.standard_normal((4, 3))), targets=[1, 2, 1, 2]
         )
         model = random_features(3, 16, out_dim=2, seed=0)
@@ -124,16 +124,15 @@ class TestGan:
         prob = gan_discriminator(linear_disc(2), real, gen, "wgan_gp", beta=10.0)
         assert len(prob.data) == 4
         assert np.allclose(prob.data.weights, 0.25)
-        assert prob.data.points[0].mix_real == 2.0
-        assert prob.data.points[0].mix_gen == 0.0
-        assert prob.data.points[-1].mix_gen == 2.0
+        assert np.array_equal(prob.data.mix, [[2.0, 0.0]] * 2 + [[0.0, 2.0]] * 2)
 
     def test_linear_disc_jacobian_structure(self):
         real, gen = self.points()
         disc = linear_disc(2)
-        x = real[0]
-        jac = disc.jac(x, np.zeros(2))
-        assert np.allclose(jac, np.concatenate([x[None, :], np.eye(2)], axis=0))
+        x = np.array(real)
+        jac = disc.jacobian(x, np.zeros(2))
+        for xi, ji in zip(x, jac):
+            assert np.allclose(ji, np.concatenate([xi[None, :], np.eye(2)], axis=0))
 
     def test_value_at_zero_parameters(self):
         # both mixture sides pay the unit gradient penalty at theta = 0
@@ -171,7 +170,7 @@ class TestGan:
 class TestCertificateModes:
     def test_analytic_requires_linear_model(self):
         rng = np.random.default_rng(3)
-        data = Dataset.from_arrays(
+        data = Dataset(
             list(rng.standard_normal((3, 2))), targets=list(rng.standard_normal((3, 1)))
         )
         prob = supervised(shallow_net(2, 4, seed=0), data, least_squares(k=1))
@@ -180,7 +179,7 @@ class TestCertificateModes:
 
     def test_sampled_certificates_on_declared_ball(self):
         rng = np.random.default_rng(4)
-        data = Dataset.from_arrays(
+        data = Dataset(
             list(rng.standard_normal((3, 2))), targets=list(rng.standard_normal((3, 1)))
         )
         prob = supervised(shallow_net(2, 4, seed=0), data, least_squares(k=1),
@@ -194,7 +193,7 @@ class TestCertificateModes:
 
         prob = rf_least_squares(d=3, width=8)
         bad_model = dataclasses.replace(
-            prob.model, jac_fn=lambda x, th, f=prob.model.jac_fn: 2.0 * f(x, th)
+            prob.model, jacobian=lambda x, th, f=prob.model.jacobian: 2.0 * f(x, th)
         )
         from plgd.problems import supervised as mk
 
