@@ -14,7 +14,10 @@ Commands
 Exit codes: 0 when every evaluated verdict passes or is hypothesis-unmet;
 1 on configuration or I/O errors; 2 on a gradient-oracle failure or a
 bound violation under analytic certificates (violations under sampled
-certificates are reported as warnings).
+certificates are reported as warnings); 3 when descent hits a non-finite
+or out-of-domain value (``report.json`` then records the message and the
+failing iteration under ``numeric_failure``).  A sweep exits with the
+worst code of its runs.
 
 Config schema (JSON; unknown keys are rejected)
 -----------------------------------------------
@@ -90,8 +93,8 @@ from pathlib import Path
 import numpy as np
 
 from . import descent as descent_mod
-from .descent import build_ledger, minimal_ledger, monitor_rows, run, trace_table
-from .errors import InvalidConfig, InvalidDataset, MissingCertificate, PlgdError
+from .descent import TRACE_COLUMNS, build_ledger, minimal_ledger, monitor_rows, run, trace_columns
+from .errors import InvalidConfig, InvalidDataset, MissingCertificate, NumericFailure, PlgdError
 from .integrand import Dataset, gaussian_nll, least_squares, softmax_ce
 from .model import (
     linear_disc,
@@ -116,8 +119,11 @@ from .smoothmap import CertValue, MapCertificate
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATION = 2
+EXIT_NUMERIC = 3
 
 FD_GATE = 1e-5
+#: rows formatted per write of the CSV writers
+CSV_CHUNK = 4096
 
 
 def _fmt(x) -> str:
@@ -601,15 +607,23 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
     declared_radius = (
         None if cfg["certificates"]["mode"] == "analytic" else problem.declared_ball.radius
     )
-    trace, verdicts = run(
-        problem.F,
-        obj,
-        problem.theta0,
-        ledger,
-        max_iter=cfg["descent"]["max_iter"],
-        stop_gap=cfg["descent"]["stop_gap"],
-        declared_radius=declared_radius,
-    )
+    try:
+        trace, verdicts = run(
+            problem.F,
+            obj,
+            problem.theta0,
+            ledger,
+            max_iter=cfg["descent"]["max_iter"],
+            stop_gap=cfg["descent"]["stop_gap"],
+            declared_radius=declared_radius,
+        )
+    except NumericFailure as exc:
+        report["numeric_failure"] = {"message": str(exc), "iteration": exc.iteration}
+        report["exit_code"] = EXIT_NUMERIC
+        report["warnings"] = warnings_list
+        _write_report(report, cfg, outdir)
+        _write_timings(outdir, t_start)
+        return report
     report["ntk"]["theta_star"] = _ntk_summary(problem, trace.iterates[-1])
     f_star = ledger.f_star
     report["iterations"] = {
@@ -664,16 +678,26 @@ def _write_timings(outdir: Path, t_start: float) -> None:
     )
 
 
+def _write_rows(fh, fmt: str, columns: list) -> None:
+    """Write ``fmt.format(*row)`` for the rows of parallel array columns,
+    converting and formatting a chunk of rows at a time."""
+    for start in range(0, len(columns[0]), CSV_CHUNK):
+        chunk = (c[start : start + CSV_CHUNK].tolist() for c in columns)
+        fh.writelines(map(fmt.format, *chunk))
+
+
 def _write_trace_csv(path: Path, trace, ledger) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = [
-        "iter", "loss", "gap", "q_bound", "grad_norm",
-        "step_norm", "step_bound", "dist_init", "dist_bound",
-    ]
-    lines = [",".join(cols)]
-    for row in trace_table(trace, ledger):
-        lines.append(",".join(_fmt(row[c]) for c in cols))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cols = trace_columns(trace, ledger)
+    n_steps = trace.n_steps
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        # the last iterate takes no step, so its step cells are empty
+        for rows in (slice(0, n_steps), slice(n_steps, n_steps + 1)):
+            present = {k: c[rows] for k, c in cols.items() if c is not None and len(c[rows])}
+            if present:
+                cells = ("{:.17g}" if k in present else "" for k in TRACE_COLUMNS[1:])
+                _write_rows(fh, ",".join(("{}", *cells)) + "\n", list(present.values()))
 
 
 def _write_bounds_csv(path: Path, trace, ledger) -> None:
@@ -681,9 +705,8 @@ def _write_bounds_csv(path: Path, trace, ledger) -> None:
     t = monitor_rows(trace, ledger)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("inequality,iter,measured,bound,holds\n")
-        rows = zip(t.name, t.iteration, t.measured, t.bound, t.holds)
-        for name, i, measured, bound, holds in rows:
-            fh.write(f"{name},{i},{_fmt(measured)},{_fmt(bound)},{holds}\n")
+        columns = [t.name, t.iteration, t.measured, t.bound, t.holds]
+        _write_rows(fh, "{},{},{:.17g},{:.17g},{}\n", columns)
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +745,8 @@ def run_experiment(config_path: str, out: str | None = None, seed: int | None = 
         return EXIT_CONFIG
     for w in report.get("warnings", []):
         print(f"warning: {w}", file=sys.stderr)
+    if "numeric_failure" in report:
+        print(f"error: {report['numeric_failure']['message']}", file=sys.stderr)
     return int(report["exit_code"])
 
 

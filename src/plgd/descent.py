@@ -364,6 +364,16 @@ def _scalar_pow(bases, exponents) -> np.ndarray:
     return np.fromiter(map(pow, bases, exponents), dtype=float)
 
 
+def _q_bound(q: float, gap0: float, n: int) -> np.ndarray:
+    """The gap-decay bounds ``q^i gap0`` of the first n iterates."""
+    return _scalar_pow(repeat(q), range(n)) * gap0
+
+
+def _step_bound(ledger: ConstantsLedger, n_steps: int) -> np.ndarray:
+    """The step-norm bounds ``alpha sqrt(q)^i K`` of the first n_steps steps."""
+    return ledger.alpha * _scalar_pow(repeat(math.sqrt(ledger.q)), range(n_steps)) * ledger.K
+
+
 def predicted_iterations(ledger: ConstantsLedger, gap0: float, stop_gap: float) -> Optional[int]:
     """Iterations the ledger's q predicts to reach the stopping gap."""
     if ledger.q is None or gap0 <= 0:
@@ -394,9 +404,8 @@ def monitor_rows(trace: DescentTrace, ledger: ConstantsLedger) -> MonitorTable:
 
         if ledger.q is not None and ledger.K is not None:
             q = ledger.q
-            q_bound = _scalar_pow(repeat(q), range(n)) * gap0
-            blocks.append(_columns("q_decay", iters, gaps, q_bound, loss_tol))
-            step_bound = alpha * _scalar_pow(repeat(math.sqrt(q)), range(n_steps)) * ledger.K
+            blocks.append(_columns("q_decay", iters, gaps, _q_bound(q, gap0, n), loss_tol))
+            step_bound = _step_bound(ledger, n_steps)
             step_tol = REL_TOL * step_bound + ABS_TOL
             path = np.cumsum(trace.step_norms)
             dist_bound = ledger.dist_bound()
@@ -482,6 +491,10 @@ def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[Spac
     return SpaceVec(f_map.domain, x0c + delta)
 
 
+def _at(i: int) -> str:
+    return "the initial point" if i == 0 else f"iteration {i}"
+
+
 def run(
     f_map: SmoothMap,
     obj: ScalarObjective,
@@ -500,30 +513,46 @@ def run(
     """
     if max_iter < 1:
         raise InvalidConfig("max_iter must be >= 1")
-    space = f_map.domain
-    x = space._coords(x0).copy()
-    x_init = x.copy()
+    # The loop works on raw coordinates: every vector it makes has the
+    # domain's shape by construction, so only finiteness is checked.
+    weights = f_map.domain.weights
+    value_fn, jac_fn = f_map.value_fn, f_map.jac_fn
+    loss_fn, grad_fn = obj.value_fn, obj.grad_fn
+
+    def norm(c) -> float:
+        return math.sqrt(np.dot(weights * c, c))  # WeightedSpace.norm's arithmetic
+
+    def evaluate(x, i):
+        """Loss and gradient at iterate i; a failure names the iteration."""
+        try:
+            fx = np.asarray(value_fn(x), dtype=float)
+            loss = loss_fn(fx)
+            g = jac_fn(x).adjoint_apply(grad_fn(fx))
+        except NumericFailure as exc:
+            raise NumericFailure(f"{exc} at {_at(i)}", iteration=i) from exc
+        if not (math.isfinite(loss) and np.isfinite(g).all()):
+            raise NumericFailure(f"non-finite loss or gradient at {_at(i)}", iteration=i)
+        return loss, g
+
+    x = f_map.domain._coords(x0).copy()
+    x_init = x
     alpha = ledger.alpha
 
     f_star = ledger.f_star
     losses, grad_norms, step_norms, dists = [], [], [], []
-    iterates = [x.copy()]
+    iterates = [x]
     diverged = False
 
-    fx = f_map.value(x)
-    loss = obj.value_fn(fx.coords)
-    g = f_map.jacobian(x).adjoint_apply(obj.grad_fn(fx.coords))
-    if not np.all(np.isfinite(g)) or not np.isfinite(loss):
-        raise NumericFailure("non-finite loss or gradient at the initial point")
+    loss, g = evaluate(x, 0)
     losses.append(loss)
-    grad_norms.append(space.norm(g))
+    grad_norms.append(norm(g))
     dists.append(0.0)
 
     gap0 = None if f_star is None else max(loss - f_star, 0.0)
     if stop_gap is None:
         stop_gap = 1e-10 * gap0 if gap0 is not None else 0.0
 
-    for i in range(max_iter):
+    for i in range(1, max_iter + 1):
         if gap0 is not None:
             gap = losses[-1] - f_star
             if gap <= stop_gap:
@@ -536,18 +565,14 @@ def run(
             break
 
         x_next = x - alpha * g
-        step_norms.append(space.norm(x_next - x))
+        step_norms.append(norm(x_next - x))
         x = x_next
-        iterates.append(x.copy())
-        dists.append(space.norm(x - x_init))
+        iterates.append(x)
+        dists.append(norm(x - x_init))
 
-        fx = f_map.value(x)
-        loss = obj.value_fn(fx.coords)
-        g = f_map.jacobian(x).adjoint_apply(obj.grad_fn(fx.coords))
-        if not np.all(np.isfinite(g)) or not np.isfinite(loss):
-            raise NumericFailure(f"non-finite loss or gradient at iteration {i + 1}")
+        loss, g = evaluate(x, i)
         losses.append(loss)
-        grad_norms.append(space.norm(g))
+        grad_norms.append(norm(g))
 
     trace = DescentTrace(
         iterates=iterates,
@@ -711,34 +736,41 @@ def verify(
     return out
 
 
-def trace_table(trace: DescentTrace, ledger: ConstantsLedger) -> list[dict]:
-    """Per-iteration rows for the trace export (one dict per iterate)."""
-    rows = []
-    f_star = ledger.f_star
-    gap0 = None if f_star is None else float(trace.losses[0]) - f_star
+#: the trace.csv columns, in file order
+TRACE_COLUMNS = (
+    "iter", "loss", "gap", "q_bound", "grad_norm",
+    "step_norm", "step_bound", "dist_init", "dist_bound",
+)
+
+
+def trace_columns(trace: DescentTrace, ledger: ConstantsLedger) -> dict:
+    """The trace export as arrays keyed by :data:`TRACE_COLUMNS`.
+
+    ``step_norm`` and ``step_bound`` have one entry per step, every other
+    column one per iterate; a column the ledger cannot fill is None.
+    """
+    n, q = len(trace.losses), ledger.q
+    gap = None if ledger.f_star is None else trace.losses - ledger.f_star
+    has_steps = q is not None and ledger.K is not None
     dist_bound = ledger.dist_bound()
-    for i in range(len(trace.losses)):
-        gap = None if f_star is None else float(trace.losses[i]) - f_star
-        q_bound = (
-            None if (ledger.q is None or gap0 is None) else (ledger.q**i) * gap0
-        )
-        step = float(trace.step_norms[i]) if i < trace.n_steps else None
-        step_bound = (
-            None
-            if (ledger.q is None or ledger.K is None or i >= trace.n_steps)
-            else ledger.alpha * math.sqrt(ledger.q) ** i * ledger.K
-        )
-        rows.append(
-            {
-                "iter": i,
-                "loss": float(trace.losses[i]),
-                "gap": gap,
-                "q_bound": q_bound,
-                "grad_norm": float(trace.grad_norms[i]),
-                "step_norm": step,
-                "step_bound": step_bound,
-                "dist_init": float(trace.dist_from_init[i]),
-                "dist_bound": dist_bound,
-            }
-        )
-    return rows
+    return {
+        "iter": np.arange(n),
+        "loss": trace.losses,
+        "gap": gap,
+        "q_bound": None if q is None or gap is None else _q_bound(q, float(gap[0]), n),
+        "grad_norm": trace.grad_norms,
+        "step_norm": trace.step_norms,
+        "step_bound": _step_bound(ledger, trace.n_steps) if has_steps else None,
+        "dist_init": trace.dist_from_init,
+        "dist_bound": None if dist_bound is None else np.full(n, dist_bound),
+    }
+
+
+def trace_table(trace: DescentTrace, ledger: ConstantsLedger) -> list[dict]:
+    """Per-iteration rows of :func:`trace_columns` (one dict per iterate,
+    None for a missing value)."""
+    cols = {k: None if c is None else c.tolist() for k, c in trace_columns(trace, ledger).items()}
+    return [
+        {k: None if c is None or i >= len(c) else c[i] for k, c in cols.items()}
+        for i in range(len(trace.losses))
+    ]

@@ -30,4 +30,12 @@ class InvalidDataset(PlgdError, ValueError):
 
 
 class NumericFailure(PlgdError, ArithmeticError):
-    """A computation produced a non-finite or out-of-domain value."""
+    """A computation produced a non-finite or out-of-domain value.
+
+    ``iteration`` is the descent iteration whose evaluation failed, when
+    the failure happened inside a descent run (0 is the initial point).
+    """
+
+    def __init__(self, message: str = "", iteration: int | None = None):
+        super().__init__(message)
+        self.iteration = iteration

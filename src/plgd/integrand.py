@@ -52,8 +52,9 @@ def _array(values, name: str, dtype=float) -> np.ndarray:
 
 def _first_bad_row(a: np.ndarray):
     """Index of the first row of ``a`` with a non-finite entry, or None."""
-    bad = ~np.isfinite(a.reshape(len(a), -1)).all(axis=1)
-    return int(np.argmax(bad)) if bad.any() else None
+    if np.isfinite(a).all():
+        return None
+    return int(np.argmax(~np.isfinite(a.reshape(len(a), -1)).all(axis=1)))
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:

@@ -206,21 +206,33 @@ def random_features(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) ->
     """Frozen random first layer, trainable linear readout.
 
     ``N(x, theta) = (1/sqrt(width)) theta @ tanh(W x)`` with W drawn once
-    from a standard normal at construction; exactly linear in theta.
+    from a standard normal at construction; exactly linear in theta.  The
+    frozen features ``tanh(X W^T)`` of the last input batch are kept, keyed
+    on a private copy of the batch's content, so a descent over a fixed
+    dataset computes them once; any other or mutated batch recomputes.
     """
     rng = np.random.default_rng(seed)
     w_mat = rng.standard_normal((width, in_dim))
     scale = 1.0 / np.sqrt(width)
     p = out_dim * width
+    cached = [(None, None)]  # (copy of the last batch, its read-only features)
+
+    def features(x):
+        batch, tau = cached[0]
+        if not np.array_equal(x, batch):
+            batch, tau = np.array(x), np.tanh(x @ w_mat.T)
+            tau.setflags(write=False)
+            cached[0] = batch, tau
+        return tau
 
     def forward(x, theta):
-        return scale * (np.tanh(x @ w_mat.T) @ theta.reshape(out_dim, width).T)
+        return scale * (features(x) @ theta.reshape(out_dim, width).T)
 
     def jacobian(x, theta):
-        return _readout_jacobian(scale * np.tanh(x @ w_mat.T), out_dim)
+        return _readout_jacobian(scale * features(x), out_dim)
 
     def jac_x(x, theta):
-        dtau = 1.0 - np.tanh(x @ w_mat.T) ** 2
+        dtau = 1.0 - features(x) ** 2
         return scale * ((theta.reshape(out_dim, width)[None] * dtau[:, None, :]) @ w_mat)
 
     init = rng.standard_normal(p)

@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from plgd import cli
 from plgd.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATION,
     build_problem,
@@ -18,7 +21,9 @@ from plgd.cli import (
     run_experiment,
     sweep,
 )
+from plgd.descent import DescentTrace, build_ledger, minimal_ledger, monitor_rows, run
 from plgd.errors import InvalidConfig
+from plgd.problems import analytic_certificates
 
 
 def tight_config(outdir, alpha=0.5):
@@ -47,6 +52,27 @@ def rf_config(outdir, width=32, max_iter=100000, mode="analytic"):
         },
         "certificates": {"mode": mode, "n_samples": 8, "seed": 0},
         "descent": {"alpha": "auto", "max_iter": max_iter},
+        "output": {"dir": str(outdir)},
+    }
+
+
+def r1_unsquashed_config(outdir, alpha=3.0):
+    """An unsquashed r1 critic whose initial scores lie in the r1 domain
+    (real-side y > 0, generated-side y < 1); at alpha 3 the second step
+    pushes a real-side score to y <= 0."""
+    return {
+        "problem": {
+            "family": "gan",
+            "disc": {"kind": "shallow", "width": 6, "seed": 2, "squash": False},
+            "gan_kind": "r1",
+            "beta": 1.0,
+            "dataset": {
+                "synthetic": {"kind": "two_gaussians", "n_real": 2, "n_gen": 2,
+                              "in_dim": 2, "seed": 0}
+            },
+        },
+        "certificates": {"mode": "sampled", "n_samples": 8, "seed": 0},
+        "descent": {"alpha": alpha, "max_iter": 200},
         "output": {"dir": str(outdir)},
     }
 
@@ -232,6 +258,103 @@ class TestRunCommand:
         assert run_experiment(write_config(tmp_path, vae_cfg, "vae.json")) == EXIT_OK
         report = json.loads((tmp_path / "vae_out" / "report.json").read_text())
         assert report["ledger"]["mode"] in ("no-uc", "minimal")
+
+
+class TestNumericFailure:
+    def test_mid_run_failure_exits_three_with_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_experiment(write_config(tmp_path, r1_unsquashed_config(out))) == EXIT_NUMERIC
+        message = "r1 real-side score must satisfy y > 0 at iteration 2"
+        assert f"error: {message}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == EXIT_NUMERIC
+        assert report["numeric_failure"] == {"message": message, "iteration": 2}
+        assert "ledger" in report and "verdicts" not in report
+        assert not (out / "trace.csv").exists()
+
+    def test_sweep_reports_worst_code_and_keeps_every_row(self, tmp_path):
+        out = tmp_path / "sweep"
+        path = write_config(tmp_path, r1_unsquashed_config(out))
+        assert sweep(path, "alpha", [1.0, 3.0]) == EXIT_NUMERIC
+        codes = [json.loads((out / sub / "report.json").read_text())["exit_code"]
+                 for sub in ("alpha=1", "alpha=3")]
+        assert codes == [EXIT_OK, EXIT_NUMERIC]
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[3]) for r in rows] == [("1", "200"), ("3", "")]
+
+
+TRACE_HEADER = "iter,loss,gap,q_bound,grad_norm,step_norm,step_bound,dist_init,dist_bound"
+
+
+def reference_csvs(trace, ledger) -> tuple[str, str]:
+    """trace.csv and bounds.csv built one cell at a time with ``cli._fmt``:
+    the byte oracle for the column-wise writers."""
+    f_star, q, K = ledger.f_star, ledger.q, ledger.K
+    gap0 = None if f_star is None else float(trace.losses[0]) - f_star
+    lines = [TRACE_HEADER]
+    for i in range(len(trace.losses)):
+        stepped = i < trace.n_steps
+        row = (
+            i,
+            float(trace.losses[i]),
+            None if f_star is None else float(trace.losses[i]) - f_star,
+            None if q is None or gap0 is None else (q**i) * gap0,
+            float(trace.grad_norms[i]),
+            float(trace.step_norms[i]) if stepped else None,
+            (None if q is None or K is None or not stepped
+             else ledger.alpha * math.sqrt(q) ** i * K),
+            float(trace.dist_from_init[i]),
+            ledger.dist_bound(),
+        )
+        lines.append(",".join(cli._fmt(c) for c in row))
+    t = monitor_rows(trace, ledger)
+    rows = zip(t.name, t.iteration, t.measured, t.bound, t.holds)
+    bounds = ["inequality,iter,measured,bound,holds"] + [
+        f"{name},{i},{cli._fmt(measured)},{cli._fmt(bound)},{holds}"
+        for name, i, measured, bound, holds in rows
+    ]
+    return "\n".join(lines) + "\n", "\n".join(bounds) + "\n"
+
+
+def export_cases():
+    """(trace, ledger) pairs covering a full, a no-uc and a minimal ledger,
+    plus a run that stops at its initial point."""
+    cfg = normalize_config(rf_config("unused", max_iter=300))
+    prob = build_problem(cfg)
+    full = build_ledger(prob.F, prob.f, prob.theta0, analytic_certificates(prob), alpha="auto")
+    trace, _ = run(prob.F, prob.f, prob.theta0, full, max_iter=300)
+    no_uc = dataclasses.replace(full, lam_F=None, lam=None, q=None, radius_required=None)
+    still = DescentTrace(
+        iterates=[trace.iterates[0]], losses=trace.losses[:1], grad_norms=trace.grad_norms[:1],
+        step_norms=trace.step_norms[:0], dist_from_init=trace.dist_from_init[:1],
+        stop_gap=1.0, predicted_iters=0,
+    )
+    assert (full.mode, no_uc.mode) == ("full", "no-uc") and trace.n_steps == 300
+    return {
+        "full": (trace, full),
+        "no-uc": (trace, no_uc),
+        "minimal": (trace, minimal_ledger(full.alpha)),
+        "no-steps": (still, full),
+    }
+
+
+class TestExports:
+    def test_csv_bytes_match_per_cell_reference(self, tmp_path):
+        for case, (trace, ledger) in export_cases().items():
+            cli._write_trace_csv(tmp_path / case / "trace.csv", trace, ledger)
+            cli._write_bounds_csv(tmp_path / case / "bounds.csv", trace, ledger)
+            want_trace, want_bounds = reference_csvs(trace, ledger)
+            assert (tmp_path / case / "trace.csv").read_text() == want_trace, case
+            assert (tmp_path / case / "bounds.csv").read_text() == want_bounds, case
+
+    def test_rows_span_several_write_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        trace, ledger = export_cases()["full"]
+        cli._write_trace_csv(tmp_path / "trace.csv", trace, ledger)
+        cli._write_bounds_csv(tmp_path / "bounds.csv", trace, ledger)
+        want_trace, want_bounds = reference_csvs(trace, ledger)
+        assert (tmp_path / "trace.csv").read_text() == want_trace
+        assert (tmp_path / "bounds.csv").read_text() == want_bounds
 
 
 class TestCheckCommand:

@@ -16,7 +16,7 @@ from plgd.descent import (
     trace_table,
     verify,
 )
-from plgd.errors import InvalidConfig, MissingCertificate
+from plgd.errors import InvalidConfig, MissingCertificate, NumericFailure
 from plgd.integrand import Dataset, integral_functional, least_squares
 from plgd.model import linear_model, shallow_net, induce
 from plgd.objective import ScalarObjective, quadratic
@@ -144,6 +144,31 @@ class TestRun:
         assert trace.n_steps == 0
         assert verdicts.violations() == []
         assert verdicts.get("converged").passed
+
+    def test_iterates_are_distinct_arrays(self):
+        f = quadratic(S2, np.diag([1.0, 4.0]), b=[0.5, -0.5])
+        x0 = np.array([1.0, 1.0])
+        trace, _ = run(SmoothMap.identity(S2), f, x0, minimal_ledger(0.1), max_iter=5)
+        its = trace.iterates
+        assert len(its) == 6
+        assert len({id(x) for x in its}) == 6
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(its) for b in its[i + 1 :])
+        assert not np.shares_memory(its[0], x0)
+        np.testing.assert_array_equal(its[0], [1.0, 1.0])
+
+    def test_non_finite_map_value_mid_run_is_numeric_failure(self):
+        calls = []
+
+        def value_fn(x):
+            calls.append(1)
+            return np.full(2, np.nan) if len(calls) == 3 else x
+
+        nan_map = dataclasses.replace(SmoothMap.identity(S2), value_fn=value_fn)
+        f = quadratic(S2, np.eye(2), b=[1.0, -1.0])
+        with pytest.raises(NumericFailure) as info:
+            run(nan_map, f, np.array([3.0, 3.0]), minimal_ledger(0.1), max_iter=10)
+        assert str(info.value) == "non-finite loss or gradient at iteration 2"
+        assert info.value.iteration == 2
 
     def test_divergence_guard_aborts_and_flags(self):
         prob, cert = tight_problem()

@@ -95,6 +95,43 @@ class TestJacobians:
                 assert np.allclose(fd, jx[:, :, k], atol=1e-6), model.name
 
 
+class TestRandomFeaturesCache:
+    """The cached frozen features give exactly the uncached expression."""
+
+    IN, WIDTH, OUT, SEED = 3, 8, 2, 1
+
+    def uncached(self, x, theta):
+        w = np.random.default_rng(self.SEED).standard_normal((self.WIDTH, self.IN))
+        scale = 1.0 / np.sqrt(self.WIDTH)
+        tau = np.tanh(x @ w.T)
+        a = theta.reshape(self.OUT, self.WIDTH)
+        forward = scale * (tau @ a.T)
+        jac = np.zeros((len(x), self.OUT, self.OUT * self.WIDTH))
+        for c in range(self.OUT):
+            jac[:, c, c * self.WIDTH : (c + 1) * self.WIDTH] = scale * tau
+        jac_x = scale * ((a[None] * (1.0 - tau**2)[:, None, :]) @ w)
+        return forward, jac, jac_x
+
+    def assert_uncached(self, model, x, theta):
+        got = (model.forward(x, theta), model.jacobian(x, theta), model.jac_x(x, theta))
+        for g, want in zip(got, self.uncached(x, theta)):
+            np.testing.assert_array_equal(g, want)  # rtol 0
+
+    def test_new_batch_copy_and_in_place_mutation(self):
+        rng = np.random.default_rng(2)
+        model = random_features(self.IN, self.WIDTH, out_dim=self.OUT, seed=self.SEED)
+        theta = rng.standard_normal(model.param_dim)
+        x = rng.standard_normal((5, self.IN))
+        self.assert_uncached(model, x, theta)
+        self.assert_uncached(model, x.copy(), theta)  # equal content, new object
+        self.assert_uncached(model, rng.standard_normal((4, self.IN)), theta)  # new batch
+        self.assert_uncached(model, x, theta)
+        x[2, 1] += 0.5  # the same writable object, mutated in place
+        self.assert_uncached(model, x, theta)
+        x[:] = 0.0
+        self.assert_uncached(model, x, theta)
+
+
 class TestInduce:
     def orthonormal_data(self):
         return Dataset(
