@@ -17,7 +17,12 @@ bound violation under analytic certificates (violations under sampled
 certificates are reported as warnings); 3 when descent hits a non-finite
 or out-of-domain value (``report.json`` then records the message and the
 failing iteration under ``numeric_failure``).  A sweep exits with the
-worst code of its runs.
+worst code of its runs; a value whose problem or certificates cannot be
+built prints ``error: <axis>=<value>: <message>``, counts as code 1 and
+gets a ``summary.csv`` row with empty cells, and the sweep goes on.
+Width and datasize values must be integers >= 1, as must every integer
+size and count in the config (``in_dim``, ``out_dim``, ``width``,
+``latent_dim``, ``count``, ``classes``, ``n_samples``, ``max_iter``).
 
 Config schema (JSON; unknown keys are rejected)
 -----------------------------------------------
@@ -172,6 +177,14 @@ def _require_keys(d: dict, allowed: dict, path: str) -> dict:
     return out
 
 
+def _require_sizes(section: dict, keys: tuple, path: str) -> None:
+    """Integer size fields (an absent optional one stays None) must be ints >= 1."""
+    for key in keys:
+        v = section[key]
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < 1):
+            raise InvalidConfig(f"{path}.{key}: must be an integer >= 1; got {v!r}")
+
+
 def normalize_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in documented defaults."""
     top = _require_keys(
@@ -201,6 +214,7 @@ def normalize_config(raw: dict) -> dict:
             {"kind": ..., "in_dim": ..., "out_dim": 1, "width": None, "seed": 0},
             "config.problem.model",
         )
+        _require_sizes(prob["model"], ("in_dim", "out_dim", "width"), "config.problem.model")
         if prob["model"]["kind"] not in ("linear", "random_features", "shallow"):
             raise InvalidConfig(
                 f"config.problem.model.kind: unknown kind {prob['model']['kind']!r}"
@@ -210,6 +224,7 @@ def normalize_config(raw: dict) -> dict:
             {"kind": ..., "sigma": None, "classes": None},
             "config.problem.integrand",
         )
+        _require_sizes(prob["integrand"], ("classes",), "config.problem.integrand")
         if prob["integrand"]["kind"] not in ("least_squares", "gaussian_nll", "softmax"):
             raise InvalidConfig(
                 f"config.problem.integrand.kind: unknown kind {prob['integrand']['kind']!r}"
@@ -239,6 +254,9 @@ def normalize_config(raw: dict) -> dict:
         prob["noise"] = _require_keys(
             prob["noise"], {"count": ..., "seed": 2}, "config.problem.noise"
         )
+        _require_sizes(prob, ("latent_dim",), "config.problem")
+        for part, key in (("encoder", "width"), ("decoder", "width"), ("noise", "count")):
+            _require_sizes(prob[part], (key,), f"config.problem.{part}")
         if not prob["beta"] > 0:
             raise InvalidConfig("config.problem.beta: must be positive")
     elif family == "gan":
@@ -260,6 +278,7 @@ def normalize_config(raw: dict) -> dict:
             {"kind": ..., "width": None, "seed": 0, "squash": False},
             "config.problem.disc",
         )
+        _require_sizes(prob["disc"], ("width",), "config.problem.disc")
         if prob["disc"]["kind"] not in ("shallow", "linear"):
             raise InvalidConfig(
                 f"config.problem.disc.kind: unknown kind {prob['disc']['kind']!r}"
@@ -291,8 +310,7 @@ def normalize_config(raw: dict) -> dict:
     )
     if certs["mode"] not in ("analytic", "sampled"):
         raise InvalidConfig("config.certificates.mode: must be 'analytic' or 'sampled'")
-    if certs["n_samples"] < 1:
-        raise InvalidConfig("config.certificates.n_samples: must be >= 1")
+    _require_sizes(certs, ("n_samples",), "config.certificates")
     certs["overrides"] = _require_keys(
         certs["overrides"],
         {"K_F": None, "L_F": None, "lambda_F": None},
@@ -306,8 +324,7 @@ def normalize_config(raw: dict) -> dict:
     )
     if desc["alpha"] != "auto" and not (isinstance(desc["alpha"], (int, float)) and desc["alpha"] > 0):
         raise InvalidConfig("config.descent.alpha: must be 'auto' or a positive number")
-    if desc["max_iter"] < 1:
-        raise InvalidConfig("config.descent.max_iter: must be >= 1")
+    _require_sizes(desc, ("max_iter",), "config.descent")
 
     out = _require_keys(
         top["output"],
@@ -771,6 +788,8 @@ SWEEP_AXES = ("width", "alpha", "beta", "datasize")
 def _set_axis(cfg: dict, axis: str, value: float) -> dict:
     cfg = json.loads(json.dumps(cfg))  # deep copy, keeps plain types
     prob = cfg["problem"]
+    if axis in ("width", "datasize") and not (value == int(value) and value >= 1):
+        raise InvalidConfig(f"sweep axis {axis}: values must be integers >= 1; got {value:g}")
     if axis == "alpha":
         cfg["descent"]["alpha"] = float(value)
     elif axis == "beta":
@@ -803,7 +822,11 @@ def sweep(
     out: str | None = None,
     seed: int | None = None,
 ) -> int:
-    """Run one experiment per value, in sequence, and write a summary table."""
+    """Run one experiment per value, in sequence, and write a summary table.
+
+    A value that fails with a library or I/O error keeps its row (empty
+    cells) and exit code 1; the sweep returns the worst code of its values.
+    """
     try:
         base = _apply_cli_overrides(_load_config(config_path), out, seed)
         if axis not in SWEEP_AXES:
@@ -823,14 +846,18 @@ def sweep(
 
     results = []
     worst = EXIT_OK
-    try:
-        for v, cfg, sub in configs:
+    for v, cfg, sub in configs:
+        # one failing value gets a row of empty cells; the others still run
+        try:
             report = execute(build_problem(cfg), cfg, sub)
-            worst = max(worst, int(report["exit_code"]))
-            results.append((v, report))
-    except PlgdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        except PlgdError as exc:
+            print(f"error: {sub.name}: {exc}", file=sys.stderr)
+            report = {"exit_code": EXIT_CONFIG}
+        except OSError as exc:
+            print(f"io error: {sub.name}: {exc}", file=sys.stderr)
+            report = {"exit_code": EXIT_CONFIG}
+        worst = max(worst, int(report["exit_code"]))
+        results.append((v, report))
 
     lines = ["value,lambda_N,q,iterations,dist_from_init"]
     for v, report in results:

@@ -122,9 +122,8 @@ class ConstantsLedger:
 
 def composite_gradient(f_map: SmoothMap, obj: ScalarObjective, x) -> np.ndarray:
     """Coordinates of ``grad (obj o f_map)(x) = J(x)* grad obj(F(x))``."""
-    fx = f_map.value(x)
-    g = obj.grad_fn(fx.coords)
-    return f_map.jacobian(x).adjoint_apply(g)
+    xc = f_map.domain._coords(x)
+    return f_map.vjp(xc, obj.grad_fn(f_map.value(xc).coords))
 
 
 def build_ledger(
@@ -516,7 +515,7 @@ def run(
     # The loop works on raw coordinates: every vector it makes has the
     # domain's shape by construction, so only finiteness is checked.
     weights = f_map.domain.weights
-    value_fn, jac_fn = f_map.value_fn, f_map.jac_fn
+    value_fn, vjp = f_map.value_fn, f_map.vjp
     loss_fn, grad_fn = obj.value_fn, obj.grad_fn
 
     def norm(c) -> float:
@@ -527,7 +526,7 @@ def run(
         try:
             fx = np.asarray(value_fn(x), dtype=float)
             loss = loss_fn(fx)
-            g = jac_fn(x).adjoint_apply(grad_fn(fx))
+            g = vjp(x, grad_fn(fx))
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} at {_at(i)}", iteration=i) from exc
         if not (math.isfinite(loss) and np.isfinite(g).all()):

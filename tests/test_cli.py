@@ -23,7 +23,8 @@ from plgd.cli import (
 )
 from plgd.descent import DescentTrace, build_ledger, minimal_ledger, monitor_rows, run
 from plgd.errors import InvalidConfig
-from plgd.problems import analytic_certificates
+from plgd.model import induce
+from plgd.problems import analytic_certificates, check_gradients
 
 
 def tight_config(outdir, alpha=0.5):
@@ -73,6 +74,41 @@ def r1_unsquashed_config(outdir, alpha=3.0):
         },
         "certificates": {"mode": "sampled", "n_samples": 8, "seed": 0},
         "descent": {"alpha": alpha, "max_iter": 200},
+        "output": {"dir": str(outdir)},
+    }
+
+
+def gan_config(outdir):
+    return {
+        "problem": {
+            "family": "gan",
+            "disc": {"kind": "shallow", "width": 6, "seed": 4, "squash": True},
+            "gan_kind": "r1",
+            "beta": 5.0,
+            "dataset": {
+                "synthetic": {"kind": "two_gaussians", "n_real": 2, "n_gen": 2,
+                              "in_dim": 2, "seed": 0}
+            },
+        },
+        "certificates": {"mode": "sampled", "n_samples": 8, "seed": 0},
+        "descent": {"alpha": 0.05, "max_iter": 20},
+        "output": {"dir": str(outdir)},
+    }
+
+
+def vae_config(outdir):
+    return {
+        "problem": {
+            "family": "vae",
+            "encoder": {"width": 4, "seed": 2},
+            "decoder": {"width": 4, "seed": 3},
+            "latent_dim": 1,
+            "beta": 1.0,
+            "noise": {"count": 2, "seed": 5},
+            "dataset": {"synthetic": {"kind": "gaussian", "d": 3, "in_dim": 2, "seed": 1}},
+        },
+        "certificates": {"mode": "sampled", "n_samples": 8, "seed": 0},
+        "descent": {"alpha": 0.1, "max_iter": 20},
         "output": {"dir": str(outdir)},
     }
 
@@ -225,39 +261,27 @@ class TestRunCommand:
         assert report["declared_ball_radius"] != 1e3  # refined from the default
 
     def test_gan_and_vae_families_run(self, tmp_path):
-        gan_cfg = {
-            "problem": {
-                "family": "gan",
-                "disc": {"kind": "shallow", "width": 6, "seed": 4, "squash": True},
-                "gan_kind": "r1",
-                "beta": 5.0,
-                "dataset": {
-                    "synthetic": {"kind": "two_gaussians", "n_real": 2, "n_gen": 2,
-                                  "in_dim": 2, "seed": 0}
-                },
-            },
-            "certificates": {"mode": "sampled", "n_samples": 8, "seed": 0},
-            "descent": {"alpha": 0.05, "max_iter": 20},
-            "output": {"dir": str(tmp_path / "gan_out")},
-        }
+        gan_cfg = gan_config(tmp_path / "gan_out")
         assert run_experiment(write_config(tmp_path, gan_cfg, "gan.json")) == EXIT_OK
-        vae_cfg = {
-            "problem": {
-                "family": "vae",
-                "encoder": {"width": 4, "seed": 2},
-                "decoder": {"width": 4, "seed": 3},
-                "latent_dim": 1,
-                "beta": 1.0,
-                "noise": {"count": 2, "seed": 5},
-                "dataset": {"synthetic": {"kind": "gaussian", "d": 3, "in_dim": 2, "seed": 1}},
-            },
-            "certificates": {"mode": "sampled", "n_samples": 8, "seed": 0},
-            "descent": {"alpha": 0.1, "max_iter": 20},
-            "output": {"dir": str(tmp_path / "vae_out")},
-        }
+        vae_cfg = vae_config(tmp_path / "vae_out")
         assert run_experiment(write_config(tmp_path, vae_cfg, "vae.json")) == EXIT_OK
         report = json.loads((tmp_path / "vae_out" / "report.json").read_text())
         assert report["ledger"]["mode"] in ("no-uc", "minimal")
+
+    def test_planted_wrong_vjp_exits_two_with_correct_jacobian(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, gan_config(out))
+        problem = build_problem(normalize_config(gan_config(out)))
+        model = problem.model
+        buggy = dataclasses.replace(model, vjp=lambda x, th, g, f=model.vjp: 2.0 * f(x, th, g))
+        bad = dataclasses.replace(problem, model=buggy, F=induce(buggy, problem.data))
+        assert check_gradients(problem) <= 1e-5
+        assert check_gradients(bad) > 1e-5
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: bad)
+        assert main(["run", path]) == EXIT_VIOLATION
+        report = json.loads((out / "report.json").read_text())
+        assert not report["gradient_check"]["passed"]
+        assert report["gradient_check"]["max_fd_error"] == pytest.approx(0.5)
 
 
 class TestNumericFailure:
@@ -444,6 +468,25 @@ class TestSweep:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_one_bad_value_keeps_its_row_and_the_sweep_goes_on(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        path = write_config(tmp_path, tight_config(out))
+        assert sweep(path, "alpha", [-1.0, 0.5]) == EXIT_CONFIG
+        assert "error: alpha=-1: alpha must lie in (0, 2/L)" in capsys.readouterr().err
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[0] == "value,lambda_N,q,iterations,dist_from_init"
+        assert lines[1] == "-1,,,,"
+        assert lines[2].split(",")[0::3] == ["0.5", "1"]  # value, one step
+        assert (out / "alpha=0.5" / "report.json").exists()
+
+    def test_integer_axes_reject_fractional_values(self, tmp_path, capsys):
+        path = write_config(tmp_path, rf_config(tmp_path / "x"))
+        for axis in ("width", "datasize"):
+            assert main(["sweep", path, "--axis", axis, "--values", "8,8.5"]) == EXIT_CONFIG
+            message = f"error: sweep axis {axis}: values must be integers >= 1; got 8.5"
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_axis_rejected(self, tmp_path):
         path = write_config(tmp_path, rf_config(tmp_path / "x"))
         assert sweep(path, "depth", [1.0]) == EXIT_CONFIG
@@ -455,6 +498,38 @@ class TestSweep:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (rf_config, "problem.model.width", -3),
+            (rf_config, "problem.model.width", 2.5),
+            (rf_config, "problem.model.width", 0),
+            (rf_config, "problem.model.width", True),
+            (rf_config, "problem.model.in_dim", 0),
+            (rf_config, "problem.model.out_dim", 1.0),
+            (rf_config, "problem.integrand.classes", 0),
+            (vae_config, "problem.encoder.width", 0),
+            (vae_config, "problem.decoder.width", 2.5),
+            (vae_config, "problem.latent_dim", -1),
+            (vae_config, "problem.noise.count", 0),
+            (gan_config, "problem.disc.width", 0),
+            (gan_config, "problem.disc.width", "8"),
+            (tight_config, "certificates.n_samples", "8"),
+            (tight_config, "descent.max_iter", 2.5),
+        ],
+    )
+    def test_sizes_must_be_positive_ints(self, tmp_path, capsys, make, field, value):
+        cfg = make(tmp_path / "out")
+        *parents, key = field.split(".")
+        section = cfg
+        for part in parents:
+            section = section[part]
+        section[key] = value
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: config.{field}: must be an integer >= 1; got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_family_specific_keys(self):
         with pytest.raises(InvalidConfig):
             normalize_config({"problem": {"family": "mystery"}})

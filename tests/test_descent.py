@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from plgd.cli import build_problem, normalize_config
 from plgd.descent import (
     ConstantsLedger,
     DescentTrace,
@@ -169,6 +170,29 @@ class TestRun:
             run(nan_map, f, np.array([3.0, 3.0]), minimal_ledger(0.1), max_iter=10)
         assert str(info.value) == "non-finite loss or gradient at iteration 2"
         assert info.value.iteration == 2
+
+    def test_vjp_step_matches_assembled_jacobian_step(self):
+        # the width-16 critic of the benchmark's gan sweep, 1000 steps
+        cfg = normalize_config({
+            "problem": {
+                "family": "gan",
+                "disc": {"kind": "shallow", "width": 16, "seed": 4},
+                "gan_kind": "wgan_gp",
+                "beta": 1.0,
+                "dataset": {"synthetic": {"kind": "two_gaussians", "n_real": 16,
+                                          "n_gen": 16, "in_dim": 2, "seed": 0}},
+            },
+        })
+        prob = build_problem(cfg)
+        assert prob.F.vjp_fn is not None
+        led = minimal_ledger(0.01)
+        fast, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=1000)
+        slow, _ = run(dataclasses.replace(prob.F, vjp_fn=None), prob.f, prob.theta0, led,
+                      max_iter=1000)
+        assert fast.n_steps == slow.n_steps == 1000
+        scale = 1.0 + np.abs(slow.iterates).max()
+        assert np.abs(np.array(fast.iterates) - slow.iterates).max() <= 1e-10 * scale
+        np.testing.assert_allclose(fast.losses, slow.losses, rtol=1e-10, atol=1e-10)
 
     def test_divergence_guard_aborts_and_flags(self):
         prob, cert = tight_problem()

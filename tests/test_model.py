@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,55 @@ class TestInduce:
         data = self.orthonormal_data()
         assert induce(random_features(2, 4, seed=0), data).linear_op is not None
         assert induce(shallow_net(2, 4, seed=0), data).linear_op is None
+
+    def test_vjp_fn_only_for_nonlinear_models_with_vjp(self):
+        rng = np.random.default_rng(6)
+        models = zoo(rng) + [dataclasses.replace(linear_model(3), vjp=lambda x, th, g: g @ x)]
+        with_vjp = [
+            m.name for m in models
+            if induce(m, Dataset(rng.standard_normal((3, m.in_dim)))).vjp_fn is not None
+        ]
+        assert with_vjp == ["shallow[m=5]", "shallow_disc[m=6]", "shallow_disc[m=6,squash]"]
+
+    def test_vjp_fn_equals_weighted_adjoint(self):
+        rng = np.random.default_rng(7)
+        weights = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
+        for model in (shallow_net(3, 6, out_dim=2, seed=5), shallow_disc(3, 6, seed=4, squash=True)):
+            f_map = induce(model, Dataset(rng.standard_normal((5, 3)), weights=weights))
+            th = rng.standard_normal(model.param_dim)
+            v = rng.standard_normal(f_map.codomain.dim)
+            adj = f_map.jacobian(th).adjoint_apply(v)
+            np.testing.assert_allclose(f_map.vjp(th, v), adj, rtol=0, atol=1e-12 * np.abs(adj).max())
+
+
+class TestVJP:
+    """The hand-written vector-Jacobian products against the contraction
+    of the assembled Jacobian, their oracle."""
+
+    MODELS = (
+        shallow_net(3, 5, out_dim=1, seed=1),
+        shallow_net(3, 5, out_dim=3, seed=1),
+        shallow_disc(3, 6, seed=4, squash=False),
+        shallow_disc(3, 6, seed=4, squash=True),
+    )
+
+    @pytest.mark.parametrize(
+        "model", MODELS, ids=["shallow_out1", "shallow_out3", "disc_raw", "disc_squash"]
+    )
+    def test_matches_jacobian_contraction(self, model):
+        rng = np.random.default_rng(8)
+        for d in (1, 4, 9):
+            x = rng.standard_normal((d, model.in_dim))
+            th = rng.standard_normal(model.param_dim)
+            g = rng.standard_normal((d, model.out_dim))
+            ref = np.einsum("ilp,il->p", model.jacobian(x, th), g)
+            got = model.vjp(x, th, g)
+            assert got.shape == (model.param_dim,)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_only_the_tanh_nets_carry_one(self):
+        names = [m.name for m in zoo(np.random.default_rng(0)) if m.vjp is not None]
+        assert names == ["shallow[m=5]", "shallow_disc[m=6]", "shallow_disc[m=6,squash]"]
 
 
 class TestNTKGram:

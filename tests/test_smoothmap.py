@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ class TestFdCheck:
             lambda x: LinOp.from_matrix(S2, S2, [[4 * x[0], 0.0], [0.0, 2.0]]),
         )
         assert fd_check(buggy, [1.0, 1.0]) == pytest.approx(0.5, abs=0.05)
+
+    def test_checks_vjp_against_adjoint(self):
+        square = SmoothMap(
+            S2, S2,
+            lambda x: np.array([x[0] ** 2, x[1]]),
+            lambda x: LinOp.from_matrix(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
+        )
+        exact = dataclasses.replace(square, vjp_fn=lambda x, v: np.array([2 * x[0] * v[0], v[1]]))
+        assert fd_check(exact, [1.0, 1.0]) == fd_check(square, [1.0, 1.0])
+        doubled = dataclasses.replace(square, vjp_fn=lambda x, v: 2.0 * exact.vjp_fn(x, v))
+        assert fd_check(doubled, [1.0, 1.0]) == pytest.approx(0.5)
+        nan = dataclasses.replace(square, vjp_fn=lambda x, v: np.full(2, np.nan))
+        assert fd_check(nan, [1.0, 1.0]) == np.inf
 
     def test_step_range_enforced(self):
         with pytest.raises(ValueError):
@@ -206,3 +221,25 @@ class TestSampledBoundsHold:
             diff = f.value(y).coords - f.value(x).coords
             denom = max(f.codomain.norm(diff), 1e-12)
             assert f.codomain.norm(acc - diff) / denom <= 1e-8
+
+
+class TestVJP:
+    def test_without_vjp_fn_is_the_jacobian_adjoint_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        w = np.tanh(rng.standard_normal((3, 2)))
+        cod = WeightedSpace(np.array([0.2, 0.5, 0.3]))
+
+        def jac(x):
+            d = 1.0 - np.tanh(w @ x) ** 2
+            return LinOp.from_matrix(S2, cod, d[:, None] * w)
+
+        f = SmoothMap(S2, cod, lambda x: np.tanh(w @ x), jac)
+        for _ in range(5):
+            x, v = rng.standard_normal(2), rng.standard_normal(3)
+            np.testing.assert_array_equal(f.vjp(x, v), jac(x).adjoint_apply(v))
+
+    def test_with_vjp_fn_calls_it(self):
+        calls = []
+        f = dataclasses.replace(ROW, vjp_fn=lambda x, v: calls.append((x, v)) or np.zeros(2))
+        np.testing.assert_array_equal(f.vjp(np.ones(2), np.ones(1)), np.zeros(2))
+        assert len(calls) == 1
