@@ -22,7 +22,9 @@ built prints ``error: <axis>=<value>: <message>``, counts as code 1 and
 gets a ``summary.csv`` row with empty cells, and the sweep goes on.
 Width and datasize values must be integers >= 1, as must every integer
 size and count in the config (``in_dim``, ``out_dim``, ``width``,
-``latent_dim``, ``count``, ``classes``, ``n_samples``, ``max_iter``).
+``latent_dim``, ``count``, ``classes``, ``n_samples``, ``max_iter``, and a
+synthetic dataset's ``d``, ``n_real`` and ``n_gen``); a synthetic
+``target_dim`` must be an integer >= 0.
 
 Config schema (JSON; unknown keys are rejected)
 -----------------------------------------------
@@ -177,12 +179,12 @@ def _require_keys(d: dict, allowed: dict, path: str) -> dict:
     return out
 
 
-def _require_sizes(section: dict, keys: tuple, path: str) -> None:
-    """Integer size fields (an absent optional one stays None) must be ints >= 1."""
+def _require_sizes(section: dict, keys: tuple, path: str, least: int = 1) -> None:
+    """Integer size fields (an absent optional one stays None) must be ints >= least."""
     for key in keys:
         v = section[key]
-        if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < 1):
-            raise InvalidConfig(f"{path}.{key}: must be an integer >= 1; got {v!r}")
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < least):
+            raise InvalidConfig(f"{path}.{key}: must be an integer >= {least}; got {v!r}")
 
 
 def normalize_config(raw: dict) -> dict:
@@ -361,13 +363,22 @@ def _dataset_from_inline(spec: dict) -> tuple[Dataset, list | None]:
     return data, spec["side"]
 
 
+def _synthetic_spec(spec: dict, allowed: dict) -> dict:
+    """Defaults and key checks of a synthetic dataset; every size in it must
+    be an integer >= 1, except ``target_dim`` (>= 0)."""
+    spec = _require_keys(spec, allowed, "dataset.synthetic")
+    sizes = tuple(k for k in ("d", "in_dim", "classes", "n_real", "n_gen") if k in spec)
+    _require_sizes(spec, sizes, "dataset.synthetic")
+    if "target_dim" in spec:
+        _require_sizes(spec, ("target_dim",), "dataset.synthetic", least=0)
+    return spec
+
+
 def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
     kind = spec.get("kind")
     if kind == "gaussian":
-        spec = _require_keys(
-            spec,
-            {"kind": ..., "d": ..., "in_dim": ..., "target_dim": 0, "seed": 0},
-            "dataset.synthetic",
+        spec = _synthetic_spec(
+            spec, {"kind": ..., "d": ..., "in_dim": ..., "target_dim": 0, "seed": 0}
         )
         rng = np.random.default_rng(spec["seed"])
         inputs = rng.standard_normal((spec["d"], spec["in_dim"]))
@@ -378,19 +389,15 @@ def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
         )
         return Dataset(inputs, targets), None
     if kind == "classes":
-        spec = _require_keys(
-            spec,
-            {"kind": ..., "d": ..., "in_dim": ..., "classes": ..., "seed": 0},
-            "dataset.synthetic",
+        spec = _synthetic_spec(
+            spec, {"kind": ..., "d": ..., "in_dim": ..., "classes": ..., "seed": 0}
         )
         rng = np.random.default_rng(spec["seed"])
         inputs = rng.standard_normal((spec["d"], spec["in_dim"]))
         return Dataset(inputs, rng.integers(1, spec["classes"] + 1, size=spec["d"])), None
     if kind == "orthonormal":
-        spec = _require_keys(
-            spec,
-            {"kind": ..., "d": ..., "in_dim": ..., "targets": None, "seed": 0},
-            "dataset.synthetic",
+        spec = _synthetic_spec(
+            spec, {"kind": ..., "d": ..., "in_dim": ..., "targets": None, "seed": 0}
         )
         if spec["d"] > spec["in_dim"]:
             raise InvalidConfig("dataset.synthetic: orthonormal needs d <= in_dim")
@@ -400,10 +407,9 @@ def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
             targets = np.random.default_rng(spec["seed"]).standard_normal((spec["d"], 1))
         return Dataset(inputs, targets), None
     if kind == "two_gaussians":
-        spec = _require_keys(
+        spec = _synthetic_spec(
             spec,
             {"kind": ..., "n_real": ..., "n_gen": ..., "in_dim": ..., "separation": 2.0, "seed": 0},
-            "dataset.synthetic",
         )
         rng = np.random.default_rng(spec["seed"])
         half = 0.5 * spec["separation"]

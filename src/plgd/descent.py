@@ -122,8 +122,8 @@ class ConstantsLedger:
 
 def composite_gradient(f_map: SmoothMap, obj: ScalarObjective, x) -> np.ndarray:
     """Coordinates of ``grad (obj o f_map)(x) = J(x)* grad obj(F(x))``."""
-    xc = f_map.domain._coords(x)
-    return f_map.vjp(xc, obj.grad_fn(f_map.value(xc).coords))
+    fx, pull = f_map.value_and_vjp(f_map.domain._coords(x))
+    return pull(obj.grad_fn(f_map.codomain.vec(fx).coords))
 
 
 def build_ledger(
@@ -515,7 +515,7 @@ def run(
     # The loop works on raw coordinates: every vector it makes has the
     # domain's shape by construction, so only finiteness is checked.
     weights = f_map.domain.weights
-    value_fn, vjp = f_map.value_fn, f_map.vjp
+    value_and_vjp = f_map.value_and_vjp
     loss_fn, grad_fn = obj.value_fn, obj.grad_fn
 
     def norm(c) -> float:
@@ -524,9 +524,10 @@ def run(
     def evaluate(x, i):
         """Loss and gradient at iterate i; a failure names the iteration."""
         try:
-            fx = np.asarray(value_fn(x), dtype=float)
+            fx, pull = value_and_vjp(x)
+            fx = np.asarray(fx, dtype=float)
             loss = loss_fn(fx)
-            g = vjp(x, grad_fn(fx))
+            g = pull(grad_fn(fx))
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} at {_at(i)}", iteration=i) from exc
         if not (math.isfinite(loss) and np.isfinite(g).all()):

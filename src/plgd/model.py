@@ -5,10 +5,11 @@ A :class:`Model` is ``N(x, theta) in R^l`` evaluated on a whole batch of
 inputs at once: ``forward(X, theta)`` maps the (d, in_dim) rows of X to
 (d, l) outputs, ``jacobian(X, theta)`` gives the (d, l, p) hand-written
 parameter Jacobians, the optional ``jac_x(X, theta)`` the (d, l, in_dim)
-input Jacobians and the optional ``vjp(X, theta, G)`` the vector-Jacobian
-product ``sum_i J_i^T G_i`` without assembling the Jacobians.  Rows never
-interact.  Activations are everywhere differentiable (tanh); widths and
-depths are desk scale.  :func:`induce` lifts a model over a weighted
+input Jacobians and the optional ``forward_vjp(X, theta)`` the outputs
+together with a pull-back ``G -> sum_i J_i^T G_i``, the vector-Jacobian
+product, without assembling the Jacobians.  Rows never interact.
+Activations are everywhere differentiable (tanh); widths and depths are
+desk scale.  :func:`induce` lifts a model over a weighted
 dataset to a :class:`SmoothMap` from parameter space into the function
 space, whose Jacobian is the (d l, p) stack of the per-sample Jacobians
 and whose adjoint is the mass-weighted transpose.  :func:`ntk_gram`
@@ -39,13 +40,14 @@ class Model:
     ``forward(X, theta)`` returns the (d, out_dim) outputs of the (d,
     in_dim) input rows X; ``jacobian(X, theta)`` the (d, out_dim,
     param_dim) parameter Jacobians; ``jac_x`` (optional) the (d, out_dim,
-    in_dim) input Jacobians; ``vjp`` (optional) maps a (d, out_dim)
-    cotangent block G to the (param_dim,) vector ``sum_i J_i^T G_i``, equal
-    to ``einsum("ilp,il->p", jacobian(X, theta), G)``, which stays its
-    oracle.  ``init`` is the seeded initial parameter vector;
-    ``param_shapes`` documents how the flat vector splits into arrays.
-    ``linear_in_params`` marks models whose output is exactly linear in
-    theta.
+    in_dim) input Jacobians; ``forward_vjp`` (optional) returns the
+    outputs together with ``pull``, which maps a (d, out_dim) cotangent
+    block G to the (param_dim,) vector ``sum_i J_i^T G_i`` from the
+    forward pass's intermediate values, equal to ``einsum("ilp,il->p",
+    jacobian(X, theta), G)``, which stays its oracle.  ``init`` is the
+    seeded initial parameter vector; ``param_shapes`` documents how the
+    flat vector splits into arrays.  ``linear_in_params`` marks models
+    whose output is exactly linear in theta.
     """
 
     in_dim: int
@@ -55,7 +57,9 @@ class Model:
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     init: np.ndarray
     jac_x: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    forward_vjp: Optional[
+        Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+    ] = None
     param_shapes: tuple = ()
     linear_in_params: bool = False
     name: str = ""
@@ -89,10 +93,12 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     The domain is the unit-weight parameter space, the codomain the
     dataset's function space.  For a sample mass w_i the adjoint action is
     ``f -> sum_i w_i J_i^T f_i``, matching the weighted metric on both
-    sides (checked by the adjoint-identity tests).  A nonlinear model with
-    a ``vjp`` gives the map a ``vjp_fn`` that computes the same action
-    without assembling the Jacobian; the Jacobian still serves the
-    gradient gate and the certificates.
+    sides (checked by the adjoint-identity tests).  The Jacobian operator
+    carries its (d l, p) matrix.  A nonlinear model with a
+    ``forward_vjp`` gives the map a ``value_and_vjp_fn`` that returns the
+    value and the same adjoint action from one forward pass, without
+    assembling the Jacobian; the Jacobian still serves the gradient gate
+    and the certificates.
     """
     if data.inputs.shape[1] != model.in_dim:
         raise DimensionMismatch(
@@ -108,10 +114,13 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
 
     def jac_fn(theta):
         js = _stacked_jacobian(model, data, theta)
-        return LinOp(theta_space, fn_space, lambda eta: js @ eta, lambda f: js.T @ (wrep * f))
+        return LinOp(
+            theta_space, fn_space, lambda eta: js @ eta, lambda f: js.T @ (wrep * f), mat=js
+        )
 
-    def vjp_fn(theta, f):
-        return model.vjp(data.inputs, theta, (wrep * f).reshape(len(data), model.out_dim))
+    def value_and_vjp_fn(theta):
+        z, pull = model.forward_vjp(data.inputs, theta)
+        return z.reshape(-1), lambda f: pull((wrep * f).reshape(len(data), model.out_dim))
 
     linear_op = jac_fn(model.init) if model.linear_in_params else None
     return SmoothMap(
@@ -120,7 +129,9 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
         value_fn=value_fn,
         jac_fn=(lambda _theta, op=linear_op: op) if linear_op is not None else jac_fn,
         linear_op=linear_op,
-        vjp_fn=vjp_fn if linear_op is None and model.vjp is not None else None,
+        value_and_vjp_fn=(
+            value_and_vjp_fn if linear_op is None and model.forward_vjp is not None else None
+        ),
         name=f"induced[{model.name}]",
     )
 
@@ -277,9 +288,18 @@ def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0, scale=
     def split(theta):
         return theta[:n_w].reshape(width, in_dim), theta[n_w:].reshape(out_dim, width)
 
-    def forward(x, theta):
+    def forward_vjp(x, theta):
         w_mat, a = split(theta)
-        return scale * (np.tanh(x @ w_mat.T) @ a.T)
+        tau = np.tanh(x @ w_mat.T)                              # (d, width)
+
+        def pull(g):
+            g_wx = scale * (g @ a) * (1.0 - tau**2)             # cotangent of W x
+            return np.concatenate([(g_wx.T @ x).reshape(-1), scale * (g.T @ tau).reshape(-1)])
+
+        return scale * (tau @ a.T), pull
+
+    def forward(x, theta):
+        return forward_vjp(x, theta)[0]
 
     def jacobian(x, theta):
         w_mat, a = split(theta)
@@ -295,12 +315,6 @@ def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0, scale=
         dtau = 1.0 - np.tanh(x @ w_mat.T) ** 2
         return scale * ((a[None] * dtau[:, None, :]) @ w_mat)
 
-    def vjp(x, theta, g):
-        w_mat, a = split(theta)
-        tau = np.tanh(x @ w_mat.T)                              # (d, width)
-        g_wx = scale * (g @ a) * (1.0 - tau**2)                 # cotangent of W x
-        return np.concatenate([(g_wx.T @ x).reshape(-1), scale * (g.T @ tau).reshape(-1)])
-
     init = rng.standard_normal(p)
     return Model(
         in_dim=in_dim,
@@ -309,7 +323,7 @@ def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0, scale=
         forward=forward,
         jacobian=jacobian,
         jac_x=jac_x,
-        vjp=vjp,
+        forward_vjp=forward_vjp,
         init=init,
         param_shapes=((width, in_dim), (out_dim, width)),
         name=f"shallow[m={width}]",
@@ -394,13 +408,10 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
     def split(theta):
         return theta[:n_w].reshape(width, in_dim), theta[n_w:]
 
-    def hidden(x, theta):
+    def raw_parts(x, theta):
         w_mat, a = split(theta)
         tau = np.tanh(x @ w_mat.T)                              # (d, width)
-        return w_mat, a, tau, 1.0 - tau**2
-
-    def raw_parts(x, theta):
-        w_mat, a, tau, dtau = hidden(x, theta)
+        dtau = 1.0 - tau**2
         u = scale * (tau @ a)                                   # (d,)
         grad_x = scale * ((a * dtau) @ w_mat)                   # (d, in_dim)
         return w_mat, a, tau, dtau, u, grad_x
@@ -435,23 +446,29 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
 
     if not squash:
 
-        def forward(x, theta):
-            *_, u, grad_x = raw_parts(x, theta)
-            return np.concatenate([u[:, None], grad_x], axis=1)
+        def forward_vjp(x, theta):
+            *parts, u, grad_x = raw_parts(x, theta)
+            z = np.concatenate([u[:, None], grad_x], axis=1)
+            return z, lambda g: raw_vjp(x, *parts, g[:, 0], g[:, 1:])
 
         def jacobian(x, theta):
             u, grad_x, du, dgrad = raw_jacobians(x, theta)
             return np.concatenate([du[:, None, :], dgrad], axis=1)
 
-        def vjp(x, theta, g):
-            return raw_vjp(x, *hidden(x, theta), g[:, 0], g[:, 1:])
-
     else:
 
-        def forward(x, theta):
-            *_, u, grad_x = raw_parts(x, theta)
+        def forward_vjp(x, theta):
+            *parts, u, grad_x = raw_parts(x, theta)
             s = _sigmoid(u)
-            return np.concatenate([s[:, None], (s * (1.0 - s))[:, None] * grad_x], axis=1)
+            ds = s * (1.0 - s)
+
+            def pull(g):
+                dds = ds * (1.0 - 2.0 * s)
+                # chain sigma' and sigma'' into the raw score and gradient cotangents
+                g_u = ds * g[:, 0] + dds * np.einsum("ic,ic->i", g[:, 1:], grad_x)
+                return raw_vjp(x, *parts, g_u, ds[:, None] * g[:, 1:])
+
+            return np.concatenate([s[:, None], ds[:, None] * grad_x], axis=1), pull
 
         def jacobian(x, theta):
             u, grad_x, du, dgrad = raw_jacobians(x, theta)
@@ -462,14 +479,8 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
             rest = dds[:, :, None] * (grad_x[:, :, None] * du[:, None, :]) + ds[:, :, None] * dgrad
             return np.concatenate([top[:, None, :], rest], axis=1)
 
-        def vjp(x, theta, g):
-            *parts, u, grad_x = raw_parts(x, theta)
-            s = _sigmoid(u)
-            ds = s * (1.0 - s)
-            dds = ds * (1.0 - 2.0 * s)
-            # chain sigma' and sigma'' into the raw score and gradient cotangents
-            g_u = ds * g[:, 0] + dds * np.einsum("ic,ic->i", g[:, 1:], grad_x)
-            return raw_vjp(x, *parts, g_u, ds[:, None] * g[:, 1:])
+    def forward(x, theta):
+        return forward_vjp(x, theta)[0]
 
     init = rng.standard_normal(p)
     return Model(
@@ -478,7 +489,7 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
         param_dim=p,
         forward=forward,
         jacobian=jacobian,
-        vjp=vjp,
+        forward_vjp=forward_vjp,
         init=init,
         param_shapes=((width, in_dim), (width,)),
         name=f"shallow_disc[m={width}{',squash' if squash else ''}]",

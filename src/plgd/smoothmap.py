@@ -40,8 +40,10 @@ class SmoothMap:
     weighted metrics.  ``linear_op`` is set when the map is known to be
     linear (it then equals the constant Jacobian), which downstream code
     uses for exact constants and closest-optimum computations.
-    ``vjp_fn(x, v)`` (optional) computes ``J(x)* v`` without assembling
-    the Jacobian; :func:`fd_check` compares it with the Jacobian's adjoint.
+    ``value_and_vjp_fn(x)`` (optional) returns ``(F(x), pull)`` from one
+    evaluation, where ``pull(v)`` computes ``J(x)* v`` without assembling
+    the Jacobian; :func:`fd_check` compares ``pull`` with the Jacobian's
+    adjoint.
     """
 
     domain: WeightedSpace
@@ -50,7 +52,9 @@ class SmoothMap:
     jac_fn: Callable[[np.ndarray], LinOp]
     linear_op: Optional[LinOp] = None
     name: str = ""
-    vjp_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    value_and_vjp_fn: Optional[
+        Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+    ] = None
 
     def value(self, x) -> SpaceVec:
         out = np.asarray(self.value_fn(self.domain._coords(x)), dtype=float)
@@ -59,12 +63,13 @@ class SmoothMap:
     def jacobian(self, x) -> LinOp:
         return self.jac_fn(self.domain._coords(x))
 
-    def vjp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``J(x)* v`` on raw coordinates: through ``vjp_fn`` when the map
-        has one, else through the Jacobian's adjoint."""
-        if self.vjp_fn is not None:
-            return self.vjp_fn(x, v)
-        return self.jac_fn(x).adjoint_apply(v)
+    def value_and_vjp(self, x: np.ndarray) -> tuple:
+        """``(F(x), pull)`` on raw coordinates with ``pull(v) = J(x)* v``:
+        one call of ``value_and_vjp_fn`` when the map has one, else the
+        value and the Jacobian's adjoint."""
+        if self.value_and_vjp_fn is not None:
+            return self.value_and_vjp_fn(x)
+        return self.value_fn(x), self.jac_fn(x).adjoint_apply
 
     @staticmethod
     def linear(op: LinOp, name: str = "linear") -> "SmoothMap":
@@ -162,43 +167,57 @@ class MapCertificate:
         return "analytic" if all(t == "analytic" for t in tags) else "sampled"
 
 
+def fd_score(err, norm_a, norm_b) -> float:
+    """Worst relative error of a set of columns, by :func:`fd_check`'s rule.
+
+    Column k scores ``err[k] / max(norm_a[k], norm_b[k])``, the norm of
+    the difference of its two versions relative to the larger of their
+    norms.  A column whose larger norm is below ``1e-8 (1 + scale)``, with
+    scale the largest such norm over all columns, scores ``err[k] / (1 +
+    scale)`` instead.  A non-finite score is infinity.
+    """
+    err = np.asarray(err, dtype=float)
+    denom = np.maximum(norm_a, norm_b)
+    scale = float(denom.max())
+    small = denom < 1e-8 * (1.0 + scale)
+    worst = float(np.max(err / np.where(small, 1.0 + scale, denom)))
+    return worst if math.isfinite(worst) else math.inf
+
+
 def fd_check(f: SmoothMap, x, h: float = 1e-5) -> float:
     """Largest relative mismatch between Jacobian columns and central FD.
 
-    For each coordinate direction e_k the column J(x) e_k is compared to
-    ``(F(x + h e_k) - F(x - h e_k)) / 2h`` in the codomain norm, relative
-    to the larger of the two column norms.  Columns much smaller than the
-    overall Jacobian scale are compared absolutely against that scale.
-    Correctly implemented maps score <= 1e-5; a Jacobian off by a factor c
-    scores about |1 - 1/c|.  When the map has a ``vjp_fn``, its action on a
-    fixed-seed cotangent is also compared with the Jacobian's adjoint, in
-    the domain norm relative to the larger of the two (a correct one
-    scores ~1e-15, a non-finite one infinity).
+    The central differences ``(F(x + h e_k) - F(x - h e_k)) / 2h`` of all
+    coordinate directions e_k are stacked into one array and compared
+    with the Jacobian's coordinate matrix column by column in the
+    codomain norm, scored by :func:`fd_score`.  Correctly implemented maps
+    score <= 1e-5; a Jacobian off by a factor c scores about |1 - 1/c|.
+    When the map has a ``value_and_vjp_fn``, its pull-back of a fixed-seed
+    cotangent is also compared with the Jacobian's adjoint, in the domain
+    norm relative to the larger of the two (a correct one scores ~1e-15, a
+    non-finite one infinity).
     """
     if not (1e-8 <= h <= 1e-2):
         raise ValueError("fd step h must lie in [1e-8, 1e-2]")
     xc = f.domain._coords(x)
     jac = f.jacobian(xc)
-    cod = f.codomain
-    cols = []
+    exact = jac.matrix()
+    fd = np.empty_like(exact)
     for k in range(f.domain.dim):
         e = np.zeros(f.domain.dim)
-        e[k] = 1.0
-        jcol = jac.apply(e)
-        fd = (f.value_fn(xc + h * e) - f.value_fn(xc - h * e)) / (2.0 * h)
-        cols.append((cod.norm(fd - jcol), cod.norm(jcol), cod.norm(fd)))
-    scale = max((max(nj, nf) for _, nj, nf in cols), default=0.0)
-    floor = 1e-8 * (1.0 + scale)
-    worst = 0.0
-    for err, nj, nf in cols:
-        denom = max(nj, nf)
-        if denom < floor:
-            worst = max(worst, err / (1.0 + scale))
-        else:
-            worst = max(worst, err / denom)
-    if f.vjp_fn is not None:
-        r = np.random.default_rng(0).standard_normal(cod.dim)
-        adj, vjp = jac.adjoint_apply(r), f.vjp_fn(xc, r)
+        e[k] = h
+        fd[:, k] = (f.value_fn(xc + e) - f.value_fn(xc - e)) / (2.0 * h)
+    w = f.codomain.weights
+
+    def col_norms(m):
+        return np.sqrt(np.einsum("i,ik,ik->k", w, m, m))
+
+    exact_norms, fd_norms = col_norms(exact), col_norms(fd)
+    fd -= exact  # in place: the peak stays at the Jacobian plus one array
+    worst = fd_score(col_norms(fd), exact_norms, fd_norms)
+    if f.value_and_vjp_fn is not None:
+        r = np.random.default_rng(0).standard_normal(f.codomain.dim)
+        adj, vjp = jac.adjoint_apply(r), f.value_and_vjp_fn(xc)[1](r)
         dom = f.domain
         denom = max(dom.norm(adj), dom.norm(vjp))
         rel = dom.norm(vjp - adj) / denom if denom > 0.0 else 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -130,13 +130,22 @@ class LinOp:
 
     ``adjoint_fn`` must satisfy ``<A u, v>_codomain == <u, A* v>_domain``
     with respect to the two weighted inner products; :func:`adjoint_defect`
-    probes the identity on random vectors.
+    probes the identity on random vectors.  ``mat`` is the coordinate
+    matrix when the operator is built from one (kept as a read-only view);
+    :meth:`matrix` then returns it instead of probing.
     """
 
     domain: WeightedSpace
     codomain: WeightedSpace
     apply_fn: Callable[[np.ndarray], np.ndarray]
     adjoint_fn: Callable[[np.ndarray], np.ndarray]
+    mat: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.mat is not None:
+            view = np.asarray(self.mat, dtype=float).view()
+            view.setflags(write=False)
+            object.__setattr__(self, "mat", view)
 
     def apply(self, u) -> np.ndarray:
         return np.asarray(self.apply_fn(self.domain._coords(u)), dtype=float)
@@ -157,14 +166,17 @@ class LinOp:
                 f"matrix shape {m.shape} does not map dim {domain.dim} -> {codomain.dim}"
             )
         adj = (m.T * codomain.weights[None, :]) / domain.weights[:, None]
-        return LinOp(domain, codomain, lambda u: m @ u, lambda v: adj @ v)
+        return LinOp(domain, codomain, lambda u: m @ u, lambda v: adj @ v, mat=m)
 
     @staticmethod
     def identity(space: WeightedSpace) -> "LinOp":
         return LinOp(space, space, lambda u: u, lambda v: v)
 
     def matrix(self) -> np.ndarray:
-        """Dense coordinate representation (columns = images of basis vectors)."""
+        """Dense coordinate representation (columns = images of basis vectors):
+        the carried ``mat`` when there is one, else probed column by column."""
+        if self.mat is not None:
+            return self.mat
         cols = [self.apply(e) for e in np.eye(self.domain.dim)]
         return np.stack(cols, axis=1)
 

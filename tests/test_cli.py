@@ -23,8 +23,9 @@ from plgd.cli import (
 )
 from plgd.descent import DescentTrace, build_ledger, minimal_ledger, monitor_rows, run
 from plgd.errors import InvalidConfig
+from plgd.integrand import least_squares
 from plgd.model import induce
-from plgd.problems import analytic_certificates, check_gradients
+from plgd.problems import analytic_certificates, check_gradients, supervised
 
 
 def tight_config(outdir, alpha=0.5):
@@ -245,6 +246,27 @@ class TestRunCommand:
         assert not report["gradient_check"]["passed"]
         assert report["gradient_check"]["max_fd_error"] > 1e-3
 
+    @pytest.mark.parametrize("c", [1.25, 4.0])
+    def test_planted_integrand_gradient_scores_one_minus_inverse_factor(self, tmp_path, c):
+        cfg = normalize_config(rf_config(tmp_path / "out", max_iter=10))
+        problem = build_problem(cfg)
+        iota = least_squares(k=1)
+        buggy = dataclasses.replace(iota, grad_fn=lambda data, z, g=iota.grad_fn: c * g(data, z))
+        report = execute(supervised(problem.model, problem.data, buggy), cfg, tmp_path / "out")
+        assert report["exit_code"] == EXIT_VIOLATION
+        assert report["gradient_check"]["max_fd_error"] == pytest.approx(1.0 - 1.0 / c, rel=1e-6)
+
+    def test_functional_with_doubled_weights_fails_the_directional_check(self, tmp_path):
+        # the per-sample rows see only the integrand, so the masses are the
+        # directional check's to catch
+        cfg = normalize_config(rf_config(tmp_path / "out", max_iter=10))
+        problem = build_problem(cfg)
+        f = problem.f
+        doubled = dataclasses.replace(f, value_fn=lambda h, value=f.value_fn: 2.0 * value(h))
+        report = execute(dataclasses.replace(problem, f=doubled), cfg, tmp_path / "out")
+        assert report["exit_code"] == EXIT_VIOLATION
+        assert report["gradient_check"]["max_fd_error"] == pytest.approx(0.5, rel=1e-6)
+
     def test_lying_certificates_exit_two(self, tmp_path):
         cfg = tight_config(tmp_path / "out", alpha="auto")
         cfg["certificates"]["overrides"] = {"K_F": 0.5, "lambda_F": 0.25}
@@ -273,7 +295,12 @@ class TestRunCommand:
         path = write_config(tmp_path, gan_config(out))
         problem = build_problem(normalize_config(gan_config(out)))
         model = problem.model
-        buggy = dataclasses.replace(model, vjp=lambda x, th, g, f=model.vjp: 2.0 * f(x, th, g))
+
+        def doubled(x, th, f=model.forward_vjp):
+            z, pull = f(x, th)
+            return z, lambda g: 2.0 * pull(g)
+
+        buggy = dataclasses.replace(model, forward_vjp=doubled)
         bad = dataclasses.replace(problem, model=buggy, F=induce(buggy, problem.data))
         assert check_gradients(problem) <= 1e-5
         assert check_gradients(bad) > 1e-5
@@ -528,6 +555,31 @@ class TestConfigValidation:
         assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"error: config.{field}: must be an integer >= 1; got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "make, key, value, least",
+        [
+            (rf_config, "d", 2.5, 1),
+            (rf_config, "d", 0, 1),
+            (rf_config, "in_dim", "3", 1),
+            (rf_config, "target_dim", -1, 0),
+            (rf_config, "target_dim", 1.0, 0),
+            (rf_config, "classes", True, 1),
+            (gan_config, "n_real", 0, 1),
+            (gan_config, "n_gen", 1.5, 1),
+        ],
+    )
+    def test_synthetic_sizes_must_be_ints(self, tmp_path, capsys, make, key, value, least):
+        cfg = make(tmp_path / "out")
+        spec = cfg["problem"]["dataset"]["synthetic"]
+        if key == "classes":
+            del spec["target_dim"]
+            spec["kind"] = "classes"
+        spec[key] = value
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: dataset.synthetic.{key}: must be an integer >= {least}; got {value!r}\n"
         assert not (tmp_path / "out").exists()
 
     def test_family_specific_keys(self):

@@ -1,12 +1,17 @@
 import dataclasses
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plgd.cli import build_problem, normalize_config
 from plgd.descent import (
     ConstantsLedger,
+    LOWER_BOUNDS,
     DescentTrace,
+    _columns,
     build_ledger,
     closest_optimum,
     gd_step,
@@ -184,11 +189,11 @@ class TestRun:
             },
         })
         prob = build_problem(cfg)
-        assert prob.F.vjp_fn is not None
+        assert prob.F.value_and_vjp_fn is not None
         led = minimal_ledger(0.01)
         fast, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=1000)
-        slow, _ = run(dataclasses.replace(prob.F, vjp_fn=None), prob.f, prob.theta0, led,
-                      max_iter=1000)
+        slow, _ = run(dataclasses.replace(prob.F, value_and_vjp_fn=None), prob.f, prob.theta0,
+                      led, max_iter=1000)
         assert fast.n_steps == slow.n_steps == 1000
         scale = 1.0 + np.abs(slow.iterates).max()
         assert np.abs(np.array(fast.iterates) - slow.iterates).max() <= 1e-10 * scale
@@ -319,6 +324,23 @@ class TestMonitorVerdicts:
         assert (taylor.worst_iter, taylor.measured, taylor.bound) == (1, 1.0, 0.5)
 
         assert verdicts.get("q_decay").passed is None  # no q in the ledger
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(["q_decay", LOWER_BOUNDS[0]]),
+        hnp.arrays(float, (2, 6), elements=st.floats(-1e6, 1e6)),
+        st.floats(0.0, 1e3),
+        st.floats(0.0, 1e3),
+    )
+    def test_holds_is_monotone_in_the_tolerance(self, name, values, tol_a, tol_b):
+        # upper and lower bounds alike: a row that holds at some tolerance
+        # still holds at any larger one
+        measured, bound = values
+        lo, hi = sorted((tol_a, tol_b))
+        iters = np.arange(measured.size)
+        holds_lo = _columns(name, iters, measured, bound, lo)[-1]
+        holds_hi = _columns(name, iters, measured, bound, hi)[-1]
+        assert (holds_hi | ~holds_lo).all()
 
 
 class TestExports:

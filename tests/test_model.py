@@ -178,10 +178,13 @@ class TestInduce:
 
     def test_vjp_fn_only_for_nonlinear_models_with_vjp(self):
         rng = np.random.default_rng(6)
-        models = zoo(rng) + [dataclasses.replace(linear_model(3), vjp=lambda x, th, g: g @ x)]
+        linear_with_vjp = dataclasses.replace(
+            linear_model(3), forward_vjp=lambda x, th: (x @ th[:, None], lambda g: g[:, 0] @ x)
+        )
+        models = zoo(rng) + [linear_with_vjp]
         with_vjp = [
             m.name for m in models
-            if induce(m, Dataset(rng.standard_normal((3, m.in_dim)))).vjp_fn is not None
+            if induce(m, Dataset(rng.standard_normal((3, m.in_dim)))).value_and_vjp_fn is not None
         ]
         assert with_vjp == ["shallow[m=5]", "shallow_disc[m=6]", "shallow_disc[m=6,squash]"]
 
@@ -193,7 +196,9 @@ class TestInduce:
             th = rng.standard_normal(model.param_dim)
             v = rng.standard_normal(f_map.codomain.dim)
             adj = f_map.jacobian(th).adjoint_apply(v)
-            np.testing.assert_allclose(f_map.vjp(th, v), adj, rtol=0, atol=1e-12 * np.abs(adj).max())
+            fx, pull = f_map.value_and_vjp(th)
+            np.testing.assert_array_equal(fx, f_map.value_fn(th))
+            np.testing.assert_allclose(pull(v), adj, rtol=0, atol=1e-12 * np.abs(adj).max())
 
 
 class TestVJP:
@@ -217,12 +222,14 @@ class TestVJP:
             th = rng.standard_normal(model.param_dim)
             g = rng.standard_normal((d, model.out_dim))
             ref = np.einsum("ilp,il->p", model.jacobian(x, th), g)
-            got = model.vjp(x, th, g)
+            z, pull = model.forward_vjp(x, th)
+            np.testing.assert_array_equal(z, model.forward(x, th))
+            got = pull(g)
             assert got.shape == (model.param_dim,)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_only_the_tanh_nets_carry_one(self):
-        names = [m.name for m in zoo(np.random.default_rng(0)) if m.vjp is not None]
+        names = [m.name for m in zoo(np.random.default_rng(0)) if m.forward_vjp is not None]
         assert names == ["shallow[m=5]", "shallow_disc[m=6]", "shallow_disc[m=6,squash]"]
 
 

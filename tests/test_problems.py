@@ -199,3 +199,13 @@ class TestCertificateModes:
 
         bad = mk(bad_model, prob.data, least_squares(k=1))
         assert check_gradients(bad, n_probes=2, seed=0) > 1e-3
+
+    @pytest.mark.parametrize("d", [1000, 2000, 5000])
+    def test_gradient_gate_passes_correct_problem_at_large_d(self, d):
+        # the benchmark's gate_wide problem at larger d; differencing the
+        # whole functional column by column would compare O(1/d) derivatives
+        # with the rounding error of an O(1) sum
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.standard_normal((d, 4)), targets=rng.standard_normal((d, 1)))
+        prob = supervised(random_features(4, 16, seed=1), data, least_squares(k=1))
+        assert check_gradients(prob, n_probes=3, seed=0) <= 1e-5

@@ -70,12 +70,26 @@ class TestFdCheck:
             lambda x: np.array([x[0] ** 2, x[1]]),
             lambda x: LinOp.from_matrix(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
         )
-        exact = dataclasses.replace(square, vjp_fn=lambda x, v: np.array([2 * x[0] * v[0], v[1]]))
+
+        def with_pull(pull):
+            return dataclasses.replace(
+                square, value_and_vjp_fn=lambda x: (square.value_fn(x), lambda v: pull(x, v))
+            )
+
+        def exact_pull(x, v):
+            return np.array([2 * x[0] * v[0], v[1]])
+
+        exact = with_pull(exact_pull)
         assert fd_check(exact, [1.0, 1.0]) == fd_check(square, [1.0, 1.0])
-        doubled = dataclasses.replace(square, vjp_fn=lambda x, v: 2.0 * exact.vjp_fn(x, v))
+        doubled = with_pull(lambda x, v: 2.0 * exact_pull(x, v))
         assert fd_check(doubled, [1.0, 1.0]) == pytest.approx(0.5)
-        nan = dataclasses.replace(square, vjp_fn=lambda x, v: np.full(2, np.nan))
+        nan = with_pull(lambda x, v: np.full(2, np.nan))
         assert fd_check(nan, [1.0, 1.0]) == np.inf
+
+    def test_non_finite_difference_scores_infinity(self):
+        edge = scalar_map(lambda t: t if t <= 1.0 else np.nan, lambda t: 1.0)
+        assert fd_check(edge, [0.5]) <= 1e-10
+        assert fd_check(edge, [1.0]) == np.inf
 
     def test_step_range_enforced(self):
         with pytest.raises(ValueError):
@@ -236,10 +250,16 @@ class TestVJP:
         f = SmoothMap(S2, cod, lambda x: np.tanh(w @ x), jac)
         for _ in range(5):
             x, v = rng.standard_normal(2), rng.standard_normal(3)
-            np.testing.assert_array_equal(f.vjp(x, v), jac(x).adjoint_apply(v))
+            fx, pull = f.value_and_vjp(x)
+            np.testing.assert_array_equal(fx, f.value_fn(x))
+            np.testing.assert_array_equal(pull(v), jac(x).adjoint_apply(v))
 
     def test_with_vjp_fn_calls_it(self):
         calls = []
-        f = dataclasses.replace(ROW, vjp_fn=lambda x, v: calls.append((x, v)) or np.zeros(2))
-        np.testing.assert_array_equal(f.vjp(np.ones(2), np.ones(1)), np.zeros(2))
+        f = dataclasses.replace(
+            ROW, value_and_vjp_fn=lambda x: calls.append(x) or (np.ones(1), lambda v: np.zeros(2))
+        )
+        fx, pull = f.value_and_vjp(np.ones(2))
+        np.testing.assert_array_equal(fx, np.ones(1))
+        np.testing.assert_array_equal(pull(np.ones(1)), np.zeros(2))
         assert len(calls) == 1

@@ -140,7 +140,37 @@ class TestCoercivity:
             assert ray <= top * (1 + 1e-5) + 1e-12
 
 
+@st.composite
+def matrix_ops(draw):
+    """``LinOp.from_matrix`` between two weighted spaces, with a domain and a
+    codomain probe vector."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    dom = WeightedSpace(draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3))))
+    cod = WeightedSpace(draw(hnp.arrays(float, m, elements=st.floats(1e-3, 1e3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = LinOp.from_matrix(dom, cod, rng.standard_normal((m, n)))
+    return a, rng.standard_normal(n), rng.standard_normal(m)
+
+
 class TestAdjoint:
+    @settings(deadline=None)
+    @given(matrix_ops())
+    def test_from_matrix_weighted_adjoint_identity(self, case):
+        a, u, v = case
+        lhs = a.codomain.inner(a.apply(u), v)
+        rhs = a.domain.inner(u, a.adjoint_apply(v))
+        # bound on the rounding of either sum: the sum of its terms' sizes
+        scale = np.abs(u) @ np.abs(a.matrix()).T @ (a.codomain.weights * np.abs(v))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @settings(deadline=None)
+    @given(matrix_ops())
+    def test_carried_matrix_equals_probed(self, case):
+        a, _, _ = case
+        probed = LinOp(a.domain, a.codomain, a.apply_fn, a.adjoint_fn).matrix()
+        np.testing.assert_array_equal(a.matrix(), probed)
+        assert not a.matrix().flags.writeable
+
     def test_identity_holds_on_probes(self):
         rng = np.random.default_rng(3)
         dom = WeightedSpace(rng.uniform(0.1, 3.0, size=7))
