@@ -14,12 +14,14 @@ Commands
 Exit codes: 0 when every evaluated verdict passes or is hypothesis-unmet;
 1 on configuration or I/O errors; 2 on a gradient-oracle failure or a
 bound violation under analytic certificates (violations under sampled
-certificates are reported as warnings); 3 when descent hits a non-finite
-or out-of-domain value (``report.json`` then records the message and the
-failing iteration under ``numeric_failure``).  A sweep exits with the
-worst code of its runs; a value whose problem or certificates cannot be
-built prints ``error: <axis>=<value>: <message>``, counts as code 1 and
-gets a ``summary.csv`` row with empty cells, and the sweep goes on.
+certificates are reported as warnings); 3 when the gradient gate, the
+certificates or descent hit a non-finite or out-of-domain value
+(``report.json`` then records the message and the failing descent
+iteration, null before descent, under ``numeric_failure``).  A sweep
+exits with the worst code of its runs; a value whose problem or
+certificates cannot be built prints ``error: <axis>=<value>: <message>``,
+counts as code 1 and gets a ``summary.csv`` row with empty cells, and the
+sweep goes on.
 Width and datasize values must be integers >= 1, as must every integer
 size and count in the config (``in_dim``, ``out_dim``, ``width``,
 ``latent_dim``, ``count``, ``classes``, ``n_samples``, ``max_iter``, and a
@@ -589,7 +591,10 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
                                          "param_dim": problem.model.param_dim,
                                          "function_dim": problem.f.space.dim}}
 
-    fd_err = check_gradients(problem, n_probes=3, seed=cfg["certificates"]["seed"])
+    try:
+        fd_err = check_gradients(problem, n_probes=3, seed=cfg["certificates"]["seed"])
+    except NumericFailure as exc:
+        return _numeric_failure(report, exc, warnings_list, cfg, outdir, t_start)
     report["gradient_check"] = {
         "max_fd_error": fd_err,
         "threshold": FD_GATE,
@@ -604,7 +609,10 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
         _write_timings(outdir, t_start)
         return report
 
-    problem, cert, obj = make_certificates(problem, cfg)
+    try:
+        problem, cert, obj = make_certificates(problem, cfg)
+    except NumericFailure as exc:
+        return _numeric_failure(report, exc, warnings_list, cfg, outdir, t_start)
     report["declared_ball_radius"] = problem.declared_ball.radius
 
     alpha = cfg["descent"]["alpha"]
@@ -641,12 +649,7 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
             declared_radius=declared_radius,
         )
     except NumericFailure as exc:
-        report["numeric_failure"] = {"message": str(exc), "iteration": exc.iteration}
-        report["exit_code"] = EXIT_NUMERIC
-        report["warnings"] = warnings_list
-        _write_report(report, cfg, outdir)
-        _write_timings(outdir, t_start)
-        return report
+        return _numeric_failure(report, exc, warnings_list, cfg, outdir, t_start)
     report["ntk"]["theta_star"] = _ntk_summary(problem, trace.iterates[-1])
     f_star = ledger.f_star
     report["iterations"] = {
@@ -677,6 +680,20 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
     _write_report(report, cfg, outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_theta(outdir / "theta_star.json", trace.iterates[-1], problem.model.param_shapes)
+    _write_timings(outdir, t_start)
+    return report
+
+
+def _numeric_failure(
+    report: dict, exc: NumericFailure, warnings_list: list, cfg: dict, outdir: Path, t_start: float
+) -> dict:
+    """Finish a run that hit a NumericFailure in the gate, the certificates
+    or descent: exit code 3, the message and the failing descent iteration
+    (None before descent) under ``numeric_failure``."""
+    report["numeric_failure"] = {"message": str(exc), "iteration": exc.iteration}
+    report["exit_code"] = EXIT_NUMERIC
+    report["warnings"] = warnings_list
+    _write_report(report, cfg, outdir)
     _write_timings(outdir, t_start)
     return report
 
@@ -785,6 +802,8 @@ def check_experiment(config_path: str, out: str | None = None, seed: int | None 
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if "numeric_failure" in report:
+        print(f"error: {report['numeric_failure']['message']}", file=sys.stderr)
     return int(report["exit_code"])
 
 

@@ -235,9 +235,12 @@ class DescentTrace:
 
     ``losses``, ``grad_norms`` and ``dist_from_init`` have one entry per
     iterate (including the last); ``step_norms`` has one entry per step.
+    ``iterates`` is a read-only ``(m, p)`` array of the kept iterates:
+    ``iterates[0]`` is the initial point and ``iterates[-1]`` the last
+    iterate (one row for a run that takes no step).
     """
 
-    iterates: list
+    iterates: np.ndarray
     losses: np.ndarray
     grad_norms: np.ndarray
     step_norms: np.ndarray
@@ -480,8 +483,9 @@ def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[Spac
     x0c = f_map.domain._coords(x0)
     r = obj.minimizer - a.apply(x0c)
     mat_a = a.matrix()
-    mat_adj = np.stack([a.adjoint_apply(e) for e in np.eye(a.codomain.dim)], axis=1)
     weights = a.codomain.weights
+    # A* = D_dom^-1 M^T D_cod, in C order: BLAS rounds ``mat_adj @ y`` by layout
+    mat_adj = np.ascontiguousarray(mat_a.T * weights) / a.domain.weights[:, None]
     y = weighted_pinv_solve(symmetrize(mat_a @ mat_adj, weights), weights, r)
     delta = mat_adj @ y
     residual = a.codomain.norm(mat_a @ delta - r)
@@ -502,6 +506,7 @@ def run(
     max_iter: int = 10000,
     stop_gap: Optional[float] = None,
     declared_radius: Optional[float] = None,
+    keep_every: Optional[int] = None,
 ) -> tuple[DescentTrace, BoundVerdicts]:
     """Run descent and verify every applicable bound on the trajectory.
 
@@ -509,9 +514,17 @@ def run(
     1e-10 x initial gap), when ``max_iter`` steps were taken, or when the
     gap has grown past ten times its initial value (divergence guard;
     without a known infimum the guard watches the raw loss instead).
+
+    The verdicts need only per-step scalars, so the trace keeps the
+    initial and the last iterate; ``keep_every=k`` also keeps iterations
+    k, 2k, ...  Memory is then O(p + steps) by default, not O(p * steps).
     """
     if max_iter < 1:
         raise InvalidConfig("max_iter must be >= 1")
+    if keep_every is not None and not (
+        isinstance(keep_every, (int, np.integer)) and keep_every >= 1
+    ):
+        raise InvalidConfig(f"keep_every must be an integer >= 1; got {keep_every!r}")
     # The loop works on raw coordinates: every vector it makes has the
     # domain's shape by construction, so only finiteness is checked.
     weights = f_map.domain.weights
@@ -540,7 +553,7 @@ def run(
 
     f_star = ledger.f_star
     losses, grad_norms, step_norms, dists = [], [], [], []
-    iterates = [x]
+    kept = [x]  # stacked once after the loop: max_iter may be far above the steps taken
     diverged = False
 
     loss, g = evaluate(x, 0)
@@ -567,13 +580,18 @@ def run(
         x_next = x - alpha * g
         step_norms.append(norm(x_next - x))
         x = x_next
-        iterates.append(x)
+        if keep_every is not None and i % keep_every == 0:
+            kept.append(x)
         dists.append(norm(x - x_init))
 
         loss, g = evaluate(x, i)
         losses.append(loss)
         grad_norms.append(norm(g))
 
+    if kept[-1] is not x:
+        kept.append(x)
+    iterates = np.stack(kept)
+    iterates.setflags(write=False)
     trace = DescentTrace(
         iterates=iterates,
         losses=np.asarray(losses),

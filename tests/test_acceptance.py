@@ -141,9 +141,11 @@ def test_criterion_3_composition_monitors():
 def test_criterion_4_ntk_coercivity_and_interpolation():
     with timed(10.0):
         prob, cert, ledger = composition_problem()
-        trace, verdicts = run(prob.F, prob.f, prob.theta0, ledger, max_iter=200000)
+        trace, verdicts = run(
+            prob.F, prob.f, prob.theta0, ledger, max_iter=200000, keep_every=10
+        )
 
-        for theta in trace.iterates[::10]:
+        for theta in trace.iterates:
             g = ntk_gram(prob.model, prob.data, theta)
             assert g.lambda_min > 0.0
 

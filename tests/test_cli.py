@@ -21,11 +21,19 @@ from plgd.cli import (
     run_experiment,
     sweep,
 )
-from plgd.descent import DescentTrace, build_ledger, minimal_ledger, monitor_rows, run
-from plgd.errors import InvalidConfig
+from plgd.descent import (
+    DescentTrace,
+    build_ledger,
+    closest_optimum,
+    minimal_ledger,
+    monitor_rows,
+    run,
+)
+from plgd.errors import InvalidConfig, NumericFailure
 from plgd.integrand import least_squares
 from plgd.model import induce
 from plgd.problems import analytic_certificates, check_gradients, supervised
+from plgd.space import symmetrize, weighted_pinv_solve
 
 
 def tight_config(outdir, alpha=0.5):
@@ -333,6 +341,41 @@ class TestNumericFailure:
         rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
         assert [(r[0], r[3]) for r in rows] == [("1", "200"), ("3", "")]
 
+    def test_gate_failure_exits_three_with_report(self, tmp_path, capsys):
+        # disc seed 6 puts a real-side initial score at y < 0, outside the r1
+        # domain, so the gradient gate's first objective evaluation fails
+        out = tmp_path / "out"
+        cfg = r1_unsquashed_config(out, alpha=0.01)
+        cfg["problem"]["disc"]["seed"] = 6
+        path = write_config(tmp_path, cfg)
+        with pytest.warns(RuntimeWarning, match="outside"):
+            assert main(["run", path]) == EXIT_NUMERIC
+        message = "r1 real-side score must satisfy y > 0"
+        assert f"error: {message}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == EXIT_NUMERIC
+        assert report["numeric_failure"] == {"message": message, "iteration": None}
+        assert "gradient_check" not in report and "ledger" not in report
+        assert not (out / "trace.csv").exists()
+        with pytest.warns(RuntimeWarning, match="outside"):
+            assert sweep(path, "alpha", [0.01]) == EXIT_NUMERIC
+        report = json.loads((out / "alpha=0.01" / "report.json").read_text())
+        assert report["exit_code"] == EXIT_NUMERIC
+
+    def test_certificate_failure_exits_three_with_report(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, rf_config(out, max_iter=10))
+
+        def failing(problem, cfg):
+            raise NumericFailure("non-finite certificate")
+
+        monkeypatch.setattr(cli, "make_certificates", failing)
+        assert check_experiment(path) == EXIT_NUMERIC
+        report = json.loads((out / "report.json").read_text())
+        assert report["gradient_check"]["passed"]
+        assert report["numeric_failure"] == {"message": "non-finite certificate",
+                                             "iteration": None}
+
 
 TRACE_HEADER = "iter,loss,gap,q_bound,grad_norm,step_norm,step_bound,dist_init,dist_bound"
 
@@ -376,7 +419,7 @@ def export_cases():
     trace, _ = run(prob.F, prob.f, prob.theta0, full, max_iter=300)
     no_uc = dataclasses.replace(full, lam_F=None, lam=None, q=None, radius_required=None)
     still = DescentTrace(
-        iterates=[trace.iterates[0]], losses=trace.losses[:1], grad_norms=trace.grad_norms[:1],
+        iterates=trace.iterates[:1], losses=trace.losses[:1], grad_norms=trace.grad_norms[:1],
         step_norms=trace.step_norms[:0], dist_from_init=trace.dist_from_init[:1],
         stop_gap=1.0, predicted_iters=0,
     )
@@ -406,6 +449,20 @@ class TestExports:
         want_trace, want_bounds = reference_csvs(trace, ledger)
         assert (tmp_path / "trace.csv").read_text() == want_trace
         assert (tmp_path / "bounds.csv").read_text() == want_bounds
+
+
+def test_closest_optimum_adjoint_matches_probed_adjoint():
+    # closest_optimum derives A* from the matrix; the reference probes A*
+    # with unit vectors and solves with the probed matrix
+    prob = build_problem(normalize_config(rf_config("unused", width=256)))
+    a = prob.F.linear_op
+    mat_a, w = a.matrix(), a.codomain.weights
+    probed = np.stack([a.adjoint_apply(e) for e in np.eye(a.codomain.dim)], axis=1)
+    np.testing.assert_allclose((mat_a.T * w) / a.domain.weights[:, None], probed, rtol=0, atol=0)
+    x0 = a.domain._coords(prob.theta0)
+    y = weighted_pinv_solve(symmetrize(mat_a @ probed, w), w, prob.f.minimizer - a.apply(x0))
+    x_hat = closest_optimum(prob.F, prob.f, prob.theta0)
+    np.testing.assert_allclose(x_hat.coords, x0 + probed @ y, rtol=0, atol=0)
 
 
 class TestCheckCommand:

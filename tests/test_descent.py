@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -28,9 +29,10 @@ from plgd.model import linear_model, shallow_net, induce
 from plgd.objective import ScalarObjective, quadratic
 from plgd.problems import analytic_certificates, supervised
 from plgd.smoothmap import CertValue, MapCertificate, SmoothMap
-from plgd.space import SpaceVec, WeightedSpace
+from plgd.space import LinOp, SpaceVec, WeightedSpace
 
 S2 = WeightedSpace.unit(2)
+S4 = WeightedSpace.unit(4)
 
 
 def tight_problem():
@@ -154,13 +156,72 @@ class TestRun:
     def test_iterates_are_distinct_arrays(self):
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[0.5, -0.5])
         x0 = np.array([1.0, 1.0])
-        trace, _ = run(SmoothMap.identity(S2), f, x0, minimal_ledger(0.1), max_iter=5)
+        trace, _ = run(SmoothMap.identity(S2), f, x0, minimal_ledger(0.1), max_iter=5,
+                       keep_every=1)
         its = trace.iterates
-        assert len(its) == 6
-        assert len({id(x) for x in its}) == 6
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(its) for b in its[i + 1 :])
-        assert not np.shares_memory(its[0], x0)
+        assert its.shape == (6, 2)
+        assert len({x.tobytes() for x in its}) == 6
+        assert not its.flags.writeable
+        assert not np.shares_memory(its, x0)
         np.testing.assert_array_equal(its[0], [1.0, 1.0])
+        x0[:] = 0.0  # the trace owns its rows
+        np.testing.assert_array_equal(its[0], [1.0, 1.0])
+
+    def test_zero_step_run_keeps_one_row(self):
+        prob, cert = tight_problem()
+        led = build_ledger(prob.F, prob.f, np.array([2.0, 2.0]), cert, alpha=0.5)
+        for keep_every in (None, 1, 3):
+            still, _ = run(prob.F, prob.f, np.array([2.0, 2.0]), led, max_iter=10,
+                           keep_every=keep_every)
+            assert still.n_steps == 0
+            np.testing.assert_array_equal(still.iterates, [[2.0, 2.0]])
+
+    @pytest.mark.parametrize("k, rows", [
+        (None, [0, 23]),  # the default keeps the endpoints
+        (1, list(range(24))),
+        (4, [0, 4, 8, 12, 16, 20, 23]),
+        (5, [0, 5, 10, 15, 20, 23]),
+        (23, [0, 23]),
+        (50, [0, 23]),
+    ])
+    def test_keep_every_keeps_multiples_and_the_last(self, k, rows):
+        f = quadratic(S2, np.diag([1.0, 4.0]), b=[0.5, -0.5])
+        x0 = np.array([1.0, 1.0])
+        every, _ = run(SmoothMap.identity(S2), f, x0, minimal_ledger(0.1), max_iter=23,
+                       keep_every=1)
+        kept, _ = run(SmoothMap.identity(S2), f, x0, minimal_ledger(0.1), max_iter=23,
+                      keep_every=k)
+        assert every.n_steps == kept.n_steps == 23
+        np.testing.assert_array_equal(kept.iterates, every.iterates[rows])
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, "3"])
+    def test_keep_every_must_be_a_positive_integer(self, k):
+        f = quadratic(S2, np.eye(2))
+        with pytest.raises(InvalidConfig, match="keep_every"):
+            run(SmoothMap.identity(S2), f, np.ones(2), minimal_ledger(0.1), keep_every=k)
+
+    def test_run_memory_does_not_grow_with_the_steps(self):
+        # 2000 steps at p = 256 into R^4: a list of every iterate holds >= 4 MB
+        p = 256
+        mat = np.random.default_rng(0).standard_normal((4, p)) / 16.0
+        f_map = SmoothMap.linear(LinOp.from_matrix(WeightedSpace.unit(p), S4, mat))
+        f = quadratic(S4, np.eye(4), b=np.ones(4))
+        x0 = np.zeros(p)
+
+        def peak(**kw):
+            tracemalloc.start()
+            try:
+                trace, _ = run(f_map, f, x0, minimal_ledger(1e-3), max_iter=2000, stop_gap=0.0,
+                               **kw)
+                return trace, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        trace, lean = peak()
+        assert trace.n_steps == 2000 and trace.iterates.shape == (2, p)
+        _, full = peak(keep_every=1)
+        assert full >= 2001 * p * 8  # the measurement sees a kept row per step
+        assert lean <= 1_000_000
 
     def test_non_finite_map_value_mid_run_is_numeric_failure(self):
         calls = []
@@ -191,12 +252,13 @@ class TestRun:
         prob = build_problem(cfg)
         assert prob.F.value_and_vjp_fn is not None
         led = minimal_ledger(0.01)
-        fast, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=1000)
+        fast, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=1000, keep_every=1)
         slow, _ = run(dataclasses.replace(prob.F, value_and_vjp_fn=None), prob.f, prob.theta0,
-                      led, max_iter=1000)
+                      led, max_iter=1000, keep_every=1)
         assert fast.n_steps == slow.n_steps == 1000
+        assert fast.iterates.shape == (1001, prob.model.param_dim)
         scale = 1.0 + np.abs(slow.iterates).max()
-        assert np.abs(np.array(fast.iterates) - slow.iterates).max() <= 1e-10 * scale
+        assert np.abs(fast.iterates - slow.iterates).max() <= 1e-10 * scale
         np.testing.assert_allclose(fast.losses, slow.losses, rtol=1e-10, atol=1e-10)
 
     def test_divergence_guard_aborts_and_flags(self):
@@ -291,7 +353,7 @@ S1 = WeightedSpace.unit(1)
 def planted_trace():
     """Gaps 4, 2, 1, 1 (f_star = 0) with hand-picked gradient and step norms."""
     return DescentTrace(
-        iterates=[np.zeros(1)] * 4,
+        iterates=np.zeros((2, 1)),
         losses=np.array([4.0, 2.0, 1.0, 1.0]),
         grad_norms=np.array([2.0, 0.0, 2.0, 4.0]),
         step_norms=np.array([1.0, 0.5, 0.5]),
