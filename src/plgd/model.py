@@ -13,9 +13,9 @@ desk scale.  :func:`induce` lifts a model over a weighted
 dataset to a :class:`SmoothMap` from parameter space into the function
 space, whose Jacobian is the (d l, p) stack of the per-sample Jacobians
 and whose adjoint is the mass-weighted transpose.  :func:`ntk_gram`
-assembles the Gram operator ``J J*`` on function space in closed form and
-reports its spectral range; a positive smallest eigenvalue certifies
-coercivity at that parameter point.
+reports the spectral range of the Gram operator ``J J*`` on function
+space; a positive smallest eigenvalue certifies coercivity at that
+parameter point.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .integrand import Dataset
 from .smoothmap import SmoothMap
-from .space import LinOp, WeightedSpace, require_dense, symmetrize
+from .space import LinOp, WeightedSpace, gram_eigvalsh, require_gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,35 +149,29 @@ def aggregated_jacobian_bound(model: Model, data: Dataset, theta) -> float:
 
 @dataclass(frozen=True, eq=False)
 class NTKGram:
-    """The Gram operator ``J(theta) J(theta)*`` on function space.
+    """The spectral range of the Gram operator ``J(theta) J(theta)*`` on
+    function space.
 
-    ``matrix`` is the operator's coordinate representation (block (i, j)
-    equals ``J_i J_j^T w_j``); ``symmetrized`` the similarity transform
-    ``D^1/2 G_raw D^1/2`` whose eigenvalues are the operator's spectrum.
-    ``lambda_min > 0`` certifies coercivity at this parameter point.
+    ``lambda_min > 0`` certifies coercivity at this parameter point.  When
+    p < d l, ``J J*`` has a kernel and ``lambda_min`` is exactly 0.0.
     """
 
     theta: np.ndarray
-    matrix: np.ndarray
-    symmetrized: np.ndarray
     lambda_min: float
     lambda_max: float
 
 
 def ntk_gram(model: Model, data: Dataset, theta) -> NTKGram:
-    """Assemble the tangent-kernel Gram operator and its spectral range."""
+    """The tangent-kernel Gram's spectral range, from one eigensolve of the
+    weighted Gram on the smaller side (:func:`gram_eigvalsh`)."""
     theta = np.asarray(theta, dtype=float)
-    require_dense(len(data) * model.out_dim)
+    p, dl = model.param_dim, len(data) * model.out_dim
+    require_gram(p, dl)
     js = _stacked_jacobian(model, data, theta)
-    wrep = np.repeat(data.weights, model.out_dim)
-    matrix = (js @ js.T) * wrep[None, :]
-    sym = symmetrize(matrix, wrep)
-    eigs = np.linalg.eigvalsh(sym)
+    eigs = gram_eigvalsh(js, np.ones(p), np.repeat(data.weights, model.out_dim))
     return NTKGram(
         theta=theta,
-        matrix=matrix,
-        symmetrized=sym,
-        lambda_min=float(eigs[0]),
+        lambda_min=float(eigs[0]) if p >= dl else 0.0,
         lambda_max=float(eigs[-1]),
     )
 

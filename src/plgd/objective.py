@@ -61,15 +61,8 @@ class ScalarObjective:
         scalar = WeightedSpace.unit(1)
 
         def jac(x):
-            g = self.grad_fn(x) * self.space.weights
-
-            def apply_fn(u, g=g):
-                return np.array([float(np.dot(g, u))])
-
-            def adjoint_fn(v, g=g):
-                return (v[0] * g) / self.space.weights
-
-            return LinOp(self.space, scalar, apply_fn, adjoint_fn)
+            row = self.grad_fn(x) * self.space.weights
+            return LinOp.from_matrix(self.space, scalar, row[None, :])
 
         return SmoothMap(
             domain=self.space,

@@ -13,19 +13,15 @@ immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotSelfAdjoint, SolverCapExceeded
 
-#: largest dimension accepted by the dense symmetric eigensolver
+#: largest dense eigensolve or pseudo-inverse; a weighted Gram is solved on its smaller side
 DENSE_EIG_CAP = 4096
-
-#: default relative tolerance of iterative estimates (power iteration)
-ITER_TOL = 1e-6
 
 #: default tolerance of exact identities (adjointness, symmetry)
 IDENTITY_TOL = 1e-10
@@ -131,21 +127,20 @@ class LinOp:
     ``adjoint_fn`` must satisfy ``<A u, v>_codomain == <u, A* v>_domain``
     with respect to the two weighted inner products; :func:`adjoint_defect`
     probes the identity on random vectors.  ``mat`` is the coordinate
-    matrix when the operator is built from one (kept as a read-only view);
-    :meth:`matrix` then returns it instead of probing.
+    matrix (columns = images of basis vectors), kept as a read-only view
+    and returned by :meth:`matrix`.
     """
 
     domain: WeightedSpace
     codomain: WeightedSpace
     apply_fn: Callable[[np.ndarray], np.ndarray]
     adjoint_fn: Callable[[np.ndarray], np.ndarray]
-    mat: Optional[np.ndarray] = None
+    mat: np.ndarray
 
     def __post_init__(self):
-        if self.mat is not None:
-            view = np.asarray(self.mat, dtype=float).view()
-            view.setflags(write=False)
-            object.__setattr__(self, "mat", view)
+        view = np.asarray(self.mat, dtype=float).view()
+        view.setflags(write=False)
+        object.__setattr__(self, "mat", view)
 
     def apply(self, u) -> np.ndarray:
         return np.asarray(self.apply_fn(self.domain._coords(u)), dtype=float)
@@ -170,34 +165,11 @@ class LinOp:
 
     @staticmethod
     def identity(space: WeightedSpace) -> "LinOp":
-        return LinOp(space, space, lambda u: u, lambda v: v)
+        return LinOp(space, space, lambda u: u, lambda v: v, mat=np.eye(space.dim))
 
     def matrix(self) -> np.ndarray:
-        """Dense coordinate representation (columns = images of basis vectors):
-        the carried ``mat`` when there is one, else probed column by column."""
-        if self.mat is not None:
-            return self.mat
-        cols = [self.apply(e) for e in np.eye(self.domain.dim)]
-        return np.stack(cols, axis=1)
-
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        if not (self.domain.compatible(other.domain) and self.codomain.compatible(other.codomain)):
-            raise DimensionMismatch("operator difference requires matching spaces")
-        return LinOp(
-            self.domain,
-            self.codomain,
-            lambda u: self.apply_fn(u) - other.apply_fn(u),
-            lambda v: self.adjoint_fn(v) - other.adjoint_fn(v),
-        )
-
-    def gram(self) -> "LinOp":
-        """The self-adjoint composition ``A A*`` on the codomain."""
-        return LinOp(
-            self.codomain,
-            self.codomain,
-            lambda v: self.apply_fn(np.asarray(self.adjoint_fn(v), dtype=float)),
-            lambda v: self.apply_fn(np.asarray(self.adjoint_fn(v), dtype=float)),
-        )
+        """The read-only coordinate matrix, of shape (codomain dim, domain dim)."""
+        return self.mat
 
 
 def adjoint_defect(a: LinOp, n_probes: int = 100, seed: int = 0) -> float:
@@ -211,52 +183,6 @@ def adjoint_defect(a: LinOp, n_probes: int = 100, seed: int = 0) -> float:
         rhs = a.domain.inner(u, a.adjoint_apply(v))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return worst
-
-
-def op_norm(a: LinOp, tol: float = ITER_TOL, max_iter: int = 1000, seed: int = 0) -> float:
-    """Operator norm via power iteration on ``A* A``.
-
-    Runs in the weighted metrics of the operator's spaces and returns the
-    largest singular value to relative accuracy ``tol``.  If the iteration
-    has not settled after ``max_iter`` sweeps the current estimate is
-    returned with a warning.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(a.domain.dim)
-    nu = a.domain.norm(u)
-    if nu == 0.0:
-        u = np.ones(a.domain.dim)
-        nu = a.domain.norm(u)
-    u = u / nu
-
-    sigma = 0.0
-    settled = 0
-    for _ in range(max_iter):
-        au = a.apply(u)
-        s = np.sqrt(max(a.codomain.inner(au, au), 0.0))
-        if s <= 1e-150:
-            return 0.0
-        w = a.adjoint_apply(au)
-        nw = a.domain.norm(w)
-        if nw <= 1e-150:
-            return float(s)
-        # require the estimate to be stable twice in a row before accepting
-        if abs(s - sigma) <= 0.1 * tol * max(s, 1e-300):
-            settled += 1
-            if settled >= 2:
-                return float(s)
-        else:
-            settled = 0
-        sigma = s
-        u = w / nw
-    warnings.warn(
-        f"power iteration did not reach tol={tol} in {max_iter} sweeps; "
-        f"returning current estimate {sigma}",
-        RuntimeWarning,
-    )
-    return float(sigma)
 
 
 def require_dense(dim: int, cap: int = DENSE_EIG_CAP) -> None:
@@ -300,26 +226,50 @@ def weighted_pinv_solve(sym: np.ndarray, weights, r) -> np.ndarray:
     return (np.linalg.pinv(sym, rcond=1e-12) @ (d * r)) / d
 
 
-def coercivity(b: LinOp, sym_tol: float = 1e-8, cap: int = DENSE_EIG_CAP) -> float:
-    """Smallest eigenvalue of a self-adjoint operator on its weighted space.
+def require_gram(p: int, dl: int, cap: int = DENSE_EIG_CAP) -> None:
+    """Refuse :func:`gram_eigvalsh` on an operator from dimension ``p`` to
+    dimension ``dl`` when both exceed ``cap``.
 
-    A positive return value lam certifies ``<y, By> >= lam * ||y||^2``; a
-    non-positive value signals that the operator is not coercive.  Dense
-    eigensolve only, refused above ``cap`` dimensions.
+    For a Jacobian, p is the parameter count and dl = d l the function-space
+    dimension.  Callers check before they assemble the matrix.
     """
-    if not b.domain.compatible(b.codomain):
-        raise DimensionMismatch("coercivity requires an endomorphism")
-    require_dense(b.domain.dim, cap)
-    # adjoint-identity probe before paying for the dense assembly
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        u = rng.standard_normal(b.domain.dim)
-        v = rng.standard_normal(b.domain.dim)
-        lhs = b.domain.inner(b.apply(u), v)
-        rhs = b.domain.inner(u, b.apply(v))
-        if abs(lhs - rhs) > sym_tol * (1.0 + abs(lhs)):
-            raise NotSelfAdjoint(
-                f"adjoint identity violated on probe: |{lhs} - {rhs}|"
-            )
-    s = symmetrize(b.matrix(), b.domain.weights, sym_tol)
-    return float(np.linalg.eigvalsh(s)[0])
+    if min(p, dl) > cap:
+        raise SolverCapExceeded(
+            f"dense eigensolver supports min(p, d·l) <= {cap}, got p = {p} and d·l = {dl}"
+        )
+
+
+def gram_eigvalsh(mat, dom_weights, cod_weights, cap: int = DENSE_EIG_CAP) -> np.ndarray:
+    """Ascending eigenvalues of the smaller weighted Gram of a coordinate matrix.
+
+    For the operator A with coordinate matrix M between spaces with weight
+    diagonals D_dom and D_cod, ``B = D_cod^1/2 M D_dom^-1/2`` has the
+    singular values of A in the two weighted metrics.  ``B B^T`` is similar
+    to ``A A*`` and ``B^T B`` to ``A* A``; they share their nonzero
+    eigenvalues, and the smaller of the two is solved.  Refused by
+    :func:`require_gram` before any product is formed.
+    """
+    n_cod, n_dom = mat.shape
+    require_gram(n_dom, n_cod, cap)
+    b = (np.sqrt(cod_weights)[:, None] * mat) / np.sqrt(dom_weights)[None, :]
+    return np.linalg.eigvalsh(b @ b.T if n_cod <= n_dom else b.T @ b)
+
+
+def op_norm(a: LinOp) -> float:
+    """Operator norm in the weighted metrics: the root of the largest
+    eigenvalue of the smaller weighted Gram, exact up to rounding."""
+    top = gram_eigvalsh(a.matrix(), a.domain.weights, a.codomain.weights)[-1]
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def coercivity(a: LinOp) -> float:
+    """Smallest eigenvalue of ``A A*`` on the codomain.
+
+    A positive return value lam certifies ``||A* y||^2 >= lam * ||y||^2``;
+    a non-positive value signals that ``A A*`` is not coercive.  When
+    dim(domain) < dim(codomain), ``A A*`` has a kernel and the value is
+    exactly 0.0, with no solve.
+    """
+    if a.domain.dim < a.codomain.dim:
+        return 0.0
+    return float(gram_eigvalsh(a.matrix(), a.domain.weights, a.codomain.weights)[0])

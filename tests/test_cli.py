@@ -144,6 +144,18 @@ class TestRunCommand:
             "iter,loss,gap,q_bound,grad_norm,step_norm,step_bound,dist_init,dist_bound"
         )
 
+    def test_narrow_model_runs_above_the_dense_cap(self, tmp_path):
+        # d l = 5000 > 4096 but p = 16: the spectra come from the 16 x 16
+        # side, J J* has a kernel, and the run goes on without a q
+        out = tmp_path / "out"
+        cfg = rf_config(out, width=16, max_iter=10)
+        cfg["problem"]["model"]["in_dim"] = 4
+        cfg["problem"]["dataset"]["synthetic"].update(d=5000, in_dim=4)
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["ledger"]["mode"] == "no-uc"
+        assert report["ledger"]["lambda_F"] is None
+
     def test_alpha_at_boundary_is_config_error(self, tmp_path):
         cfg = tight_config(tmp_path / "out", alpha=1.0)  # 2/L for this problem
         assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG

@@ -239,8 +239,6 @@ class TestNTKGram:
         g = ntk_gram(linear_model(2, out_dim=1), data, np.zeros(2))
         assert g.lambda_min == pytest.approx(0.5, rel=1e-12)
         assert g.lambda_max == pytest.approx(0.5, rel=1e-12)
-        # operator representation carries the masses on the columns
-        assert np.allclose(g.matrix, 0.5 * np.eye(2))
 
     def test_underparameterized_rank_deficiency(self):
         data = Dataset([[1.0], [2.0]], targets=[np.array([0.0]), np.array([0.0])])
@@ -254,7 +252,7 @@ class TestNTKGram:
         g = ntk_gram(linear_model(2, out_dim=1), data, np.zeros(2))
         assert abs(g.lambda_min) <= 1e-10
 
-    def test_symmetrized_form_is_symmetric(self):
+    def test_spectrum_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
         data = Dataset(
             list(rng.standard_normal((4, 3))),
@@ -262,7 +260,13 @@ class TestNTKGram:
         )
         model = shallow_net(3, 7, out_dim=2, seed=7)
         g = ntk_gram(model, data, model.init)
-        assert np.abs(g.symmetrized - g.symmetrized.T).max() <= 1e-10
+        # the (d l, d l) Gram D^1/2 J J^T D^1/2 with the masses repeated per output
+        js = model.jacobian(data.inputs, model.init).reshape(8, -1)
+        root = np.sqrt(np.repeat(data.weights, 2))
+        eigs = np.linalg.eigvalsh(root[:, None] * (js @ js.T) * root[None, :])
+        tol = 1e-12 * eigs[-1]
+        assert g.lambda_min == pytest.approx(eigs[0], rel=0, abs=tol)
+        assert g.lambda_max == pytest.approx(eigs[-1], rel=0, abs=tol)
         assert g.lambda_min <= g.lambda_max
 
     def test_matches_pointwise_conditioning(self):
@@ -291,10 +295,43 @@ class TestNTKGram:
         assert k_hat <= worst * (1 + 1e-6)
 
     def test_dense_cap(self):
-        data = Dataset(list(np.zeros((5, 1))))
-        model = linear_model(1, out_dim=1000)
+        # p = 2 * 2100 and d l = 2 * 2100 both exceed the cap
+        data = Dataset(np.zeros((2, 2)))
+        model = linear_model(2, out_dim=2100)
         with pytest.raises(SolverCapExceeded):
             ntk_gram(model, data, np.zeros(model.param_dim))
+
+    def test_refused_before_assembly_naming_both_sides(self):
+        calls = []
+
+        def jacobian(x, theta, f=linear_model(2, out_dim=2100).jacobian):
+            calls.append(theta)
+            return f(x, theta)
+
+        model = dataclasses.replace(linear_model(2, out_dim=2100), jacobian=jacobian)
+        with pytest.raises(SolverCapExceeded, match="p = 4200 and d·l = 4200"):
+            ntk_gram(model, Dataset(np.zeros((2, 2))), np.zeros(model.param_dim))
+        assert calls == []
+
+    def test_underparameterized_is_exactly_zero(self):
+        # p = 7 < d = 9: J J* has a kernel, whatever the eigensolve rounds to
+        rng = np.random.default_rng(42)
+        data = Dataset(rng.standard_normal((9, 3)), weights=rng.dirichlet(np.ones(9)))
+        model = random_features(3, 7, seed=42)
+        g = ntk_gram(model, data, model.init)
+        assert g.lambda_min == 0.0
+        assert g.lambda_max > 0.0
+
+    def test_wide_side_solved_at_large_d(self):
+        # d l = 5000 above the cap, p = 16 below it: the 16 x 16 side answers
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.standard_normal((5000, 4)))
+        model = random_features(4, 16, seed=1)
+        g = ntk_gram(model, data, model.init)
+        js = model.jacobian(data.inputs, model.init)[:, 0, :]
+        want = np.linalg.norm(np.sqrt(data.weights)[:, None] * js, 2) ** 2
+        assert g.lambda_min == 0.0
+        assert g.lambda_max == pytest.approx(want, rel=1e-12)
 
     def test_wide_random_features_usually_coercive(self):
         rng = np.random.default_rng(12)

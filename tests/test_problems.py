@@ -200,6 +200,24 @@ class TestCertificateModes:
         bad = mk(bad_model, prob.data, least_squares(k=1))
         assert check_gradients(bad, n_probes=2, seed=0) > 1e-3
 
+    def test_underparameterized_never_certified_coercive(self):
+        # p < d l: J J* has a kernel, so lambda_min is 0 and the ledger has
+        # no q, never a rounding-noise lambda_min > 0 with q = 1 - 1e-16
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 12))
+            width = int(rng.integers(1, d))
+            data = Dataset(
+                rng.standard_normal((d, 3)),
+                targets=rng.standard_normal((d, 1)),
+                weights=rng.dirichlet(np.ones(d)),
+            )
+            prob = supervised(random_features(3, width, seed=seed), data, least_squares(k=1))
+            cert = analytic_certificates(prob)
+            assert cert.lam is None, seed
+            ledger = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha="auto")
+            assert ledger.mode == "no-uc", seed
+
     @pytest.mark.parametrize("d", [1000, 2000, 5000])
     def test_gradient_gate_passes_correct_problem_at_large_d(self, d):
         # the benchmark's gate_wide problem at larger d; differencing the
