@@ -131,8 +131,9 @@ EXIT_VIOLATION = 2
 EXIT_NUMERIC = 3
 
 FD_GATE = 1e-5
-#: rows formatted per write of the CSV writers
-CSV_CHUNK = 4096
+#: rows formatted per write of the CSV writers; a chunk of trace.csv holds
+#: nine Python objects per row, so 1024 rows keep it near 0.3 MB
+CSV_CHUNK = 1024
 
 
 def _fmt(x) -> str:
@@ -676,7 +677,7 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
 
     if "csv" in cfg["output"]["formats"]:
         _write_trace_csv(outdir / "trace.csv", trace, ledger)
-        _write_bounds_csv(outdir / "bounds.csv", trace, ledger)
+        _write_bounds_csv(outdir / "bounds.csv", trace, ledger, verdicts.table)
     _write_report(report, cfg, outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_theta(outdir / "theta_star.json", trace.iterates[-1], problem.model.param_shapes)
@@ -719,11 +720,16 @@ def _write_timings(outdir: Path, t_start: float) -> None:
 
 
 def _write_rows(fh, fmt: str, columns: list) -> None:
-    """Write ``fmt.format(*row)`` for the rows of parallel array columns,
-    converting and formatting a chunk of rows at a time."""
+    """Write ``fmt % row`` for the rows of parallel array columns,
+    converting and formatting a chunk of rows at a time.
+
+    ``%``-formatting a tuple is cheaper than ``str.format`` and gives the
+    same cells: ``%.17g`` and ``{:.17g}`` render a float alike, and ``%d``
+    and ``%s`` an int and a str or bool as ``{}`` does.
+    """
     for start in range(0, len(columns[0]), CSV_CHUNK):
         chunk = (c[start : start + CSV_CHUNK].tolist() for c in columns)
-        fh.writelines(map(fmt.format, *chunk))
+        fh.writelines(map(fmt.__mod__, zip(*chunk)))
 
 
 def _write_trace_csv(path: Path, trace, ledger) -> None:
@@ -736,17 +742,19 @@ def _write_trace_csv(path: Path, trace, ledger) -> None:
         for rows in (slice(0, n_steps), slice(n_steps, n_steps + 1)):
             present = {k: c[rows] for k, c in cols.items() if c is not None and len(c[rows])}
             if present:
-                cells = ("{:.17g}" if k in present else "" for k in TRACE_COLUMNS[1:])
-                _write_rows(fh, ",".join(("{}", *cells)) + "\n", list(present.values()))
+                cells = ("%.17g" if k in present else "" for k in TRACE_COLUMNS[1:])
+                _write_rows(fh, ",".join(("%d", *cells)) + "\n", list(present.values()))
 
 
-def _write_bounds_csv(path: Path, trace, ledger) -> None:
+def _write_bounds_csv(path: Path, trace, ledger, table=None) -> None:
+    """bounds.csv from ``table``, the run's :class:`MonitorTable`, or from
+    the trace when no table is given."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    t = monitor_rows(trace, ledger)
+    t = monitor_rows(trace, ledger) if table is None else table
     with path.open("w", encoding="utf-8") as fh:
         fh.write("inequality,iter,measured,bound,holds\n")
         columns = [t.name, t.iteration, t.measured, t.bound, t.holds]
-        _write_rows(fh, "{},{},{:.17g},{:.17g},{}\n", columns)
+        _write_rows(fh, "%s,%d,%.17g,%.17g,%s\n", columns)
 
 
 # ---------------------------------------------------------------------------

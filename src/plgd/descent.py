@@ -293,10 +293,12 @@ class Verdict:
 
 @dataclass(eq=False)
 class BoundVerdicts:
-    """All verdicts of a run, addressable by name."""
+    """All verdicts of a run, addressable by name, and the
+    :class:`MonitorTable` they were aggregated from (bounds.csv's rows)."""
 
     verdicts: dict = field(default_factory=dict)
     diverged: bool = False
+    table: Optional[MonitorTable] = None
 
     def add(self, v: Verdict):
         self.verdicts[v.name] = v
@@ -349,11 +351,37 @@ class MonitorTable:
         return self.iteration.size
 
 
-def _columns(name: str, iteration, measured, bound, tol) -> tuple:
-    """The columns of one inequality, scalars broadcast to one per row."""
-    measured, bound, tol = (np.broadcast_to(c, iteration.shape) for c in (measured, bound, tol))
-    holds = measured >= bound - tol if name in LOWER_BOUNDS else measured <= bound + tol
-    return (np.full(iteration.size, name, dtype=object), iteration, measured, bound, tol, holds)
+def _holds(name: str, measured, bound, tol) -> np.ndarray:
+    """Whether each row of inequality ``name`` holds within its tolerance."""
+    return measured >= bound - tol if name in LOWER_BOUNDS else measured <= bound + tol
+
+
+def _table(groups: list) -> MonitorTable:
+    """The table of ``groups``, each ``(iteration, inequalities)`` with
+    inequalities ``(name, measured, bound, tol)``, scalars broadcast.
+
+    A group's rows run by iteration and interleave its inequalities within
+    an iteration.  Each column is allocated once and filled in place.
+    """
+    size = sum(len(iteration) * len(inequalities) for iteration, inequalities in groups)
+    t = MonitorTable(
+        name=np.empty(size, dtype=object),
+        iteration=np.empty(size, dtype=int),
+        measured=np.empty(size),
+        bound=np.empty(size),
+        tol=np.empty(size),
+        holds=np.empty(size, dtype=bool),
+    )
+    start = 0
+    for iteration, inequalities in groups:
+        stop = start + len(iteration) * len(inequalities)
+        for j, (name, measured, bound, tol) in enumerate(inequalities):
+            rows = slice(start + j, stop, len(inequalities))
+            t.name[rows], t.iteration[rows] = name, iteration
+            t.measured[rows], t.bound[rows], t.tol[rows] = measured, bound, tol
+            t.holds[rows] = _holds(name, t.measured[rows], t.bound[rows], t.tol[rows])
+        start = stop
+    return t
 
 
 def _scalar_pow(bases, exponents) -> np.ndarray:
@@ -395,7 +423,7 @@ def monitor_rows(trace: DescentTrace, ledger: ConstantsLedger) -> MonitorTable:
     This is the single source for both verdict aggregation and the
     bounds.csv export; nothing downstream recomputes a bound differently.
     """
-    blocks = []
+    groups = []
     if ledger.f_star is not None:
         gaps = trace.losses - ledger.f_star
         gap0 = float(gaps[0])
@@ -406,39 +434,35 @@ def monitor_rows(trace: DescentTrace, ledger: ConstantsLedger) -> MonitorTable:
 
         if ledger.q is not None and ledger.K is not None:
             q = ledger.q
-            blocks.append(_columns("q_decay", iters, gaps, _q_bound(q, gap0, n), loss_tol))
+            groups.append((iters, [("q_decay", gaps, _q_bound(q, gap0, n), loss_tol)]))
             step_bound = _step_bound(ledger, n_steps)
             step_tol = REL_TOL * step_bound + ABS_TOL
             path = np.cumsum(trace.step_norms)
             dist_bound = ledger.dist_bound()
             dist_tol = REL_TOL * dist_bound + ABS_TOL
-            per_step = (
-                _columns("per_step_decay", steps, gaps[1:], q * gaps[:-1], loss_tol),
-                _columns("step_norm", steps, trace.step_norms, step_bound, step_tol),
-                _columns("path_length", steps, path, dist_bound, dist_tol),
-            )
             # bounds.csv lists the three inequalities of each step together
-            blocks.append(tuple(np.stack(c, axis=1).reshape(-1) for c in zip(*per_step)))
+            per_step = [
+                ("per_step_decay", gaps[1:], q * gaps[:-1], loss_tol),
+                ("step_norm", trace.step_norms, step_bound, step_tol),
+                ("path_length", path, dist_bound, dist_tol),
+            ]
+            groups.append((steps, per_step))
 
         sq_grad = _scalar_pow(trace.grad_norms.tolist(), repeat(2))
         if ledger.lam is not None:
             pl_tol = REL_TOL * ledger.lam * max(gap0, 0.0) + ABS_TOL
-            blocks.append(
-                _columns("composition_pl", iters, 0.5 * sq_grad, ledger.lam * gaps, pl_tol)
-            )
+            pl = ("composition_pl", 0.5 * sq_grad, ledger.lam * gaps, pl_tol)
+            groups.append((iters, [pl]))
         if ledger.L is not None:
             lg_tol = REL_TOL * ledger.L * max(gap0, 0.0) + ABS_TOL
-            blocks.append(
-                _columns("composition_lg_bound", iters, 0.5 * sq_grad, ledger.L * gaps, lg_tol)
-            )
+            lg = ("composition_lg_bound", 0.5 * sq_grad, ledger.L * gaps, lg_tol)
+            groups.append((iters, [lg]))
             # Taylor remainder on consecutive iterates; the descent direction
             # makes <grad_i, x_{i+1} - x_i> = -alpha ||grad_i||^2.
             remainder = np.abs(trace.losses[1:] - trace.losses[:-1] + alpha * sq_grad[:-1])
             taylor = 0.5 * ledger.L * _scalar_pow(trace.step_norms.tolist(), repeat(2))
-            blocks.append(_columns("taylor_bound", steps, remainder, taylor, loss_tol))
-
-    empty = _columns("", np.arange(0), np.empty(0), np.empty(0), np.empty(0))
-    return MonitorTable(*(np.concatenate(c) for c in zip(empty, *blocks)))
+            groups.append((steps, [("taylor_bound", remainder, taylor, loss_tol)]))
+    return _table(groups)
 
 
 def _aggregate(table: MonitorTable, name: str) -> Optional[Verdict]:
@@ -529,23 +553,32 @@ def run(
     # domain's shape by construction, so only finiteness is checked.
     weights = f_map.domain.weights
     value_and_vjp = f_map.value_and_vjp
-    loss_fn, grad_fn = obj.value_fn, obj.grad_fn
+    value_and_grad = obj.value_and_grad
 
-    def norm(c) -> float:
-        return math.sqrt(np.dot(weights * c, c))  # WeightedSpace.norm's arithmetic
+    if (weights == 1.0).all():
+
+        def norm(c) -> float:
+            return math.sqrt(np.dot(c, c))  # 1.0 * c == c: the weighted norm, bit for bit
+
+    else:
+
+        def norm(c) -> float:
+            return math.sqrt(np.dot(weights * c, c))  # WeightedSpace.norm's arithmetic
 
     def evaluate(x, i):
-        """Loss and gradient at iterate i; a failure names the iteration."""
+        """Loss, gradient and gradient norm at iterate i from one objective
+        call; a failure names the iteration."""
         try:
             fx, pull = value_and_vjp(x)
-            fx = np.asarray(fx, dtype=float)
-            loss = loss_fn(fx)
-            g = pull(grad_fn(fx))
+            loss, grad_f = value_and_grad(np.asarray(fx, dtype=float))
+            g = pull(grad_f)
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} at {_at(i)}", iteration=i) from exc
-        if not (math.isfinite(loss) and np.isfinite(g).all()):
+        g_norm = norm(g)
+        # a non-finite entry makes the norm non-finite, so g is scanned only then
+        if not (math.isfinite(loss) and (math.isfinite(g_norm) or np.isfinite(g).all())):
             raise NumericFailure(f"non-finite loss or gradient at {_at(i)}", iteration=i)
-        return loss, g
+        return loss, g, g_norm
 
     x = f_map.domain._coords(x0).copy()
     x_init = x
@@ -556,9 +589,9 @@ def run(
     kept = [x]  # stacked once after the loop: max_iter may be far above the steps taken
     diverged = False
 
-    loss, g = evaluate(x, 0)
+    loss, g, g_norm = evaluate(x, 0)
     losses.append(loss)
-    grad_norms.append(norm(g))
+    grad_norms.append(g_norm)
     dists.append(0.0)
 
     gap0 = None if f_star is None else max(loss - f_star, 0.0)
@@ -584,9 +617,9 @@ def run(
             kept.append(x)
         dists.append(norm(x - x_init))
 
-        loss, g = evaluate(x, i)
+        loss, g, g_norm = evaluate(x, i)
         losses.append(loss)
-        grad_norms.append(norm(g))
+        grad_norms.append(g_norm)
 
     if kept[-1] is not x:
         kept.append(x)
@@ -646,7 +679,7 @@ def verify(
         )
     )
 
-    rows = monitor_rows(trace, ledger)
+    rows = out.table = monitor_rows(trace, ledger)
     hyp_by_name = {
         "q_decay": ledger.q is not None and hyp_ball,
         "per_step_decay": ledger.q is not None and hyp_ball,

@@ -5,17 +5,19 @@ atom: inputs, masses and, where a loss needs them, targets or mixture
 densities.  An :class:`Integrand` is a loss ``iota(x, z)`` over atoms x
 and model outputs z in R^l, evaluated on a whole (d, l) block of outputs
 at once, with its gradient in z and, where they exist globally, its
-Lipschitz-gradient constant, PL constant and pointwise infimum.
-:func:`integral_functional` turns an integrand and a dataset into a
-:class:`ScalarObjective` on the function space of values at the atoms;
-the integrand's constants are inherited unchanged and the functional's
-gradient acts row by row in function coordinates.
+Lipschitz-gradient constant, PL constant and pointwise infimum.  Each
+built-in integrand computes its values and gradients in one function, so
+the two share their intermediates.  :func:`integral_functional` turns an
+integrand and a dataset into a :class:`ScalarObjective` on the function
+space of values at the atoms; the integrand's constants are inherited
+unchanged and the functional's gradient acts row by row in function
+coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -138,6 +140,19 @@ class Dataset:
         return WeightedSpace(np.repeat(self.weights, out_dim))
 
 
+class _Output:
+    """Output ``index`` of a joint ``fn(data, Z) -> (values, gradients)``:
+    the ``value_fn`` or ``grad_fn`` of :meth:`Integrand.from_joint`."""
+
+    __slots__ = ("fn", "index")
+
+    def __init__(self, fn, index: int):
+        self.fn, self.index = fn, index
+
+    def __call__(self, data, z):
+        return self.fn(data, z)[self.index]
+
+
 @dataclass(frozen=True, eq=False)
 class Integrand:
     """A pointwise loss with gradient and optional global constants.
@@ -151,6 +166,13 @@ class Integrand:
     records whether that infimum is attained.  ``pointwise_argmin(data)``
     gives the (d, out_dim) unique pointwise minimizers when known in
     closed form.
+
+    ``value_and_grad_fn(data, Z)`` returns ``(value_fn(data, Z),
+    grad_fn(data, Z))``.  It is derived, never passed: for an integrand
+    built by :meth:`from_joint` it is the joint function itself, one pass
+    whose two outputs ``value_fn`` and ``grad_fn`` project; otherwise,
+    including after ``dataclasses.replace`` of either callable, it calls
+    ``value_fn`` and ``grad_fn`` in turn, so it always agrees with them.
     """
 
     out_dim: int
@@ -162,6 +184,26 @@ class Integrand:
     pointwise_argmin: Optional[Callable[[Dataset], np.ndarray]] = None
     inf_attained: bool = True
     name: str = ""
+    value_and_grad_fn: Callable[[Dataset, np.ndarray], tuple] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        value_fn, grad_fn = self.value_fn, self.grad_fn
+        if isinstance(value_fn, _Output) and isinstance(grad_fn, _Output) and (
+            value_fn.fn is grad_fn.fn
+        ):
+            joint = value_fn.fn
+        else:
+
+            def joint(data, z):
+                return value_fn(data, z), grad_fn(data, z)
+
+        object.__setattr__(self, "value_and_grad_fn", joint)
+
+    @classmethod
+    def from_joint(cls, out_dim: int, fn, **kwargs) -> "Integrand":
+        """An integrand whose values and gradients come from one function
+        ``fn(data, Z) -> ((d,) values, (d, out_dim) gradients)``."""
+        return cls(out_dim, _Output(fn, 0), _Output(fn, 1), **kwargs)
 
     def _block(self, data: Dataset, z) -> np.ndarray:
         return np.reshape(np.asarray(z, dtype=float), (len(data), self.out_dim))
@@ -239,17 +281,15 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
             const = float(np.sum(np.log(s))) + 0.5 * k * math.log(2.0 * math.pi)
         name = "gaussian_fixed_var"
 
-    def value_fn(data, z):
-        r = _float_targets(data, k) - z
-        return 0.5 * np.sum(inv2 * r * r, axis=1) + const
+    def value_and_grad_fn(data, z):
+        r = z - _float_targets(data, k)
+        g = inv2 * r
+        # np.sum's own reduction, without its Python-level dispatch
+        return 0.5 * np.add.reduce(g * r, axis=1) + const, g
 
-    def grad_fn(data, z):
-        return inv2 * (z - _float_targets(data, k))
-
-    return Integrand(
-        out_dim=k,
-        value_fn=value_fn,
-        grad_fn=grad_fn,
+    return Integrand.from_joint(
+        k,
+        value_and_grad_fn,
         lipschitz=float(inv2.max()),
         pl=float(inv2.min()),
         pointwise_inf=lambda data: np.full(len(data), const),
@@ -280,35 +320,25 @@ def gaussian_nll(k: int = 1, normalization: str = "verbatim") -> Integrand:
             raise NumericFailure("log-variance output beyond exp() domain (|s| > 700)")
         return _float_targets(data, k), z[:, :k], z[:, k:]
 
-    if normalization == "verbatim":
+    def normalizer(logv):
+        """The (d, 1) normalizer term and its derivative in each log-variance."""
+        if normalization == "verbatim":
+            n = SQRT_2PI * np.exp(logv.sum(axis=1, keepdims=True))
+            return n, n
+        return logv.sum(axis=1, keepdims=True) + 0.5 * k * math.log(2.0 * math.pi), 1.0
 
-        def normalizer(logv):
-            return SQRT_2PI * np.exp(logv.sum(axis=1))
-
-        def normalizer_grad(logv):
-            return SQRT_2PI * np.exp(logv.sum(axis=1, keepdims=True))
-
-    else:
-
-        def normalizer(logv):
-            return logv.sum(axis=1) + 0.5 * k * math.log(2.0 * math.pi)
-
-        def normalizer_grad(logv):
-            return 1.0
-
-    def value_fn(data, z):
+    def value_and_grad_fn(data, z):
         t, mean, logv = split(data, z)
-        r = (t - mean) * np.exp(-logv)
-        return 0.5 * np.sum(r * r, axis=1) + normalizer(logv)
-
-    def grad_fn(data, z):
-        t, mean, logv = split(data, z)
+        diff = t - mean
+        r = diff * np.exp(-logv)
+        inv_var = np.exp(-2.0 * logv)
+        n, n_grad = normalizer(logv)
         g = np.empty_like(z)
-        g[:, :k] = (mean - t) * np.exp(-2.0 * logv)
-        g[:, k:] = -((t - mean) ** 2) * np.exp(-2.0 * logv) + normalizer_grad(logv)
-        return g
+        g[:, :k] = -diff * inv_var
+        g[:, k:] = -(diff**2) * inv_var + n_grad
+        return 0.5 * np.sum(r * r, axis=1) + n[:, 0], g
 
-    return Integrand(out_dim=2 * k, value_fn=value_fn, grad_fn=grad_fn, name="gaussian_nll")
+    return Integrand.from_joint(2 * k, value_and_grad_fn, name="gaussian_nll")
 
 
 def softmax_ce(k: int) -> Integrand:
@@ -331,22 +361,18 @@ def softmax_ce(k: int) -> Integrand:
             )
         return np.arange(len(t)), t - 1
 
-    def value_fn(data, z):
+    def value_and_grad_fn(data, z):
         rows, t = labels(data)
-        m = z.max(axis=1)
-        return m + np.log(np.exp(z - m[:, None]).sum(axis=1)) - z[rows, t]
-
-    def grad_fn(data, z):
-        rows, t = labels(data)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        g = e / e.sum(axis=1, keepdims=True)
+        m = z.max(axis=1, keepdims=True)
+        e = np.exp(z - m)
+        total = e.sum(axis=1, keepdims=True)
+        g = e / total
         g[rows, t] -= 1.0
-        return g
+        return (m + np.log(total))[:, 0] - z[rows, t], g
 
-    return Integrand(
-        out_dim=k,
-        value_fn=value_fn,
-        grad_fn=grad_fn,
+    return Integrand.from_joint(
+        k,
+        value_and_grad_fn,
         lipschitz=1.0,
         pointwise_inf=lambda data: np.zeros(len(data)),
         inf_attained=False,
@@ -354,18 +380,20 @@ def softmax_ce(k: int) -> Integrand:
     )
 
 
+def kl_diag_gaussian_and_grad(z_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KL divergence of N(m, diag(s^2)) from N(0, I) over the last axis and
+    its gradient in z_e = (m, log s)."""
+    half = z_e.shape[-1] // 2
+    m, t = z_e[..., :half], z_e[..., half:]
+    var = np.exp(2.0 * t)
+    return 0.5 * np.sum(m**2 + var - 1.0 - 2.0 * t, axis=-1), np.concatenate(
+        [m, var - 1.0], axis=-1
+    )
+
+
 def kl_diag_gaussian(z_e: np.ndarray) -> np.ndarray:
-    """KL divergence of N(m, diag(s^2)) from N(0, I) over the last axis;
-    z_e = (m, log s)."""
-    half = z_e.shape[-1] // 2
-    m, t = z_e[..., :half], z_e[..., half:]
-    return 0.5 * np.sum(m**2 + np.exp(2.0 * t) - 1.0 - 2.0 * t, axis=-1)
-
-
-def kl_diag_gaussian_grad(z_e: np.ndarray) -> np.ndarray:
-    half = z_e.shape[-1] // 2
-    m, t = z_e[..., :half], z_e[..., half:]
-    return np.concatenate([m, np.exp(2.0 * t) - 1.0], axis=-1)
+    """The divergence of :func:`kl_diag_gaussian_and_grad` alone."""
+    return kl_diag_gaussian_and_grad(z_e)[0]
 
 
 def vae_integrand(ell: Integrand, beta: float, latent_dim: int) -> Integrand:
@@ -380,19 +408,15 @@ def vae_integrand(ell: Integrand, beta: float, latent_dim: int) -> Integrand:
         raise ValueError("beta must be positive")
     enc = 2 * latent_dim
 
-    def value_fn(data, z):
-        return ell.value_fn(data, z[:, enc:]) + beta * kl_diag_gaussian(z[:, :enc])
-
-    def grad_fn(data, z):
-        return np.concatenate(
-            [beta * kl_diag_gaussian_grad(z[:, :enc]), ell.grad_fn(data, z[:, enc:])], axis=1
-        )
+    def value_and_grad_fn(data, z):
+        recon, recon_grad = ell.value_and_grad_fn(data, z[:, enc:])
+        kl, kl_grad = kl_diag_gaussian_and_grad(z[:, :enc])
+        return recon + beta * kl, np.concatenate([beta * kl_grad, recon_grad], axis=1)
 
     # KL term attains 0 at (m, log s) = 0, so infima add up
-    return Integrand(
-        out_dim=enc + ell.out_dim,
-        value_fn=value_fn,
-        grad_fn=grad_fn,
+    return Integrand.from_joint(
+        enc + ell.out_dim,
+        value_and_grad_fn,
         pointwise_inf=ell.pointwise_inf,
         inf_attained=ell.inf_attained,
         name=f"vae[{ell.name},beta={beta}]",
@@ -421,23 +445,18 @@ def gan_integrand(kind: str, beta: float, k: int) -> Integrand:
 
     if kind == "wgan_gp":
 
-        def value_fn(data, z):
+        def value_and_grad_fn(data, z):
             dr, dg = mixture(data)
             y, w = z[:, 0], z[:, 1:]
-            pen = beta * (np.linalg.norm(w, axis=1) - 1.0) ** 2
-            return dr * (y - pen) + dg * (-y - pen)
-
-        def grad_fn(data, z):
-            dr, dg = mixture(data)
-            w = z[:, 1:]
             nw = np.linalg.norm(w, axis=1)
+            pen = beta * (nw - 1.0) ** 2
             # cone point of ||w|| at 0: penalty gradient taken as 0 there
             cone = nw <= 1e-30
             coef = np.where(cone, 0.0, -(dr + dg) * beta * 2.0 * (nw - 1.0))
             g = np.empty_like(z)
             g[:, 0] = dr - dg
             g[:, 1:] = coef[:, None] * (w / np.where(cone, 1.0, nw)[:, None])
-            return g
+            return dr * (y - pen) + dg * (-y - pen), g
 
     else:  # r1
 
@@ -451,32 +470,28 @@ def gan_integrand(kind: str, beta: float, k: int) -> Integrand:
             # off-side rows read a harmless 1.0 and carry zero density
             return dr, dg, np.where(real, y, 1.0), np.where(gen, 1.0 - y, 1.0)
 
-        def value_fn(data, z):
+        def value_and_grad_fn(data, z):
             w = z[:, 1:]
-            dr, dg, y_real, y_gen = sides(data, z[:, 0])
-            return dr * (np.log(y_real) - beta * np.sum(w * w, axis=1)) + dg * np.log(y_gen)
-
-        def grad_fn(data, z):
             dr, dg, y_real, y_gen = sides(data, z[:, 0])
             g = np.empty_like(z)
             g[:, 0] = dr / y_real - dg / y_gen
-            g[:, 1:] = (-dr * beta * 2.0)[:, None] * z[:, 1:]
-            return g
+            g[:, 1:] = (-dr * beta * 2.0)[:, None] * w
+            value = dr * (np.log(y_real) - beta * np.sum(w * w, axis=1)) + dg * np.log(y_gen)
+            return value, g
 
-    return Integrand(
-        out_dim=1 + k,
-        value_fn=value_fn,
-        grad_fn=grad_fn,
-        name=f"{kind}[beta={beta}]",
-    )
+    return Integrand.from_joint(1 + k, value_and_grad_fn, name=f"{kind}[beta={beta}]")
 
 
 def negate(iota: Integrand) -> Integrand:
     """Flip the sign of an integrand (descend the maximizing player)."""
-    return Integrand(
-        out_dim=iota.out_dim,
-        value_fn=lambda data, z: -iota.value_fn(data, z),
-        grad_fn=lambda data, z: -iota.grad_fn(data, z),
+
+    def value_and_grad_fn(data, z):
+        value, grad = iota.value_and_grad_fn(data, z)
+        return -value, -grad
+
+    return Integrand.from_joint(
+        iota.out_dim,
+        value_and_grad_fn,
         lipschitz=iota.lipschitz,
         name=f"neg[{iota.name}]",
     )
@@ -490,25 +505,35 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
     in the metric, not in the representer).  Lipschitz and PL constants,
     the infimum (sum of weighted pointwise infima) and the pointwise
     minimizer are inherited from the integrand when available.
+    ``value_and_grad_fn`` gives the value and the gradient from one call
+    of the integrand's ``value_and_grad_fn``.
     """
     l = iota.out_dim
     space = data.function_space(l)
     w = data.weights
     d = len(data)
 
-    def value_fn(h):
-        v = iota.value_fn(data, h.reshape(d, l))
+    def total(v) -> float:
         i = _first_bad_row(v)
         if i is not None:
             raise NumericFailure(f"non-finite integrand value at sample {i}")
         return float(w @ v)
 
-    def grad_fn(h):
-        g = iota.grad_fn(data, h.reshape(d, l))
+    def flat(g) -> np.ndarray:
         i = _first_bad_row(g)
         if i is not None:
             raise NumericFailure(f"non-finite integrand gradient at sample {i}")
         return g.reshape(-1)
+
+    def value_fn(h):
+        return total(iota.value_fn(data, h.reshape(d, l)))
+
+    def grad_fn(h):
+        return flat(iota.grad_fn(data, h.reshape(d, l)))
+
+    def value_and_grad_fn(h):
+        v, g = iota.value_and_grad_fn(data, h.reshape(d, l))
+        return total(v), flat(g)
 
     f_star = None
     if iota.pointwise_inf is not None:
@@ -531,6 +556,7 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
         minimizer=minimizer,
         f_star_attained=iota.inf_attained,
         name=f"I[{iota.name}]",
+        value_and_grad_fn=value_and_grad_fn,
     )
 
 

@@ -27,8 +27,12 @@ PL_GAP_FLOOR = 1e-12
 class ScalarObjective:
     """A differentiable scalar function on a weighted space.
 
-    Fields beyond the callables are metadata: ``L`` and ``lam`` are
-    certified Lipschitz-gradient and PL constants (None when unknown),
+    ``value_and_grad_fn(h)`` (optional) returns ``(value_fn(h),
+    grad_fn(h))`` from one evaluation; :meth:`value_and_grad` falls back
+    to the two callables.  ``dataclasses.replace`` of ``value_fn`` or
+    ``grad_fn`` keeps it, so an objective whose math changes replaces all
+    three.  Fields beyond the callables are metadata: ``L`` and ``lam``
+    are certified Lipschitz-gradient and PL constants (None when unknown),
     ``f_star`` the infimum over the whole space (None when unknown),
     ``f_star_attained`` records whether the infimum is attained, and
     ``minimizer`` the unique minimizer's coordinates when available.
@@ -43,6 +47,7 @@ class ScalarObjective:
     minimizer: Optional[np.ndarray] = None
     f_star_attained: bool = True
     name: str = ""
+    value_and_grad_fn: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
     def value(self, h) -> float:
         return float(self.value_fn(self.space._coords(h)))
@@ -50,6 +55,14 @@ class ScalarObjective:
     def gradient(self, h) -> SpaceVec:
         g = np.asarray(self.grad_fn(self.space._coords(h)), dtype=float)
         return SpaceVec(self.space, g)
+
+    def value_and_grad(self, h: np.ndarray) -> tuple:
+        """``(f(h), grad f(h))`` on raw coordinates: one call of
+        ``value_and_grad_fn`` when the objective has one, else ``value_fn``
+        and then ``grad_fn``."""
+        if self.value_and_grad_fn is not None:
+            return self.value_and_grad_fn(h)
+        return self.value_fn(h), self.grad_fn(h)
 
     def as_map(self) -> SmoothMap:
         """View the objective as a map into R, for finite-difference checks.

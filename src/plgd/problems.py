@@ -43,6 +43,9 @@ from .space import SpaceVec, WeightedSpace
 #: fallback trust-region radius before any constants are known
 DEFAULT_BALL_RADIUS = 1e3
 
+#: float64 machine epsilon, the unit of the eigensolver's rounding floor
+EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class PrototypeProblem:
@@ -218,9 +221,12 @@ def analytic_certificates(problem: PrototypeProblem) -> MapCertificate:
     """Exact map constants for models that are linear in their parameters.
 
     A constant Jacobian makes the Gram spectrum global: K is the square
-    root of the largest eigenvalue, the coercivity bound the smallest
-    (dropped when not positive), and the Jacobian Lipschitz constant is
-    exactly zero.
+    root of the largest eigenvalue, the coercivity bound the smallest, and
+    the Jacobian Lipschitz constant is exactly zero.  The coercivity bound
+    is dropped unless it clears the eigensolver's rounding floor
+    ``max(p, d l) * eps * lambda_max``: a rank-deficient Gram (a repeated
+    input, say) has a smallest eigenvalue that is rounding noise of
+    either sign, and a positive one would certify q = 1 - 1e-16.
     """
     if not problem.model.linear_in_params:
         raise InvalidConfig(
@@ -228,8 +234,9 @@ def analytic_certificates(problem: PrototypeProblem) -> MapCertificate:
             f"{problem.model.name!r}; use sampled certificates"
         )
     g = problem.gram()
+    noise = max(problem.model.param_dim, problem.f.space.dim) * EPS * g.lambda_max
     lam = None
-    if g.lambda_min > 0:
+    if g.lambda_min > noise:
         lam = CertValue(g.lambda_min, "analytic")
     return MapCertificate(
         K=CertValue(float(np.sqrt(max(g.lambda_max, 0.0))), "analytic"),

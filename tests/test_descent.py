@@ -12,7 +12,7 @@ from plgd.descent import (
     ConstantsLedger,
     LOWER_BOUNDS,
     DescentTrace,
-    _columns,
+    _holds,
     build_ledger,
     closest_optimum,
     gd_step,
@@ -24,7 +24,7 @@ from plgd.descent import (
     verify,
 )
 from plgd.errors import InvalidConfig, MissingCertificate, NumericFailure
-from plgd.integrand import Dataset, integral_functional, least_squares
+from plgd.integrand import Dataset, Integrand, integral_functional, least_squares
 from plgd.model import linear_model, shallow_net, induce
 from plgd.objective import ScalarObjective, quadratic
 from plgd.problems import analytic_certificates, supervised
@@ -237,6 +237,46 @@ class TestRun:
         assert str(info.value) == "non-finite loss or gradient at iteration 2"
         assert info.value.iteration == 2
 
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_non_finite_integrand_mid_run_names_sample_and_iteration(self, part):
+        # least squares whose value or gradient is NaN on rows past z = 0.5:
+        # row 1 (input 2) crosses first, a few steps in
+        ls = least_squares(k=1)
+
+        def joint(data, z):
+            value, grad = ls.value_and_grad_fn(data, z)
+            bad = z[:, 0] > 0.5
+            if part == "value":
+                return np.where(bad, np.nan, value), grad
+            return value, np.where(bad[:, None], np.nan, grad)
+
+        data = Dataset([[1.0], [2.0]], targets=[[1.0], [2.0]])
+        prob = supervised(linear_model(1), data, Integrand.from_joint(1, joint))
+        with pytest.raises(NumericFailure) as info:
+            run(prob.F, prob.f, prob.theta0, minimal_ledger(0.1), max_iter=100)
+        k = info.value.iteration
+        assert k >= 2
+        assert str(info.value) == f"non-finite integrand {part} at sample 1 at iteration {k}"
+
+    def test_fused_objective_call_once_per_iterate(self):
+        prob, cert = tight_problem()
+        led = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha=0.25)
+        calls = []
+
+        def fused(h, f=prob.f.value_and_grad_fn):
+            calls.append(1)
+            return f(h)
+
+        def separate(h):
+            raise AssertionError("the loop calls only the fused objective")
+
+        obj = dataclasses.replace(prob.f, value_fn=separate, grad_fn=separate,
+                                  value_and_grad_fn=fused)
+        trace, _ = run(prob.F, obj, prob.theta0, led, max_iter=50)
+        assert len(calls) == trace.n_steps + 1 == len(trace.losses)
+        want, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=50)
+        assert np.array_equal(trace.losses, want.losses)
+
     def test_vjp_step_matches_assembled_jacobian_step(self):
         # the width-16 critic of the benchmark's gan sweep, 1000 steps
         cfg = normalize_config({
@@ -399,9 +439,8 @@ class TestMonitorVerdicts:
         # still holds at any larger one
         measured, bound = values
         lo, hi = sorted((tol_a, tol_b))
-        iters = np.arange(measured.size)
-        holds_lo = _columns(name, iters, measured, bound, lo)[-1]
-        holds_hi = _columns(name, iters, measured, bound, hi)[-1]
+        holds_lo = _holds(name, measured, bound, lo)
+        holds_hi = _holds(name, measured, bound, hi)
         assert (holds_hi | ~holds_lo).all()
 
 

@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plgd.errors import InvalidDataset, NumericFailure
 from plgd.integrand import (
     SQRT_2PI,
     Dataset,
+    Integrand,
     fd_check_integrand,
     gan_integrand,
     gaussian_nll,
@@ -366,3 +370,201 @@ class TestIntegralFunctional:
         data = Dataset([[0.0]], targets=[np.array([0.0, 0.0])])
         f = integral_functional(gaussian_nll(1), data)
         assert f.f_star is None
+
+
+# ---------------------------------------------------------------------------
+# one joint pass per integrand
+
+
+def _ls_separate(sigma):
+    """Least squares' value and gradient, each by its own expression."""
+    s = np.ones(2) if sigma is None else np.asarray(sigma)
+    inv2 = 1.0 / s**2
+    const = 0.0 if sigma is None else SQRT_2PI * float(np.prod(s))
+    return (
+        lambda data, z: 0.5 * np.sum(inv2 * (data.targets - z) * (data.targets - z), axis=1)
+        + const,
+        lambda data, z: inv2 * (z - data.targets),
+    )
+
+
+def _nll_separate(normalization):
+    def value(data, z):
+        t, mean, logv = data.targets, z[:, :2], z[:, 2:]
+        r = (t - mean) * np.exp(-logv)
+        if normalization == "verbatim":
+            norm = SQRT_2PI * np.exp(logv.sum(axis=1))
+        else:
+            norm = logv.sum(axis=1) + 0.5 * 2 * math.log(2.0 * math.pi)
+        return 0.5 * np.sum(r * r, axis=1) + norm
+
+    def grad(data, z):
+        t, mean, logv = data.targets, z[:, :2], z[:, 2:]
+        norm_grad = (
+            SQRT_2PI * np.exp(logv.sum(axis=1, keepdims=True))
+            if normalization == "verbatim"
+            else 1.0
+        )
+        g = np.empty_like(z)
+        g[:, :2] = (mean - t) * np.exp(-2.0 * logv)
+        g[:, 2:] = -((t - mean) ** 2) * np.exp(-2.0 * logv) + norm_grad
+        return g
+
+    return value, grad
+
+
+def _softmax_value(data, z):
+    rows, t = np.arange(len(z)), data.targets - 1
+    m = z.max(axis=1)
+    return m + np.log(np.exp(z - m[:, None]).sum(axis=1)) - z[rows, t]
+
+
+def _softmax_grad(data, z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    g = e / e.sum(axis=1, keepdims=True)
+    g[np.arange(len(z)), data.targets - 1] -= 1.0
+    return g
+
+
+def _vae_separate(beta):
+    ls_value, ls_grad = _ls_separate(None)
+
+    def value(data, z):
+        m, t = z[:, :2], z[:, 2:4]
+        kl = 0.5 * np.sum(m**2 + np.exp(2.0 * t) - 1.0 - 2.0 * t, axis=-1)
+        return ls_value(data, z[:, 4:]) + beta * kl
+
+    def grad(data, z):
+        m, t = z[:, :2], z[:, 2:4]
+        kl_grad = np.concatenate([m, np.exp(2.0 * t) - 1.0], axis=-1)
+        return np.concatenate([beta * kl_grad, ls_grad(data, z[:, 4:])], axis=1)
+
+    return value, grad
+
+
+def _wgan_separate(beta):
+    def value(data, z):
+        dr, dg = data.mix[:, 0], data.mix[:, 1]
+        y, w = z[:, 0], z[:, 1:]
+        pen = beta * (np.linalg.norm(w, axis=1) - 1.0) ** 2
+        return dr * (y - pen) + dg * (-y - pen)
+
+    def grad(data, z):
+        dr, dg = data.mix[:, 0], data.mix[:, 1]
+        w = z[:, 1:]
+        nw = np.linalg.norm(w, axis=1)
+        cone = nw <= 1e-30
+        coef = np.where(cone, 0.0, -(dr + dg) * beta * 2.0 * (nw - 1.0))
+        g = np.empty_like(z)
+        g[:, 0] = dr - dg
+        g[:, 1:] = coef[:, None] * (w / np.where(cone, 1.0, nw)[:, None])
+        return g
+
+    return value, grad
+
+
+def _r1_separate(beta):
+    def sides(data, y):
+        dr, dg = data.mix[:, 0], data.mix[:, 1]
+        return dr, dg, np.where(dr != 0.0, y, 1.0), np.where(dg != 0.0, 1.0 - y, 1.0)
+
+    def value(data, z):
+        w = z[:, 1:]
+        dr, dg, y_real, y_gen = sides(data, z[:, 0])
+        return dr * (np.log(y_real) - beta * np.sum(w * w, axis=1)) + dg * np.log(y_gen)
+
+    def grad(data, z):
+        dr, dg, y_real, y_gen = sides(data, z[:, 0])
+        g = np.empty_like(z)
+        g[:, 0] = dr / y_real - dg / y_gen
+        g[:, 1:] = (-dr * beta * 2.0)[:, None] * z[:, 1:]
+        return g
+
+    return value, grad
+
+
+def _family(name, rng, n, scale):
+    """(integrand, data, outputs, separate value, separate gradient) for one family."""
+    targets = rng.standard_normal((n, 2))
+    side = rng.uniform(size=n) < 0.5
+    z = scale * rng.standard_normal((n, 6))
+    if name.startswith("least_squares"):
+        sigma = [0.7, 1.3] if name.endswith("sigma") else None
+        return (least_squares(sigma=sigma, k=2), target_data(*targets), z[:, :2],
+                *_ls_separate(sigma))
+    if name.startswith("gaussian_nll"):
+        normalization = name.split(":")[1]
+        return (gaussian_nll(2, normalization=normalization), target_data(*targets), z[:, :4],
+                *_nll_separate(normalization))
+    if name == "softmax_ce":
+        return (softmax_ce(3), label_data(*rng.integers(1, 4, size=n)), z[:, :3],
+                _softmax_value, _softmax_grad)
+    if name == "vae":
+        data = Dataset(np.zeros((n, 4)), targets=targets)
+        return (vae_integrand(least_squares(k=2), beta=1.5, latent_dim=2), data, z,
+                *_vae_separate(1.5))
+    if name in ("wgan_gp", "negate"):
+        z = z[:, :3]
+        z[rng.uniform(size=n) < 0.3, 1:] = 0.0  # the cone point of ||w||
+        iota, (value, grad) = gan_integrand("wgan_gp", 10.0, k=2), _wgan_separate(10.0)
+        if name == "negate":
+            return (negate(iota), mixture_data(*side), z,
+                    lambda data, z: -value(data, z), lambda data, z: -grad(data, z))
+        return iota, mixture_data(*side), z, value, grad
+    y = 0.05 + 0.9 * rng.uniform(size=n)  # r1
+    return (gan_integrand("r1", 5.0, k=2), mixture_data(*side),
+            np.column_stack([y, z[:, :2]]), *_r1_separate(5.0))
+
+
+FAMILIES = ("least_squares", "least_squares:sigma", "gaussian_nll:verbatim",
+            "gaussian_nll:textbook", "softmax_ce", "vae", "wgan_gp", "r1", "negate")
+
+
+class TestJointPass:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 7),
+        st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    def test_joint_equals_separate_bit_for_bit(self, name, seed, n, scale):
+        iota, data, z, value, grad = _family(name, np.random.default_rng(seed), n, scale)
+        v, g = iota.value_and_grad_fn(data, z)
+        assert np.array_equal(v, value(data, z), equal_nan=True), name
+        assert np.array_equal(g, grad(data, z), equal_nan=True), name
+        assert np.array_equal(iota.value_fn(data, z), v, equal_nan=True), name
+        assert np.array_equal(iota.grad_fn(data, z), g, equal_nan=True), name
+
+        f = integral_functional(iota, data)
+        h = z.reshape(-1)
+        try:
+            separate = (f.value_fn(h), f.grad_fn(h))
+        except NumericFailure as exc:
+            with pytest.raises(NumericFailure, match=str(exc)):
+                f.value_and_grad(h)
+            return
+        fused = f.value_and_grad(h)
+        assert fused[0] == separate[0], name
+        assert np.array_equal(fused[1], separate[1]), name
+
+    def test_replaced_callable_is_what_the_joint_call_returns(self):
+        iota = least_squares(k=1)
+        doubled = dataclasses.replace(iota, grad_fn=lambda data, z: 2.0 * iota.grad_fn(data, z))
+        data, z = target_data([1.0], [2.0]), np.array([[0.0], [0.5]])
+        v, g = doubled.value_and_grad_fn(data, z)
+        assert np.array_equal(v, iota.value_fn(data, z))
+        assert np.array_equal(g, 2.0 * iota.grad_fn(data, z))
+        assert iota.value_and_grad_fn is iota.value_fn.fn
+
+    def test_functional_names_the_first_non_finite_row(self):
+        iota = least_squares(k=1)
+        f = integral_functional(iota, target_data([0.0], [0.0], [0.0]))
+        with pytest.raises(NumericFailure, match="non-finite integrand value at sample 1"):
+            f.value_and_grad(np.array([0.0, np.inf, np.nan]))
+        spiky = Integrand(
+            1, lambda data, z: np.zeros(len(z)), lambda data, z: np.where(z > 0.5, np.inf, z)
+        )
+        g = integral_functional(spiky, target_data([0.0], [0.0]))
+        with pytest.raises(NumericFailure, match="non-finite integrand gradient at sample 1"):
+            g.value_and_grad(np.array([0.0, 1.0]))

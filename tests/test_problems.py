@@ -218,6 +218,21 @@ class TestCertificateModes:
             ledger = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha="auto")
             assert ledger.mode == "no-uc", seed
 
+    def test_rank_deficient_gram_never_certified_coercive(self):
+        # p = 16 >= d l = 4, but a repeated input makes J J* singular; its
+        # smallest eigenvalue is rounding noise, positive for about half of
+        # these seeds, and must not become a certificate with q = 1 - 1e-16
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x, t = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
+            data = Dataset(np.vstack([x, x[:1]]), targets=np.vstack([t, t[:1]]))
+            prob = supervised(random_features(3, 16, seed=seed), data, least_squares(k=1))
+            assert abs(prob.gram().lambda_min) <= 1e-14, seed
+            cert = analytic_certificates(prob)
+            assert cert.lam is None, seed
+            ledger = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha="auto")
+            assert ledger.mode == "no-uc", seed
+
     @pytest.mark.parametrize("d", [1000, 2000, 5000])
     def test_gradient_gate_passes_correct_problem_at_large_d(self, d):
         # the benchmark's gate_wide problem at larger d; differencing the
