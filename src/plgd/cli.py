@@ -779,12 +779,17 @@ def _apply_cli_overrides(cfg: dict, out: str | None, seed: int | None) -> dict:
     return cfg
 
 
-def run_experiment(config_path: str, out: str | None = None, seed: int | None = None) -> int:
-    """Load config, run the pipeline, write artifacts; returns the exit code."""
+def run_experiment(
+    config_path: str, out: str | None = None, seed: int | None = None, do_descent: bool = True
+) -> int:
+    """Load config, run the pipeline, write artifacts; returns the exit code.
+
+    ``do_descent=False`` stops after the certificates and the ledger.
+    """
     try:
         cfg = _apply_cli_overrides(_load_config(config_path), out, seed)
         problem = build_problem(cfg)
-        report = execute(problem, cfg, Path(cfg["output"]["dir"]))
+        report = execute(problem, cfg, Path(cfg["output"]["dir"]), do_descent=do_descent)
     except PlgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -800,19 +805,7 @@ def run_experiment(config_path: str, out: str | None = None, seed: int | None = 
 
 def check_experiment(config_path: str, out: str | None = None, seed: int | None = None) -> int:
     """Certificates and ledger only (no descent); returns the exit code."""
-    try:
-        cfg = _apply_cli_overrides(_load_config(config_path), out, seed)
-        problem = build_problem(cfg)
-        report = execute(problem, cfg, Path(cfg["output"]["dir"]), do_descent=False)
-    except PlgdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if "numeric_failure" in report:
-        print(f"error: {report['numeric_failure']['message']}", file=sys.stderr)
-    return int(report["exit_code"])
+    return run_experiment(config_path, out, seed, do_descent=False)
 
 
 SWEEP_AXES = ("width", "alpha", "beta", "datasize")

@@ -5,19 +5,19 @@ atom: inputs, masses and, where a loss needs them, targets or mixture
 densities.  An :class:`Integrand` is a loss ``iota(x, z)`` over atoms x
 and model outputs z in R^l, evaluated on a whole (d, l) block of outputs
 at once, with its gradient in z and, where they exist globally, its
-Lipschitz-gradient constant, PL constant and pointwise infimum.  Each
-built-in integrand computes its values and gradients in one function, so
-the two share their intermediates.  :func:`integral_functional` turns an
-integrand and a dataset into a :class:`ScalarObjective` on the function
-space of values at the atoms; the integrand's constants are inherited
-unchanged and the functional's gradient acts row by row in function
-coordinates.
+Lipschitz-gradient constant, PL constant and pointwise infimum.  An
+integrand is one function that returns its values and gradients
+together, so the two share their intermediates.  :func:`integral_functional`
+turns an integrand and a dataset into a :class:`ScalarObjective` on the
+function space of values at the atoms; the integrand's constants are
+inherited unchanged and the functional's gradient acts row by row in
+function coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -140,79 +140,39 @@ class Dataset:
         return WeightedSpace(np.repeat(self.weights, out_dim))
 
 
-class _Output:
-    """Output ``index`` of a joint ``fn(data, Z) -> (values, gradients)``:
-    the ``value_fn`` or ``grad_fn`` of :meth:`Integrand.from_joint`."""
-
-    __slots__ = ("fn", "index")
-
-    def __init__(self, fn, index: int):
-        self.fn, self.index = fn, index
-
-    def __call__(self, data, z):
-        return self.fn(data, z)[self.index]
-
-
 @dataclass(frozen=True, eq=False)
 class Integrand:
     """A pointwise loss with gradient and optional global constants.
 
-    ``value_fn(data, Z)`` maps a (d, out_dim) block of outputs, row i at
-    atom i of ``data``, to the (d,) per-row losses; ``grad_fn(data, Z)``
-    returns the (d, out_dim) per-row gradients in z.  ``lipschitz`` and
-    ``pl`` are the Lipschitz-gradient and PL constants of ``iota(x, .)``
-    valid for every atom, or None.  ``pointwise_inf(data)`` gives the (d,)
-    values ``inf_z iota(x_i, z)`` (None when unknown); ``inf_attained``
-    records whether that infimum is attained.  ``pointwise_argmin(data)``
-    gives the (d, out_dim) unique pointwise minimizers when known in
-    closed form.
-
-    ``value_and_grad_fn(data, Z)`` returns ``(value_fn(data, Z),
-    grad_fn(data, Z))``.  It is derived, never passed: for an integrand
-    built by :meth:`from_joint` it is the joint function itself, one pass
-    whose two outputs ``value_fn`` and ``grad_fn`` project; otherwise,
-    including after ``dataclasses.replace`` of either callable, it calls
-    ``value_fn`` and ``grad_fn`` in turn, so it always agrees with them.
+    ``value_and_grad_fn(data, Z)`` maps a (d, out_dim) block of outputs,
+    row i at atom i of ``data``, to the (d,) per-row losses and the
+    (d, out_dim) per-row gradients in z, in one pass whose two outputs
+    share their intermediates; :meth:`value` and :meth:`grad` project it.
+    ``lipschitz`` and ``pl`` are the Lipschitz-gradient and PL constants
+    of ``iota(x, .)`` valid for every atom, or None.
+    ``pointwise_inf(data)`` gives the (d,) values ``inf_z iota(x_i, z)``
+    (None when unknown); ``inf_attained`` records whether that infimum is
+    attained.  ``pointwise_argmin(data)`` gives the (d, out_dim) unique
+    pointwise minimizers when known in closed form.
     """
 
     out_dim: int
-    value_fn: Callable[[Dataset, np.ndarray], np.ndarray]
-    grad_fn: Callable[[Dataset, np.ndarray], np.ndarray]
+    value_and_grad_fn: Callable[[Dataset, np.ndarray], tuple]
     lipschitz: Optional[float] = None
     pl: Optional[float] = None
     pointwise_inf: Optional[Callable[[Dataset], np.ndarray]] = None
     pointwise_argmin: Optional[Callable[[Dataset], np.ndarray]] = None
     inf_attained: bool = True
     name: str = ""
-    value_and_grad_fn: Callable[[Dataset, np.ndarray], tuple] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        value_fn, grad_fn = self.value_fn, self.grad_fn
-        if isinstance(value_fn, _Output) and isinstance(grad_fn, _Output) and (
-            value_fn.fn is grad_fn.fn
-        ):
-            joint = value_fn.fn
-        else:
-
-            def joint(data, z):
-                return value_fn(data, z), grad_fn(data, z)
-
-        object.__setattr__(self, "value_and_grad_fn", joint)
-
-    @classmethod
-    def from_joint(cls, out_dim: int, fn, **kwargs) -> "Integrand":
-        """An integrand whose values and gradients come from one function
-        ``fn(data, Z) -> ((d,) values, (d, out_dim) gradients)``."""
-        return cls(out_dim, _Output(fn, 0), _Output(fn, 1), **kwargs)
 
     def _block(self, data: Dataset, z) -> np.ndarray:
         return np.reshape(np.asarray(z, dtype=float), (len(data), self.out_dim))
 
     def value(self, data: Dataset, z) -> np.ndarray:
-        return np.asarray(self.value_fn(data, self._block(data, z)), dtype=float)
+        return np.asarray(self.value_and_grad_fn(data, self._block(data, z))[0], dtype=float)
 
     def grad(self, data: Dataset, z) -> np.ndarray:
-        return np.asarray(self.grad_fn(data, self._block(data, z)), dtype=float)
+        return np.asarray(self.value_and_grad_fn(data, self._block(data, z))[1], dtype=float)
 
 
 def _row_errors(iota: Integrand, data: Dataset, z: np.ndarray, g: np.ndarray, h: float):
@@ -287,7 +247,7 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
         # np.sum's own reduction, without its Python-level dispatch
         return 0.5 * np.add.reduce(g * r, axis=1) + const, g
 
-    return Integrand.from_joint(
+    return Integrand(
         k,
         value_and_grad_fn,
         lipschitz=float(inv2.max()),
@@ -338,7 +298,7 @@ def gaussian_nll(k: int = 1, normalization: str = "verbatim") -> Integrand:
         g[:, k:] = -(diff**2) * inv_var + n_grad
         return 0.5 * np.sum(r * r, axis=1) + n[:, 0], g
 
-    return Integrand.from_joint(2 * k, value_and_grad_fn, name="gaussian_nll")
+    return Integrand(2 * k, value_and_grad_fn, name="gaussian_nll")
 
 
 def softmax_ce(k: int) -> Integrand:
@@ -370,7 +330,7 @@ def softmax_ce(k: int) -> Integrand:
         g[rows, t] -= 1.0
         return (m + np.log(total))[:, 0] - z[rows, t], g
 
-    return Integrand.from_joint(
+    return Integrand(
         k,
         value_and_grad_fn,
         lipschitz=1.0,
@@ -414,7 +374,7 @@ def vae_integrand(ell: Integrand, beta: float, latent_dim: int) -> Integrand:
         return recon + beta * kl, np.concatenate([beta * kl_grad, recon_grad], axis=1)
 
     # KL term attains 0 at (m, log s) = 0, so infima add up
-    return Integrand.from_joint(
+    return Integrand(
         enc + ell.out_dim,
         value_and_grad_fn,
         pointwise_inf=ell.pointwise_inf,
@@ -479,7 +439,7 @@ def gan_integrand(kind: str, beta: float, k: int) -> Integrand:
             value = dr * (np.log(y_real) - beta * np.sum(w * w, axis=1)) + dg * np.log(y_gen)
             return value, g
 
-    return Integrand.from_joint(1 + k, value_and_grad_fn, name=f"{kind}[beta={beta}]")
+    return Integrand(1 + k, value_and_grad_fn, name=f"{kind}[beta={beta}]")
 
 
 def negate(iota: Integrand) -> Integrand:
@@ -489,7 +449,7 @@ def negate(iota: Integrand) -> Integrand:
         value, grad = iota.value_and_grad_fn(data, z)
         return -value, -grad
 
-    return Integrand.from_joint(
+    return Integrand(
         iota.out_dim,
         value_and_grad_fn,
         lipschitz=iota.lipschitz,
@@ -504,9 +464,9 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
     coordinates is the pointwise integrand gradient (the sample masses sit
     in the metric, not in the representer).  Lipschitz and PL constants,
     the infimum (sum of weighted pointwise infima) and the pointwise
-    minimizer are inherited from the integrand when available.
-    ``value_and_grad_fn`` gives the value and the gradient from one call
-    of the integrand's ``value_and_grad_fn``.
+    minimizer are inherited from the integrand when available.  Each of
+    ``value_fn``, ``grad_fn`` and ``value_and_grad_fn`` makes one call of
+    the integrand's ``value_and_grad_fn``.
     """
     l = iota.out_dim
     space = data.function_space(l)
@@ -526,10 +486,10 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
         return g.reshape(-1)
 
     def value_fn(h):
-        return total(iota.value_fn(data, h.reshape(d, l)))
+        return total(iota.value_and_grad_fn(data, h.reshape(d, l))[0])
 
     def grad_fn(h):
-        return flat(iota.grad_fn(data, h.reshape(d, l)))
+        return flat(iota.value_and_grad_fn(data, h.reshape(d, l))[1])
 
     def value_and_grad_fn(h):
         v, g = iota.value_and_grad_fn(data, h.reshape(d, l))

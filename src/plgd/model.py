@@ -93,12 +93,12 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     The domain is the unit-weight parameter space, the codomain the
     dataset's function space.  For a sample mass w_i the adjoint action is
     ``f -> sum_i w_i J_i^T f_i``, matching the weighted metric on both
-    sides (checked by the adjoint-identity tests).  The Jacobian operator
-    carries its (d l, p) matrix.  A nonlinear model with a
-    ``forward_vjp`` gives the map a ``value_and_vjp_fn`` that returns the
-    value and the same adjoint action from one forward pass, without
-    assembling the Jacobian; the Jacobian still serves the gradient gate
-    and the certificates.
+    sides (checked by the adjoint-identity tests); the Jacobian operator is
+    the stacked (d l, p) matrix, whose weighted adjoint is that action.  A
+    nonlinear model with a ``forward_vjp`` gives the map a
+    ``value_and_vjp_fn`` that returns the value and the same adjoint action
+    from one forward pass, without assembling the Jacobian; the Jacobian
+    still serves the gradient gate and the certificates.
     """
     if data.inputs.shape[1] != model.in_dim:
         raise DimensionMismatch(
@@ -113,10 +113,7 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
         return model.forward(data.inputs, theta).reshape(-1)
 
     def jac_fn(theta):
-        js = _stacked_jacobian(model, data, theta)
-        return LinOp(
-            theta_space, fn_space, lambda eta: js @ eta, lambda f: js.T @ (wrep * f), mat=js
-        )
+        return LinOp(theta_space, fn_space, _stacked_jacobian(model, data, theta))
 
     def value_and_vjp_fn(theta):
         z, pull = model.forward_vjp(data.inputs, theta)

@@ -10,14 +10,14 @@ known) the minimizer, which downstream bound checks consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import MissingCertificate
 from .smoothmap import Ball, CertValue, SmoothMap, _sample_pairs, sample_ball
-from .space import LinOp, SpaceVec, WeightedSpace, require_dense, symmetrize, weighted_pinv_solve
+from .space import LinOp, WeightedSpace, require_dense, symmetrize, weighted_pinv_solve
 
 #: points closer than this to optimal are excluded from PL ratios (0/0 hygiene)
 PL_GAP_FLOOR = 1e-12
@@ -52,10 +52,6 @@ class ScalarObjective:
     def value(self, h) -> float:
         return float(self.value_fn(self.space._coords(h)))
 
-    def gradient(self, h) -> SpaceVec:
-        g = np.asarray(self.grad_fn(self.space._coords(h)), dtype=float)
-        return SpaceVec(self.space, g)
-
     def value_and_grad(self, h: np.ndarray) -> tuple:
         """``(f(h), grad f(h))`` on raw coordinates: one call of
         ``value_and_grad_fn`` when the objective has one, else ``value_fn``
@@ -75,7 +71,7 @@ class ScalarObjective:
 
         def jac(x):
             row = self.grad_fn(x) * self.space.weights
-            return LinOp.from_matrix(self.space, scalar, row[None, :])
+            return LinOp(self.space, scalar, row[None, :])
 
         return SmoothMap(
             domain=self.space,
@@ -84,9 +80,6 @@ class ScalarObjective:
             jac_fn=jac,
             name=self.name or "objective",
         )
-
-    def with_certs(self, **kwargs) -> "ScalarObjective":
-        return replace(self, **kwargs)
 
 
 def quadratic(space: WeightedSpace, a_mat, b=None, name: str = "quadratic") -> ScalarObjective:

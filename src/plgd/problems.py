@@ -38,13 +38,10 @@ from .smoothmap import (
     certify,
     fd_check,
 )
-from .space import SpaceVec, WeightedSpace
+from .space import SpaceVec, WeightedSpace, rank_floor
 
 #: fallback trust-region radius before any constants are known
 DEFAULT_BALL_RADIUS = 1e3
-
-#: float64 machine epsilon, the unit of the eigensolver's rounding floor
-EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +221,8 @@ def analytic_certificates(problem: PrototypeProblem) -> MapCertificate:
     root of the largest eigenvalue, the coercivity bound the smallest, and
     the Jacobian Lipschitz constant is exactly zero.  The coercivity bound
     is dropped unless it clears the eigensolver's rounding floor
-    ``max(p, d l) * eps * lambda_max``: a rank-deficient Gram (a repeated
-    input, say) has a smallest eigenvalue that is rounding noise of
-    either sign, and a positive one would certify q = 1 - 1e-16.
+    (``space.rank_floor``), the floor below which the sampled
+    certificates' ``space.coercivity`` is 0 too.
     """
     if not problem.model.linear_in_params:
         raise InvalidConfig(
@@ -234,9 +230,8 @@ def analytic_certificates(problem: PrototypeProblem) -> MapCertificate:
             f"{problem.model.name!r}; use sampled certificates"
         )
     g = problem.gram()
-    noise = max(problem.model.param_dim, problem.f.space.dim) * EPS * g.lambda_max
     lam = None
-    if g.lambda_min > noise:
+    if g.lambda_min > rank_floor(g.lambda_max, problem.model.param_dim, problem.f.space.dim):
         lam = CertValue(g.lambda_min, "analytic")
     return MapCertificate(
         K=CertValue(float(np.sqrt(max(g.lambda_max, 0.0))), "analytic"),
@@ -284,7 +279,7 @@ def objective_with_estimated_lg(
                 worst = max(worst, space.norm(f.grad_fn(ha) - f.grad_fn(hb)) / dh)
             if worst == 0.0:
                 return f
-            return f.with_certs(L=CertValue(1.1 * worst, "sampled", n_pairs, 1.1))
+            return replace(f, L=CertValue(1.1 * worst, "sampled", n_pairs, 1.1))
         except NumericFailure:
             radius /= 10.0
     warnings.warn(

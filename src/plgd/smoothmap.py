@@ -76,7 +76,7 @@ class SmoothMap:
         return SmoothMap(
             domain=op.domain,
             codomain=op.codomain,
-            value_fn=op.apply_fn,
+            value_fn=op.apply,
             jac_fn=lambda _x: op,
             linear_op=op,
             name=name,
@@ -231,7 +231,7 @@ def jacobian_norm(f: SmoothMap, x) -> float:
 
 
 def conditioning_at(f: SmoothMap, x) -> float:
-    """Raw coercivity of ``J(x) J(x)*`` at a single point (can be <= 0)."""
+    """Coercivity of ``J(x) J(x)*`` at a single point (0.0 when not coercive)."""
     return coercivity(f.jacobian(x))
 
 

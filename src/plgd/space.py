@@ -14,7 +14,6 @@ immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,6 +24,9 @@ DENSE_EIG_CAP = 4096
 
 #: default tolerance of exact identities (adjointness, symmetry)
 IDENTITY_TOL = 1e-10
+
+#: float64 machine epsilon, the unit of the eigensolver's rounding floor
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,50 +124,40 @@ class SpaceVec:
 
 @dataclass(frozen=True, eq=False)
 class LinOp:
-    """A linear map between weighted spaces with an explicit adjoint.
+    """A linear map between weighted spaces, given by its coordinate matrix.
 
-    ``adjoint_fn`` must satisfy ``<A u, v>_codomain == <u, A* v>_domain``
-    with respect to the two weighted inner products; :func:`adjoint_defect`
-    probes the identity on random vectors.  ``mat`` is the coordinate
-    matrix (columns = images of basis vectors), kept as a read-only view
-    and returned by :meth:`matrix`.
+    ``mat`` has shape (codomain dim, domain dim), its columns the images of
+    the basis vectors, and is kept as a read-only view.  ``apply(u)`` is
+    ``mat @ u``.  The adjoint with respect to the two weighted inner
+    products, ``<A u, v>_codomain == <u, A* v>_domain``, acts as
+    ``v -> D_dom^-1 M^T D_cod v``; :func:`adjoint_defect` probes the
+    identity on random vectors.
     """
 
     domain: WeightedSpace
     codomain: WeightedSpace
-    apply_fn: Callable[[np.ndarray], np.ndarray]
-    adjoint_fn: Callable[[np.ndarray], np.ndarray]
     mat: np.ndarray
 
     def __post_init__(self):
         view = np.asarray(self.mat, dtype=float).view()
+        if view.shape != (self.codomain.dim, self.domain.dim):
+            raise DimensionMismatch(
+                f"matrix shape {view.shape} does not map dim {self.domain.dim} -> "
+                f"{self.codomain.dim}"
+            )
         view.setflags(write=False)
         object.__setattr__(self, "mat", view)
 
     def apply(self, u) -> np.ndarray:
-        return np.asarray(self.apply_fn(self.domain._coords(u)), dtype=float)
+        return self.mat @ self.domain._coords(u)
 
     def adjoint_apply(self, v) -> np.ndarray:
-        return np.asarray(self.adjoint_fn(self.codomain._coords(v)), dtype=float)
-
-    @staticmethod
-    def from_matrix(domain: WeightedSpace, codomain: WeightedSpace, mat) -> "LinOp":
-        """Wrap a coordinate matrix; the adjoint is derived from the metrics.
-
-        For ``A`` acting as ``u -> M u`` the weighted adjoint acts as
-        ``v -> D_dom^-1 M^T D_cod v``.
-        """
-        m = np.asarray(mat, dtype=float)
-        if m.shape != (codomain.dim, domain.dim):
-            raise DimensionMismatch(
-                f"matrix shape {m.shape} does not map dim {domain.dim} -> {codomain.dim}"
-            )
-        adj = (m.T * codomain.weights[None, :]) / domain.weights[:, None]
-        return LinOp(domain, codomain, lambda u: m @ u, lambda v: adj @ v, mat=m)
+        cod = self.codomain
+        return (self.mat.T @ (cod.weights * cod._coords(v))) / self.domain.weights
 
     @staticmethod
     def identity(space: WeightedSpace) -> "LinOp":
-        return LinOp(space, space, lambda u: u, lambda v: v, mat=np.eye(space.dim))
+        return LinOp(space, space, np.eye(space.dim))
 
     def matrix(self) -> np.ndarray:
         """The read-only coordinate matrix, of shape (codomain dim, domain dim)."""
@@ -262,14 +254,29 @@ def op_norm(a: LinOp) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def rank_floor(lam_max: float, p: int, dl: int) -> float:
+    """The rounding floor ``max(p, dl) * eps * lam_max`` of a Gram eigensolve.
+
+    For an operator from dimension p to dimension dl whose Gram has largest
+    eigenvalue lam_max, a smallest eigenvalue at or below the floor is
+    rounding noise of either sign, not coercivity: the Gram of a
+    rank-deficient operator (a repeated input, say) lands there, and a
+    positive one would certify q = 1 - 1e-16.
+    """
+    return max(p, dl) * EPS * lam_max
+
+
 def coercivity(a: LinOp) -> float:
-    """Smallest eigenvalue of ``A A*`` on the codomain.
+    """Smallest eigenvalue of ``A A*`` on the codomain, or 0.0.
 
     A positive return value lam certifies ``||A* y||^2 >= lam * ||y||^2``;
-    a non-positive value signals that ``A A*`` is not coercive.  When
-    dim(domain) < dim(codomain), ``A A*`` has a kernel and the value is
-    exactly 0.0, with no solve.
+    0.0 signals that ``A A*`` is not coercive: it is returned with no
+    solve when dim(domain) < dim(codomain) (``A A*`` then has a kernel),
+    and when the smallest eigenvalue does not clear :func:`rank_floor`.
     """
-    if a.domain.dim < a.codomain.dim:
+    p, dl = a.domain.dim, a.codomain.dim
+    if p < dl:
         return 0.0
-    return float(gram_eigvalsh(a.matrix(), a.domain.weights, a.codomain.weights)[0])
+    eigs = gram_eigvalsh(a.matrix(), a.domain.weights, a.codomain.weights)
+    lam = float(eigs[0])
+    return lam if lam > rank_floor(eigs[-1], p, dl) else 0.0

@@ -271,7 +271,12 @@ class TestRunCommand:
         cfg = normalize_config(rf_config(tmp_path / "out", max_iter=10))
         problem = build_problem(cfg)
         iota = least_squares(k=1)
-        buggy = dataclasses.replace(iota, grad_fn=lambda data, z, g=iota.grad_fn: c * g(data, z))
+
+        def planted(data, z, joint=iota.value_and_grad_fn):
+            value, grad = joint(data, z)
+            return value, c * grad
+
+        buggy = dataclasses.replace(iota, value_and_grad_fn=planted)
         report = execute(supervised(problem.model, problem.data, buggy), cfg, tmp_path / "out")
         assert report["exit_code"] == EXIT_VIOLATION
         assert report["gradient_check"]["max_fd_error"] == pytest.approx(1.0 - 1.0 / c, rel=1e-6)
@@ -485,6 +490,15 @@ class TestCheckCommand:
         report = json.loads((out / "report.json").read_text())
         assert "ledger" in report and "verdicts" not in report
         assert not (out / "trace.csv").exists()
+
+    def test_warnings_reach_stderr_as_in_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert check_experiment(write_config(tmp_path, gan_config(out))) == EXIT_OK
+        err = capsys.readouterr().err
+        warnings = json.loads((out / "report.json").read_text())["warnings"]
+        assert any(w.startswith("minimal ledger: ") for w in warnings)
+        for w in warnings:
+            assert f"warning: {w}" in err
 
 
 class TestDeterminism:

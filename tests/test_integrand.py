@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -321,8 +320,7 @@ class TestIntegralFunctional:
 
         flat = Integrand(
             out_dim=1,
-            value_fn=lambda data, z: np.ones(len(z)),
-            grad_fn=lambda data, z: np.zeros_like(z),
+            value_and_grad_fn=lambda data, z: (np.ones(len(z)), np.zeros_like(z)),
             pointwise_inf=lambda data: np.ones(len(data)),
         )
         f = integral_functional(flat, self.two_point_data())
@@ -533,8 +531,8 @@ class TestJointPass:
         v, g = iota.value_and_grad_fn(data, z)
         assert np.array_equal(v, value(data, z), equal_nan=True), name
         assert np.array_equal(g, grad(data, z), equal_nan=True), name
-        assert np.array_equal(iota.value_fn(data, z), v, equal_nan=True), name
-        assert np.array_equal(iota.grad_fn(data, z), g, equal_nan=True), name
+        assert np.array_equal(iota.value(data, z), v, equal_nan=True), name
+        assert np.array_equal(iota.grad(data, z), g, equal_nan=True), name
 
         f = integral_functional(iota, data)
         h = z.reshape(-1)
@@ -548,22 +546,13 @@ class TestJointPass:
         assert fused[0] == separate[0], name
         assert np.array_equal(fused[1], separate[1]), name
 
-    def test_replaced_callable_is_what_the_joint_call_returns(self):
-        iota = least_squares(k=1)
-        doubled = dataclasses.replace(iota, grad_fn=lambda data, z: 2.0 * iota.grad_fn(data, z))
-        data, z = target_data([1.0], [2.0]), np.array([[0.0], [0.5]])
-        v, g = doubled.value_and_grad_fn(data, z)
-        assert np.array_equal(v, iota.value_fn(data, z))
-        assert np.array_equal(g, 2.0 * iota.grad_fn(data, z))
-        assert iota.value_and_grad_fn is iota.value_fn.fn
-
     def test_functional_names_the_first_non_finite_row(self):
         iota = least_squares(k=1)
         f = integral_functional(iota, target_data([0.0], [0.0], [0.0]))
         with pytest.raises(NumericFailure, match="non-finite integrand value at sample 1"):
             f.value_and_grad(np.array([0.0, np.inf, np.nan]))
         spiky = Integrand(
-            1, lambda data, z: np.zeros(len(z)), lambda data, z: np.where(z > 0.5, np.inf, z)
+            1, lambda data, z: (np.zeros(len(z)), np.where(z > 0.5, np.inf, z))
         )
         g = integral_functional(spiky, target_data([0.0], [0.0]))
         with pytest.raises(NumericFailure, match="non-finite integrand gradient at sample 1"):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plgd.errors import SolverCapExceeded
 from plgd.integrand import Dataset
@@ -21,7 +23,7 @@ from plgd.model import (
     vae_model,
 )
 from plgd.smoothmap import Ball, certify, conditioning_at, estimate_bj
-from plgd.space import SpaceVec, adjoint_defect
+from plgd.space import LinOp, SpaceVec, WeightedSpace, adjoint_defect
 
 
 def zoo(rng):
@@ -199,6 +201,31 @@ class TestInduce:
             fx, pull = f_map.value_and_vjp(th)
             np.testing.assert_array_equal(fx, f_map.value_fn(th))
             np.testing.assert_allclose(pull(v), adj, rtol=0, atol=1e-12 * np.abs(adj).max())
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.sampled_from(zoo(None)), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_induced_adjoint_is_the_weighted_transpose(self, model, d, seed):
+        # bit for bit the product J^T (w * v), whose weights repeat the
+        # sample masses; the same matrix between two randomly weighted
+        # spaces satisfies <J u, v> = <u, J* v> up to rounding
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.standard_normal((d, model.in_dim)), weights=rng.dirichlet(np.ones(d)))
+        th = model.init + rng.standard_normal(model.param_dim)
+        jac = induce(model, data).jacobian(th)
+        js, w = jac.matrix(), np.repeat(data.weights, model.out_dim)
+        v = rng.standard_normal(js.shape[0])
+        assert np.array_equal(jac.adjoint_apply(v), js.T @ (w * v))
+
+        a = LinOp(
+            WeightedSpace(rng.uniform(1e-3, 1e3, js.shape[1])),
+            WeightedSpace(rng.uniform(1e-3, 1e3, js.shape[0])),
+            js,
+        )
+        u = rng.standard_normal(js.shape[1])
+        lhs = a.codomain.inner(a.apply(u), v)
+        rhs = a.domain.inner(u, a.adjoint_apply(v))
+        scale = np.abs(u) @ np.abs(js).T @ (a.codomain.weights * np.abs(v))
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestVJP:

@@ -233,6 +233,18 @@ class TestCertificateModes:
             ledger = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha="auto")
             assert ledger.mode == "no-uc", seed
 
+    def test_rank_deficient_gram_never_sampled_coercive(self):
+        # the same singular J J* seen by the sampled certificates: a linear
+        # model has one Jacobian at every sampled point, and a rounding-noise
+        # smallest eigenvalue (positive for 15 of these seeds) must not
+        # become a certified coercivity
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x, t = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
+            data = Dataset(np.vstack([x, x[:1]]), targets=np.vstack([t, t[:1]]))
+            prob = supervised(random_features(3, 16, seed=seed), data, least_squares(k=1))
+            assert sampled_certificates(prob, n=8).lam is None, seed
+
     @pytest.mark.parametrize("d", [1000, 2000, 5000])
     def test_gradient_gate_passes_correct_problem_at_large_d(self, d):
         # the benchmark's gate_wide problem at larger d; differencing the

@@ -27,11 +27,11 @@ def scalar_map(value, deriv):
     return SmoothMap(
         S1, S1,
         lambda x: np.array([value(x[0])]),
-        lambda x: LinOp.from_matrix(S1, S1, [[deriv(x[0])]]),
+        lambda x: LinOp(S1, S1, [[deriv(x[0])]]),
     )
 
 
-ROW = SmoothMap.linear(LinOp.from_matrix(S2, S1, [[1.0, 1.0]]))
+ROW = SmoothMap.linear(LinOp(S2, S1, [[1.0, 1.0]]))
 SIN = scalar_map(np.sin, np.cos)
 HALF_SQUARE = scalar_map(lambda t: 0.5 * t * t, lambda t: t)
 
@@ -52,7 +52,7 @@ class TestFdCheck:
         f = SmoothMap(
             S2, S2,
             lambda x: np.array([x[0] ** 2, x[1]]),
-            lambda x: LinOp.from_matrix(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
+            lambda x: LinOp(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
         )
         assert fd_check(f, [1.0, 1.0], h=1e-5) <= 1e-8
 
@@ -60,7 +60,7 @@ class TestFdCheck:
         buggy = SmoothMap(
             S2, S2,
             lambda x: np.array([x[0] ** 2, x[1]]),
-            lambda x: LinOp.from_matrix(S2, S2, [[4 * x[0], 0.0], [0.0, 2.0]]),
+            lambda x: LinOp(S2, S2, [[4 * x[0], 0.0], [0.0, 2.0]]),
         )
         assert fd_check(buggy, [1.0, 1.0]) == pytest.approx(0.5, abs=0.05)
 
@@ -68,7 +68,7 @@ class TestFdCheck:
         square = SmoothMap(
             S2, S2,
             lambda x: np.array([x[0] ** 2, x[1]]),
-            lambda x: LinOp.from_matrix(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
+            lambda x: LinOp(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
         )
 
         def with_pull(pull):
@@ -108,7 +108,7 @@ class TestEstimateBJ:
         const = SmoothMap(
             S2, S1,
             lambda x: np.array([3.0]),
-            lambda x: LinOp.from_matrix(S2, S1, [[0.0, 0.0]]),
+            lambda x: LinOp(S2, S1, [[0.0, 0.0]]),
         )
         assert estimate_bj(const, ball2(1.0), n=4, seed=0) == 0.0
 
@@ -136,7 +136,7 @@ class TestEstimateLJ:
         f = SmoothMap(
             S2, S1,
             lambda x: np.array([x[0] * x[1]]),
-            lambda x: LinOp.from_matrix(S2, S1, [[x[1], x[0]]]),
+            lambda x: LinOp(S2, S1, [[x[1], x[0]]]),
         )
         raw = estimate_lj(f, ball2(1.0), n_pairs=32, seed=0, inflate=1.0)
         # Frobenius norm of the constant Hessian [[0,1],[1,0]] bounds the
@@ -156,7 +156,7 @@ class TestEstimateUC:
         assert estimate_uc(ROW, ball2(1.0), n=8, seed=0) == pytest.approx(1.8, rel=1e-9)
 
     def test_underparameterized_returns_absent(self):
-        tall = SmoothMap.linear(LinOp.from_matrix(S1, S2, [[1.0], [0.0]]))
+        tall = SmoothMap.linear(LinOp(S1, S2, [[1.0], [0.0]]))
         assert estimate_uc(tall, ball1(1.0), n=4, seed=0) is None
 
     def test_identity(self):
@@ -198,7 +198,7 @@ class TestSampledBoundsHold:
 
         def jac(x):
             d = 1.0 - np.tanh(w @ x) ** 2
-            return LinOp.from_matrix(s3, s2, d[:, None] * w)
+            return LinOp(s3, s2, d[:, None] * w)
 
         return SmoothMap(s3, s2, lambda x: np.tanh(w @ x), jac), s3
 
@@ -245,7 +245,7 @@ class TestVJP:
 
         def jac(x):
             d = 1.0 - np.tanh(w @ x) ** 2
-            return LinOp.from_matrix(S2, cod, d[:, None] * w)
+            return LinOp(S2, cod, d[:, None] * w)
 
         f = SmoothMap(S2, cod, lambda x: np.tanh(w @ x), jac)
         for _ in range(5):

@@ -71,7 +71,7 @@ class TestSpaceVec:
 
 @st.composite
 def weighted_ops(draw, tall):
-    """``LinOp.from_matrix`` between randomly weighted spaces, with a larger
+    """A ``LinOp`` between randomly weighted spaces, with a larger
     codomain (``tall``) or a larger domain, and its weighted singular values
     from an SVD oracle."""
     small, extra = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -81,7 +81,7 @@ def weighted_ops(draw, tall):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = rng.standard_normal((n_cod, n_dom))
     b = np.sqrt(cod.weights)[:, None] * m / np.sqrt(dom.weights)[None, :]
-    return LinOp.from_matrix(dom, cod, m), np.linalg.svd(b, compute_uv=False)
+    return LinOp(dom, cod, m), np.linalg.svd(b, compute_uv=False)
 
 
 class TestOpNorm:
@@ -90,19 +90,19 @@ class TestOpNorm:
         assert op_norm(LinOp.identity(s)) == pytest.approx(1.0, rel=1e-9)
 
     def test_row_matrix(self):
-        a = LinOp.from_matrix(WeightedSpace.unit(2), WeightedSpace.unit(1), [[1.0, 1.0]])
+        a = LinOp(WeightedSpace.unit(2), WeightedSpace.unit(1), [[1.0, 1.0]])
         assert op_norm(a) == pytest.approx(np.sqrt(2.0), rel=1e-9)
 
     def test_zero_operator(self):
         s = WeightedSpace.unit(3)
-        z = LinOp.from_matrix(s, s, np.zeros((3, 3)))
+        z = LinOp(s, s, np.zeros((3, 3)))
         assert op_norm(z) == 0.0
 
     def test_upper_bounds_probe_ratios(self):
         rng = np.random.default_rng(1)
         dom = WeightedSpace(rng.uniform(0.2, 1.5, size=5))
         cod = WeightedSpace(rng.uniform(0.2, 1.5, size=4))
-        a = LinOp.from_matrix(dom, cod, rng.standard_normal((4, 5)))
+        a = LinOp(dom, cod, rng.standard_normal((4, 5)))
         sigma = op_norm(a)
         for _ in range(50):
             u = rng.standard_normal(5)
@@ -113,7 +113,7 @@ class TestOpNorm:
         # two singular values 1e-4 apart: an iterative estimate settles slowly
         s = WeightedSpace.unit(2)
         b = np.diag([1.0, 0.9999])
-        assert op_norm(LinOp.from_matrix(s, s, b)) == pytest.approx(
+        assert op_norm(LinOp(s, s, b)) == pytest.approx(
             np.linalg.norm(b, 2), rel=0, abs=1e-12
         )
 
@@ -131,13 +131,13 @@ class TestCoercivity:
 
     def test_diagonal(self):
         s = WeightedSpace.unit(2)
-        a = LinOp.from_matrix(s, s, np.diag(np.sqrt([2.0, 0.5])))  # A A* = diag(2, 0.5)
+        a = LinOp(s, s, np.diag(np.sqrt([2.0, 0.5])))  # A A* = diag(2, 0.5)
         assert coercivity(a) == pytest.approx(0.5, rel=1e-12)
 
     def test_weighted_gram_of_orthonormal_points(self):
         # unit coordinate images in a space of masses 1/2: A A* = 0.5 I
         s = WeightedSpace([0.5, 0.5])
-        a = LinOp.from_matrix(WeightedSpace.unit(2), s, np.eye(2))
+        a = LinOp(WeightedSpace.unit(2), s, np.eye(2))
         assert coercivity(a) == pytest.approx(0.5, rel=1e-12)
 
     def test_non_self_adjoint_operator(self):
@@ -145,20 +145,20 @@ class TestCoercivity:
         s = WeightedSpace.unit(2)
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
         want = np.linalg.eigvalsh(m @ m.T)[0]
-        assert coercivity(LinOp.from_matrix(s, s, m)) == pytest.approx(want, rel=1e-12)
+        assert coercivity(LinOp(s, s, m)) == pytest.approx(want, rel=1e-12)
 
     def test_dense_cap(self):
         # a zero-stride view: refused from the shape, before any product
         s = WeightedSpace.unit(4097)
         big = np.broadcast_to(1.0, (4097, 4097))
         with pytest.raises(SolverCapExceeded, match="p = 4097 and d·l = 4097"):
-            coercivity(LinOp(s, s, lambda u: u, lambda v: v, mat=big))
+            coercivity(LinOp(s, s, big))
 
     def test_wider_codomain_is_zero_without_solve(self):
         # J J* has a kernel when p < d l: 0.0 for any codomain size, even
         # above the cap, while the norm solves the small side only
         dom, cod = WeightedSpace.unit(2), WeightedSpace.unit(5000)
-        a = LinOp(dom, cod, lambda u: u, lambda v: v, mat=np.broadcast_to(1.0, (5000, 2)))
+        a = LinOp(dom, cod, np.broadcast_to(1.0, (5000, 2)))
         assert coercivity(a) == 0.0
         assert op_norm(a) == pytest.approx(100.0, rel=1e-12)  # sqrt(2 * 5000)
 
@@ -178,7 +178,7 @@ class TestCoercivity:
         s = WeightedSpace(rng.uniform(0.3, 2.0, size=5))
         m = rng.standard_normal((5, 5))
         # A from unit weights into s has A A* = (m m^T) D_s, self-adjoint PSD on s
-        a = LinOp.from_matrix(WeightedSpace.unit(5), s, m)
+        a = LinOp(WeightedSpace.unit(5), s, m)
         b = (m @ m.T) * s.weights[None, :]
         lam = coercivity(a)
         top = op_norm(a) ** 2
@@ -191,13 +191,13 @@ class TestCoercivity:
 
 @st.composite
 def matrix_ops(draw):
-    """``LinOp.from_matrix`` between two weighted spaces, with a domain and a
+    """A ``LinOp`` between two weighted spaces, with a domain and a
     codomain probe vector."""
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     dom = WeightedSpace(draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3))))
     cod = WeightedSpace(draw(hnp.arrays(float, m, elements=st.floats(1e-3, 1e3))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = LinOp.from_matrix(dom, cod, rng.standard_normal((m, n)))
+    a = LinOp(dom, cod, rng.standard_normal((m, n)))
     return a, rng.standard_normal(n), rng.standard_normal(m)
 
 
@@ -220,11 +220,18 @@ class TestAdjoint:
         np.testing.assert_array_equal(a.matrix(), probed)
         assert not a.matrix().flags.writeable
 
+    @pytest.mark.parametrize("shape", [(7, 4), (28,), (4,), (1, 4, 7)])
+    def test_wrong_shaped_matrix_refused_at_construction(self, shape):
+        dom, cod = WeightedSpace.unit(7), WeightedSpace([0.5] * 4)
+        with pytest.raises(DimensionMismatch, match="does not map dim 7 -> 4"):
+            LinOp(dom, cod, np.zeros(shape))
+        assert LinOp(dom, cod, np.zeros((4, 7))).matrix().shape == (4, 7)
+
     def test_identity_holds_on_probes(self):
         rng = np.random.default_rng(3)
         dom = WeightedSpace(rng.uniform(0.1, 3.0, size=7))
         cod = WeightedSpace(rng.uniform(0.1, 3.0, size=4))
-        a = LinOp.from_matrix(dom, cod, rng.standard_normal((4, 7)))
+        a = LinOp(dom, cod, rng.standard_normal((4, 7)))
         assert adjoint_defect(a, n_probes=100) <= 1e-10
 
 
