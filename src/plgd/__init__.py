@@ -14,12 +14,10 @@ from .descent import (
     Verdict,
     build_ledger,
     closest_optimum,
-    gd_step,
     minimal_ledger,
     monitor_rows,
     predicted_iterations,
     run,
-    trace_table,
 )
 from .errors import (
     DimensionMismatch,
@@ -58,7 +56,6 @@ from .model import (
 from .objective import (
     PLReport,
     ScalarObjective,
-    check_lg_corollaries,
     check_pl,
     estimate_lg,
     quadratic,
@@ -88,7 +85,6 @@ from .smoothmap import (
 )
 from .space import (
     LinOp,
-    SpaceVec,
     WeightedSpace,
     adjoint_defect,
     coercivity,

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidConfig, MissingCertificate, NumericFailure, SolverCapExceeded
 from .objective import ScalarObjective
 from .smoothmap import CertValue, MapCertificate, SmoothMap
-from .space import SpaceVec, require_dense, symmetrize, weighted_pinv_solve
+from .space import require_dense, symmetrize, weighted_pinv_solve
 
 #: relative slack granted to every monitored inequality
 REL_TOL = 1e-9
@@ -123,7 +123,7 @@ class ConstantsLedger:
 def composite_gradient(f_map: SmoothMap, obj: ScalarObjective, x) -> np.ndarray:
     """Coordinates of ``grad (obj o f_map)(x) = J(x)* grad obj(F(x))``."""
     fx, pull = f_map.value_and_vjp(f_map.domain._coords(x))
-    return pull(obj.grad_fn(f_map.codomain.vec(fx).coords))
+    return pull(obj.grad_fn(np.asarray(fx, dtype=float)))
 
 
 def build_ledger(
@@ -147,7 +147,7 @@ def build_ledger(
             "use minimal_ledger with an explicit alpha otherwise"
         )
     l_f = obj.L.value
-    gap0 = float(obj.value_fn(f_map.value(x0c).coords) - obj.f_star)
+    gap0 = float(obj.value_fn(f_map.value(x0c)) - obj.f_star)
     if gap0 < 0 and gap0 > -1e-12:
         gap0 = 0.0
     if gap0 < 0:
@@ -215,18 +215,6 @@ def minimal_ledger(alpha: float) -> ConstantsLedger:
     if not alpha > 0:
         raise InvalidConfig("minimal ledger requires a positive numeric alpha")
     return ConstantsLedger(alpha=float(alpha))
-
-
-def gd_step(f_map: SmoothMap, obj: ScalarObjective, x, alpha: float) -> SpaceVec:
-    """One descent step ``x - alpha * J(x)* grad f(F(x))``."""
-    if alpha < 0:
-        raise InvalidConfig("alpha must be non-negative")
-    xc = f_map.domain._coords(x)
-    g = composite_gradient(f_map, obj, xc)
-    if not np.all(np.isfinite(g)):
-        bad = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise NumericFailure(f"non-finite composite gradient (coordinate {bad})")
-    return SpaceVec(f_map.domain, xc - alpha * g)
 
 
 @dataclass(eq=False)
@@ -487,7 +475,7 @@ def _aggregate(table: MonitorTable, name: str) -> Optional[Verdict]:
     )
 
 
-def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[SpaceVec]:
+def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[np.ndarray]:
     """Minimum-distance point of the optimum set, for computable families.
 
     Supported when the map is linear and the objective has a unique known
@@ -515,7 +503,7 @@ def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[Spac
     residual = a.codomain.norm(mat_a @ delta - r)
     if residual > 1e-8 * (1.0 + a.codomain.norm(r)):
         return None  # optimum set empty: h* is not attainable by the map
-    return SpaceVec(f_map.domain, x0c + delta)
+    return x0c + delta
 
 
 def _at(i: int) -> str:
@@ -730,7 +718,7 @@ def verify(
         and ledger.L_f is not None
         and ledger.q is not None
     ):
-        d_hat = f_map.domain.norm(x_hat.coords - trace.iterates[0])
+        d_hat = f_map.domain.norm(x_hat - trace.iterates[0])
         bound = (
             ledger.alpha
             * ledger.K_F.value
@@ -815,13 +803,3 @@ def trace_columns(trace: DescentTrace, ledger: ConstantsLedger) -> dict:
         "dist_init": trace.dist_from_init,
         "dist_bound": None if dist_bound is None else np.full(n, dist_bound),
     }
-
-
-def trace_table(trace: DescentTrace, ledger: ConstantsLedger) -> list[dict]:
-    """Per-iteration rows of :func:`trace_columns` (one dict per iterate,
-    None for a missing value)."""
-    cols = {k: None if c is None else c.tolist() for k, c in trace_columns(trace, ledger).items()}
-    return [
-        {k: None if c is None or i >= len(c) else c[i] for k, c in cols.items()}
-        for i in range(len(trace.losses))
-    ]

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MissingCertificate
-from .smoothmap import Ball, CertValue, SmoothMap, _sample_pairs, sample_ball
-from .space import LinOp, WeightedSpace, require_dense, symmetrize, weighted_pinv_solve
+from .smoothmap import Ball, CertValue, _sample_pairs, sample_ball
+from .space import WeightedSpace, require_dense, symmetrize, weighted_pinv_solve
 
 #: points closer than this to optimal are excluded from PL ratios (0/0 hygiene)
 PL_GAP_FLOOR = 1e-12
@@ -59,27 +59,6 @@ class ScalarObjective:
         if self.value_and_grad_fn is not None:
             return self.value_and_grad_fn(h)
         return self.value_fn(h), self.grad_fn(h)
-
-    def as_map(self) -> SmoothMap:
-        """View the objective as a map into R, for finite-difference checks.
-
-        The 1 x dim Jacobian row in coordinates is the weighted gradient
-        pushed through the metric, so central differences of the value
-        check the gradient representer exactly.
-        """
-        scalar = WeightedSpace.unit(1)
-
-        def jac(x):
-            row = self.grad_fn(x) * self.space.weights
-            return LinOp(self.space, scalar, row[None, :])
-
-        return SmoothMap(
-            domain=self.space,
-            codomain=scalar,
-            value_fn=lambda x: np.array([float(self.value_fn(x))]),
-            jac_fn=jac,
-            name=self.name or "objective",
-        )
 
 
 def quadratic(space: WeightedSpace, a_mat, b=None, name: str = "quadratic") -> ScalarObjective:
@@ -174,7 +153,7 @@ def check_pl(
     if f.f_star is None:
         raise MissingCertificate("check_pl requires a known f_star")
     rng = np.random.default_rng(seed)
-    pts = [ball.center.coords] + sample_ball(ball, max(n - 1, 0), rng)
+    pts = [ball.center] + sample_ball(ball, max(n - 1, 0), rng)
     lam_hat = None
     violations = []
     n_valid = 0
@@ -191,52 +170,3 @@ def check_pl(
         if requested is not None and ratio < requested:
             violations.append({"point": np.asarray(p), "ratio": float(ratio)})
     return PLReport(lam_hat, violations, n_valid, n_skipped)
-
-
-@dataclass(frozen=True)
-class CorollaryReport:
-    """Worst slacks of the two Lipschitz-gradient consequences on samples.
-
-    ``taylor_slack`` is the worst value of
-    ``|f(y) - f(x) - <grad f(x), y-x>| - L/2 ||y-x||^2`` over sampled pairs
-    and ``grad_bound_slack`` the worst value of
-    ``0.5 ||grad f(x)||^2 - L (f(x) - f_star)`` over sampled points
-    (None when f_star is unknown).  Both are <= 0 when the constants hold.
-    """
-
-    taylor_slack: float
-    grad_bound_slack: Optional[float]
-    n_pairs: int
-    n_points: int
-
-
-def check_lg_corollaries(
-    f: ScalarObjective,
-    ball: Ball,
-    n: int = 64,
-    seed: int = 0,
-) -> CorollaryReport:
-    """Sample both quadratic-upper-bound consequences of the L constant."""
-    if f.L is None:
-        raise MissingCertificate("check_lg_corollaries requires a certified L")
-    l_const = f.L.value
-    rng = np.random.default_rng(seed)
-    space = f.space
-
-    taylor = -np.inf
-    for x, y in _sample_pairs(ball, n, rng):
-        lhs = abs(
-            f.value_fn(y) - f.value_fn(x) - space.inner(f.grad_fn(x), y - x)
-        )
-        taylor = max(taylor, lhs - 0.5 * l_const * space.norm(y - x) ** 2)
-
-    grad_bound = None
-    if f.f_star is not None:
-        grad_bound = -np.inf
-        for p in [ball.center.coords] + sample_ball(ball, max(n - 1, 0), rng):
-            g = f.grad_fn(p)
-            grad_bound = max(
-                grad_bound,
-                0.5 * space.inner(g, g) - l_const * (f.value_fn(p) - f.f_star),
-            )
-    return CorollaryReport(float(taylor), grad_bound, n, n)

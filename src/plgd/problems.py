@@ -38,7 +38,7 @@ from .smoothmap import (
     certify,
     fd_check,
 )
-from .space import SpaceVec, WeightedSpace, rank_floor
+from .space import rank_floor
 
 #: fallback trust-region radius before any constants are known
 DEFAULT_BALL_RADIUS = 1e3
@@ -48,14 +48,15 @@ DEFAULT_BALL_RADIUS = 1e3
 class PrototypeProblem:
     """An assembled instance of the composite learning problem.
 
-    ``f`` is the integral of the integrand ``iota`` over ``data``.
+    ``f`` is the integral of the integrand ``iota`` over ``data``, and
+    ``theta0`` a read-only copy of the model's initial parameters.
     """
 
     name: str
     family: str
     F: SmoothMap
     f: ScalarObjective
-    theta0: SpaceVec
+    theta0: np.ndarray
     declared_ball: Ball
     model: Model
     data: Dataset
@@ -68,16 +69,17 @@ class PrototypeProblem:
             )
 
     def with_ball(self, radius: float) -> "PrototypeProblem":
-        return replace(self, declared_ball=Ball(self.theta0, radius))
+        return replace(self, declared_ball=Ball(self.F.domain, self.theta0, radius))
 
     def gram(self, theta=None):
-        theta = self.theta0.coords if theta is None else theta
+        theta = self.theta0 if theta is None else theta
         return ntk_gram(self.model, self.data, theta)
 
 
 def _make_problem(name, family, model, data, iota, ball_radius) -> PrototypeProblem:
     f_map = induce(model, data)
-    theta0 = SpaceVec(WeightedSpace.unit(model.param_dim), model.init)
+    theta0 = np.array(model.init, dtype=float)
+    theta0.setflags(write=False)
     radius = DEFAULT_BALL_RADIUS if ball_radius is None else float(ball_radius)
     return PrototypeProblem(
         name=name,
@@ -85,7 +87,7 @@ def _make_problem(name, family, model, data, iota, ball_radius) -> PrototypeProb
         F=f_map,
         f=integral_functional(iota, data),
         theta0=theta0,
-        declared_ball=Ball(theta0, radius),
+        declared_ball=Ball(f_map.domain, theta0, radius),
         model=model,
         data=data,
         iota=iota,
@@ -268,11 +270,11 @@ def objective_with_estimated_lg(
     space = f.space
     for _ in range(6):
         try:
-            ball = Ball(problem.theta0, radius)
+            ball = Ball(problem.F.domain, problem.theta0, radius)
             worst = 0.0
             for ta, tb in _sample_pairs(ball, n_pairs, rng):
-                ha = problem.F.value(ta).coords
-                hb = problem.F.value(tb).coords
+                ha = problem.F.value(ta)
+                hb = problem.F.value(tb)
                 dh = space.norm(ha - hb)
                 if dh < 1e-12:
                     continue
@@ -302,13 +304,13 @@ def check_gradients(
     score below 1e-5 unless a Jacobian or gradient is wrong.
     """
     rng = np.random.default_rng(seed)
-    theta0 = problem.theta0.coords
+    theta0 = problem.theta0
     worst = 0.0
     probes = [theta0] + [
         theta0 + 0.1 * rng.standard_normal(theta0.size) for _ in range(n_probes)
     ]
     for th in probes:
         worst = max(worst, fd_check(problem.F, th, h=h))
-        z = problem.F.value(th).coords
+        z = problem.F.value(th)
         worst = max(worst, fd_check_functional(problem.f, problem.iota, problem.data, z, h=h))
     return worst

@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .space import LinOp, SpaceVec, WeightedSpace, coercivity, gram_eigvalsh, op_norm
+from .space import LinOp, WeightedSpace, coercivity, gram_eigvalsh, op_norm
 
 #: contract threshold for finite-difference agreement of correct Jacobians
 FD_TOL = 1e-5
@@ -56,9 +55,8 @@ class SmoothMap:
         Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
     ] = None
 
-    def value(self, x) -> SpaceVec:
-        out = np.asarray(self.value_fn(self.domain._coords(x)), dtype=float)
-        return SpaceVec(self.codomain, out)
+    def value(self, x) -> np.ndarray:
+        return np.asarray(self.value_fn(self.domain._coords(x)), dtype=float)
 
     def jacobian(self, x) -> LinOp:
         return self.jac_fn(self.domain._coords(x))
@@ -89,19 +87,26 @@ class SmoothMap:
 
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """Closed ball ``{x : ||x - center|| <= radius}`` in a weighted space."""
+    """Closed ball ``{x : ||x - center|| <= radius}`` in a weighted space.
 
-    center: SpaceVec
+    ``center`` is kept as a read-only copy of the given coordinates.
+    """
+
+    space: WeightedSpace
+    center: np.ndarray
     radius: float
 
     def __post_init__(self):
         if self.radius < 0.0:
             raise ValueError("ball radius must be non-negative")
+        center = self.space._coords(self.center).copy()
+        center.setflags(write=False)
+        object.__setattr__(self, "center", center)
 
 
 def sample_ball(ball: Ball, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """n points uniform in the ball: gaussian direction, radius ~ r u^(1/dim)."""
-    space = ball.center.space
+    space = ball.space
     out = []
     for _ in range(n):
         z = rng.standard_normal(space.dim)
@@ -110,7 +115,7 @@ def sample_ball(ball: Ball, n: int, rng: np.random.Generator) -> list[np.ndarray
             z = np.ones(space.dim)
             nz = space.norm(z)
         r = ball.radius * rng.uniform() ** (1.0 / space.dim)
-        out.append(ball.center.coords + (r / nz) * z)
+        out.append(ball.center + (r / nz) * z)
     return out
 
 
@@ -246,7 +251,7 @@ def estimate_bj(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = [ball.center.coords] + sample_ball(ball, n - 1, rng)
+    pts = [ball.center] + sample_ball(ball, n - 1, rng)
     return inflate * max(jacobian_norm(f, p) for p in pts)
 
 
@@ -257,7 +262,7 @@ def _sample_pairs(ball: Ball, n_pairs: int, rng: np.random.Generator):
     quotient near a point; independent pairs probe the secant behaviour.
     Coincident pairs are resampled.
     """
-    space = ball.center.space
+    space = ball.space
     eps = 1e-3 * ball.radius if ball.radius > 0 else 1e-3
     pairs = []
     k = 0
@@ -271,7 +276,7 @@ def _sample_pairs(ball: Ball, n_pairs: int, rng: np.random.Generator):
             if nd == 0.0:
                 continue
             y = x + (eps / nd) * d
-            if space.norm(y - ball.center.coords) > ball.radius:
+            if space.norm(y - ball.center) > ball.radius:
                 y = x - (eps / nd) * d
         k += 1
         if space.norm(x - y) < 1e-12:
@@ -321,7 +326,7 @@ def estimate_uc(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = [ball.center.coords] + sample_ball(ball, n - 1, rng)
+    pts = [ball.center] + sample_ball(ball, n - 1, rng)
     worst = np.inf
     for p in pts:
         lam = conditioning_at(f, p)

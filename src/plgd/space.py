@@ -1,14 +1,16 @@
-"""Finite-dimensional weighted Hilbert spaces, vectors and linear operators.
+"""Finite-dimensional weighted Hilbert spaces and linear operators.
 
-Vectors are stored in raw coordinates and all weighting lives in the inner
-product: a space with per-coordinate weights ``w`` carries
+A point of a space is its float64 coordinate array, and all weighting
+lives in the inner product: a space with per-coordinate weights ``w``
+carries
 
     inner(u, v) = sum_k w_k * u_k * v_k
 
 Unit weights realize parameter spaces; repeating each sample mass over an
 output block realizes the L2 space of functions on a weighted point set.
-Everything is plain float64 numpy; spaces, vectors and operators are
-immutable after construction and safe to share.
+A space checks the shape of the coordinates handed to it and nothing
+else.  Spaces and operators are immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class WeightedSpace:
         return self.weights.size
 
     def _coords(self, u) -> np.ndarray:
-        c = u.coords if isinstance(u, SpaceVec) else np.asarray(u, dtype=float)
+        """The point u as float64 coordinates, refused unless of shape (dim,)."""
+        c = np.asarray(u, dtype=float)
         if c.shape != (self.dim,):
             raise DimensionMismatch(
                 f"expected coordinates of shape ({self.dim},), got {c.shape}"
@@ -76,50 +79,10 @@ class WeightedSpace:
         c = self._coords(u)
         return float(np.sqrt(np.dot(self.weights * c, c)))
 
-    def vec(self, coords) -> "SpaceVec":
-        return SpaceVec(self, np.asarray(coords, dtype=float))
-
-    def zeros(self) -> "SpaceVec":
-        return SpaceVec(self, np.zeros(self.dim))
-
     def compatible(self, other: "WeightedSpace") -> bool:
         return self is other or (
             self.dim == other.dim and np.array_equal(self.weights, other.weights)
         )
-
-
-@dataclass(frozen=True, eq=False)
-class SpaceVec:
-    """A vector of a :class:`WeightedSpace`, stored in raw coordinates."""
-
-    space: WeightedSpace
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.space.dim,):
-            raise DimensionMismatch(
-                f"coordinate length {c.shape} does not match space dim {self.space.dim}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("vector coordinates must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    def norm(self) -> float:
-        return self.space.norm(self.coords)
-
-    def inner(self, other: "SpaceVec") -> float:
-        return self.space.inner(self.coords, other.coords)
-
-    def __add__(self, other: "SpaceVec") -> "SpaceVec":
-        return SpaceVec(self.space, self.coords + self.space._coords(other))
-
-    def __sub__(self, other: "SpaceVec") -> "SpaceVec":
-        return SpaceVec(self.space, self.coords - self.space._coords(other))
-
-    def __rmul__(self, scalar: float) -> "SpaceVec":
-        return SpaceVec(self.space, float(scalar) * self.coords)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,7 @@ from plgd.problems import (
     vae,
 )
 from plgd.smoothmap import Ball, CertValue, MapCertificate, SmoothMap, estimate_uc
-from plgd.space import SpaceVec, WeightedSpace, adjoint_defect
+from plgd.space import WeightedSpace, adjoint_defect
 
 
 def timed(budget_s):
@@ -103,7 +103,7 @@ def test_criterion_2_exact_geometric_decay():
         f = quadratic(space, np.diag([1.0, 4.0]))
         ident = SmoothMap.identity(space)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
-        x0 = SpaceVec(space, np.array([1.0, 1.0]))
+        x0 = np.array([1.0, 1.0])
         ledger = build_ledger(ident, f, x0, cert, alpha="auto")
         assert ledger.alpha == pytest.approx(0.25)
         assert ledger.lam == pytest.approx(1.0)
@@ -232,7 +232,7 @@ def test_criterion_5_gradient_oracles():
         # every assembled problem: map + objective oracles, adjoint identity
         for prob in _assembled_problems():
             assert check_gradients(prob, n_probes=50, seed=0) <= 1e-5, prob.name
-            jac = prob.F.jacobian(prob.theta0.coords)
+            jac = prob.F.jacobian(prob.theta0)
             assert adjoint_defect(jac, n_probes=100) <= 1e-10, prob.name
     print("ACCEPTANCE 5 gradient-oracles: PASS")
 
@@ -248,9 +248,9 @@ def test_criterion_6_integral_functional_inheritance():
         iota = least_squares(sigma=[1.0, 1.0])  # unit variances
         f = integral_functional(iota, data)
 
-        center = SpaceVec(f.space, rng.standard_normal(8))
+        center = rng.standard_normal(8)
         for radius in (0.5, 2.0, 10.0):
-            ball = Ball(center, radius)
+            ball = Ball(f.space, center, radius)
             raw = estimate_lg(f, ball, n_pairs=32, seed=0, inflate=1.0)
             assert raw == pytest.approx(1.0, abs=1e-9)
             rep = check_pl(f, ball, n=64, seed=0)

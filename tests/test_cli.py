@@ -379,6 +379,27 @@ class TestNumericFailure:
         report = json.loads((out / "alpha=0.01" / "report.json").read_text())
         assert report["exit_code"] == EXIT_NUMERIC
 
+    def test_non_finite_map_value_exits_three_with_report(self, tmp_path, monkeypatch, capsys):
+        # a model whose outputs are NaN fails in the gradient gate's first
+        # objective evaluation: a numeric failure, not a raw traceback
+        out = tmp_path / "out"
+        path = write_config(tmp_path, rf_config(out, max_iter=10))
+        problem = build_problem(normalize_config(rf_config(out, max_iter=10)))
+        model = problem.model
+
+        def nan_forward(x, th):
+            return np.full((len(x), model.out_dim), np.nan)
+
+        broken = dataclasses.replace(model, forward=nan_forward)
+        bad = dataclasses.replace(problem, model=broken, F=induce(broken, problem.data))
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: bad)
+        assert run_experiment(path) == EXIT_NUMERIC
+        assert "error: non-finite integrand" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == EXIT_NUMERIC
+        assert report["numeric_failure"]["iteration"] is None
+        assert not (out / "trace.csv").exists()
+
     def test_certificate_failure_exits_three_with_report(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         path = write_config(tmp_path, rf_config(out, max_iter=10))
@@ -479,7 +500,7 @@ def test_closest_optimum_adjoint_matches_probed_adjoint():
     x0 = a.domain._coords(prob.theta0)
     y = weighted_pinv_solve(symmetrize(mat_a @ probed, w), w, prob.f.minimizer - a.apply(x0))
     x_hat = closest_optimum(prob.F, prob.f, prob.theta0)
-    np.testing.assert_allclose(x_hat.coords, x0 + probed @ y, rtol=0, atol=0)
+    np.testing.assert_allclose(x_hat, x0 + probed @ y, rtol=0, atol=0)
 
 
 class TestCheckCommand:

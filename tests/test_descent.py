@@ -15,12 +15,11 @@ from plgd.descent import (
     _holds,
     build_ledger,
     closest_optimum,
-    gd_step,
     minimal_ledger,
     monitor_rows,
     predicted_iterations,
     run,
-    trace_table,
+    trace_columns,
     verify,
 )
 from plgd.errors import InvalidConfig, MissingCertificate, NumericFailure
@@ -29,7 +28,7 @@ from plgd.model import linear_model, shallow_net, induce
 from plgd.objective import ScalarObjective, quadratic
 from plgd.problems import analytic_certificates, supervised
 from plgd.smoothmap import CertValue, MapCertificate, SmoothMap
-from plgd.space import LinOp, SpaceVec, WeightedSpace
+from plgd.space import LinOp, WeightedSpace
 
 S2 = WeightedSpace.unit(2)
 S4 = WeightedSpace.unit(4)
@@ -67,7 +66,7 @@ class TestBuildLedger:
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[1.0, 2.0])
         ident = SmoothMap.identity(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
-        x0 = SpaceVec(S2, np.array([3.0, 3.0]))
+        x0 = np.array([3.0, 3.0])
         led = build_ledger(ident, f, x0, cert, alpha="auto")
         assert led.L == pytest.approx(f.L.value)
         assert led.lam == pytest.approx(f.lam.value)
@@ -77,7 +76,7 @@ class TestBuildLedger:
         f = quadratic(S2, np.eye(2), b=[1.0, -1.0])
         ident = SmoothMap.identity(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
-        led = build_ledger(ident, f, SpaceVec(S2, np.zeros(2)), cert, alpha="auto")
+        led = build_ledger(ident, f, np.zeros(2), cert, alpha="auto")
         assert led.q == pytest.approx(0.0, abs=1e-15)
 
     def test_alpha_at_two_over_l_rejected(self):
@@ -99,24 +98,6 @@ class TestBuildLedger:
         assert led.q is None and led.radius_required is None
 
 
-class TestGdStep:
-    def test_hand_computed_step(self):
-        prob, cert = tight_problem()
-        x1 = gd_step(prob.F, prob.f, prob.theta0, 0.5)
-        assert np.allclose(x1.coords, [2.0, 2.0], atol=1e-14)
-
-    def test_stationary_point_fixed(self):
-        prob, _ = tight_problem()
-        x_opt = np.array([2.0, 2.0])
-        x1 = gd_step(prob.F, prob.f, x_opt, 0.5)
-        assert np.allclose(x1.coords, x_opt)
-
-    def test_zero_alpha_is_identity(self):
-        prob, _ = tight_problem()
-        x1 = gd_step(prob.F, prob.f, np.array([1.0, -1.0]), 0.0)
-        assert np.allclose(x1.coords, [1.0, -1.0])
-
-
 class TestRun:
     def test_tight_case_one_step_and_tight_bounds(self):
         prob, cert = tight_problem()
@@ -135,7 +116,7 @@ class TestRun:
         f = quadratic(S2, np.diag([1.0, 4.0]))
         ident = SmoothMap.identity(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
-        x0 = SpaceVec(S2, np.array([1.0, 1.0]))
+        x0 = np.array([1.0, 1.0])
         led = build_ledger(ident, f, x0, cert, alpha="auto")
         assert led.alpha == pytest.approx(0.25)
         assert led.q == pytest.approx(0.75)
@@ -314,7 +295,7 @@ class TestRun:
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[0.5, -0.5])
         ident = SmoothMap.identity(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
-        x0 = SpaceVec(S2, np.array([2.0, -1.0]))
+        x0 = np.array([2.0, -1.0])
         led = build_ledger(ident, f, x0, cert, alpha="auto")
         trace, verdicts = run(ident, f, x0, led, max_iter=200)
         cum = np.concatenate([[0.0], np.cumsum(trace.step_norms)])
@@ -326,7 +307,7 @@ class TestRun:
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[1.0, 1.0])
         ident = SmoothMap.identity(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
-        x0 = SpaceVec(S2, np.array([3.0, 2.0]))
+        x0 = np.array([3.0, 2.0])
         led = build_ledger(ident, f, x0, cert, alpha="auto")
         trace, _ = run(ident, f, x0, led, max_iter=10000)
         assert trace.predicted_iters is not None
@@ -346,12 +327,12 @@ class TestClosestOptimum:
     def test_tight_case_minimum_norm_solution(self):
         prob, _ = tight_problem()
         x_hat = closest_optimum(prob.F, prob.f, prob.theta0)
-        assert np.allclose(x_hat.coords, [2.0, 2.0], atol=1e-12)
+        assert np.allclose(x_hat, [2.0, 2.0], atol=1e-12)
 
     def test_start_at_optimum(self):
         prob, _ = tight_problem()
         x_hat = closest_optimum(prob.F, prob.f, np.array([2.0, 2.0]))
-        assert np.allclose(x_hat.coords, [2.0, 2.0], atol=1e-12)
+        assert np.allclose(x_hat, [2.0, 2.0], atol=1e-12)
 
     def test_nonlinear_family_unsupported(self):
         data = Dataset(
@@ -444,16 +425,16 @@ class TestMonitorVerdicts:
 
 
 class TestExports:
-    def test_trace_table_and_monitor_rows_consistent(self):
+    def test_trace_columns_and_monitor_rows_consistent(self):
         prob, cert = tight_problem()
         led = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha=0.5)
         trace, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=10)
-        rows = trace_table(trace, led)
-        assert [r["iter"] for r in rows] == [0, 1]
-        assert rows[0]["q_bound"] == pytest.approx(8.0)
+        cols = trace_columns(trace, led)
+        assert cols["iter"].tolist() == [0, 1]
+        assert cols["q_bound"][0] == pytest.approx(8.0)
         monitors = monitor_rows(trace, led)
         q_rows = monitors.name == "q_decay"
-        assert monitors.bound[q_rows].tolist() == [rows[0]["q_bound"], rows[1]["q_bound"]]
+        assert monitors.bound[q_rows].tolist() == cols["q_bound"].tolist()
         assert monitors.holds.all()
 
     def test_predicted_iterations_formula(self):

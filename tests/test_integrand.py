@@ -11,6 +11,7 @@ from plgd.integrand import (
     SQRT_2PI,
     Dataset,
     Integrand,
+    fd_check_functional,
     fd_check_integrand,
     gan_integrand,
     gaussian_nll,
@@ -22,8 +23,7 @@ from plgd.integrand import (
     vae_integrand,
 )
 from plgd.objective import check_pl, estimate_lg
-from plgd.smoothmap import Ball, fd_check
-from plgd.space import SpaceVec
+from plgd.smoothmap import Ball
 
 
 def target_data(*targets):
@@ -332,16 +332,17 @@ class TestIntegralFunctional:
             [[0.0], [1.0]], targets=[np.array([0.0]), np.array([0.0])],
             weights=np.array([0.25, 0.75]),
         )
-        f = integral_functional(least_squares(k=1), data)
+        iota = least_squares(k=1)
+        f = integral_functional(iota, data)
         h = np.array([2.0, -2.0])
         assert np.allclose(f.grad_fn(h), h)  # masses live in the metric only
-        assert fd_check(f.as_map(), h) <= 1e-6
+        assert fd_check_functional(f, iota, data, h) <= 1e-6
 
     def test_inherited_constants_match_sampling(self):
         data = self.two_point_data()
         f = integral_functional(least_squares(k=1), data)
         assert f.L.value == 1.0 and f.lam.value == 1.0
-        ball = Ball(SpaceVec(f.space, np.array([0.5, 0.5])), 2.0)
+        ball = Ball(f.space, np.array([0.5, 0.5]), 2.0)
         assert estimate_lg(f, ball, n_pairs=32, seed=0, inflate=1.0) == pytest.approx(
             1.0, abs=1e-9
         )

@@ -23,7 +23,7 @@ from plgd.model import (
     vae_model,
 )
 from plgd.smoothmap import Ball, certify, conditioning_at, estimate_bj
-from plgd.space import LinOp, SpaceVec, WeightedSpace, adjoint_defect
+from plgd.space import LinOp, WeightedSpace, adjoint_defect
 
 
 def zoo(rng):
@@ -311,7 +311,7 @@ class TestNTKGram:
         data = Dataset(list(rng.standard_normal((3, 2))))
         model = shallow_net(2, 5, out_dim=1, seed=11)
         f_map = induce(model, data)
-        ball = Ball(SpaceVec(f_map.domain, model.init), 1.0)
+        ball = Ball(f_map.domain, model.init, 1.0)
         k_hat = estimate_bj(f_map, ball, n=16, seed=0, inflate=1.0)
         # per-sample aggregation upper-bounds the induced Jacobian norm
         worst = 0.0
@@ -377,7 +377,7 @@ class TestCertificates:
     def test_random_features_jacobian_lipschitz_zero(self):
         data = Dataset(list(np.random.default_rng(13).standard_normal((3, 2))))
         f_map = induce(random_features(2, 8, seed=0), data)
-        ball = Ball(SpaceVec(f_map.domain, np.zeros(8)), 2.0)
+        ball = Ball(f_map.domain, np.zeros(8), 2.0)
         cert = certify(f_map, ball, n=8, seed=0)
         assert cert.L.value == 0.0 and cert.L.provenance == "analytic"
 

@@ -106,7 +106,7 @@ class TestVAE:
         from plgd.descent import composite_gradient
 
         p1, p2 = self.assemble(beta=1e-6), self.assemble(beta=2e-6)
-        th0 = p1.theta0.coords
+        th0 = p1.theta0
         g1 = composite_gradient(p1.F, p1.f, th0)
         g2 = composite_gradient(p2.F, p2.f, th0)
         flow = (g2 - g1) / 1e-6  # gradient of the divergence term alone
@@ -141,13 +141,13 @@ class TestGan:
         prob = gan_discriminator(
             linear_disc(2), real, gen, "wgan_gp", beta=beta, direction="min"
         )
-        assert prob.f.value_fn(prob.F.value(np.zeros(2)).coords) == pytest.approx(-2.0 * beta)
+        assert prob.f.value_fn(prob.F.value(np.zeros(2))) == pytest.approx(-2.0 * beta)
 
     def test_max_direction_negates(self):
         real, gen = self.points()
         pmin = gan_discriminator(linear_disc(2), real, gen, "wgan_gp", beta=1.0, direction="min")
         pmax = gan_discriminator(linear_disc(2), real, gen, "wgan_gp", beta=1.0, direction="max")
-        h = pmin.F.value(np.zeros(2)).coords
+        h = pmin.F.value(np.zeros(2))
         assert pmax.f.value_fn(h) == pytest.approx(-pmin.f.value_fn(h))
 
     def test_r1_without_squash_warns(self):

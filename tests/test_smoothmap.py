@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from plgd.errors import DimensionMismatch
 from plgd.smoothmap import (
     Ball,
     CertValue,
@@ -17,7 +18,7 @@ from plgd.smoothmap import (
     jacobian_norm,
     sample_ball,
 )
-from plgd.space import LinOp, SpaceVec, WeightedSpace
+from plgd.space import LinOp, WeightedSpace
 
 S1 = WeightedSpace.unit(1)
 S2 = WeightedSpace.unit(2)
@@ -37,11 +38,11 @@ HALF_SQUARE = scalar_map(lambda t: 0.5 * t * t, lambda t: t)
 
 
 def ball2(radius, center=(0.0, 0.0)):
-    return Ball(SpaceVec(S2, np.array(center, dtype=float)), radius)
+    return Ball(S2, center, radius)
 
 
 def ball1(radius):
-    return Ball(SpaceVec(S1, np.zeros(1)), radius)
+    return Ball(S1, np.zeros(1), radius)
 
 
 class TestFdCheck:
@@ -169,11 +170,19 @@ class TestSampling:
         rng = np.random.default_rng(0)
         b = ball2(2.5, center=(1.0, -1.0))
         for p in sample_ball(b, 200, rng):
-            assert S2.norm(p - b.center.coords) <= 2.5 + 1e-12
+            assert S2.norm(p - b.center) <= 2.5 + 1e-12
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            Ball(SpaceVec(S2, np.zeros(2)), -1.0)
+            Ball(S2, np.zeros(2), -1.0)
+
+    def test_center_is_a_read_only_copy_of_checked_shape(self):
+        c = np.array([1.0, 2.0])
+        b = Ball(S2, c, 1.0)
+        c[0] = 5.0
+        assert b.center.tolist() == [1.0, 2.0] and not b.center.flags.writeable
+        with pytest.raises(DimensionMismatch):
+            Ball(S2, np.zeros(3), 1.0)
 
 
 class TestCertificate:
@@ -204,7 +213,7 @@ class TestSampledBoundsHold:
 
     def test_bj_upper_bounds_fresh_probes(self):
         f, s3 = self.tanh_map()
-        ball = Ball(SpaceVec(s3, np.zeros(3)), 2.0)
+        ball = Ball(s3, np.zeros(3), 2.0)
         k = estimate_bj(f, ball, n=64, seed=0)
         rng = np.random.default_rng(99)
         violations = sum(
@@ -214,7 +223,7 @@ class TestSampledBoundsHold:
 
     def test_raw_conditioning_below_raw_norm_squared_pointwise(self):
         f, s3 = self.tanh_map()
-        ball = Ball(SpaceVec(s3, np.zeros(3)), 1.5)
+        ball = Ball(s3, np.zeros(3), 1.5)
         rng = np.random.default_rng(5)
         for p in sample_ball(ball, 20, rng):
             lam = conditioning_at(f, p)
@@ -232,7 +241,7 @@ class TestSampledBoundsHold:
             acc = np.zeros(2)
             for t, w in zip(nodes, wts):
                 acc += w * f.jacobian(x + t * (y - x)).apply(y - x)
-            diff = f.value(y).coords - f.value(x).coords
+            diff = f.value(y) - f.value(x)
             denom = max(f.codomain.norm(diff), 1e-12)
             assert f.codomain.norm(acc - diff) / denom <= 1e-8
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from plgd.errors import DimensionMismatch, NotSelfAdjoint, SolverCapExceeded
 from plgd.space import (
     LinOp,
-    SpaceVec,
     WeightedSpace,
     adjoint_defect,
     coercivity,
@@ -49,21 +48,7 @@ class TestInner:
             assert s.inner(u, v) ** 2 <= s.inner(u, u) * s.inner(v, v) * (1 + 1e-12)
 
 
-class TestSpaceVec:
-    def test_rejects_nonfinite(self):
-        s = WeightedSpace.unit(2)
-        with pytest.raises(ValueError):
-            SpaceVec(s, [np.nan, 0.0])
-
-    def test_arithmetic(self):
-        s = WeightedSpace.unit(2)
-        u = s.vec([1.0, 2.0])
-        v = s.vec([3.0, -1.0])
-        assert np.allclose((u + v).coords, [4.0, 1.0])
-        assert np.allclose((u - v).coords, [-2.0, 3.0])
-        assert np.allclose((2.0 * u).coords, [2.0, 4.0])
-        assert u.norm() == pytest.approx(np.sqrt(5.0))
-
+class TestWeightedSpace:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             WeightedSpace([1.0, 0.0])
