@@ -226,7 +226,7 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
     if normalization not in ("verbatim", "textbook"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if sigma is None:
-        inv2 = np.ones(k)
+        inv2 = None  # unit variances: the gradient is the residual itself
         const = 0.0
         name = "least_squares"
     else:
@@ -243,15 +243,15 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
 
     def value_and_grad_fn(data, z):
         r = z - _float_targets(data, k)
-        g = inv2 * r
+        g = r if inv2 is None else inv2 * r
         # np.sum's own reduction, without its Python-level dispatch
         return 0.5 * np.add.reduce(g * r, axis=1) + const, g
 
     return Integrand(
         k,
         value_and_grad_fn,
-        lipschitz=float(inv2.max()),
-        pl=float(inv2.min()),
+        lipschitz=1.0 if inv2 is None else float(inv2.max()),
+        pl=1.0 if inv2 is None else float(inv2.min()),
         pointwise_inf=lambda data: np.full(len(data), const),
         pointwise_argmin=lambda data: _float_targets(data, k).copy(),
         name=name,
@@ -473,17 +473,23 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
     w = data.weights
     d = len(data)
 
+    # A non-finite entry makes the weighted sum (the masses are positive) and
+    # the squared norm non-finite, so the rows are scanned only then.
     def total(v) -> float:
-        i = _first_bad_row(v)
-        if i is not None:
-            raise NumericFailure(f"non-finite integrand value at sample {i}")
-        return float(w @ v)
+        s = float(w @ v)
+        if not math.isfinite(s):
+            i = _first_bad_row(v)
+            if i is not None:
+                raise NumericFailure(f"non-finite integrand value at sample {i}")
+        return s
 
     def flat(g) -> np.ndarray:
-        i = _first_bad_row(g)
-        if i is not None:
-            raise NumericFailure(f"non-finite integrand gradient at sample {i}")
-        return g.reshape(-1)
+        g = g.reshape(-1)
+        if not math.isfinite(np.dot(g, g)):
+            i = _first_bad_row(g.reshape(d, -1))
+            if i is not None:
+                raise NumericFailure(f"non-finite integrand gradient at sample {i}")
+        return g
 
     def value_fn(h):
         return total(iota.value_and_grad_fn(data, h.reshape(d, l))[0])

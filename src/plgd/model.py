@@ -44,10 +44,15 @@ class Model:
     outputs together with ``pull``, which maps a (d, out_dim) cotangent
     block G to the (param_dim,) vector ``sum_i J_i^T G_i`` from the
     forward pass's intermediate values, equal to ``einsum("ilp,il->p",
-    jacobian(X, theta), G)``, which stays its oracle.  ``init`` is the
-    seeded initial parameter vector; ``param_shapes`` documents how the
-    flat vector splits into arrays.  ``linear_in_params`` marks models
-    whose output is exactly linear in theta.
+    jacobian(X, theta), G)``, which stays its oracle.  ``stacks_theta``
+    marks a ``forward`` that also takes k parameter vectors concatenated
+    into one flat theta and returns their (d, k * out_dim) outputs side by
+    side, column block j for the j-th vector, from one matrix product; the
+    gradient gate evaluates its perturbed parameters through it a chunk at
+    a time.  ``init`` is the seeded initial parameter vector;
+    ``param_shapes`` documents how the flat vector splits into arrays.
+    ``linear_in_params`` marks models whose output is exactly linear in
+    theta.
     """
 
     in_dim: int
@@ -60,6 +65,7 @@ class Model:
     forward_vjp: Optional[
         Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
     ] = None
+    stacks_theta: bool = False
     param_shapes: tuple = ()
     linear_in_params: bool = False
     name: str = ""
@@ -98,7 +104,10 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     nonlinear model with a ``forward_vjp`` gives the map a
     ``value_and_vjp_fn`` that returns the value and the same adjoint action
     from one forward pass, without assembling the Jacobian; the Jacobian
-    still serves the gradient gate and the certificates.
+    still serves the gradient gate and the certificates.  A model that
+    ``stacks_theta`` gives the map a ``value_stack_fn``: one ``forward``
+    call on the flattened (k, p) stack, its (d, k l) outputs regrouped
+    into k rows of the function space.
     """
     if data.inputs.shape[1] != model.in_dim:
         raise DimensionMismatch(
@@ -119,6 +128,10 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
         z, pull = model.forward_vjp(data.inputs, theta)
         return z.reshape(-1), lambda f: pull((wrep * f).reshape(len(data), model.out_dim))
 
+    def value_stack_fn(thetas):
+        z = model.forward(data.inputs, thetas.reshape(-1))        # (d, k l)
+        return z.reshape(len(data), len(thetas), -1).transpose(1, 0, 2).reshape(len(thetas), -1)
+
     linear_op = jac_fn(model.init) if model.linear_in_params else None
     return SmoothMap(
         domain=theta_space,
@@ -129,6 +142,7 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
         value_and_vjp_fn=(
             value_and_vjp_fn if linear_op is None and model.forward_vjp is not None else None
         ),
+        value_stack_fn=value_stack_fn if model.stacks_theta else None,
         name=f"induced[{model.name}]",
     )
 
@@ -221,26 +235,31 @@ def random_features(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) ->
 
     ``N(x, theta) = (1/sqrt(width)) theta @ tanh(W x)`` with W drawn once
     from a standard normal at construction; exactly linear in theta.  The
-    frozen features ``tanh(X W^T)`` of the last input batch are kept, keyed
-    on a private copy of the batch's content, so a descent over a fixed
-    dataset computes them once; any other or mutated batch recomputes.
+    frozen features ``tanh(X W^T)`` of the last input batch are kept and
+    reused while the batch is the very array of the last call, read-only
+    and owner of its data, as a dataset's inputs are, so a descent over a
+    fixed dataset computes them once; any other batch, a writable one or a
+    view, recomputes them.  ``forward`` stacks theta: k readouts
+    concatenated into one flat theta give their (d, k * out_dim) outputs
+    from one product with the features.
     """
     rng = np.random.default_rng(seed)
     w_mat = rng.standard_normal((width, in_dim))
     scale = 1.0 / np.sqrt(width)
     p = out_dim * width
-    cached = [(None, None)]  # (copy of the last batch, its read-only features)
+    cached = [(None, None)]  # (the last batch, its read-only features)
 
     def features(x):
-        batch, tau = cached[0]
-        if not np.array_equal(x, batch):
-            batch, tau = np.array(x), np.tanh(x @ w_mat.T)
-            tau.setflags(write=False)
-            cached[0] = batch, tau
+        last, tau = cached[0]
+        if x is last and not x.flags.writeable and x.flags.owndata:
+            return tau
+        tau = np.tanh(x @ w_mat.T)
+        tau.setflags(write=False)
+        cached[0] = x, tau
         return tau
 
     def forward(x, theta):
-        return scale * (features(x) @ theta.reshape(out_dim, width).T)
+        return scale * (features(x) @ theta.reshape(-1, width).T)
 
     def jacobian(x, theta):
         return _readout_jacobian(scale * features(x), out_dim)
@@ -260,6 +279,7 @@ def random_features(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) ->
         init=init,
         param_shapes=((out_dim, width),),
         linear_in_params=True,
+        stacks_theta=True,
         name=f"random_features[m={width}]",
     )
 

@@ -298,10 +298,11 @@ def check_gradients(
     """Worst finite-difference error of F and of the objective's gradient.
 
     Probes the initial point and random perturbations of it.  F is checked
-    column by column (:func:`fd_check`) and the objective one sample block
-    at a time (:func:`fd_check_functional`), so a probe costs O(d l p) and
-    the score does not grow with the sample count d.  Assembled problems
-    score below 1e-5 unless a Jacobian or gradient is wrong.
+    column by column (:func:`fd_check`, 2p forward evaluations made in
+    stacked chunks) and the objective one sample block at a time
+    (:func:`fd_check_functional`), so the score does not grow with the
+    sample count d.  Assembled problems score below 1e-5 unless a Jacobian
+    or gradient is wrong.
     """
     rng = np.random.default_rng(seed)
     theta0 = problem.theta0

@@ -42,7 +42,9 @@ class SmoothMap:
     ``value_and_vjp_fn(x)`` (optional) returns ``(F(x), pull)`` from one
     evaluation, where ``pull(v)`` computes ``J(x)* v`` without assembling
     the Jacobian; :func:`fd_check` compares ``pull`` with the Jacobian's
-    adjoint.
+    adjoint.  ``value_stack_fn(xs)`` (optional) maps a (k, domain.dim)
+    stack of points to their (k, codomain.dim) values ``value_fn(xs[j])``
+    in one evaluation; :func:`fd_check` takes its differences from it.
     """
 
     domain: WeightedSpace
@@ -54,6 +56,7 @@ class SmoothMap:
     value_and_vjp_fn: Optional[
         Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
     ] = None
+    value_stack_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value(self, x) -> np.ndarray:
         return np.asarray(self.value_fn(self.domain._coords(x)), dtype=float)
@@ -68,6 +71,14 @@ class SmoothMap:
         if self.value_and_vjp_fn is not None:
             return self.value_and_vjp_fn(x)
         return self.value_fn(x), self.jac_fn(x).adjoint_apply
+
+    def value_stack(self, xs: np.ndarray) -> np.ndarray:
+        """The (k, codomain.dim) values at the rows of the raw coordinate
+        stack xs: one call of ``value_stack_fn`` when the map has one, else
+        ``value_fn`` row by row."""
+        if self.value_stack_fn is not None:
+            return self.value_stack_fn(xs)
+        return np.stack([self.value_fn(x) for x in xs])
 
     @staticmethod
     def linear(op: LinOp, name: str = "linear") -> "SmoothMap":
@@ -189,18 +200,29 @@ def fd_score(err, norm_a, norm_b) -> float:
     return worst if math.isfinite(worst) else math.inf
 
 
+def _fd_chunk(p: int, n_out: int) -> int:
+    """Columns per chunk of :func:`fd_check`'s stacked differences: the
+    perturbed points (chunk, p) and their values (chunk, n_out) each hold at
+    most 1/8 as many numbers as the (n_out, p) Jacobian, and a chunk holds
+    at least one column."""
+    return max(1, min(p, n_out) // 8)
+
+
 def fd_check(f: SmoothMap, x, h: float = 1e-5) -> float:
     """Largest relative mismatch between Jacobian columns and central FD.
 
     The central differences ``(F(x + h e_k) - F(x - h e_k)) / 2h`` of all
     coordinate directions e_k are stacked into one array and compared
     with the Jacobian's coordinate matrix column by column in the
-    codomain norm, scored by :func:`fd_score`.  Correctly implemented maps
-    score <= 1e-5; a Jacobian off by a factor c scores about |1 - 1/c|.
-    When the map has a ``value_and_vjp_fn``, its pull-back of a fixed-seed
-    cotangent is also compared with the Jacobian's adjoint, in the domain
-    norm relative to the larger of the two (a correct one scores ~1e-15, a
-    non-finite one infinity).
+    codomain norm, scored by :func:`fd_score`.  The 2p perturbed points are
+    evaluated a chunk of columns at a time, one :meth:`SmoothMap.value_stack`
+    call per sign and chunk; without a ``value_stack_fn`` that is one
+    ``value_fn`` call per point.  Correctly implemented maps score <= 1e-5;
+    a Jacobian off by a factor c scores about |1 - 1/c|.  When the map has
+    a ``value_and_vjp_fn``, its pull-back of a fixed-seed cotangent is also
+    compared with the Jacobian's adjoint, in the domain norm relative to
+    the larger of the two (a correct one scores ~1e-15, a non-finite one
+    infinity).
     """
     if not (1e-8 <= h <= 1e-2):
         raise ValueError("fd step h must lie in [1e-8, 1e-2]")
@@ -208,10 +230,13 @@ def fd_check(f: SmoothMap, x, h: float = 1e-5) -> float:
     jac = f.jacobian(xc)
     exact = jac.matrix()
     fd = np.empty_like(exact)
-    for k in range(f.domain.dim):
-        e = np.zeros(f.domain.dim)
-        e[k] = h
-        fd[:, k] = (f.value_fn(xc + e) - f.value_fn(xc - e)) / (2.0 * h)
+    p = f.domain.dim
+    chunk = _fd_chunk(p, f.codomain.dim)
+    for start in range(0, p, chunk):
+        cols = np.arange(start, min(start + chunk, p))
+        e = np.zeros((len(cols), p))
+        e[np.arange(len(cols)), cols] = h
+        fd[:, cols] = ((f.value_stack(xc + e) - f.value_stack(xc - e)) / (2.0 * h)).T
     w = f.codomain.weights
 
     def col_norms(m):

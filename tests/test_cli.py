@@ -266,6 +266,24 @@ class TestRunCommand:
         assert not report["gradient_check"]["passed"]
         assert report["gradient_check"]["max_fd_error"] > 1e-3
 
+    def test_planted_doubled_stacked_forward_exits_two(self, tmp_path):
+        # right on one readout, doubled on a stack of them: the gate's
+        # stacked differences then disagree with the Jacobian
+        cfg = rf_config(tmp_path / "out", max_iter=10)
+        cfg["problem"]["dataset"]["synthetic"]["d"] = 32  # chunks of 4 columns
+        cfg = normalize_config(cfg)
+        problem = build_problem(cfg)
+        model = problem.model
+
+        def forward(x, theta, f=model.forward):
+            return (2.0 if theta.size > model.param_dim else 1.0) * f(x, theta)
+
+        buggy = dataclasses.replace(model, forward=forward)
+        bad = dataclasses.replace(problem, model=buggy, F=induce(buggy, problem.data))
+        report = execute(bad, cfg, tmp_path / "out")
+        assert report["exit_code"] == EXIT_VIOLATION
+        assert report["gradient_check"]["max_fd_error"] == pytest.approx(0.5, rel=1e-6)
+
     @pytest.mark.parametrize("c", [1.25, 4.0])
     def test_planted_integrand_gradient_scores_one_minus_inverse_factor(self, tmp_path, c):
         cfg = normalize_config(rf_config(tmp_path / "out", max_iter=10))

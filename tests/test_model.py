@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plgd import smoothmap
 from plgd.errors import SolverCapExceeded
 from plgd.integrand import Dataset
 from plgd.model import (
@@ -22,7 +24,7 @@ from plgd.model import (
     shallow_net,
     vae_model,
 )
-from plgd.smoothmap import Ball, certify, conditioning_at, estimate_bj
+from plgd.smoothmap import Ball, certify, conditioning_at, estimate_bj, fd_check, fd_score
 from plgd.space import LinOp, WeightedSpace, adjoint_defect
 
 
@@ -103,11 +105,12 @@ class TestRandomFeaturesCache:
     """The cached frozen features give exactly the uncached expression."""
 
     IN, WIDTH, OUT, SEED = 3, 8, 2, 1
+    TANH = staticmethod(np.tanh)  # bound here, so the `computed` count skips the oracle
 
     def uncached(self, x, theta):
         w = np.random.default_rng(self.SEED).standard_normal((self.WIDTH, self.IN))
         scale = 1.0 / np.sqrt(self.WIDTH)
-        tau = np.tanh(x @ w.T)
+        tau = self.TANH(x @ w.T)
         a = theta.reshape(self.OUT, self.WIDTH)
         forward = scale * (tau @ a.T)
         jac = np.zeros((len(x), self.OUT, self.OUT * self.WIDTH))
@@ -134,6 +137,161 @@ class TestRandomFeaturesCache:
         self.assert_uncached(model, x, theta)
         x[:] = 0.0
         self.assert_uncached(model, x, theta)
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The number of feature computations (tanh calls) made so far."""
+        calls = []
+        tanh = np.tanh
+        monkeypatch.setattr(np, "tanh", lambda a: calls.append(1) or tanh(a))
+        return calls
+
+    def test_dataset_inputs_are_computed_once(self, computed):
+        rng = np.random.default_rng(3)
+        model = random_features(self.IN, self.WIDTH, out_dim=self.OUT, seed=self.SEED)
+        theta = rng.standard_normal(model.param_dim)
+        x = Dataset(rng.standard_normal((5, self.IN))).inputs
+        self.assert_uncached(model, x, theta)
+        assert len(computed) == 1
+        self.assert_uncached(model, x, theta)
+        assert len(computed) == 1
+        self.assert_uncached(model, x.copy(), theta)  # writable: recomputed on every call
+        assert len(computed) == 4
+        self.assert_uncached(model, x, theta)
+        assert len(computed) == 5  # the copy was the last batch
+
+    def test_read_only_view_of_a_mutated_base_is_recomputed(self, computed):
+        rng = np.random.default_rng(4)
+        model = random_features(self.IN, self.WIDTH, out_dim=self.OUT, seed=self.SEED)
+        theta = rng.standard_normal(model.param_dim)
+        base = rng.standard_normal((5, self.IN))
+        view = base[:]
+        view.setflags(write=False)
+        self.assert_uncached(model, view, theta)
+        base[1, 2] += 0.5
+        self.assert_uncached(model, view, theta)
+        assert len(computed) == 6
+
+    def test_array_made_writable_again_is_recomputed(self, computed):
+        rng = np.random.default_rng(5)
+        model = random_features(self.IN, self.WIDTH, out_dim=self.OUT, seed=self.SEED)
+        theta = rng.standard_normal(model.param_dim)
+        x = rng.standard_normal((5, self.IN))
+        x.setflags(write=False)
+        self.assert_uncached(model, x, theta)
+        self.assert_uncached(model, x, theta)
+        assert len(computed) == 1
+        x.setflags(write=True)
+        x[0, 0] -= 1.0
+        self.assert_uncached(model, x, theta)
+        assert len(computed) == 4
+
+
+def fd_check_by_column(f, x, h=1e-5):
+    """``fd_check`` with one ``value_fn`` call per coordinate direction and
+    sign, the oracle of its fallback path."""
+    xc = np.asarray(x, dtype=float)
+    jac = f.jacobian(xc)
+    exact = jac.matrix()
+    fd = np.empty_like(exact)
+    for k in range(f.domain.dim):
+        e = np.zeros(f.domain.dim)
+        e[k] = h
+        fd[:, k] = (f.value_fn(xc + e) - f.value_fn(xc - e)) / (2.0 * h)
+    w = f.codomain.weights
+
+    def col_norms(m):
+        return np.sqrt(np.einsum("i,ik,ik->k", w, m, m))
+
+    worst = fd_score(col_norms(fd - exact), col_norms(exact), col_norms(fd))
+    if f.value_and_vjp_fn is not None:
+        r = np.random.default_rng(0).standard_normal(f.codomain.dim)
+        adj, vjp = jac.adjoint_apply(r), f.value_and_vjp_fn(xc)[1](r)
+        denom = max(f.domain.norm(adj), f.domain.norm(vjp))
+        rel = f.domain.norm(vjp - adj) / denom if denom > 0.0 else 0.0
+        worst = max(worst, rel) if math.isfinite(rel) else math.inf
+    return worst
+
+
+class TestStackedForward:
+    """``random_features``' stacked forward and the gradient gate's stacked,
+    chunked differences."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_is_the_value_of_each_row(self, in_dim, out_dim, d, k, seed):
+        model = random_features(in_dim, 8, out_dim=out_dim, seed=1)
+        rng = np.random.default_rng(seed)
+        f_map = induce(model, Dataset(rng.standard_normal((d, in_dim))))
+        thetas = rng.standard_normal((k, model.param_dim))
+        stack = f_map.value_stack(thetas)
+        assert stack.shape == (k, d * out_dim)
+        for i in range(k):
+            # a larger product may sum in another order; atol covers entries
+            # that cancel to near zero
+            np.testing.assert_allclose(stack[i], f_map.value_fn(thetas[i]), rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(f_map.value_stack(thetas[:1])[0], f_map.value_fn(thetas[0]))
+
+    def test_only_random_features_stacks(self):
+        stacked = [m.name for m in zoo(None)
+                   if induce(m, Dataset(np.ones((2, m.in_dim)))).value_stack_fn is not None]
+        assert stacked == ["random_features[m=8]"]
+
+    def test_fallback_scores_as_the_column_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for model in zoo(None):
+            data = Dataset(
+                rng.standard_normal((4, model.in_dim)), weights=rng.dirichlet(np.ones(4))
+            )
+            f_map = induce(model, data)
+            if f_map.value_stack_fn is not None:
+                continue
+            for _ in range(3):
+                th = model.init + rng.standard_normal(model.param_dim)
+                assert fd_check(f_map, th) == fd_check_by_column(f_map, th), model.name
+
+    def test_chunk_width_does_not_move_the_score(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        models = (linear_model(5, out_dim=3), random_features(3, 10, out_dim=2, seed=1),
+                  linear_disc(9), shallow_net(3, 5, out_dim=2, seed=1))
+        for model in models:
+            data = Dataset(
+                rng.standard_normal((5, model.in_dim)), weights=rng.dirichlet(np.ones(5))
+            )
+            f_map = induce(model, data)
+            th = model.init + rng.standard_normal(model.param_dim)
+            assert model.param_dim > 7 and model.param_dim % 7 != 0, model.name
+            monkeypatch.setattr(smoothmap, "_fd_chunk", lambda p, n_out: 7)
+            by_seven = fd_check(f_map, th)
+            monkeypatch.setattr(smoothmap, "_fd_chunk", lambda p, n_out: p)
+            assert abs(by_seven - fd_check(f_map, th)) <= 1e-12, model.name
+
+    def test_wide_gate_makes_stacked_calls_only(self):
+        # m = 2048 readout weights over d = 200 samples: the differences come
+        # from two stacked calls per chunk, never from per-column forwards
+        model = random_features(4, 2048, seed=1)
+        data = Dataset(np.random.default_rng(13).standard_normal((200, 4)))
+        f_map = induce(model, data)
+        calls = {"value": 0, "stack": 0}
+
+        def counted(name, fn):
+            def call(arg):
+                calls[name] += 1
+                return fn(arg)
+            return call
+
+        counting = dataclasses.replace(
+            f_map,
+            value_fn=counted("value", f_map.value_fn),
+            value_stack_fn=counted("stack", f_map.value_stack_fn),
+        )
+        assert fd_check(counting, model.init) <= 1e-5
+        chunks = math.ceil(model.param_dim / smoothmap._fd_chunk(model.param_dim, len(data)))
+        assert chunks < model.param_dim
+        assert calls == {"value": 0, "stack": 2 * chunks}
 
 
 class TestInduce:

@@ -87,6 +87,18 @@ class TestFdCheck:
         nan = with_pull(lambda x, v: np.full(2, np.nan))
         assert fd_check(nan, [1.0, 1.0]) == np.inf
 
+    def test_differences_come_from_the_stack(self):
+        x = [0.3, -0.7]
+
+        def with_stack(stack):
+            return dataclasses.replace(ROW, value_stack_fn=stack)
+
+        assert fd_check(with_stack(lambda xs: xs.sum(axis=1, keepdims=True)), x) <= 1e-10
+        doubled = with_stack(lambda xs: 2.0 * xs.sum(axis=1, keepdims=True))
+        assert fd_check(doubled, x) == pytest.approx(0.5)
+        nan = with_stack(lambda xs: np.full((len(xs), 1), np.nan))
+        assert fd_check(nan, x) == np.inf
+
     def test_non_finite_difference_scores_infinity(self):
         edge = scalar_map(lambda t: t if t <= 1.0 else np.nan, lambda t: 1.0)
         assert fd_check(edge, [0.5]) <= 1e-10
