@@ -97,12 +97,22 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import descent as descent_mod
-from .descent import TRACE_COLUMNS, build_ledger, minimal_ledger, monitor_rows, run, trace_columns
+from .descent import (
+    FULL_LEDGER_NEEDS,
+    TRACE_COLUMNS,
+    ConstantsLedger,
+    build_ledger,
+    minimal_ledger,
+    monitor_rows,
+    run,
+    trace_columns,
+)
 from .errors import InvalidConfig, InvalidDataset, MissingCertificate, NumericFailure, PlgdError
 from .integrand import Dataset, gaussian_nll, least_squares, softmax_ce
 from .model import (
@@ -119,6 +129,7 @@ from .problems import (
     check_gradients,
     gan_discriminator,
     objective_with_estimated_lg,
+    require_analytic,
     sampled_certificates,
     supervised,
     vae,
@@ -541,16 +552,33 @@ def _apply_overrides(cert: MapCertificate, overrides: dict) -> MapCertificate:
     return MapCertificate(K=k, L=l, lam=lam)
 
 
+def _minimal_only(problem: PrototypeProblem) -> bool:
+    """Whether a run of ``problem`` can have only a minimal ledger.
+
+    :func:`build_ledger` needs the objective's infimum, which no constant
+    estimate supplies.  Every objective whose integrand has no pointwise
+    infimum is such: supervised ``gaussian_nll`` and every GAN critic.
+    """
+    return problem.f.f_star is None
+
+
 def make_certificates(problem: PrototypeProblem, cfg: dict):
     """Certificates plus (for sampled mode) a ball refined from a pre-ledger.
 
     Sampled mode estimates on the declared ball, builds a provisional
     ledger and, unless the user pinned a radius, re-declares the ball as
     ten times the predicted travel distance before the final estimate.
-    Returns (problem, certificate, objective-with-L).
+    Returns (problem, certificate, objective-with-L).  A problem that can
+    have only a minimal ledger (:func:`_minimal_only`) gets no estimate:
+    it is returned with a None certificate and its own objective, after
+    analytic mode is refused for a model not linear in its parameters.
     """
 
     ccfg = cfg["certificates"]
+    if ccfg["mode"] == "analytic":
+        require_analytic(problem)
+    if _minimal_only(problem):
+        return problem, None, problem.f
     overrides = ccfg["overrides"]
     user_radius = cfg["problem"]["ball_radius"]
 
@@ -562,7 +590,7 @@ def make_certificates(problem: PrototypeProblem, cfg: dict):
         sampled_certificates(problem, n=ccfg["n_samples"], seed=ccfg["seed"]), overrides
     )
     obj = objective_with_estimated_lg(problem, n_pairs=ccfg["n_samples"], seed=ccfg["seed"])
-    if user_radius is None and obj.L is not None and obj.f_star is not None:
+    if user_radius is None and obj.L is not None:
         try:
             pre = build_ledger(problem.F, obj, problem.theta0, cert, alpha="auto")
         except (MissingCertificate, InvalidConfig):
@@ -584,18 +612,55 @@ def _ntk_summary(problem: PrototypeProblem, theta) -> dict:
     return {"lambda_min": g.lambda_min, "lambda_max": g.lambda_max}
 
 
+def _minimal_ledger(alpha, reason: str, warnings_list: list) -> ConstantsLedger:
+    """The minimal ledger of a run that cannot have a full one; ``reason``
+    says why, and ``alpha="auto"`` is refused because it needs a full one."""
+    if alpha == "auto":
+        raise InvalidConfig(f"alpha='auto' needs a full ledger but: {reason}")
+    warnings_list.append(f"minimal ledger: {reason}")
+    return minimal_ledger(float(alpha))
+
+
+class _PhaseClock:
+    """Wall-clock seconds of the consecutive phases of one run.
+
+    Each phase runs from the end of the previous one (the first from the
+    clock's start), so the phases add up to the time from the start to the
+    end of the last one.
+    """
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.seconds = {}
+
+    def lap(self, name: str) -> None:
+        """Close phase ``name``: it ran from the end of the previous one to now."""
+        now = time.perf_counter()
+        self.seconds[name] = now - self.last
+        self.last = now
+
+    @contextmanager
+    def phase(self, name: str):
+        """Close phase ``name`` when the block ends, also on an exception."""
+        try:
+            yield
+        finally:
+            self.lap(name)
+
+
 def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool = True) -> dict:
     """Run the full pipeline on an assembled problem; returns the report."""
-    t_start = time.perf_counter()
+    clock = _PhaseClock()
     warnings_list = []
     report = {"config": cfg, "problem": {"name": problem.name, "family": problem.family,
                                          "param_dim": problem.model.param_dim,
                                          "function_dim": problem.f.space.dim}}
 
     try:
-        fd_err = check_gradients(problem, n_probes=3, seed=cfg["certificates"]["seed"])
+        with clock.phase("gate"):
+            fd_err = check_gradients(problem, n_probes=3, seed=cfg["certificates"]["seed"])
     except NumericFailure as exc:
-        return _numeric_failure(report, exc, warnings_list, cfg, outdir, t_start)
+        return _numeric_failure(report, exc, warnings_list, cfg, outdir, clock)
     report["gradient_check"] = {
         "max_fd_error": fd_err,
         "threshold": FD_GATE,
@@ -607,51 +672,52 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
             f"gradient oracle failed: finite-difference error {fd_err:.3e} exceeds {FD_GATE}"
         ]
         _write_report(report, cfg, outdir)
-        _write_timings(outdir, t_start)
+        _write_timings(outdir, clock)
         return report
 
     try:
-        problem, cert, obj = make_certificates(problem, cfg)
+        with clock.phase("certificates"):
+            problem, cert, obj = make_certificates(problem, cfg)
     except NumericFailure as exc:
-        return _numeric_failure(report, exc, warnings_list, cfg, outdir, t_start)
+        return _numeric_failure(report, exc, warnings_list, cfg, outdir, clock)
     report["declared_ball_radius"] = problem.declared_ball.radius
 
-    alpha = cfg["descent"]["alpha"]
-    try:
-        ledger = build_ledger(problem.F, obj, problem.theta0, cert, alpha=alpha)
-    except MissingCertificate as exc:
-        if alpha == "auto":
-            raise InvalidConfig(
-                f"alpha='auto' needs a full ledger but: {exc}"
-            ) from exc
-        ledger = minimal_ledger(float(alpha))
-        warnings_list.append(f"minimal ledger: {exc}")
-    report["ledger"] = ledger.as_dict()
-    report["ntk"] = {"theta0": _ntk_summary(problem, None)}
+    with clock.phase("ledger"):
+        alpha = cfg["descent"]["alpha"]
+        if _minimal_only(problem):
+            ledger = _minimal_ledger(alpha, FULL_LEDGER_NEEDS, warnings_list)
+        else:
+            try:
+                ledger = build_ledger(problem.F, obj, problem.theta0, cert, alpha=alpha)
+            except MissingCertificate as exc:
+                ledger = _minimal_ledger(alpha, str(exc), warnings_list)
+        report["ledger"] = ledger.as_dict()
+        report["ntk"] = {"theta0": _ntk_summary(problem, None)}
 
     if not do_descent:
         report["exit_code"] = EXIT_OK
         report["warnings"] = warnings_list
         _write_report(report, cfg, outdir)
-        _write_timings(outdir, t_start)
+        _write_timings(outdir, clock)
         return report
 
     declared_radius = (
         None if cfg["certificates"]["mode"] == "analytic" else problem.declared_ball.radius
     )
     try:
-        trace, verdicts = run(
-            problem.F,
-            obj,
-            problem.theta0,
-            ledger,
-            max_iter=cfg["descent"]["max_iter"],
-            stop_gap=cfg["descent"]["stop_gap"],
-            declared_radius=declared_radius,
-        )
+        with clock.phase("descent"):
+            trace, verdicts = run(
+                problem.F,
+                obj,
+                problem.theta0,
+                ledger,
+                max_iter=cfg["descent"]["max_iter"],
+                stop_gap=cfg["descent"]["stop_gap"],
+                declared_radius=declared_radius,
+            )
+            report["ntk"]["theta_star"] = _ntk_summary(problem, trace.iterates[-1])
     except NumericFailure as exc:
-        return _numeric_failure(report, exc, warnings_list, cfg, outdir, t_start)
-    report["ntk"]["theta_star"] = _ntk_summary(problem, trace.iterates[-1])
+        return _numeric_failure(report, exc, warnings_list, cfg, outdir, clock)
     f_star = ledger.f_star
     report["iterations"] = {
         "predicted": trace.predicted_iters,
@@ -681,12 +747,13 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
     _write_report(report, cfg, outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_theta(outdir / "theta_star.json", trace.iterates[-1], problem.model.param_shapes)
-    _write_timings(outdir, t_start)
+    _write_timings(outdir, clock)
     return report
 
 
 def _numeric_failure(
-    report: dict, exc: NumericFailure, warnings_list: list, cfg: dict, outdir: Path, t_start: float
+    report: dict, exc: NumericFailure, warnings_list: list, cfg: dict, outdir: Path,
+    clock: _PhaseClock,
 ) -> dict:
     """Finish a run that hit a NumericFailure in the gate, the certificates
     or descent: exit code 3, the message and the failing descent iteration
@@ -695,7 +762,7 @@ def _numeric_failure(
     report["exit_code"] = EXIT_NUMERIC
     report["warnings"] = warnings_list
     _write_report(report, cfg, outdir)
-    _write_timings(outdir, t_start)
+    _write_timings(outdir, clock)
     return report
 
 
@@ -711,12 +778,13 @@ def _write_report(report: dict, cfg: dict, outdir: Path) -> None:
     (outdir / "report.json").write_text(text, encoding="utf-8")
 
 
-def _write_timings(outdir: Path, t_start: float) -> None:
+def _write_timings(outdir: Path, clock: _PhaseClock) -> None:
+    """timings.json: the run's wall-clock seconds and those of each phase it
+    reached; the time since the last phase closed is the ``export`` phase."""
+    clock.lap("export")
+    timings = {"wall_seconds": clock.last - clock.start, "phase_seconds": clock.seconds}
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "timings.json").write_text(
-        json.dumps({"wall_seconds": time.perf_counter() - t_start}) + "\n",
-        encoding="utf-8",
-    )
+    (outdir / "timings.json").write_text(json.dumps(timings) + "\n", encoding="utf-8")
 
 
 def _write_rows(fh, fmt: str, columns: list) -> None:

@@ -37,6 +37,11 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 #: abort when the gap exceeds this multiple of the initial gap
 DIVERGENCE_FACTOR = 10.0
+#: why :func:`build_ledger` refuses an objective without L or f_star
+FULL_LEDGER_NEEDS = (
+    "full ledger requires the objective's L and f_star; "
+    "use minimal_ledger with an explicit alpha otherwise"
+)
 
 
 @dataclass(frozen=True)
@@ -142,10 +147,7 @@ def build_ledger(
     """
     x0c = f_map.domain._coords(x0)
     if obj.L is None or obj.f_star is None:
-        raise MissingCertificate(
-            "full ledger requires the objective's L and f_star; "
-            "use minimal_ledger with an explicit alpha otherwise"
-        )
+        raise MissingCertificate(FULL_LEDGER_NEEDS)
     l_f = obj.L.value
     gap0 = float(obj.value_fn(f_map.value(x0c)) - obj.f_star)
     if gap0 < 0 and gap0 > -1e-12:
@@ -708,16 +710,14 @@ def verify(
         )
     )
 
-    # closest-optimum bound, evaluated only for computable optimum sets
-    x_hat = closest_optimum(f_map, obj, trace.iterates[0])
-    if (
-        x_hat is not None
-        and dist_bound is not None
-        and ledger.K_F is not None
-        and ledger.L is not None
-        and ledger.L_f is not None
-        and ledger.q is not None
-    ):
+    # closest-optimum bound: the optimum set is solved for only when the
+    # ledger holds every constant of the bound, and then only for
+    # computable families
+    has_constants = dist_bound is not None and all(
+        c is not None for c in (ledger.K_F, ledger.L, ledger.L_f, ledger.q)
+    )
+    x_hat = closest_optimum(f_map, obj, trace.iterates[0]) if has_constants else None
+    if x_hat is not None:
         d_hat = f_map.domain.norm(x_hat - trace.iterates[0])
         bound = (
             ledger.alpha
@@ -745,7 +745,11 @@ def verify(
                 passed=None,
                 hypothesis_met=False,
                 certified=certified,
-                detail="optimum set not computable for this family",
+                detail=(
+                    "optimum set not computable for this family"
+                    if has_constants
+                    else "constants unavailable"
+                ),
             )
         )
 

@@ -167,7 +167,6 @@ class NTKGram:
     p < d l, ``J J*`` has a kernel and ``lambda_min`` is exactly 0.0.
     """
 
-    theta: np.ndarray
     lambda_min: float
     lambda_max: float
 
@@ -181,7 +180,6 @@ def ntk_gram(model: Model, data: Dataset, theta) -> NTKGram:
     js = _stacked_jacobian(model, data, theta)
     eigs = gram_eigvalsh(js, np.ones(p), np.repeat(data.weights, model.out_dim))
     return NTKGram(
-        theta=theta,
         lambda_min=float(eigs[0]) if p >= dl else 0.0,
         lambda_max=float(eigs[-1]),
     )

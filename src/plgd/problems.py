@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,7 @@ from .integrand import (
     negate,
     vae_integrand,
 )
-from .model import Model, induce, ntk_gram
+from .model import Model, NTKGram, induce, ntk_gram
 from .objective import ScalarObjective
 from .smoothmap import (
     Ball,
@@ -71,8 +72,18 @@ class PrototypeProblem:
     def with_ball(self, radius: float) -> "PrototypeProblem":
         return replace(self, declared_ball=Ball(self.F.domain, self.theta0, radius))
 
-    def gram(self, theta=None):
-        theta = self.theta0 if theta is None else theta
+    @cached_property
+    def _gram0(self) -> NTKGram:
+        return ntk_gram(self.model, self.data, self.theta0)
+
+    def gram(self, theta=None) -> NTKGram:
+        """The tangent-kernel Gram's spectral range at theta (default theta0).
+
+        The range at theta0 is computed once per problem.  A model linear
+        in theta has one Jacobian, so its range at every theta is that one.
+        """
+        if theta is None or self.model.linear_in_params:
+            return self._gram0
         return ntk_gram(self.model, self.data, theta)
 
 
@@ -216,6 +227,15 @@ def gan_discriminator(
     return problem
 
 
+def require_analytic(problem: PrototypeProblem) -> None:
+    """Refuse analytic certificates for a model not linear in its parameters."""
+    if not problem.model.linear_in_params:
+        raise InvalidConfig(
+            f"analytic certificates unavailable for nonlinear model "
+            f"{problem.model.name!r}; use sampled certificates"
+        )
+
+
 def analytic_certificates(problem: PrototypeProblem) -> MapCertificate:
     """Exact map constants for models that are linear in their parameters.
 
@@ -224,13 +244,10 @@ def analytic_certificates(problem: PrototypeProblem) -> MapCertificate:
     the Jacobian Lipschitz constant is exactly zero.  The coercivity bound
     is dropped unless it clears the eigensolver's rounding floor
     (``space.rank_floor``), the floor below which the sampled
-    certificates' ``space.coercivity`` is 0 too.
+    certificates' ``space.coercivity`` is 0 too.  Other models are refused
+    (:func:`require_analytic`).
     """
-    if not problem.model.linear_in_params:
-        raise InvalidConfig(
-            f"analytic certificates unavailable for nonlinear model "
-            f"{problem.model.name!r}; use sampled certificates"
-        )
+    require_analytic(problem)
     g = problem.gram()
     lam = None
     if g.lambda_min > rank_floor(g.lambda_max, problem.model.param_dim, problem.f.space.dim):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plgd import cli
+from plgd import cli, descent, problems
 from plgd.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -538,6 +538,138 @@ class TestCheckCommand:
         assert any(w.startswith("minimal ledger: ") for w in warnings)
         for w in warnings:
             assert f"warning: {w}" in err
+
+
+MINIMAL_WARNING = (
+    "minimal ledger: full ledger requires the objective's L and f_star; "
+    "use minimal_ledger with an explicit alpha otherwise"
+)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a run computed what its ledger cannot use")
+
+
+def verdict(report, name):
+    return next(v for v in report["verdicts"] if v["name"] == name)
+
+
+class TestSkippedWork:
+    """A run computes only the certificates and solves its ledger can use."""
+
+    @pytest.mark.parametrize("command", [run_experiment, check_experiment])
+    def test_gan_estimates_no_constant(self, tmp_path, monkeypatch, capsys, command):
+        # no GAN integrand has an infimum, so its ledger is minimal whatever
+        # the certificates say, and none is estimated
+        for name in ("sampled_certificates", "analytic_certificates",
+                     "objective_with_estimated_lg"):
+            monkeypatch.setattr(cli, name, forbidden)
+        out = tmp_path / "out"
+        assert command(write_config(tmp_path, gan_config(out))) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["ledger"]["mode"] == "minimal"
+        assert report["warnings"] == [MINIMAL_WARNING]
+        assert f"warning: {MINIMAL_WARNING}" in capsys.readouterr().err
+
+    def test_gan_with_auto_alpha_is_still_refused(self, tmp_path, capsys):
+        cfg = gan_config(tmp_path / "out")
+        cfg["descent"]["alpha"] = "auto"
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        reason = MINIMAL_WARNING.removeprefix("minimal ledger: ")
+        assert f"error: alpha='auto' needs a full ledger but: {reason}" in capsys.readouterr().err
+
+    @staticmethod
+    def gaussian_nll_config(out):
+        cfg = rf_config(out, mode="analytic")
+        cfg["problem"]["model"] = {"kind": "shallow", "in_dim": 3, "width": 4, "seed": 1}
+        cfg["problem"]["integrand"] = {"kind": "gaussian_nll"}
+        cfg["descent"]["alpha"] = 0.05
+        return cfg
+
+    @pytest.mark.parametrize("family", ["gan", "gaussian_nll"])
+    def test_analytic_mode_on_nonlinear_model_is_still_refused(self, tmp_path, capsys, family):
+        # neither objective has an infimum, so no constant is estimated, but
+        # analytic mode on a model not linear in theta stays a config error
+        out = tmp_path / "out"
+        if family == "gan":
+            cfg = gan_config(out)
+            cfg["certificates"]["mode"] = "analytic"
+        else:
+            cfg = self.gaussian_nll_config(out)
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert "analytic certificates unavailable for nonlinear model" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_no_uc_run_solves_no_optimum_set(self, tmp_path, monkeypatch):
+        # p = 2 < d = 4: no coercivity, so no q and no closest_opt bound
+        monkeypatch.setattr(descent, "closest_optimum", forbidden)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, rf_config(out, width=2, max_iter=10))
+        assert run_experiment(path) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["ledger"]["mode"] == "no-uc"
+        v = verdict(report, "closest_opt")
+        assert v["passed"] is None and not v["hypothesis_met"]
+        assert v["detail"] == "constants unavailable"
+
+    def test_full_ledger_run_solves_the_optimum_set_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, real=descent.closest_optimum):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(descent, "closest_optimum", counted)
+        out = tmp_path / "out"
+        assert run_experiment(write_config(tmp_path, rf_config(out, max_iter=100))) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["ledger"]["mode"] == "full" and len(calls) == 1
+        assert verdict(report, "closest_opt")["detail"].startswith("distance to nearest optimum")
+
+    def test_theta_linear_analytic_run_makes_one_gram(self, tmp_path, monkeypatch):
+        # the Jacobian does not move with theta: the certificates and both
+        # kernel summaries share one Gram
+        calls = []
+
+        def counted(*args, real=problems.ntk_gram):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(problems, "ntk_gram", counted)
+        out = tmp_path / "out"
+        assert run_experiment(write_config(tmp_path, rf_config(out, max_iter=100))) == EXIT_OK
+        assert len(calls) == 1
+        ntk = json.loads((out / "report.json").read_text())["ntk"]
+        assert ntk["theta_star"] == ntk["theta0"]
+
+
+class TestTimings:
+    PHASES = ["gate", "certificates", "ledger", "descent", "export"]
+
+    @staticmethod
+    def timings(out):
+        t = json.loads((out / "timings.json").read_text())
+        phases = t["phase_seconds"]
+        assert all(s >= 0.0 for s in phases.values())
+        assert sum(phases.values()) == pytest.approx(t["wall_seconds"], rel=1e-9)
+        return list(phases)
+
+    def test_run_times_every_phase(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_experiment(write_config(tmp_path, rf_config(out, max_iter=100))) == EXIT_OK
+        assert self.timings(out) == self.PHASES
+
+    def test_check_has_no_descent_phase(self, tmp_path):
+        out = tmp_path / "out"
+        assert check_experiment(write_config(tmp_path, rf_config(out))) == EXIT_OK
+        assert self.timings(out) == ["gate", "certificates", "ledger", "export"]
+
+    def test_failed_descent_is_timed_up_to_the_failure(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="outside"):
+            code = run_experiment(write_config(tmp_path, r1_unsquashed_config(out)))
+        assert code == EXIT_NUMERIC
+        assert self.timings(out) == self.PHASES
 
 
 class TestDeterminism:

@@ -112,6 +112,20 @@ class TestRun:
         assert v.passed and abs(v.bound - measured) <= 1e-12
         assert verdicts.violations() == []
 
+    def test_full_ledger_without_computable_optimum_set(self):
+        # the ledger holds every constant of the closest_opt bound, but a map
+        # not known to be linear has no computable optimum set
+        f = quadratic(S2, np.diag([1.0, 4.0]))
+        opaque = dataclasses.replace(SmoothMap.identity(S2), linear_op=None)
+        cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
+        x0 = np.array([1.0, 1.0])
+        led = build_ledger(opaque, f, x0, cert, alpha="auto")
+        assert led.mode == "full"
+        _, verdicts = run(opaque, f, x0, led, max_iter=50)
+        v = verdicts.get("closest_opt")
+        assert v.passed is None and not v.hypothesis_met
+        assert v.detail == "optimum set not computable for this family"
+
     def test_quadratic_exact_geometric_decay(self):
         f = quadratic(S2, np.diag([1.0, 4.0]))
         ident = SmoothMap.identity(S2)

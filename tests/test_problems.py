@@ -4,7 +4,14 @@ import pytest
 from plgd.descent import build_ledger, run
 from plgd.errors import InvalidConfig, InvalidDataset
 from plgd.integrand import Dataset, gaussian_nll, least_squares, softmax_ce
-from plgd.model import linear_disc, random_features, shallow_disc, shallow_net, linear_model
+from plgd.model import (
+    linear_disc,
+    linear_model,
+    ntk_gram,
+    random_features,
+    shallow_disc,
+    shallow_net,
+)
 from plgd.problems import (
     DEFAULT_BALL_RADIUS,
     analytic_certificates,
@@ -165,6 +172,25 @@ class TestGan:
         )
         assert check_gradients(wgan, n_probes=5, seed=0) <= 1e-5
         assert check_gradients(r1, n_probes=5, seed=0) <= 1e-5
+
+
+class TestGram:
+    def test_theta_linear_model_has_one_gram(self):
+        prob = rf_least_squares()
+        g0 = prob.gram()
+        assert prob.gram(prob.theta0 + 1.0) is g0
+        ref = ntk_gram(prob.model, prob.data, prob.theta0 + 1.0)
+        assert (ref.lambda_min, ref.lambda_max) == (g0.lambda_min, g0.lambda_max)
+
+    def test_nonlinear_model_gram_moves_with_theta(self):
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.standard_normal((3, 2)), targets=rng.standard_normal((3, 1)))
+        prob = supervised(shallow_net(2, 4, seed=0), data, least_squares(k=1))
+        assert prob.gram() is prob.gram()
+        moved = prob.gram(prob.theta0 + 1.0)
+        ref = ntk_gram(prob.model, prob.data, prob.theta0 + 1.0)
+        assert (moved.lambda_min, moved.lambda_max) == (ref.lambda_min, ref.lambda_max)
+        assert moved.lambda_max != prob.gram().lambda_max
 
 
 class TestCertificateModes:
