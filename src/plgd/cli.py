@@ -201,6 +201,16 @@ def _require_sizes(section: dict, keys: tuple, path: str, least: int = 1) -> Non
             raise InvalidConfig(f"{path}.{key}: must be an integer >= {least}; got {v!r}")
 
 
+def _finite_number(v) -> bool:
+    """A JSON number that is not a bool and is a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 def normalize_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in documented defaults."""
     top = _require_keys(
@@ -338,8 +348,15 @@ def normalize_config(raw: dict) -> dict:
         {"alpha": "auto", "max_iter": 10000, "stop_gap": None},
         "config.descent",
     )
-    if desc["alpha"] != "auto" and not (isinstance(desc["alpha"], (int, float)) and desc["alpha"] > 0):
-        raise InvalidConfig("config.descent.alpha: must be 'auto' or a positive number")
+    alpha, stop_gap = desc["alpha"], desc["stop_gap"]
+    if alpha != "auto" and not (_finite_number(alpha) and alpha > 0):
+        raise InvalidConfig(
+            f"config.descent.alpha: must be 'auto' or a finite positive number; got {alpha!r}"
+        )
+    if stop_gap is not None and not (_finite_number(stop_gap) and stop_gap >= 0):
+        raise InvalidConfig(
+            f"config.descent.stop_gap: must be null or a finite number >= 0; got {stop_gap!r}"
+        )
     _require_sizes(desc, ("max_iter",), "config.descent")
 
     out = _require_keys(

@@ -548,19 +548,19 @@ def run(
     if (weights == 1.0).all():
 
         def norm(c) -> float:
-            return math.sqrt(np.dot(c, c))  # 1.0 * c == c: the weighted norm, bit for bit
+            return math.sqrt(c.dot(c))  # 1.0 * c == c: the weighted norm, bit for bit
 
     else:
 
         def norm(c) -> float:
-            return math.sqrt(np.dot(weights * c, c))  # WeightedSpace.norm's arithmetic
+            return math.sqrt((weights * c).dot(c))  # WeightedSpace.norm's arithmetic
 
     def evaluate(x, i):
         """Loss, gradient and gradient norm at iterate i from one objective
         call; a failure names the iteration."""
         try:
             fx, pull = value_and_vjp(x)
-            loss, grad_f = value_and_grad(np.asarray(fx, dtype=float))
+            loss, grad_f = value_and_grad(fx)
             g = pull(grad_f)
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} at {_at(i)}", iteration=i) from exc

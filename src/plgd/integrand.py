@@ -245,7 +245,8 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
         r = z - _float_targets(data, k)
         g = r if inv2 is None else inv2 * r
         # np.sum's own reduction, without its Python-level dispatch
-        return 0.5 * np.add.reduce(g * r, axis=1) + const, g
+        half = 0.5 * np.add.reduce(g * r, axis=1)
+        return (half + const if const else half), g  # half >= +0, so + 0.0 is exact
 
     return Integrand(
         k,
@@ -404,18 +405,35 @@ def gan_integrand(kind: str, beta: float, k: int) -> Integrand:
         return data.mix[:, 0], data.mix[:, 1]
 
     if kind == "wgan_gp":
+        cached = [(None, None)]  # (the last dataset, its data-only terms)
+
+        def data_terms(data):
+            """``dr``, ``dg``, the score gradient ``dr - dg`` and the prefix
+            ``-(dr + dg) * beta * 2.0`` of the penalty gradient, computed once
+            per dataset (a frozen dataset's arrays are read-only)."""
+            last, terms = cached[0]
+            if data is last:
+                return terms
+            dr, dg = mixture(data)
+            terms = dr, dg, dr - dg, -(dr + dg) * beta * 2.0
+            cached[0] = data, terms
+            return terms
 
         def value_and_grad_fn(data, z):
-            dr, dg = mixture(data)
+            dr, dg, g_y, g_w = data_terms(data)
             y, w = z[:, 0], z[:, 1:]
-            nw = np.linalg.norm(w, axis=1)
-            pen = beta * (nw - 1.0) ** 2
+            nw = np.sqrt(np.add.reduce(w * w, axis=1))  # np.linalg.norm(w, axis=1), bit for bit
+            nw_1 = nw - 1.0
+            pen = beta * nw_1**2
+            g = np.empty_like(z)
+            g[:, 0] = g_y
             # cone point of ||w|| at 0: penalty gradient taken as 0 there
             cone = nw <= 1e-30
-            coef = np.where(cone, 0.0, -(dr + dg) * beta * 2.0 * (nw - 1.0))
-            g = np.empty_like(z)
-            g[:, 0] = dr - dg
-            g[:, 1:] = coef[:, None] * (w / np.where(cone, 1.0, nw)[:, None])
+            if np.logical_or.reduce(cone):  # cone.any() without its Python-level frame
+                coef = np.where(cone, 0.0, g_w * nw_1)
+                np.multiply(coef[:, None], w / np.where(cone, 1.0, nw)[:, None], out=g[:, 1:])
+            else:
+                np.multiply((g_w * nw_1)[:, None], w / nw[:, None], out=g[:, 1:])
             return dr * (y - pen) + dg * (-y - pen), g
 
     else:  # r1
@@ -485,7 +503,7 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
 
     def flat(g) -> np.ndarray:
         g = g.reshape(-1)
-        if not math.isfinite(np.dot(g, g)):
+        if not math.isfinite(g.dot(g)):
             i = _first_bad_row(g.reshape(d, -1))
             if i is not None:
                 raise NumericFailure(f"non-finite integrand gradient at sample {i}")

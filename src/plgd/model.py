@@ -100,11 +100,13 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     dataset's function space.  For a sample mass w_i the adjoint action is
     ``f -> sum_i w_i J_i^T f_i``, matching the weighted metric on both
     sides (checked by the adjoint-identity tests); the Jacobian operator is
-    the stacked (d l, p) matrix, whose weighted adjoint is that action.  A
-    nonlinear model with a ``forward_vjp`` gives the map a
-    ``value_and_vjp_fn`` that returns the value and the same adjoint action
-    from one forward pass, without assembling the Jacobian; the Jacobian
-    still serves the gradient gate and the certificates.  A model that
+    the stacked (d l, p) matrix, whose weighted adjoint is that action.  The
+    map's ``value_and_vjp_fn`` returns the value and the same adjoint
+    action: for a model linear in theta, ``forward`` and the constant
+    matrix's ``M^T (w f)`` (its adjoint without the exact divide by unit
+    domain weights); for a nonlinear model with a ``forward_vjp``, one
+    forward pass, without assembling the Jacobian, which still serves the
+    gradient gate and the certificates.  A model that
     ``stacks_theta`` gives the map a ``value_stack_fn``: one ``forward``
     call on the flattened (k, p) stack, its (d, k l) outputs regrouped
     into k rows of the function space.
@@ -117,6 +119,7 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     theta_space = WeightedSpace.unit(model.param_dim)
     fn_space = data.function_space(model.out_dim)
     wrep = fn_space.weights
+    d, l = len(data), model.out_dim
 
     def value_fn(theta):
         return model.forward(data.inputs, theta).reshape(-1)
@@ -124,24 +127,32 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     def jac_fn(theta):
         return LinOp(theta_space, fn_space, _stacked_jacobian(model, data, theta))
 
-    def value_and_vjp_fn(theta):
-        z, pull = model.forward_vjp(data.inputs, theta)
-        return z.reshape(-1), lambda f: pull((wrep * f).reshape(len(data), model.out_dim))
-
     def value_stack_fn(thetas):
         z = model.forward(data.inputs, thetas.reshape(-1))        # (d, k l)
-        return z.reshape(len(data), len(thetas), -1).transpose(1, 0, 2).reshape(len(thetas), -1)
+        return z.reshape(d, len(thetas), -1).transpose(1, 0, 2).reshape(len(thetas), -1)
 
     linear_op = jac_fn(model.init) if model.linear_in_params else None
+    if linear_op is not None:
+        mat_t = linear_op.mat.T
+
+        def value_and_vjp_fn(theta):
+            return value_fn(theta), lambda f: mat_t @ (wrep * f)
+
+    elif model.forward_vjp is not None:
+
+        def value_and_vjp_fn(theta):
+            z, pull = model.forward_vjp(data.inputs, theta)
+            return z.reshape(-1), lambda f: pull((wrep * f).reshape(d, l))
+
+    else:
+        value_and_vjp_fn = None
     return SmoothMap(
         domain=theta_space,
         codomain=fn_space,
         value_fn=value_fn,
         jac_fn=(lambda _theta, op=linear_op: op) if linear_op is not None else jac_fn,
         linear_op=linear_op,
-        value_and_vjp_fn=(
-            value_and_vjp_fn if linear_op is None and model.forward_vjp is not None else None
-        ),
+        value_and_vjp_fn=value_and_vjp_fn,
         value_stack_fn=value_stack_fn if model.stacks_theta else None,
         name=f"induced[{model.name}]",
     )
@@ -417,19 +428,23 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
     def split(theta):
         return theta[:n_w].reshape(width, in_dim), theta[n_w:]
 
-    def raw_parts(x, theta):
+    def raw_parts(x, theta, u=None, grad_x=None):
+        """The hidden layer's terms ``(W, a, tau, dtau, a dtau)``, the score
+        u (d,) and its input gradient grad_x (d, in_dim), the last two
+        written into the arrays ``u`` and ``grad_x`` when given."""
         w_mat, a = split(theta)
         tau = np.tanh(x @ w_mat.T)                              # (d, width)
         dtau = 1.0 - tau**2
-        u = scale * (tau @ a)                                   # (d,)
-        grad_x = scale * ((a * dtau) @ w_mat)                   # (d, in_dim)
-        return w_mat, a, tau, dtau, u, grad_x
+        a_dtau = a * dtau
+        u = np.multiply(scale, tau @ a, out=u)
+        grad_x = np.multiply(scale, a_dtau @ w_mat, out=grad_x)
+        return (w_mat, a, tau, dtau, a_dtau), u, grad_x
 
     def raw_jacobians(x, theta):
-        w_mat, a, tau, dtau, u, grad_x = raw_parts(x, theta)
+        (w_mat, a, tau, dtau, a_dtau), u, grad_x = raw_parts(x, theta)
         d = len(x)
         du = np.empty((d, p))
-        du[:, :n_w] = (scale * (a * dtau)[:, :, None] * x[:, None, :]).reshape(d, n_w)
+        du[:, :n_w] = (scale * a_dtau[:, :, None] * x[:, None, :]).reshape(d, n_w)
         du[:, n_w:] = scale * tau
         # d grad_x[c] / d a_j = scale (1 - tau_j^2) W_{j,c}
         # d grad_x[c] / d W_{j,e} = scale a_j (-2 tau_j dtau_j x_e W_{j,c}
@@ -440,24 +455,27 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
             -2.0 * scale * (a * tau * dtau)[:, None, :, None]
             * w_mat.T[None, :, :, None] * x[:, None, None, :]
         )  # (d, in_dim c, width j, in_dim e)
-        block += scale * (a * dtau)[:, None, :, None] * np.eye(in_dim)[None, :, None, :]
+        block += scale * a_dtau[:, None, :, None] * np.eye(in_dim)[None, :, None, :]
         dgrad[:, :, :n_w] = block.reshape(d, in_dim, n_w)
         return u, grad_x, du, dgrad
 
-    def raw_vjp(x, w_mat, a, tau, dtau, g_u, g_x):
+    def raw_vjp(x, w_mat, a, tau, dtau, a_dtau, g_u, g_x):
         """``sum_i du_i^T g_u_i + dgrad_i^T g_x_i`` from the same derivatives
-        as ``raw_jacobians``, contracted over (d, width) blocks."""
+        as ``raw_jacobians``, contracted over (d, width) blocks and written
+        into one (p,) array: the W block, then the a block."""
         p_hid = g_x @ w_mat.T                                   # sum_c g_x[c] W_{j,c}
-        coef = a * dtau * (g_u[:, None] - 2.0 * tau * p_hid)
-        grad_w = scale * (coef.T @ x + a[:, None] * (dtau.T @ g_x))
-        grad_a = scale * (tau.T @ g_u + (dtau * p_hid).sum(axis=0))
-        return np.concatenate([grad_w.reshape(-1), grad_a])
+        coef = a_dtau * (g_u[:, None] - 2.0 * tau * p_hid)
+        out = np.empty(p)
+        grad_w = coef.T @ x + a[:, None] * (dtau.T @ g_x)
+        np.multiply(scale, grad_w, out=out[:n_w].reshape(width, in_dim))
+        np.multiply(scale, tau.T @ g_u + np.add.reduce(dtau * p_hid, axis=0), out=out[n_w:])
+        return out
 
     if not squash:
 
         def forward_vjp(x, theta):
-            *parts, u, grad_x = raw_parts(x, theta)
-            z = np.concatenate([u[:, None], grad_x], axis=1)
+            z = np.empty((len(x), 1 + in_dim))
+            parts, _, _ = raw_parts(x, theta, z[:, 0], z[:, 1:])
             return z, lambda g: raw_vjp(x, *parts, g[:, 0], g[:, 1:])
 
         def jacobian(x, theta):
@@ -467,7 +485,7 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
     else:
 
         def forward_vjp(x, theta):
-            *parts, u, grad_x = raw_parts(x, theta)
+            parts, u, grad_x = raw_parts(x, theta)
             s = _sigmoid(u)
             ds = s * (1.0 - s)
 
@@ -477,7 +495,10 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
                 g_u = ds * g[:, 0] + dds * np.einsum("ic,ic->i", g[:, 1:], grad_x)
                 return raw_vjp(x, *parts, g_u, ds[:, None] * g[:, 1:])
 
-            return np.concatenate([s[:, None], ds[:, None] * grad_x], axis=1), pull
+            z = np.empty((len(x), 1 + in_dim))
+            z[:, 0] = s
+            np.multiply(ds[:, None], grad_x, out=z[:, 1:])
+            return z, pull
 
         def jacobian(x, theta):
             u, grad_x, du, dgrad = raw_jacobians(x, theta)

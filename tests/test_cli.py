@@ -812,6 +812,39 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("stop_gap", "abc", "must be null or a finite number >= 0"),
+            ("stop_gap", float("nan"), "must be null or a finite number >= 0"),
+            ("stop_gap", float("inf"), "must be null or a finite number >= 0"),
+            ("stop_gap", -1.0, "must be null or a finite number >= 0"),
+            ("stop_gap", True, "must be null or a finite number >= 0"),
+            ("alpha", True, "must be 'auto' or a finite positive number"),
+            ("alpha", float("nan"), "must be 'auto' or a finite positive number"),
+            ("alpha", float("inf"), "must be 'auto' or a finite positive number"),
+            ("alpha", 10**400, "must be 'auto' or a finite positive number"),
+            ("alpha", "0.5", "must be 'auto' or a finite positive number"),
+        ],
+        ids=["stop_gap_str", "stop_gap_nan", "stop_gap_inf", "stop_gap_negative",
+             "stop_gap_bool", "alpha_bool", "alpha_nan", "alpha_inf", "alpha_huge_int",
+             "alpha_str"],
+    )
+    def test_descent_numbers_are_validated(self, tmp_path, capsys, key, value, rule):
+        cfg = tight_config(tmp_path / "out")
+        cfg["descent"][key] = value
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: config.descent.{key}: {rule}; got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("stop_gap", 0), ("stop_gap", None),
+                                            ("alpha", 1), ("alpha", "auto")])
+    def test_descent_numbers_accepted(self, tmp_path, key, value):
+        cfg = tight_config(tmp_path / "out", alpha=0.25)
+        cfg["descent"][key] = value
+        assert normalize_config(cfg)["descent"][key] == value
+
+    @pytest.mark.parametrize(
         "make, key, value, least",
         [
             (rf_config, "d", 2.5, 1),

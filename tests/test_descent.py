@@ -24,7 +24,7 @@ from plgd.descent import (
 )
 from plgd.errors import InvalidConfig, MissingCertificate, NumericFailure
 from plgd.integrand import Dataset, Integrand, integral_functional, least_squares
-from plgd.model import linear_model, shallow_net, induce
+from plgd.model import induce, linear_model, random_features, shallow_net
 from plgd.objective import ScalarObjective, quadratic
 from plgd.problems import analytic_certificates, supervised
 from plgd.smoothmap import CertValue, MapCertificate, SmoothMap
@@ -41,6 +41,20 @@ def tight_problem():
     prob = supervised(model, data, least_squares(k=1))
     cert = analytic_certificates(prob)
     return prob, cert
+
+
+def sweep_critic(width):
+    """The benchmark gan sweep's wgan_gp critic problem at the given width."""
+    return build_problem(normalize_config({
+        "problem": {
+            "family": "gan",
+            "disc": {"kind": "shallow", "width": width, "seed": 4},
+            "gan_kind": "wgan_gp",
+            "beta": 1.0,
+            "dataset": {"synthetic": {"kind": "two_gaussians", "n_real": 16,
+                                      "n_gen": 16, "in_dim": 2, "seed": 0}},
+        },
+    }))
 
 
 class TestBuildLedger:
@@ -254,37 +268,66 @@ class TestRun:
         assert str(info.value) == f"non-finite integrand {part} at sample 1 at iteration {k}"
 
     def test_fused_objective_call_once_per_iterate(self):
-        prob, cert = tight_problem()
-        led = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha=0.25)
-        calls = []
+        # one objective call and one map call per iterate, and neither the
+        # map's value_fn nor its Jacobian inside the loop
+        tight, cert = tight_problem()
+        rng = np.random.default_rng(2)
+        rf = supervised(random_features(3, 16, seed=1),
+                        Dataset(rng.standard_normal((8, 3)), targets=rng.standard_normal((8, 1))),
+                        least_squares(k=1))
+        cases = [
+            (tight, build_ledger(tight.F, tight.f, tight.theta0, cert, alpha=0.25)),
+            (rf, build_ledger(rf.F, rf.f, rf.theta0, analytic_certificates(rf), alpha="auto")),
+            (sweep_critic(16), minimal_ledger(0.01)),
+        ]
+        for prob, led in cases:
+            obj_calls, map_calls = [], []
 
-        def fused(h, f=prob.f.value_and_grad_fn):
-            calls.append(1)
-            return f(h)
+            def fused(h, f=prob.f.value_and_grad_fn):
+                obj_calls.append(1)
+                return f(h)
 
-        def separate(h):
-            raise AssertionError("the loop calls only the fused objective")
+            def mapped(x, fn=prob.F.value_and_vjp_fn):
+                map_calls.append(1)
+                return fn(x)
 
-        obj = dataclasses.replace(prob.f, value_fn=separate, grad_fn=separate,
-                                  value_and_grad_fn=fused)
-        trace, _ = run(prob.F, obj, prob.theta0, led, max_iter=50)
-        assert len(calls) == trace.n_steps + 1 == len(trace.losses)
-        want, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=50)
-        assert np.array_equal(trace.losses, want.losses)
+            def separate(h):
+                raise AssertionError("the loop calls only the fused objective and map")
 
-    def test_vjp_step_matches_assembled_jacobian_step(self):
-        # the width-16 critic of the benchmark's gan sweep, 1000 steps
+            obj = dataclasses.replace(prob.f, value_fn=separate, grad_fn=separate,
+                                      value_and_grad_fn=fused)
+            f_map = dataclasses.replace(prob.F, value_fn=separate, jac_fn=separate,
+                                        value_and_vjp_fn=mapped)
+            trace, _ = run(f_map, obj, prob.theta0, led, max_iter=50)
+            assert len(obj_calls) == len(map_calls) == trace.n_steps + 1 == len(trace.losses)
+            want, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=50)
+            assert np.array_equal(trace.losses, want.losses)
+
+    def test_linear_map_step_equals_adjoint_step(self):
+        # the benchmark's rf_certified problem, all 4183 iterates: the induced
+        # map's value_and_vjp_fn against value_fn and the Jacobian's adjoint
         cfg = normalize_config({
             "problem": {
-                "family": "gan",
-                "disc": {"kind": "shallow", "width": 16, "seed": 4},
-                "gan_kind": "wgan_gp",
-                "beta": 1.0,
-                "dataset": {"synthetic": {"kind": "two_gaussians", "n_real": 16,
-                                          "n_gen": 16, "in_dim": 2, "seed": 0}},
+                "family": "supervised",
+                "model": {"kind": "random_features", "in_dim": 8, "width": 256, "seed": 1},
+                "dataset": {"synthetic": {"kind": "gaussian", "d": 64, "in_dim": 8,
+                                          "target_dim": 1, "seed": 3}},
+                "integrand": {"kind": "least_squares"},
             },
         })
         prob = build_problem(cfg)
+        assert prob.F.value_and_vjp_fn is not None
+        led = build_ledger(prob.F, prob.f, prob.theta0, analytic_certificates(prob), alpha="auto")
+        fast, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=100000, keep_every=1)
+        slow, _ = run(dataclasses.replace(prob.F, value_and_vjp_fn=None), prob.f, prob.theta0,
+                      led, max_iter=100000, keep_every=1)
+        assert fast.n_steps == slow.n_steps == 4182
+        for name in ("iterates", "losses", "grad_norms", "step_norms", "dist_from_init"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+
+    def test_vjp_step_matches_assembled_jacobian_step(self):
+        # the width-16 critic of the benchmark's gan sweep, 1000 steps
+        prob = sweep_critic(16)
         assert prob.F.value_and_vjp_fn is not None
         led = minimal_ledger(0.01)
         fast, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=1000, keep_every=1)

@@ -336,17 +336,33 @@ class TestInduce:
         assert induce(random_features(2, 4, seed=0), data).linear_op is not None
         assert induce(shallow_net(2, 4, seed=0), data).linear_op is None
 
-    def test_vjp_fn_only_for_nonlinear_models_with_vjp(self):
+    def test_vjp_fn_for_linear_models_and_models_with_vjp(self):
         rng = np.random.default_rng(6)
-        linear_with_vjp = dataclasses.replace(
-            linear_model(3), forward_vjp=lambda x, th: (x @ th[:, None], lambda g: g[:, 0] @ x)
-        )
+
+        def unused(x, th):
+            raise AssertionError("a linear map pulls back through its constant matrix")
+
+        linear_with_vjp = dataclasses.replace(linear_model(3), forward_vjp=unused)
         models = zoo(rng) + [linear_with_vjp]
-        with_vjp = [
-            m.name for m in models
-            if induce(m, Dataset(rng.standard_normal((3, m.in_dim)))).value_and_vjp_fn is not None
-        ]
-        assert with_vjp == ["shallow[m=5]", "shallow_disc[m=6]", "shallow_disc[m=6,squash]"]
+        maps = [induce(m, Dataset(rng.standard_normal((3, m.in_dim)))) for m in models]
+        without = [m.name for m, f in zip(models, maps) if f.value_and_vjp_fn is None]
+        assert without == ["vae[shallow[m=4]|shallow[m=4]]"]
+        _, pull = maps[-1].value_and_vjp(np.ones(3))
+        assert np.array_equal(pull(np.ones(3)), maps[-1].linear_op.adjoint_apply(np.ones(3)))
+
+    @pytest.mark.parametrize("model", [linear_model(3, out_dim=2), random_features(3, 8, out_dim=2)],
+                             ids=["linear", "random_features"])
+    def test_linear_vjp_fn_equals_value_and_adjoint_bit_for_bit(self, model):
+        rng = np.random.default_rng(8)
+        weights = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
+        f_map = induce(model, Dataset(rng.standard_normal((5, 3)), weights=weights))
+        assert f_map.value_and_vjp_fn is not None
+        for _ in range(5):
+            th = rng.standard_normal(model.param_dim)
+            v = rng.standard_normal(f_map.codomain.dim)
+            fx, pull = f_map.value_and_vjp(th)
+            assert np.array_equal(fx, f_map.value_fn(th))
+            assert np.array_equal(pull(v), f_map.jac_fn(th).adjoint_apply(v))
 
     def test_vjp_fn_equals_weighted_adjoint(self):
         rng = np.random.default_rng(7)
@@ -386,9 +402,72 @@ class TestInduce:
         assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+def _shallow_disc_separate(in_dim, width, squash):
+    """``shallow_disc``'s output and VJP by its formulas written out one
+    step at a time: ``(value(x, theta), vjp(x, theta, g))``."""
+    scale = 1.0 / np.sqrt(width)
+    n_w = width * in_dim
+
+    def raw_parts(x, theta):
+        w_mat, a = theta[:n_w].reshape(width, in_dim), theta[n_w:]
+        tau = np.tanh(x @ w_mat.T)
+        dtau = 1.0 - tau**2
+        u = scale * (tau @ a)
+        grad_x = scale * ((a * dtau) @ w_mat)
+        return w_mat, a, tau, dtau, u, grad_x
+
+    def raw_vjp(x, w_mat, a, tau, dtau, g_u, g_x):
+        p_hid = g_x @ w_mat.T
+        coef = a * dtau * (g_u[:, None] - 2.0 * tau * p_hid)
+        grad_w = scale * (coef.T @ x + a[:, None] * (dtau.T @ g_x))
+        grad_a = scale * (tau.T @ g_u + (dtau * p_hid).sum(axis=0))
+        return np.concatenate([grad_w.reshape(-1), grad_a])
+
+    def sigmoid(u):
+        e = np.exp(-np.abs(u))
+        return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    def value(x, theta):
+        *_, u, grad_x = raw_parts(x, theta)
+        if not squash:
+            return np.concatenate([u[:, None], grad_x], axis=1)
+        s = sigmoid(u)
+        ds = s * (1.0 - s)
+        return np.concatenate([s[:, None], ds[:, None] * grad_x], axis=1)
+
+    def vjp(x, theta, g):
+        *parts, u, grad_x = raw_parts(x, theta)
+        if not squash:
+            return raw_vjp(x, *parts, g[:, 0], g[:, 1:])
+        s = sigmoid(u)
+        ds = s * (1.0 - s)
+        dds = ds * (1.0 - 2.0 * s)
+        g_u = ds * g[:, 0] + dds * np.einsum("ic,ic->i", g[:, 1:], grad_x)
+        return raw_vjp(x, *parts, g_u, ds[:, None] * g[:, 1:])
+
+    return value, vjp
+
+
 class TestVJP:
     """The hand-written vector-Jacobian products against the contraction
     of the assembled Jacobian, their oracle."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 4), st.integers(1, 9), st.integers(1, 7), st.booleans(),
+        st.sampled_from([1e-3, 1.0, 30.0]), st.integers(0, 2**32 - 1),
+    )
+    def test_critic_equals_separate_bit_for_bit(self, in_dim, width, d, squash, scale, seed):
+        rng = np.random.default_rng(seed)
+        model = shallow_disc(in_dim, width, squash=squash)
+        value, vjp = _shallow_disc_separate(in_dim, width, squash)
+        x = scale * rng.standard_normal((d, in_dim))
+        th = scale * rng.standard_normal(model.param_dim)
+        g = scale * rng.standard_normal((d, 1 + in_dim))
+        z, pull = model.forward_vjp(x, th)
+        assert np.array_equal(z, value(x, th))
+        assert np.array_equal(model.forward(x, th), z)
+        assert np.array_equal(pull(g), vjp(x, th, g))
 
     MODELS = (
         shallow_net(3, 5, out_dim=1, seed=1),
