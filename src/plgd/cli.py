@@ -18,50 +18,57 @@ certificates are reported as warnings); 3 when the gradient gate, the
 certificates or descent hit a non-finite or out-of-domain value
 (``report.json`` then records the message and the failing descent
 iteration, null before descent, under ``numeric_failure``).  A sweep
-exits with the worst code of its runs; a value whose problem or
-certificates cannot be built prints ``error: <axis>=<value>: <message>``,
-counts as code 1 and gets a ``summary.csv`` row with empty cells, and the
-sweep goes on.
-Width and datasize values must be integers >= 1, as must every integer
-size and count in the config (``in_dim``, ``out_dim``, ``width``,
-``latent_dim``, ``count``, ``classes``, ``n_samples``, ``max_iter``, and a
-synthetic dataset's ``d``, ``n_real`` and ``n_gen``); a synthetic
-``target_dim`` must be an integer >= 0.
+exits with the worst code of its runs.  Each value's config is checked
+like a run's; a value whose config, problem or certificates cannot be
+built prints ``error: <axis>=<value>: <message>``, counts as code 1 and
+gets a ``summary.csv`` row with empty cells, and the sweep goes on.  A
+value's warnings and numeric failure print as ``warning: <axis>=<value>:
+...`` and ``error: <axis>=<value>: ...``.  Width and datasize values must
+be integers >= 1.
 
 Config schema (JSON; unknown keys are rejected)
 -----------------------------------------------
-::
+The table ``CONFIG`` states each key's rule and default once.  A value
+that breaks its rule prints ``error: config.<key>: must be ...; got ...``
+(``dataset.<key>`` for a dataset's own keys) and exits 1.  Below, ``int``
+is an integer >= 1 (not a bool), ``seed`` an integer >= 0, ``pos`` a
+finite number > 0 and ``num0`` a finite number >= 0::
 
     {
       "problem": {
         "family": "supervised" | "vae" | "gan",
-        "ball_radius": number | null,        # optional declared trust radius
+        "ball_radius": num0 | null,          # optional declared trust radius
         # supervised
         "model": {"kind": "linear"|"random_features"|"shallow",
-                  "in_dim": int, "out_dim": int, "width": int, "seed": int},
+                  "in_dim": int, "out_dim": int, "width": int, "seed": seed},
         "dataset": {...},                    # see below
-        "integrand": {"kind": "least_squares", "sigma": [...]}
+        "integrand": {"kind": "least_squares", "sigma": [pos, ...]}
                    | {"kind": "gaussian_nll"}
                    | {"kind": "softmax", "classes": int},
         # vae
-        "encoder": {"width": int, "seed": int},
-        "decoder": {"width": int, "seed": int},
-        "latent_dim": int, "beta": number,
-        "noise": {"count": int, "seed": int},
-        "recon_sigma": [...],                # optional fixed variances
+        "encoder": {"width": int, "seed": seed},
+        "decoder": {"width": int, "seed": seed},
+        "latent_dim": int, "beta": pos,
+        "noise": {"count": int, "seed": seed},
+        "recon_sigma": [pos, ...],           # optional fixed variances
         # gan
-        "disc": {"kind": "shallow"|"linear", "width": int, "seed": int,
-                 "squash": bool},
-        "gan_kind": "wgan_gp" | "r1", "beta": number,
+        "disc": {"kind": "shallow"|"linear", "width": int, "seed": seed,
+                 "squash": true | false},
+        "gan_kind": "wgan_gp" | "r1", "beta": pos,
         "direction": "max" | "min"
       },
       "certificates": {"mode": "analytic"|"sampled", "n_samples": int,
-                       "seed": int,
-                       "overrides": {"K_F": num, "L_F": num, "lambda_F": num}},
-      "descent": {"alpha": "auto" | number, "max_iter": int,
-                  "stop_gap": number | null},
-      "output": {"dir": str, "formats": ["csv", "json"]}
+                       "seed": seed,
+                       "overrides": {"K_F": num0 | null, "L_F": num0 | null,
+                                     "lambda_F": pos | null}},
+      "descent": {"alpha": "auto" | pos, "max_iter": int,
+                  "stop_gap": num0 | null},
+      "output": {"dir": str, "formats": ["csv" | "json", ...]}
     }
+
+A numeric ``alpha`` must also lie below 2/L, which the ledger checks, and
+overrides must keep lambda_F <= K_F^2 together with the constants they
+leave to the certificates.
 
 Dataset schema
 --------------
@@ -73,11 +80,11 @@ Exactly one of:
   weights (default uniform) and side labels (adversarial datasets only)
   are optional;
 * ``{"synthetic": {"kind": "gaussian", "d": int, "in_dim": int,
-  "target_dim": int, "seed": int}}``, ``{"kind": "classes", ...,
+  "target_dim": int >= 0, "seed": seed}}``, ``{"kind": "classes", ...,
   "classes": int}``, ``{"kind": "orthonormal", "d": int, "in_dim": int,
   "targets": [...]}``, or for adversarial data ``{"kind":
   "two_gaussians", "n_real": int, "n_gen": int, "in_dim": int,
-  "separation": number, "seed": int}``.
+  "separation": number, "seed": seed}``.
 
 Report schema
 -------------
@@ -104,9 +111,7 @@ import numpy as np
 
 from . import descent as descent_mod
 from .descent import (
-    FULL_LEDGER_NEEDS,
     TRACE_COLUMNS,
-    ConstantsLedger,
     build_ledger,
     minimal_ledger,
     monitor_rows,
@@ -171,204 +176,192 @@ def _to_py(obj):
 
 
 # ---------------------------------------------------------------------------
-# config validation
-
-
-def _require_keys(d: dict, allowed: dict, path: str) -> dict:
-    """Apply defaults and reject unknown keys; ``allowed`` maps key -> default
-    (``...`` marks a required key)."""
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"{path}: expected an object")
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key, default in allowed.items():
-        if key in d:
-            out[key] = d[key]
-        elif default is ...:
-            raise InvalidConfig(f"{path}.{key}: required key missing")
-        else:
-            out[key] = default
-    return out
-
-
-def _require_sizes(section: dict, keys: tuple, path: str, least: int = 1) -> None:
-    """Integer size fields (an absent optional one stays None) must be ints >= least."""
-    for key in keys:
-        v = section[key]
-        if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < least):
-            raise InvalidConfig(f"{path}.{key}: must be an integer >= {least}; got {v!r}")
+# config schema
+#
+# A rule is a function ``(value, path) -> value`` that returns the value,
+# with the defaults of its sections filled in, or raises InvalidConfig
+# naming ``path``.
 
 
 def _finite_number(v) -> bool:
     """A JSON number that is not a bool and is a finite float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
     try:
-        return math.isfinite(v)
+        return type(v) in (int, float) and math.isfinite(v)
     except OverflowError:  # an integer beyond float range
         return False
 
 
+def _is_one_of(v, options) -> bool:
+    """Whether ``v`` equals one of ``options`` and has its type (1 is not True)."""
+    return any(type(v) is type(o) and v == o for o in options)
+
+
+def _rule(ok, what: str):
+    """The rule that keeps a value passing ``ok`` and refuses any other as not ``what``."""
+
+    def check(v, path):
+        if not ok(v):
+            raise InvalidConfig(f"{path}: must be {what}; got {v!r}")
+        return v
+
+    return check
+
+
+def integer(least: int):
+    """An integer >= ``least`` (not a bool)."""
+    return _rule(lambda v: type(v) is int and v >= least, f"an integer >= {least}")
+
+
+#: bound -> (what a number meeting it is, its test)
+_BOUNDS = {
+    "": ("a finite number", lambda v: True),
+    ">0": ("a finite positive number", lambda v: v > 0),
+    ">=0": ("a finite number >= 0", lambda v: v >= 0),
+    # a step size's range (0, 2/L) needs L: build_ledger and minimal_ledger
+    # refuse a number outside it, a swept one included
+    "(0,2/L)": ("a finite positive number", lambda v: True),
+}
+
+
+def number(bound: str = "", *literals):
+    """A finite number meeting ``bound`` (a key of ``_BOUNDS``), or one of ``literals``."""
+    what, ok = _BOUNDS[bound]
+    return _rule(
+        lambda v: _is_one_of(v, literals) or (_finite_number(v) and ok(v)),
+        " or ".join(["null" if o is None else repr(o) for o in literals] + [what]),
+    )
+
+
+def choice(*options):
+    """One of ``options``."""
+    return _rule(lambda v: _is_one_of(v, options), " or ".join(map(repr, options)))
+
+
+_object = _rule(lambda v: isinstance(v, dict), "an object")
+_list = _rule(lambda v: isinstance(v, list), "a list")
+_string = _rule(lambda v: isinstance(v, str), "a string")
+_given = _rule(lambda v: True, "anything")  # kept as given; checked where it is used
+
+
+def list_of(rule):
+    """A list whose every entry passes ``rule``."""
+    return lambda v, path: [rule(x, f"{path}[{i}]") for i, x in enumerate(_list(v, path))]
+
+
+def section(**fields):
+    """An object of the keys in ``fields``, each given as ``key=(rule, default)``.
+
+    An absent key takes its default (``...`` marks a required key) and a
+    null one whose default is null stays null; every other value must pass
+    its rule, and a key not in ``fields`` is refused.
+    """
+
+    def check(v, path):
+        unknown = set(_object(v, path)) - set(fields)
+        if unknown:
+            raise InvalidConfig(f"{path}: unknown keys {sorted(unknown)}")
+        out = {}
+        for key, (rule, default) in fields.items():
+            value = v.get(key, default)
+            if value is ...:
+                raise InvalidConfig(f"{path}.{key}: required key missing")
+            out[key] = (
+                None if value is None and default is None else rule(value, f"{path}.{key}")
+            )
+        return out
+
+    return check
+
+
+def tagged(tag: str, **variants):
+    """A section whose ``tag`` key picks its other keys: ``variants`` maps
+    each value of the tag to those keys, given as to :func:`section`."""
+    pick = choice(*variants)
+    sections = {name: section(**{tag: (pick, ...)}, **keys) for name, keys in variants.items()}
+
+    def check(v, path):
+        if tag not in _object(v, path):
+            raise InvalidConfig(f"{path}.{tag}: required key missing")
+        return sections[pick(v[tag], f"{path}.{tag}")](v, path)
+
+    return check
+
+
+#: where a dataset comes from; an inline or a synthetic one is checked where it is built
+_SOURCES = section(path=(_string, None), inline=(_object, None), synthetic=(_object, None))
+
+
+def _one_source(v, path):
+    """A dataset section with exactly one of its sources given."""
+    ds = _SOURCES(v, path)
+    if sum(source is not None for source in ds.values()) != 1:
+        raise InvalidConfig(f"{path}: exactly one of path/inline/synthetic required")
+    return ds
+
+
+SIZE, SEED = integer(1), integer(0)
+DATASET = (_one_source, ...)
+RADIUS = (number(">=0", None), None)
+SIGMA = (list_of(number(">0")), None)  # its length is checked against the data
+
+#: the config: every key with its rule and default
+CONFIG = section(
+    problem=(tagged(
+        "family",
+        supervised=dict(
+            model=(section(kind=(choice("linear", "random_features", "shallow"), ...),
+                           in_dim=(SIZE, ...), out_dim=(SIZE, 1), width=(SIZE, None),
+                           seed=(SEED, 0)), ...),
+            dataset=DATASET,
+            integrand=(section(kind=(choice("least_squares", "gaussian_nll", "softmax"), ...),
+                               sigma=SIGMA, classes=(SIZE, None)), ...),
+            ball_radius=RADIUS,
+        ),
+        vae=dict(
+            encoder=(section(width=(SIZE, ...), seed=(SEED, 0)), ...),
+            decoder=(section(width=(SIZE, ...), seed=(SEED, 1)), ...),
+            latent_dim=(SIZE, ...), beta=(number(">0"), ...),
+            noise=(section(count=(SIZE, ...), seed=(SEED, 2)), ...),
+            dataset=DATASET, recon_sigma=SIGMA, ball_radius=RADIUS,
+        ),
+        gan=dict(
+            disc=(section(kind=(choice("shallow", "linear"), ...), width=(SIZE, None),
+                          seed=(SEED, 0), squash=(choice(True, False), False)), ...),
+            gan_kind=(choice("wgan_gp", "r1"), ...), beta=(number(">0"), ...),
+            direction=(choice("max", "min"), "max"), dataset=DATASET, ball_radius=RADIUS,
+        ),
+    ), ...),
+    certificates=(section(
+        mode=(choice("analytic", "sampled"), "sampled"), n_samples=(SIZE, 32), seed=(SEED, 0),
+        overrides=(section(K_F=(number(">=0", None), None), L_F=(number(">=0", None), None),
+                           lambda_F=(number(">0", None), None)), {}),
+    ), {}),
+    descent=(section(alpha=(number("(0,2/L)", "auto"), "auto"), max_iter=(SIZE, 10000),
+                     stop_gap=(number(">=0", None), None)), {}),
+    output=(section(dir=(_string, "out"),
+                    formats=(list_of(choice("csv", "json")), ["csv", "json"])), {}),
+)
+
+#: an inline dataset, in the config or in a dataset file
+INLINE = section(
+    inputs=(_given, ...), targets=(_given, None), weights=(_given, None), side=(_given, None)
+)
+
+_POINTS = dict(d=(SIZE, ...), in_dim=(SIZE, ...))
+#: a synthetic dataset
+SYNTHETIC = tagged(
+    "kind",
+    gaussian=dict(**_POINTS, target_dim=(integer(0), 0), seed=(SEED, 0)),
+    classes=dict(**_POINTS, classes=(SIZE, ...), seed=(SEED, 0)),
+    orthonormal=dict(**_POINTS, targets=(_given, None), seed=(SEED, 0)),
+    two_gaussians=dict(n_real=(SIZE, ...), n_gen=(SIZE, ...), in_dim=(SIZE, ...),
+                       separation=(number(), 2.0), seed=(SEED, 0)),
+)
+
+
 def normalize_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in documented defaults."""
-    top = _require_keys(
-        raw,
-        {"problem": ..., "certificates": {}, "descent": {}, "output": {}},
-        "config",
-    )
-    prob = top["problem"]
-    if not isinstance(prob, dict) or "family" not in prob:
-        raise InvalidConfig("config.problem.family: required key missing")
-    family = prob["family"]
-
-    if family == "supervised":
-        prob = _require_keys(
-            prob,
-            {
-                "family": ...,
-                "model": ...,
-                "dataset": ...,
-                "integrand": ...,
-                "ball_radius": None,
-            },
-            "config.problem",
-        )
-        prob["model"] = _require_keys(
-            prob["model"],
-            {"kind": ..., "in_dim": ..., "out_dim": 1, "width": None, "seed": 0},
-            "config.problem.model",
-        )
-        _require_sizes(prob["model"], ("in_dim", "out_dim", "width"), "config.problem.model")
-        if prob["model"]["kind"] not in ("linear", "random_features", "shallow"):
-            raise InvalidConfig(
-                f"config.problem.model.kind: unknown kind {prob['model']['kind']!r}"
-            )
-        prob["integrand"] = _require_keys(
-            prob["integrand"],
-            {"kind": ..., "sigma": None, "classes": None},
-            "config.problem.integrand",
-        )
-        _require_sizes(prob["integrand"], ("classes",), "config.problem.integrand")
-        if prob["integrand"]["kind"] not in ("least_squares", "gaussian_nll", "softmax"):
-            raise InvalidConfig(
-                f"config.problem.integrand.kind: unknown kind {prob['integrand']['kind']!r}"
-            )
-    elif family == "vae":
-        prob = _require_keys(
-            prob,
-            {
-                "family": ...,
-                "encoder": ...,
-                "decoder": ...,
-                "latent_dim": ...,
-                "beta": ...,
-                "noise": ...,
-                "dataset": ...,
-                "recon_sigma": None,
-                "ball_radius": None,
-            },
-            "config.problem",
-        )
-        prob["encoder"] = _require_keys(
-            prob["encoder"], {"width": ..., "seed": 0}, "config.problem.encoder"
-        )
-        prob["decoder"] = _require_keys(
-            prob["decoder"], {"width": ..., "seed": 1}, "config.problem.decoder"
-        )
-        prob["noise"] = _require_keys(
-            prob["noise"], {"count": ..., "seed": 2}, "config.problem.noise"
-        )
-        _require_sizes(prob, ("latent_dim",), "config.problem")
-        for part, key in (("encoder", "width"), ("decoder", "width"), ("noise", "count")):
-            _require_sizes(prob[part], (key,), f"config.problem.{part}")
-        if not prob["beta"] > 0:
-            raise InvalidConfig("config.problem.beta: must be positive")
-    elif family == "gan":
-        prob = _require_keys(
-            prob,
-            {
-                "family": ...,
-                "disc": ...,
-                "gan_kind": ...,
-                "beta": ...,
-                "direction": "max",
-                "dataset": ...,
-                "ball_radius": None,
-            },
-            "config.problem",
-        )
-        prob["disc"] = _require_keys(
-            prob["disc"],
-            {"kind": ..., "width": None, "seed": 0, "squash": False},
-            "config.problem.disc",
-        )
-        _require_sizes(prob["disc"], ("width",), "config.problem.disc")
-        if prob["disc"]["kind"] not in ("shallow", "linear"):
-            raise InvalidConfig(
-                f"config.problem.disc.kind: unknown kind {prob['disc']['kind']!r}"
-            )
-        if prob["gan_kind"] not in ("wgan_gp", "r1"):
-            raise InvalidConfig(
-                f"config.problem.gan_kind: unknown kind {prob['gan_kind']!r}"
-            )
-        if prob["direction"] not in ("min", "max"):
-            raise InvalidConfig("config.problem.direction: must be 'min' or 'max'")
-    else:
-        raise InvalidConfig(f"config.problem.family: unknown family {family!r}")
-
-    prob["dataset"] = _require_keys(
-        prob["dataset"],
-        {"path": None, "inline": None, "synthetic": None},
-        "config.problem.dataset",
-    )
-    given = [k for k in ("path", "inline", "synthetic") if prob["dataset"][k] is not None]
-    if len(given) != 1:
-        raise InvalidConfig(
-            "config.problem.dataset: exactly one of path/inline/synthetic required"
-        )
-
-    certs = _require_keys(
-        top["certificates"],
-        {"mode": "sampled", "n_samples": 32, "seed": 0, "overrides": {}},
-        "config.certificates",
-    )
-    if certs["mode"] not in ("analytic", "sampled"):
-        raise InvalidConfig("config.certificates.mode: must be 'analytic' or 'sampled'")
-    _require_sizes(certs, ("n_samples",), "config.certificates")
-    certs["overrides"] = _require_keys(
-        certs["overrides"],
-        {"K_F": None, "L_F": None, "lambda_F": None},
-        "config.certificates.overrides",
-    )
-
-    desc = _require_keys(
-        top["descent"],
-        {"alpha": "auto", "max_iter": 10000, "stop_gap": None},
-        "config.descent",
-    )
-    alpha, stop_gap = desc["alpha"], desc["stop_gap"]
-    if alpha != "auto" and not (_finite_number(alpha) and alpha > 0):
-        raise InvalidConfig(
-            f"config.descent.alpha: must be 'auto' or a finite positive number; got {alpha!r}"
-        )
-    if stop_gap is not None and not (_finite_number(stop_gap) and stop_gap >= 0):
-        raise InvalidConfig(
-            f"config.descent.stop_gap: must be null or a finite number >= 0; got {stop_gap!r}"
-        )
-    _require_sizes(desc, ("max_iter",), "config.descent")
-
-    out = _require_keys(
-        top["output"],
-        {"dir": "out", "formats": ["csv", "json"]},
-        "config.output",
-    )
-    for fmt in out["formats"]:
-        if fmt not in ("csv", "json"):
-            raise InvalidConfig(f"config.output.formats: unknown format {fmt!r}")
-
-    return {"problem": prob, "certificates": certs, "descent": desc, "output": out}
+    return CONFIG(raw, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -385,33 +378,15 @@ def load_dataset_file(path: str) -> dict:
 
 
 def _dataset_from_inline(spec: dict) -> tuple[Dataset, list | None]:
-    spec = _require_keys(
-        spec,
-        {"inputs": ..., "targets": None, "weights": None, "side": None},
-        "dataset",
-    )
+    spec = INLINE(spec, "dataset")
     data = Dataset(spec["inputs"], targets=spec["targets"], weights=spec["weights"])
     return data, spec["side"]
 
 
-def _synthetic_spec(spec: dict, allowed: dict) -> dict:
-    """Defaults and key checks of a synthetic dataset; every size in it must
-    be an integer >= 1, except ``target_dim`` (>= 0)."""
-    spec = _require_keys(spec, allowed, "dataset.synthetic")
-    sizes = tuple(k for k in ("d", "in_dim", "classes", "n_real", "n_gen") if k in spec)
-    _require_sizes(spec, sizes, "dataset.synthetic")
-    if "target_dim" in spec:
-        _require_sizes(spec, ("target_dim",), "dataset.synthetic", least=0)
-    return spec
-
-
 def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
-    kind = spec.get("kind")
+    spec = SYNTHETIC(spec, "dataset.synthetic")
+    kind, rng = spec["kind"], np.random.default_rng(spec["seed"])
     if kind == "gaussian":
-        spec = _synthetic_spec(
-            spec, {"kind": ..., "d": ..., "in_dim": ..., "target_dim": 0, "seed": 0}
-        )
-        rng = np.random.default_rng(spec["seed"])
         inputs = rng.standard_normal((spec["d"], spec["in_dim"]))
         targets = (
             None
@@ -420,35 +395,21 @@ def _dataset_synthetic(spec: dict) -> tuple[Dataset, list | None]:
         )
         return Dataset(inputs, targets), None
     if kind == "classes":
-        spec = _synthetic_spec(
-            spec, {"kind": ..., "d": ..., "in_dim": ..., "classes": ..., "seed": 0}
-        )
-        rng = np.random.default_rng(spec["seed"])
         inputs = rng.standard_normal((spec["d"], spec["in_dim"]))
         return Dataset(inputs, rng.integers(1, spec["classes"] + 1, size=spec["d"])), None
     if kind == "orthonormal":
-        spec = _synthetic_spec(
-            spec, {"kind": ..., "d": ..., "in_dim": ..., "targets": None, "seed": 0}
-        )
         if spec["d"] > spec["in_dim"]:
             raise InvalidConfig("dataset.synthetic: orthonormal needs d <= in_dim")
         inputs = np.eye(spec["in_dim"])[: spec["d"]]
         targets = spec["targets"]
         if targets is None:
-            targets = np.random.default_rng(spec["seed"]).standard_normal((spec["d"], 1))
+            targets = rng.standard_normal((spec["d"], 1))
         return Dataset(inputs, targets), None
-    if kind == "two_gaussians":
-        spec = _synthetic_spec(
-            spec,
-            {"kind": ..., "n_real": ..., "n_gen": ..., "in_dim": ..., "separation": 2.0, "seed": 0},
-        )
-        rng = np.random.default_rng(spec["seed"])
-        half = 0.5 * spec["separation"]
-        real = rng.standard_normal((spec["n_real"], spec["in_dim"])) + half
-        gen = rng.standard_normal((spec["n_gen"], spec["in_dim"])) - half
-        side = ["real"] * spec["n_real"] + ["generated"] * spec["n_gen"]
-        return Dataset(np.concatenate([real, gen])), side
-    raise InvalidConfig(f"dataset.synthetic.kind: unknown kind {kind!r}")
+    half = 0.5 * spec["separation"]  # two_gaussians
+    real = rng.standard_normal((spec["n_real"], spec["in_dim"])) + half
+    gen = rng.standard_normal((spec["n_gen"], spec["in_dim"])) - half
+    side = ["real"] * spec["n_real"] + ["generated"] * spec["n_gen"]
+    return Dataset(np.concatenate([real, gen])), side
 
 
 def build_dataset(ds_cfg: dict) -> tuple[Dataset, list | None]:
@@ -467,16 +428,18 @@ def _target_dim(data: Dataset) -> int:
     return data.targets.shape[1]
 
 
+def _least_squares(sigma, k: int, key: str):
+    if sigma is not None and len(sigma) != k:
+        raise InvalidConfig(f"{key} length must match the target dim")
+    return least_squares(sigma=sigma, k=k)
+
+
 def _build_supervised(prob: dict) -> PrototypeProblem:
     data, _side = build_dataset(prob["dataset"])
     icfg = prob["integrand"]
     if icfg["kind"] == "least_squares":
-        k = _target_dim(data)
-        sigma = icfg["sigma"]
-        if sigma is not None and len(sigma) != k:
-            raise InvalidConfig("integrand.sigma length must match the target dim")
-        iota = least_squares(sigma=sigma, k=k)
-        out_dim = k
+        out_dim = _target_dim(data)
+        iota = _least_squares(icfg["sigma"], out_dim, "integrand.sigma")
     elif icfg["kind"] == "gaussian_nll":
         k = _target_dim(data)
         iota = gaussian_nll(k=k)
@@ -515,8 +478,7 @@ def _build_vae(prob: dict) -> PrototypeProblem:
     decoder = shallow_net(l_z, prob["decoder"]["width"], out_dim=y_dim, seed=prob["decoder"]["seed"])
     rng = np.random.default_rng(prob["noise"]["seed"])
     noise = rng.standard_normal((prob["noise"]["count"], l_z))
-    sigma = prob["recon_sigma"]
-    ell = least_squares(sigma=sigma, k=y_dim)
+    ell = _least_squares(prob["recon_sigma"], y_dim, "recon_sigma")
     return vae(encoder, decoder, ys, noise, ell, prob["beta"], ball_radius=prob["ball_radius"])
 
 
@@ -561,22 +523,17 @@ def build_problem(cfg: dict) -> PrototypeProblem:
 
 
 def _apply_overrides(cert: MapCertificate, overrides: dict) -> MapCertificate:
+    """``cert`` with the user's constants in place of its own; a mix that
+    breaks lam <= K^2 is a config error."""
     k = cert.K if overrides["K_F"] is None else CertValue(float(overrides["K_F"]), "analytic")
     l = cert.L if overrides["L_F"] is None else CertValue(float(overrides["L_F"]), "analytic")
     lam = cert.lam
     if overrides["lambda_F"] is not None:
         lam = CertValue(float(overrides["lambda_F"]), "analytic")
-    return MapCertificate(K=k, L=l, lam=lam)
-
-
-def _minimal_only(problem: PrototypeProblem) -> bool:
-    """Whether a run of ``problem`` can have only a minimal ledger.
-
-    :func:`build_ledger` needs the objective's infimum, which no constant
-    estimate supplies.  Every objective whose integrand has no pointwise
-    infimum is such: supervised ``gaussian_nll`` and every GAN critic.
-    """
-    return problem.f.f_star is None
+    try:
+        return MapCertificate(K=k, L=l, lam=lam)
+    except ValueError as exc:
+        raise InvalidConfig(f"config.certificates.overrides: {exc}")
 
 
 def make_certificates(problem: PrototypeProblem, cfg: dict):
@@ -585,16 +542,17 @@ def make_certificates(problem: PrototypeProblem, cfg: dict):
     Sampled mode estimates on the declared ball, builds a provisional
     ledger and, unless the user pinned a radius, re-declares the ball as
     ten times the predicted travel distance before the final estimate.
-    Returns (problem, certificate, objective-with-L).  A problem that can
-    have only a minimal ledger (:func:`_minimal_only`) gets no estimate:
-    it is returned with a None certificate and its own objective, after
-    analytic mode is refused for a model not linear in its parameters.
+    Returns (problem, certificate, objective-with-L).  An objective with no
+    infimum (supervised ``gaussian_nll``, every GAN critic) can have no
+    full ledger, so its problem gets no estimate: it is returned with a
+    None certificate and its own objective, after analytic mode is refused
+    for a model not linear in its parameters.
     """
 
     ccfg = cfg["certificates"]
     if ccfg["mode"] == "analytic":
         require_analytic(problem)
-    if _minimal_only(problem):
+    if problem.f.f_star is None:
         return problem, None, problem.f
     overrides = ccfg["overrides"]
     user_radius = cfg["problem"]["ball_radius"]
@@ -627,15 +585,6 @@ def make_certificates(problem: PrototypeProblem, cfg: dict):
 def _ntk_summary(problem: PrototypeProblem, theta) -> dict:
     g = problem.gram(theta)
     return {"lambda_min": g.lambda_min, "lambda_max": g.lambda_max}
-
-
-def _minimal_ledger(alpha, reason: str, warnings_list: list) -> ConstantsLedger:
-    """The minimal ledger of a run that cannot have a full one; ``reason``
-    says why, and ``alpha="auto"`` is refused because it needs a full one."""
-    if alpha == "auto":
-        raise InvalidConfig(f"alpha='auto' needs a full ledger but: {reason}")
-    warnings_list.append(f"minimal ledger: {reason}")
-    return minimal_ledger(float(alpha))
 
 
 class _PhaseClock:
@@ -701,13 +650,13 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
 
     with clock.phase("ledger"):
         alpha = cfg["descent"]["alpha"]
-        if _minimal_only(problem):
-            ledger = _minimal_ledger(alpha, FULL_LEDGER_NEEDS, warnings_list)
-        else:
-            try:
-                ledger = build_ledger(problem.F, obj, problem.theta0, cert, alpha=alpha)
-            except MissingCertificate as exc:
-                ledger = _minimal_ledger(alpha, str(exc), warnings_list)
+        try:
+            ledger = build_ledger(problem.F, obj, problem.theta0, cert, alpha=alpha)
+        except MissingCertificate as exc:
+            if alpha == "auto":
+                raise InvalidConfig(f"alpha='auto' needs a full ledger but: {exc}")
+            warnings_list.append(f"minimal ledger: {exc}")
+            ledger = minimal_ledger(float(alpha))
         report["ledger"] = ledger.as_dict()
         report["ntk"] = {"theta0": _ntk_summary(problem, None)}
 
@@ -857,11 +806,20 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_cli_overrides(cfg: dict, out: str | None, seed: int | None) -> dict:
+    """``cfg`` with the command line's output dir and seed, checked like the file's."""
     if out is not None:
         cfg["output"]["dir"] = out
     if seed is not None:
         cfg["certificates"]["seed"] = seed
-    return cfg
+    return normalize_config(cfg)
+
+
+def _print_messages(report: dict, prefix: str = "") -> None:
+    """A run's warnings and numeric failure on stderr."""
+    for w in report.get("warnings", []):
+        print(f"warning: {prefix}{w}", file=sys.stderr)
+    if "numeric_failure" in report:
+        print(f"error: {prefix}{report['numeric_failure']['message']}", file=sys.stderr)
 
 
 def run_experiment(
@@ -881,10 +839,7 @@ def run_experiment(
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for w in report.get("warnings", []):
-        print(f"warning: {w}", file=sys.stderr)
-    if "numeric_failure" in report:
-        print(f"error: {report['numeric_failure']['message']}", file=sys.stderr)
+    _print_messages(report)
     return int(report["exit_code"])
 
 
@@ -935,8 +890,9 @@ def sweep(
 ) -> int:
     """Run one experiment per value, in sequence, and write a summary table.
 
-    A value that fails with a library or I/O error keeps its row (empty
-    cells) and exit code 1; the sweep returns the worst code of its values.
+    Each value's config is checked like a run's.  A value that fails with
+    a config, library or I/O error keeps its row (empty cells) and exit
+    code 1; the sweep returns the worst code of its values.
     """
     try:
         base = _apply_cli_overrides(_load_config(config_path), out, seed)
@@ -960,6 +916,7 @@ def sweep(
     for v, cfg, sub in configs:
         # one failing value gets a row of empty cells; the others still run
         try:
+            cfg = normalize_config(cfg)
             report = execute(build_problem(cfg), cfg, sub)
         except PlgdError as exc:
             print(f"error: {sub.name}: {exc}", file=sys.stderr)
@@ -967,6 +924,7 @@ def sweep(
         except OSError as exc:
             print(f"io error: {sub.name}: {exc}", file=sys.stderr)
             report = {"exit_code": EXIT_CONFIG}
+        _print_messages(report, f"{sub.name}: ")
         worst = max(worst, int(report["exit_code"]))
         results.append((v, report))
 

@@ -26,9 +26,6 @@ import numpy as np
 
 from .space import LinOp, WeightedSpace, coercivity, gram_eigvalsh, op_norm
 
-#: contract threshold for finite-difference agreement of correct Jacobians
-FD_TOL = 1e-5
-
 
 @dataclass(frozen=True, eq=False)
 class SmoothMap:

@@ -122,6 +122,14 @@ def vae_config(outdir):
     }
 
 
+def put(cfg, path, value):
+    """Set the nested key ``path`` of ``cfg``, making the sections it lacks."""
+    *parents, key = path
+    for part in parents:
+        cfg = cfg.setdefault(part, {})
+    cfg[key] = value
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -887,3 +895,164 @@ class TestConfigValidation:
         assert cfg["certificates"]["n_samples"] == 32
         assert cfg["descent"]["max_iter"] == 100
         assert cfg["output"]["formats"] == ["csv", "json"]
+
+    @pytest.mark.parametrize(
+        "make, field, value, rule",
+        [
+            (tight_config, "problem.ball_radius", -1, "must be null or a finite number >= 0"),
+            (tight_config, "problem.ball_radius", "x", "must be null or a finite number >= 0"),
+            (tight_config, "problem.integrand.sigma", [-1], None),
+            (tight_config, "problem.integrand.sigma", ["a"], None),
+            (tight_config, "certificates.overrides", {"K_F": "a"}, None),
+            (tight_config, "certificates.overrides", {"K_F": -1}, None),
+            (tight_config, "certificates.seed", "a", "must be an integer >= 0"),
+            (tight_config, "certificates.seed", -1, "must be an integer >= 0"),
+            (rf_config, "problem.model.seed", "a", "must be an integer >= 0"),
+            (gan_config, "problem.beta", -1, "must be a finite positive number"),
+            (gan_config, "problem.beta", "abc", "must be a finite positive number"),
+            (vae_config, "problem.beta", "abc", "must be a finite positive number"),
+            (gan_config, "problem.disc.squash", "yes", "must be True or False"),
+            (tight_config, "output.dir", 5, "must be a string"),
+            (tight_config, "output.formats", "csv", "must be a list"),
+        ],
+    )
+    def test_values_are_checked_against_the_table(self, tmp_path, capsys, make, field, value,
+                                                  rule):
+        cfg = make(tmp_path / "out")
+        put(cfg, field.split("."), value)
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        if rule is None:  # a section or a list: the message names the entry
+            assert re.fullmatch(rf"error: config\.{re.escape(field)}[.\[][^\n]*\n", err), err
+        else:
+            assert err == f"error: config.{field}: {rule}; got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("seed", 1.5, "must be an integer >= 0"),
+            ("separation", "far", "must be a finite number"),
+        ],
+    )
+    def test_synthetic_values_are_checked(self, tmp_path, capsys, key, value, rule):
+        cfg = gan_config(tmp_path / "out")
+        cfg["problem"]["dataset"]["synthetic"][key] = value
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: dataset.synthetic.{key}: {rule}; got {value!r}\n"
+
+
+class TestOverrideConsistency:
+    """User-given constants that break lambda_F <= K_F^2 are a config error."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"lambda_F": 100}, {"K_F": 0}, {"K_F": 0.5, "lambda_F": 1.0}],
+        ids=["lambda_above_analytic_K2", "K_zero_under_analytic_lambda", "both_given"],
+    )
+    def test_inconsistent_overrides_exit_one(self, tmp_path, capsys, overrides):
+        cfg = tight_config(tmp_path / "out", alpha="auto")
+        cfg["certificates"]["overrides"] = overrides
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: config\.certificates\.overrides: inconsistent certificate: "
+            r"lam=\S+ exceeds K\^2=\S+\n", err
+        ), err
+
+    def test_zero_lambda_is_refused_by_the_table(self, tmp_path, capsys):
+        cfg = tight_config(tmp_path / "out")
+        cfg["certificates"]["overrides"] = {"lambda_F": 0}
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: config.certificates.overrides.lambda_F: "
+            "must be null or a finite positive number; got 0\n"
+        )
+
+    def test_consistent_overrides_still_run(self, tmp_path):
+        cfg = tight_config(tmp_path / "out", alpha="auto")
+        cfg["certificates"]["overrides"] = {"K_F": 2.0, "lambda_F": 1.0}
+        assert check_experiment(write_config(tmp_path, cfg)) == EXIT_OK
+
+
+class TestSweepChecksEachValue:
+    def test_bad_beta_keeps_its_row_and_the_sweep_goes_on(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        cfg = gan_config(out)
+        cfg["problem"]["gan_kind"] = "wgan_gp"
+        assert sweep(write_config(tmp_path, cfg), "beta", [-1.0, 1.0]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert ("error: beta=-1: config.problem.beta: must be a finite positive number; "
+                "got -1.0\n") in err
+        assert "Traceback" not in err
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[1] == "-1,,,,"
+        assert lines[2].split(",")[0::3] == ["1", "20"]  # value, its 20 steps
+        assert not (out / "beta=-1").exists()
+
+    def test_each_value_prints_its_warnings_and_numeric_failure(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        path = write_config(tmp_path, gan_config(out))
+        assert sweep(path, "alpha", [0.05]) == EXIT_OK
+        assert f"warning: alpha=0.05: {MINIMAL_WARNING}\n" in capsys.readouterr().err
+        path = write_config(tmp_path, r1_unsquashed_config(out))
+        with pytest.warns(RuntimeWarning, match="outside"):
+            assert sweep(path, "alpha", [1.0, 3.0]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "error: alpha=3: r1 real-side score must satisfy y > 0 at iteration 2\n" in err
+        assert "error: alpha=1:" not in err
+
+    def test_seed_override_is_checked_like_the_file(self, tmp_path, capsys):
+        path = write_config(tmp_path, tight_config(tmp_path / "out"))
+        assert main(["run", path, "--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: config.certificates.seed: must be an integer >= 0; got -1\n"
+
+
+def classes_config(outdir):
+    cfg = rf_config(outdir)
+    cfg["problem"]["dataset"]["synthetic"] = {"kind": "classes", "d": 4, "in_dim": 3,
+                                              "classes": 2, "seed": 3}
+    cfg["problem"]["integrand"] = {"kind": "softmax", "classes": 2}
+    return cfg
+
+
+def orthonormal_config(outdir):
+    cfg = rf_config(outdir)
+    cfg["problem"]["dataset"]["synthetic"] = {"kind": "orthonormal", "d": 2, "in_dim": 3,
+                                              "targets": [[1.0], [-1.0]], "seed": 0}
+    return cfg
+
+
+def leaves(cfg, path=()):
+    """The key paths of the non-object values of a nested config."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+WRONG_VALUES = ("x", -1, 1.5, True, [], {})
+LEAF_CASES = [
+    (make, leaf)
+    for make in (rf_config, vae_config, gan_config, classes_config, orthonormal_config)
+    for leaf in leaves(make("out"))
+]
+
+
+@pytest.mark.parametrize(
+    "make, leaf", LEAF_CASES, ids=[f"{m.__name__}:{'.'.join(l)}" for m, l in LEAF_CASES]
+)
+def test_wrong_leaf_values_exit_cleanly(tmp_path, monkeypatch, capsys, make, leaf):
+    """Any wrong value at any leaf: an exit code, and on exit 1 error lines only."""
+    monkeypatch.chdir(tmp_path)  # an accepted output.dir lands here
+    for value in WRONG_VALUES:
+        cfg = make("out")
+        put(cfg, leaf, value)
+        code = run_experiment(write_config(tmp_path, cfg), do_descent=False)
+        err = capsys.readouterr().err
+        assert isinstance(code, int) and "Traceback" not in err
+        if code == EXIT_CONFIG:
+            assert err and all(line.startswith("error: ") for line in err.splitlines()), err
