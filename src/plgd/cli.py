@@ -9,12 +9,15 @@ Commands
 ``plgd check <config.json>``
     Certificates and ledger only, no descent.
 ``plgd sweep <config.json> --axis width --values 2,8,32``
-    One run per value in its own subdirectory plus a ``summary.csv``.
+    One run per value, in parallel shares (one per usable CPU; this
+    process runs one, a forked child each other), each in its own
+    subdirectory, plus a ``summary.csv``.
 
 Exit codes: 0 when every evaluated verdict passes or is hypothesis-unmet;
-1 on configuration or I/O errors; 2 on a gradient-oracle failure or a
-bound violation under analytic certificates (violations under sampled
-certificates are reported as warnings); 3 when the gradient gate, the
+1 on configuration or I/O errors, or for a sweep worker that ended
+without a result; 2 on a gradient-oracle failure or a bound violation
+under analytic certificates (violations under sampled certificates are
+reported as warnings); 3 when the gradient gate, the
 certificates or descent hit a non-finite or out-of-domain value
 (``report.json`` then records the message and the failing descent
 iteration, null before descent, under ``numeric_failure``).  A sweep
@@ -23,8 +26,8 @@ like a run's; a value whose config, problem or certificates cannot be
 built prints ``error: <axis>=<value>: <message>``, counts as code 1 and
 gets a ``summary.csv`` row with empty cells, and the sweep goes on.  A
 value's warnings and numeric failure print as ``warning: <axis>=<value>:
-...`` and ``error: <axis>=<value>: ...``.  Width and datasize values must
-be integers >= 1.
+...`` and ``error: <axis>=<value>: ...``, in value order once every share
+is done.  Width and datasize values must be integers >= 1.
 
 Config schema (JSON; unknown keys are rejected)
 -----------------------------------------------
@@ -66,9 +69,11 @@ finite number > 0 and ``num0`` a finite number >= 0::
       "output": {"dir": str, "formats": ["csv" | "json", ...]}
     }
 
-A numeric ``alpha`` must also lie below 2/L, which the ledger checks, and
-overrides must keep lambda_F <= K_F^2 together with the constants they
-leave to the certificates.
+A numeric ``alpha`` must also lie below 2/L, which the ledger checks;
+``K_F`` and ``L_F`` must have a finite square; and overrides must keep
+lambda_F <= K_F^2 together with the constants they leave to the
+certificates.  A synthetic dataset too large to allocate is refused with
+numpy's message, which names its size.
 
 Dataset schema
 --------------
@@ -102,8 +107,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -217,6 +225,9 @@ _BOUNDS = {
     "": ("a finite number", lambda v: True),
     ">0": ("a finite positive number", lambda v: v > 0),
     ">=0": ("a finite number >= 0", lambda v: v >= 0),
+    # the ledger squares a certificate constant, so its square must be finite too
+    ">=0 squared": ("a finite number >= 0 with a finite square",
+                    lambda v: v >= 0 and math.isfinite(v * float(v))),
     # a step size's range (0, 2/L) needs L: build_ledger and minimal_ledger
     # refuse a number outside it, a swept one included
     "(0,2/L)": ("a finite positive number", lambda v: True),
@@ -333,7 +344,8 @@ CONFIG = section(
     ), ...),
     certificates=(section(
         mode=(choice("analytic", "sampled"), "sampled"), n_samples=(SIZE, 32), seed=(SEED, 0),
-        overrides=(section(K_F=(number(">=0", None), None), L_F=(number(">=0", None), None),
+        overrides=(section(K_F=(number(">=0 squared", None), None),
+                           L_F=(number(">=0 squared", None), None),
                            lambda_F=(number(">0", None), None)), {}),
     ), {}),
     descent=(section(alpha=(number("(0,2/L)", "auto"), "auto"), max_iter=(SIZE, 10000),
@@ -417,7 +429,10 @@ def build_dataset(ds_cfg: dict) -> tuple[Dataset, list | None]:
         return _dataset_from_inline(load_dataset_file(ds_cfg["path"]))
     if ds_cfg["inline"] is not None:
         return _dataset_from_inline(ds_cfg["inline"])
-    return _dataset_synthetic(ds_cfg["synthetic"])
+    try:
+        return _dataset_synthetic(ds_cfg["synthetic"])
+    except MemoryError as exc:  # a size the table accepts but memory cannot hold
+        raise InvalidDataset(f"dataset.synthetic: {exc}")
 
 
 def _target_dim(data: Dataset) -> int:
@@ -814,12 +829,12 @@ def _apply_cli_overrides(cfg: dict, out: str | None, seed: int | None) -> dict:
     return normalize_config(cfg)
 
 
-def _print_messages(report: dict, prefix: str = "") -> None:
-    """A run's warnings and numeric failure on stderr."""
-    for w in report.get("warnings", []):
-        print(f"warning: {prefix}{w}", file=sys.stderr)
+def _messages(report: dict, prefix: str = "") -> list[str]:
+    """A run's warnings and numeric failure, as the lines they print on stderr."""
+    lines = [f"warning: {prefix}{w}" for w in report.get("warnings", [])]
     if "numeric_failure" in report:
-        print(f"error: {prefix}{report['numeric_failure']['message']}", file=sys.stderr)
+        lines.append(f"error: {prefix}{report['numeric_failure']['message']}")
+    return lines
 
 
 def run_experiment(
@@ -839,7 +854,8 @@ def run_experiment(
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _print_messages(report)
+    for line in _messages(report):
+        print(line, file=sys.stderr)
     return int(report["exit_code"])
 
 
@@ -881,6 +897,87 @@ def _set_axis(cfg: dict, axis: str, value: float) -> dict:
     return cfg
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, counted on Linux only; elsewhere 1,
+    since a forked child of a process that has loaded numpy is not safe
+    there (macOS's Accelerate) or there is no fork at all."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+def _sweep_value(cfg: dict, sub: Path) -> tuple:
+    """One sweep value: its report, its stderr lines and its warnings.
+
+    A config, library or I/O error leaves a report of exit code 1 only.
+    The warnings that pass the filters are recorded, not shown, as
+    (message, category, filename, lineno), so that the sweep can issue
+    them in value order.
+    """
+    lines = []
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = normalize_config(cfg)
+            report = execute(build_problem(cfg), cfg, sub)
+        except PlgdError as exc:
+            lines, report = [f"error: {sub.name}: {exc}"], {"exit_code": EXIT_CONFIG}
+        except OSError as exc:
+            lines, report = [f"io error: {sub.name}: {exc}"], {"exit_code": EXIT_CONFIG}
+    warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return report, lines + _messages(report, f"{sub.name}: "), warned
+
+
+def _replay(warned: list) -> None:
+    """Issue recorded warnings as ``warnings.warn`` first issued them: through
+    the current filters and the registry of the module that raised them, so
+    a warning shown once per location is still shown once."""
+    if not warned:
+        return
+    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in warned:
+        m = by_file.get(filename)
+        warnings.warn_explicit(
+            message, category, filename, lineno, module=m and m.__name__,
+            registry=m and vars(m).setdefault("__warningregistry__", {}),
+        )
+
+
+def _fork_share(share: list) -> tuple:
+    """Run ``share``, (index, config, directory) triples, in a forked child.
+
+    Returns the child's pid and the read end of its pipe.  On success the
+    child writes one pickle, ``(done, escaped)``: an (index,
+    :func:`_sweep_value` result) pair per value and, for an exception that
+    escaped a value, a list of one (index, exception, traceback text); then
+    it exits 0.  It always leaves by ``os._exit``, never returning here.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    status = 1
+    try:
+        os.close(r)
+        done, escaped = [], []
+        for i, cfg, sub in share:
+            try:
+                done.append((i, _sweep_value(cfg, sub)))
+            except BaseException as exc:  # the caller raises it again
+                import traceback
+
+                escaped.append((i, exc, traceback.format_exc()))
+                break
+        with os.fdopen(w, "wb") as fh:
+            fh.write(pickle.dumps((done, escaped)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def sweep(
     config_path: str,
     axis: str,
@@ -888,11 +985,18 @@ def sweep(
     out: str | None = None,
     seed: int | None = None,
 ) -> int:
-    """Run one experiment per value, in sequence, and write a summary table.
+    """Run one experiment per value, in parallel shares, and write a summary table.
+
+    The values are dealt round-robin into one share per usable CPU.  This
+    process runs the first share and a forked child runs each other one.
+    Once every share is done, each value's warnings and stderr lines are
+    issued in value order, as a sweep of one share issues them.
 
     Each value's config is checked like a run's.  A value that fails with
-    a config, library or I/O error keeps its row (empty cells) and exit
-    code 1; the sweep returns the worst code of its values.
+    a config, library or I/O error, or whose child ends without a result,
+    keeps its row (empty cells) and exit code 1; the sweep returns the
+    worst code of its values.  Any other exception escapes once no child
+    is left; one raised in a child carries the child's traceback.
     """
     try:
         base = _apply_cli_overrides(_load_config(config_path), out, seed)
@@ -901,35 +1005,64 @@ def sweep(
         if not values or not all(map(math.isfinite, values)):
             raise InvalidConfig(f"sweep requires at least one value, all finite; got {values}")
         root = Path(base["output"]["dir"])
-        configs = []
-        for v in values:
+        jobs = []
+        for i, v in enumerate(values):
             cfg = _set_axis(base, axis, v)
             sub = root / f"{axis}={v:g}"
             cfg["output"]["dir"] = str(sub)
-            configs.append((v, cfg, sub))
+            jobs.append((i, cfg, sub))
     except PlgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    results = []
-    worst = EXIT_OK
-    for v, cfg, sub in configs:
-        # one failing value gets a row of empty cells; the others still run
-        try:
-            cfg = normalize_config(cfg)
-            report = execute(build_problem(cfg), cfg, sub)
-        except PlgdError as exc:
-            print(f"error: {sub.name}: {exc}", file=sys.stderr)
-            report = {"exit_code": EXIT_CONFIG}
-        except OSError as exc:
-            print(f"io error: {sub.name}: {exc}", file=sys.stderr)
-            report = {"exit_code": EXIT_CONFIG}
-        _print_messages(report, f"{sub.name}: ")
-        worst = max(worst, int(report["exit_code"]))
-        results.append((v, report))
+    k = min(len(jobs), _usable_cpus())
+    own, children, results = jobs[::k], [], {}
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for share in (jobs[s::k] for s in range(1, k)):
+            try:
+                children.append((share, *_fork_share(share)))
+            except OSError:  # no process to spare: this one runs the share too
+                own = own + share
+        for i, cfg, sub in own:
+            results[i] = _sweep_value(cfg, sub)
+        while children:
+            share, pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code == 0:
+                done, escaped = pickle.loads(data)
+                results.update(done)
+                for i, exc, tb in escaped:  # raised below, in value order
+                    exc.__cause__ = RuntimeError(f"in the sweep worker:\n{tb}")
+                    results[i] = exc
+                continue
+            why = f"signal {-code}" if code < 0 else f"exit status {code}"
+            for i, _cfg, sub in share:
+                message = f"error: {sub.name}: sweep worker ended by {why}"
+                results[i] = ({"exit_code": EXIT_CONFIG}, [message], [])
+    finally:
+        if children:  # this process failed or was interrupted: end the rest
+            import signal
+
+            for _share, pid, fh in children:
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
     lines = ["value,lambda_N,q,iterations,dist_from_init"]
-    for v, report in results:
+    worst = EXIT_OK
+    for i, v in enumerate(values):
+        if isinstance(results[i], BaseException):
+            raise results[i]
+        report, messages, warned = results[i]
+        _replay(warned)
+        for line in messages:
+            print(line, file=sys.stderr)
+        worst = max(worst, int(report["exit_code"]))
         lam_n = report.get("ntk", {}).get("theta0", {}).get("lambda_min")
         q = report.get("ledger", {}).get("q")
         iters = report.get("iterations", {}).get("actual")

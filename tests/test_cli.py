@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import signal
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -970,6 +974,16 @@ class TestOverrideConsistency:
             "must be null or a finite positive number; got 0\n"
         )
 
+    @pytest.mark.parametrize("key", ["K_F", "L_F"])
+    def test_override_whose_square_overflows_exits_one(self, tmp_path, capsys, key):
+        cfg = tight_config(tmp_path / "out", alpha="auto")
+        cfg["certificates"]["overrides"] = {key: 1e308}
+        assert check_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config.certificates.overrides.{key}: "
+            "must be null or a finite number >= 0 with a finite square; got 1e+308\n"
+        )
+
     def test_consistent_overrides_still_run(self, tmp_path):
         cfg = tight_config(tmp_path / "out", alpha="auto")
         cfg["certificates"]["overrides"] = {"K_F": 2.0, "lambda_F": 1.0}
@@ -1003,11 +1017,129 @@ class TestSweepChecksEachValue:
         assert "error: alpha=3: r1 real-side score must satisfy y > 0 at iteration 2\n" in err
         assert "error: alpha=1:" not in err
 
+    def test_unallocatable_dataset_exits_one_naming_its_size(self, tmp_path, capsys):
+        # numpy refuses 10**12 x 3 doubles (21.8 TiB) without allocating them
+        out = tmp_path / "sweep"
+        cfg = rf_config(out, max_iter=10)
+        cfg["problem"]["dataset"]["synthetic"]["d"] = 10**12
+        path = write_config(tmp_path, cfg)
+        assert run_experiment(path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: dataset\.synthetic: Unable to allocate .* "
+                            r"shape \(1000000000000, 3\).*\n", err), err
+        assert sweep(path, "datasize", [1e12, 4.0]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: datasize=1e+12: dataset.synthetic: Unable to allocate")
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[1] == "1000000000000,,,,"
+        assert lines[2].split(",")[0::3] == ["4", "10"]  # value, its 10 steps
+
     def test_seed_override_is_checked_like_the_file(self, tmp_path, capsys):
         path = write_config(tmp_path, tight_config(tmp_path / "out"))
         assert main(["run", path, "--seed", "-1"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "error: config.certificates.seed: must be an integer >= 0; got -1\n"
+
+
+R1_WARNING = ("r1 critic score -0.3104839263715663 outside (0, 1) at init on a probe point; "
+              "use a squashed critic")
+
+
+def gan_width_sweep(tmp_path, cpus, monkeypatch):
+    """A three-value GAN width sweep dealt into ``cpus`` shares: its exit code."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    path = write_config(tmp_path, gan_config(tmp_path / "sweep"))
+    return sweep(path, "width", [4.0, 8.0, 16.0])
+
+
+def plant_in_child(monkeypatch, width, act):
+    """``execute`` that calls ``act()`` for the value ``width`` in a forked
+    child only (the child inherits the patch); the parent's values run."""
+    parent = os.getpid()
+
+    def planted(problem, cfg, outdir, do_descent=True):
+        if cfg["problem"]["disc"]["width"] == width and os.getpid() != parent:
+            act()
+        return execute(problem, cfg, outdir, do_descent)
+
+    monkeypatch.setattr(cli, "execute", planted)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelSweep:
+    """Values 4, 8, 16 in two shares: this process runs 4 and 16, a child runs 8."""
+
+    def test_shares_give_the_bytes_of_one_share(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        for cpus in (1, 2):
+            code = gan_width_sweep(tmp_path, cpus, monkeypatch)
+            files = {p.relative_to(tmp_path): p.read_bytes()
+                     for p in sorted((tmp_path / "sweep").rglob("*"))
+                     if p.is_file() and p.name != "timings.json"}
+            seen.append((code, files, capsys.readouterr().err))
+            for p in sorted((tmp_path / "sweep").rglob("*"), reverse=True):
+                p.unlink() if p.is_file() else p.rmdir()
+        assert seen[0] == seen[1]
+        code, files, err = seen[0]
+        assert code == EXIT_OK and len(files) == 1 + 3 * 4 and err.count("warning: ") == 3
+        assert_no_child_left()
+
+    def test_killed_child_keeps_its_row_and_the_others_complete(self, tmp_path, monkeypatch,
+                                                               capsys):
+        plant_in_child(monkeypatch, 8, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert gan_width_sweep(tmp_path, 2, monkeypatch) == EXIT_CONFIG
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert f"error: width=8: sweep worker ended by signal {signal.SIGKILL}\n" in err
+        lines = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
+        assert lines[2] == "8,,,,"
+        assert [l.split(",")[0::3] for l in lines[1::2]] == [["4", "20"], ["16", "20"]]
+
+    def test_unexpected_exception_in_a_child_is_raised_here(self, tmp_path, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("planted")
+
+        plant_in_child(monkeypatch, 8, fail)
+        with pytest.raises(ZeroDivisionError, match="planted") as info:
+            gan_width_sweep(tmp_path, 2, monkeypatch)
+        assert_no_child_left()
+        assert "in fail\n" in str(info.value.__cause__)  # the child's traceback
+        assert not (tmp_path / "sweep" / "summary.csv").exists()
+
+    def test_interrupt_ends_every_child(self, tmp_path, monkeypatch):
+        # the child sleeps in value 8 while this process is interrupted in value 16
+        plant_in_child(monkeypatch, 8, lambda: time.sleep(30))
+        planted = cli.execute
+
+        def interrupted(problem, cfg, outdir, do_descent=True):
+            if cfg["problem"]["disc"]["width"] == 16:
+                raise KeyboardInterrupt
+            return planted(problem, cfg, outdir, do_descent)
+
+        monkeypatch.setattr(cli, "execute", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            gan_width_sweep(tmp_path, 2, monkeypatch)
+        assert_no_child_left()
+        assert time.monotonic() - started < 10
+
+    @pytest.mark.parametrize("action, count", [("default", 1), ("always", 2)])
+    def test_warnings_as_a_sweep_in_sequence(self, tmp_path, monkeypatch, action, count):
+        # alpha=1 runs here and alpha=3 in a child; both warn at the same line,
+        # which the default action shows once
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        path = write_config(tmp_path, r1_unsquashed_config(tmp_path / "sweep"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert sweep(path, "alpha", [1.0, 3.0]) == EXIT_NUMERIC
+        assert [(w.category, str(w.message), Path(w.filename).name) for w in caught] == (
+            [(RuntimeWarning, R1_WARNING, "problems.py")] * count
+        )
+        assert_no_child_left()
 
 
 def classes_config(outdir):
