@@ -5,7 +5,8 @@ Commands
 ``plgd run <config.json>``
     Build the problem, estimate or compute certificates, run descent and
     write ``trace.csv``, ``bounds.csv``, ``report.json`` (plus wall-clock
-    ``timings.json``) into the output directory.
+    ``timings.json``) and ``theta_star.json`` into the output directory,
+    after removing those five files as an earlier run left them there.
 ``plgd check <config.json>``
     Certificates and ledger only, no descent.
 ``plgd sweep <config.json> --axis width --values 2,8,32``
@@ -13,15 +14,17 @@ Commands
     process runs one, a forked child each other), each in its own
     subdirectory, plus a ``summary.csv``.
 
-Exit codes: 0 when every evaluated verdict passes or is hypothesis-unmet;
-1 on configuration or I/O errors, or for a sweep worker that ended
-without a result; 2 on a gradient-oracle failure or a bound violation
-under analytic certificates (violations under sampled certificates are
-reported as warnings); 3 when the gradient gate, the
-certificates or descent hit a non-finite or out-of-domain value
-(``report.json`` then records the message and the failing descent
-iteration, null before descent, under ``numeric_failure``).  A sweep
-exits with the worst code of its runs.  Each value's config is checked
+``run``, ``check`` and each sweep value share one runner.  Exit codes: 0
+when every evaluated verdict passes or is hypothesis-unmet; 1 on
+configuration or I/O errors, which write no report, or for a sweep
+worker that ended without a result; 2 on a gradient-oracle failure or a
+bound violation under analytic certificates (violations under sampled
+certificates are reported as warnings); 3 when the gradient gate, the
+certificates, the ledger or descent hit a non-finite or out-of-domain
+value (``report.json`` then records the message and the failing descent
+iteration, null before descent, under ``numeric_failure``).  Exits 0, 2
+and 3, and every ``check``, write ``report.json`` and ``timings.json``.
+A sweep exits with the worst code of its runs.  Each value's config is checked
 like a run's; a value whose config, problem or certificates cannot be
 built prints ``error: <axis>=<value>: <message>``, counts as code 1 and
 gets a ``summary.csv`` row with empty cells, and the sweep goes on.  A
@@ -560,13 +563,10 @@ def make_certificates(problem: PrototypeProblem, cfg: dict):
     Returns (problem, certificate, objective-with-L).  An objective with no
     infimum (supervised ``gaussian_nll``, every GAN critic) can have no
     full ledger, so its problem gets no estimate: it is returned with a
-    None certificate and its own objective, after analytic mode is refused
-    for a model not linear in its parameters.
+    None certificate and its own objective.
     """
 
     ccfg = cfg["certificates"]
-    if ccfg["mode"] == "analytic":
-        require_analytic(problem)
     if problem.f.f_star is None:
         return problem, None, problem.f
     overrides = ccfg["overrides"]
@@ -629,38 +629,58 @@ class _PhaseClock:
             self.lap(name)
 
 
+#: the files a run writes into its output directory
+OUTPUTS = ("report.json", "timings.json", "trace.csv", "bounds.csv", "theta_star.json")
+
+
 def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool = True) -> dict:
-    """Run the full pipeline on an assembled problem; returns the report."""
+    """Run the full pipeline on an assembled problem; returns the report.
+
+    The files an earlier run left in ``outdir`` are removed first, so what
+    is there afterwards belongs to this run.  A run that ends with exit 0
+    or 2 from its phases, or 3 for a NumericFailure in any of them, then
+    writes ``report.json`` and ``timings.json`` here; any other error
+    escapes and writes nothing.
+    """
+    for name in OUTPUTS:
+        (outdir / name).unlink(missing_ok=True)
+    if cfg["certificates"]["mode"] == "analytic":
+        require_analytic(problem)
     clock = _PhaseClock()
-    warnings_list = []
     report = {"config": cfg, "problem": {"name": problem.name, "family": problem.family,
                                          "param_dim": problem.model.param_dim,
-                                         "function_dim": problem.f.space.dim}}
-
+                                         "function_dim": problem.f.space.dim},
+              "warnings": []}
     try:
-        with clock.phase("gate"):
-            fd_err = check_gradients(problem, n_probes=3, seed=cfg["certificates"]["seed"])
+        report["exit_code"] = _phases(problem, cfg, outdir, do_descent, report, clock)
     except NumericFailure as exc:
-        return _numeric_failure(report, exc, warnings_list, cfg, outdir, clock)
+        report["numeric_failure"] = {"message": str(exc), "iteration": exc.iteration}
+        report["exit_code"] = EXIT_NUMERIC
+    _write_report(report, cfg, outdir)
+    _write_timings(outdir, clock)
+    return report
+
+
+def _phases(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool,
+            report: dict, clock: _PhaseClock) -> int:
+    """The gate, certificates, ledger and descent of :func:`execute`, each
+    filling in its part of ``report``; returns the exit code.  A full run
+    also writes the trajectory files and the final parameters."""
+    with clock.phase("gate"):
+        fd_err = check_gradients(problem, n_probes=3, seed=cfg["certificates"]["seed"])
     report["gradient_check"] = {
         "max_fd_error": fd_err,
         "threshold": FD_GATE,
         "passed": fd_err <= FD_GATE,
     }
     if fd_err > FD_GATE:
-        report["exit_code"] = EXIT_VIOLATION
-        report["warnings"] = [
+        report["warnings"].append(
             f"gradient oracle failed: finite-difference error {fd_err:.3e} exceeds {FD_GATE}"
-        ]
-        _write_report(report, cfg, outdir)
-        _write_timings(outdir, clock)
-        return report
+        )
+        return EXIT_VIOLATION
 
-    try:
-        with clock.phase("certificates"):
-            problem, cert, obj = make_certificates(problem, cfg)
-    except NumericFailure as exc:
-        return _numeric_failure(report, exc, warnings_list, cfg, outdir, clock)
+    with clock.phase("certificates"):
+        problem, cert, obj = make_certificates(problem, cfg)
     report["declared_ball_radius"] = problem.declared_ball.radius
 
     with clock.phase("ledger"):
@@ -670,35 +690,27 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
         except MissingCertificate as exc:
             if alpha == "auto":
                 raise InvalidConfig(f"alpha='auto' needs a full ledger but: {exc}")
-            warnings_list.append(f"minimal ledger: {exc}")
+            report["warnings"].append(f"minimal ledger: {exc}")
             ledger = minimal_ledger(float(alpha))
         report["ledger"] = ledger.as_dict()
         report["ntk"] = {"theta0": _ntk_summary(problem, None)}
-
     if not do_descent:
-        report["exit_code"] = EXIT_OK
-        report["warnings"] = warnings_list
-        _write_report(report, cfg, outdir)
-        _write_timings(outdir, clock)
-        return report
+        return EXIT_OK
 
     declared_radius = (
         None if cfg["certificates"]["mode"] == "analytic" else problem.declared_ball.radius
     )
-    try:
-        with clock.phase("descent"):
-            trace, verdicts = run(
-                problem.F,
-                obj,
-                problem.theta0,
-                ledger,
-                max_iter=cfg["descent"]["max_iter"],
-                stop_gap=cfg["descent"]["stop_gap"],
-                declared_radius=declared_radius,
-            )
-            report["ntk"]["theta_star"] = _ntk_summary(problem, trace.iterates[-1])
-    except NumericFailure as exc:
-        return _numeric_failure(report, exc, warnings_list, cfg, outdir, clock)
+    with clock.phase("descent"):
+        trace, verdicts = run(
+            problem.F,
+            obj,
+            problem.theta0,
+            ledger,
+            max_iter=cfg["descent"]["max_iter"],
+            stop_gap=cfg["descent"]["stop_gap"],
+            declared_radius=declared_radius,
+        )
+        report["ntk"]["theta_star"] = _ntk_summary(problem, trace.iterates[-1])
     f_star = ledger.f_star
     report["iterations"] = {
         "predicted": trace.predicted_iters,
@@ -709,42 +721,19 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
         "diverged": trace.diverged,
     }
     report["verdicts"] = verdicts.as_list()
-
-    analytic_violations = verdicts.violations(analytic_only=True)
-    sampled_violations = [
-        v for v in verdicts.violations() if v.certified != "analytic"
-    ]
-    for v in sampled_violations:
-        warnings_list.append(
-            f"bound {v.name} violated under sampled certificates "
-            f"(measured {v.measured}, bound {v.bound})"
-        )
-    report["warnings"] = warnings_list
-    report["exit_code"] = EXIT_VIOLATION if analytic_violations else EXIT_OK
+    for v in verdicts.violations():
+        if v.certified != "analytic":
+            report["warnings"].append(
+                f"bound {v.name} violated under sampled certificates "
+                f"(measured {v.measured}, bound {v.bound})"
+            )
 
     if "csv" in cfg["output"]["formats"]:
         _write_trace_csv(outdir / "trace.csv", trace, ledger)
         _write_bounds_csv(outdir / "bounds.csv", trace, ledger, verdicts.table)
-    _write_report(report, cfg, outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_theta(outdir / "theta_star.json", trace.iterates[-1], problem.model.param_shapes)
-    _write_timings(outdir, clock)
-    return report
-
-
-def _numeric_failure(
-    report: dict, exc: NumericFailure, warnings_list: list, cfg: dict, outdir: Path,
-    clock: _PhaseClock,
-) -> dict:
-    """Finish a run that hit a NumericFailure in the gate, the certificates
-    or descent: exit code 3, the message and the failing descent iteration
-    (None before descent) under ``numeric_failure``."""
-    report["numeric_failure"] = {"message": str(exc), "iteration": exc.iteration}
-    report["exit_code"] = EXIT_NUMERIC
-    report["warnings"] = warnings_list
-    _write_report(report, cfg, outdir)
-    _write_timings(outdir, clock)
-    return report
+    return EXIT_VIOLATION if verdicts.violations(analytic_only=True) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -829,12 +818,54 @@ def _apply_cli_overrides(cfg: dict, out: str | None, seed: int | None) -> dict:
     return normalize_config(cfg)
 
 
-def _messages(report: dict, prefix: str = "") -> list[str]:
-    """A run's warnings and numeric failure, as the lines they print on stderr."""
-    lines = [f"warning: {prefix}{w}" for w in report.get("warnings", [])]
+def _run_config(cfg: dict, outdir: Path, prefix: str, do_descent: bool) -> tuple:
+    """One run of ``cfg`` into ``outdir``: its report, its stderr lines (the
+    report's warnings and numeric failure, or the error that ended it), each
+    led by ``prefix``, and its Python warnings.
+
+    A config, library or I/O error leaves a report of exit code 1 only.
+    The warnings that pass the filters are recorded, not shown, as
+    (message, category, filename, lineno), so that the caller can issue
+    them with :func:`_replay` where they belong among its output.
+    """
+    lines = []
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = normalize_config(cfg)
+            report = execute(build_problem(cfg), cfg, outdir, do_descent=do_descent)
+        except PlgdError as exc:
+            lines, report = [f"error: {prefix}{exc}"], {"exit_code": EXIT_CONFIG}
+        except OSError as exc:
+            lines, report = [f"io error: {prefix}{exc}"], {"exit_code": EXIT_CONFIG}
+    warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    lines += [f"warning: {prefix}{w}" for w in report.get("warnings", [])]
     if "numeric_failure" in report:
         lines.append(f"error: {prefix}{report['numeric_failure']['message']}")
-    return lines
+    return report, lines, warned
+
+
+def _replay(warned: list) -> None:
+    """Issue recorded warnings as ``warnings.warn`` first issued them: through
+    the current filters and the registry of the module that raised them, so
+    a warning shown once per location is still shown once."""
+    if not warned:
+        return
+    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in warned:
+        m = by_file.get(filename)
+        warnings.warn_explicit(
+            message, category, filename, lineno, module=m and m.__name__,
+            registry=m and vars(m).setdefault("__warningregistry__", {}),
+        )
+
+
+def _finish(result: tuple) -> int:
+    """Issue a run's warnings and stderr lines; returns its exit code."""
+    report, lines, warned = result
+    _replay(warned)
+    for line in lines:
+        print(line, file=sys.stderr)
+    return int(report["exit_code"])
 
 
 def run_experiment(
@@ -846,17 +877,10 @@ def run_experiment(
     """
     try:
         cfg = _apply_cli_overrides(_load_config(config_path), out, seed)
-        problem = build_problem(cfg)
-        report = execute(problem, cfg, Path(cfg["output"]["dir"]), do_descent=do_descent)
     except PlgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    for line in _messages(report):
-        print(line, file=sys.stderr)
-    return int(report["exit_code"])
+    return _finish(_run_config(cfg, Path(cfg["output"]["dir"]), "", do_descent))
 
 
 def check_experiment(config_path: str, out: str | None = None, seed: int | None = None) -> int:
@@ -886,14 +910,12 @@ def _set_axis(cfg: dict, axis: str, value: float) -> dict:
         else:
             prob["encoder"]["width"] = int(value)
             prob["decoder"]["width"] = int(value)
-    elif axis == "datasize":
+    else:  # datasize
         ds = prob["dataset"]
         if ds.get("synthetic") is None:
             raise InvalidConfig("datasize sweeps require a synthetic dataset")
         key = "n_real" if ds["synthetic"].get("kind") == "two_gaussians" else "d"
         ds["synthetic"][key] = int(value)
-    else:
-        raise InvalidConfig(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     return cfg
 
 
@@ -904,48 +926,12 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _sweep_value(cfg: dict, sub: Path) -> tuple:
-    """One sweep value: its report, its stderr lines and its warnings.
-
-    A config, library or I/O error leaves a report of exit code 1 only.
-    The warnings that pass the filters are recorded, not shown, as
-    (message, category, filename, lineno), so that the sweep can issue
-    them in value order.
-    """
-    lines = []
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            cfg = normalize_config(cfg)
-            report = execute(build_problem(cfg), cfg, sub)
-        except PlgdError as exc:
-            lines, report = [f"error: {sub.name}: {exc}"], {"exit_code": EXIT_CONFIG}
-        except OSError as exc:
-            lines, report = [f"io error: {sub.name}: {exc}"], {"exit_code": EXIT_CONFIG}
-    warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-    return report, lines + _messages(report, f"{sub.name}: "), warned
-
-
-def _replay(warned: list) -> None:
-    """Issue recorded warnings as ``warnings.warn`` first issued them: through
-    the current filters and the registry of the module that raised them, so
-    a warning shown once per location is still shown once."""
-    if not warned:
-        return
-    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in warned:
-        m = by_file.get(filename)
-        warnings.warn_explicit(
-            message, category, filename, lineno, module=m and m.__name__,
-            registry=m and vars(m).setdefault("__warningregistry__", {}),
-        )
-
-
 def _fork_share(share: list) -> tuple:
     """Run ``share``, (index, config, directory) triples, in a forked child.
 
     Returns the child's pid and the read end of its pipe.  On success the
     child writes one pickle, ``(done, escaped)``: an (index,
-    :func:`_sweep_value` result) pair per value and, for an exception that
+    :func:`_run_config` result) pair per value and, for an exception that
     escaped a value, a list of one (index, exception, traceback text); then
     it exits 0.  It always leaves by ``os._exit``, never returning here.
     """
@@ -965,7 +951,7 @@ def _fork_share(share: list) -> tuple:
         done, escaped = [], []
         for i, cfg, sub in share:
             try:
-                done.append((i, _sweep_value(cfg, sub)))
+                done.append((i, _run_config(cfg, sub, f"{sub.name}: ", True)))
             except BaseException as exc:  # the caller raises it again
                 import traceback
 
@@ -1026,7 +1012,7 @@ def sweep(
             except OSError:  # no process to spare: this one runs the share too
                 own = own + share
         for i, cfg, sub in own:
-            results[i] = _sweep_value(cfg, sub)
+            results[i] = _run_config(cfg, sub, f"{sub.name}: ", True)
         while children:
             share, pid, fh = children[0]
             with fh:
@@ -1058,11 +1044,8 @@ def sweep(
     for i, v in enumerate(values):
         if isinstance(results[i], BaseException):
             raise results[i]
-        report, messages, warned = results[i]
-        _replay(warned)
-        for line in messages:
-            print(line, file=sys.stderr)
-        worst = max(worst, int(report["exit_code"]))
+        worst = max(worst, _finish(results[i]))
+        report = results[i][0]
         lam_n = report.get("ntk", {}).get("theta0", {}).get("lambda_min")
         q = report.get("ledger", {}).get("q")
         iters = report.get("iterations", {}).get("actual")

@@ -4,6 +4,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -369,7 +371,9 @@ class TestRunCommand:
 class TestNumericFailure:
     def test_mid_run_failure_exits_three_with_report(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run_experiment(write_config(tmp_path, r1_unsquashed_config(out))) == EXIT_NUMERIC
+        with pytest.warns(RuntimeWarning, match="r1 critic score"):
+            code = run_experiment(write_config(tmp_path, r1_unsquashed_config(out)))
+        assert code == EXIT_NUMERIC
         message = "r1 real-side score must satisfy y > 0 at iteration 2"
         assert f"error: {message}" in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
@@ -381,7 +385,8 @@ class TestNumericFailure:
     def test_sweep_reports_worst_code_and_keeps_every_row(self, tmp_path):
         out = tmp_path / "sweep"
         path = write_config(tmp_path, r1_unsquashed_config(out))
-        assert sweep(path, "alpha", [1.0, 3.0]) == EXIT_NUMERIC
+        with pytest.warns(RuntimeWarning, match="r1 critic score"):
+            assert sweep(path, "alpha", [1.0, 3.0]) == EXIT_NUMERIC
         codes = [json.loads((out / sub / "report.json").read_text())["exit_code"]
                  for sub in ("alpha=1", "alpha=3")]
         assert codes == [EXIT_OK, EXIT_NUMERIC]
@@ -612,6 +617,18 @@ class TestSkippedWork:
         assert "analytic certificates unavailable for nonlinear model" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("family", ["gan", "gaussian_nll"])
+    def test_analytic_mode_on_nonlinear_model_is_refused_before_the_gate(
+        self, tmp_path, monkeypatch, capsys, family
+    ):
+        monkeypatch.setattr(cli, "check_gradients", forbidden)
+        out = tmp_path / "out"
+        cfg = gan_config(out) if family == "gan" else self.gaussian_nll_config(out)
+        cfg["certificates"]["mode"] = "analytic"
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert "analytic certificates unavailable for nonlinear model" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_no_uc_run_solves_no_optimum_set(self, tmp_path, monkeypatch):
         # p = 2 < d = 4: no coercivity, so no q and no closest_opt bound
         monkeypatch.setattr(descent, "closest_optimum", forbidden)
@@ -653,6 +670,50 @@ class TestSkippedWork:
         assert len(calls) == 1
         ntk = json.loads((out / "report.json").read_text())["ntk"]
         assert ntk["theta_star"] == ntk["theta0"]
+
+
+class TestOutputDirectory:
+    """A run first removes the files an earlier run left in its directory."""
+
+    OUTPUTS = ["bounds.csv", "report.json", "theta_star.json", "timings.json", "trace.csv"]
+
+    @classmethod
+    def full_run(cls, tmp_path, out):
+        path = write_config(tmp_path, rf_config(out, max_iter=10))
+        assert run_experiment(path) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == cls.OUTPUTS
+        return path
+
+    def test_a_config_error_leaves_no_earlier_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.full_run(tmp_path, out)
+        cfg = rf_config(out, max_iter=10)
+        cfg["descent"]["alpha"] = 1e6
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert "error: alpha must lie in (0, 2/L)" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("ending", ["gate", "numeric", "check"])
+    def test_a_run_without_descent_leaves_only_its_own_files(
+        self, tmp_path, monkeypatch, ending
+    ):
+        out = tmp_path / "out"
+        path = self.full_run(tmp_path, out)
+
+        def numeric_failure(*args, **kwargs):
+            raise NumericFailure("non-finite loss", iteration=1)
+
+        if ending == "gate":
+            monkeypatch.setattr(cli, "check_gradients", lambda *args, **kwargs: 1.0)
+            code, expected = run_experiment(path), EXIT_VIOLATION
+        elif ending == "numeric":
+            monkeypatch.setattr(cli, "run", numeric_failure)
+            code, expected = run_experiment(path), EXIT_NUMERIC
+        else:
+            code, expected = check_experiment(path), EXIT_OK
+        assert code == expected
+        assert json.loads((out / "report.json").read_text())["exit_code"] == expected
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "timings.json"]
 
 
 class TestTimings:
@@ -1188,3 +1249,12 @@ def test_wrong_leaf_values_exit_cleanly(tmp_path, monkeypatch, capsys, make, lea
         assert isinstance(code, int) and "Traceback" not in err
         if code == EXIT_CONFIG:
             assert err and all(line.startswith("error: ") for line in err.splitlines()), err
+
+
+def test_benchmark_hooks_find_every_name_they_rebind():
+    """perfbench/spans.py rebinds plgd functions by name; renaming one fails here."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "perfbench"), str(root / "src")]
+    code = f"import sys; sys.path[:0] = {paths!r}; import spans; spans.install(spans.Recorder())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
