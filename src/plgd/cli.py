@@ -6,13 +6,20 @@ Commands
     Build the problem, estimate or compute certificates, run descent and
     write ``trace.csv``, ``bounds.csv``, ``report.json`` (plus wall-clock
     ``timings.json``) and ``theta_star.json`` into the output directory,
-    after removing those five files as an earlier run left them there.
+    after removing those five files as an earlier run left them there
+    (before the problem is built, so also when building it fails).  Each
+    CSV file is formatted in contiguous row shares, one per usable CPU
+    and each of at least ``CSV_CHUNK`` rows: this process formats the
+    first and a forked child each other, with the bytes of one process.
+    ``timings.json``'s ``export`` phase is therefore wall time with the
+    children's shares overlapped.
 ``plgd check <config.json>``
     Certificates and ledger only, no descent.
 ``plgd sweep <config.json> --axis width --values 2,8,32``
     One run per value, in parallel shares (one per usable CPU; this
     process runs one, a forked child each other), each in its own
-    subdirectory, plus a ``summary.csv``.
+    subdirectory, plus a ``summary.csv``.  The shares already take the
+    CPUs, so each value writes its CSV files in one share.
 
 ``run``, ``check`` and each sweep value share one runner.  Exit codes: 0
 when every evaluated verdict passes or is hypothesis-unmet; 1 on
@@ -112,10 +119,14 @@ import json
 import math
 import os
 import pickle
+import shutil
 import sys
+import tempfile
 import time
 import warnings
 from contextlib import contextmanager
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +169,9 @@ EXIT_VIOLATION = 2
 EXIT_NUMERIC = 3
 
 FD_GATE = 1e-5
-#: rows formatted per write of the CSV writers; a chunk of trace.csv holds
-#: nine Python objects per row, so 1024 rows keep it near 0.3 MB
+#: rows formatted per write of the CSV writers, and the fewest rows of a
+#: share formatted in parallel; a chunk of trace.csv holds nine Python
+#: objects per row, so 1024 rows keep it near 0.3 MB
 CSV_CHUNK = 1024
 
 
@@ -633,6 +645,12 @@ class _PhaseClock:
 OUTPUTS = ("report.json", "timings.json", "trace.csv", "bounds.csv", "theta_star.json")
 
 
+def _remove_outputs(outdir: Path) -> None:
+    """Remove the files an earlier run left in ``outdir``."""
+    for name in OUTPUTS:
+        (outdir / name).unlink(missing_ok=True)
+
+
 def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool = True) -> dict:
     """Run the full pipeline on an assembled problem; returns the report.
 
@@ -642,8 +660,7 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
     writes ``report.json`` and ``timings.json`` here; any other error
     escapes and writes nothing.
     """
-    for name in OUTPUTS:
-        (outdir / name).unlink(missing_ok=True)
+    _remove_outputs(outdir)
     if cfg["certificates"]["mode"] == "analytic":
         require_analytic(problem)
     clock = _PhaseClock()
@@ -737,6 +754,101 @@ def _phases(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
 
 
 # ---------------------------------------------------------------------------
+# forked children
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, counted on Linux only; elsewhere 1,
+    since a forked child of a process that has loaded numpy is not safe
+    there (macOS's Accelerate) or there is no fork at all."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+#: True inside a :func:`_forked` block and in the children it forks: the
+#: CPUs are then taken, so a block nested in it forks nothing
+_forking = False
+
+
+class _Child:
+    """A forked child that runs ``work(out)``, writing into ``out``, an
+    unlinked temporary file that this process reads once the child is reaped.
+
+    A file, unlike a pipe, never makes the child wait while this process is
+    busy, and the child need not hold its output in memory.  The child
+    always leaves by ``os._exit``: status 0 once ``work`` has returned and
+    its bytes are flushed, 1 when anything raised.  Raises OSError when no
+    file or process can be had.
+    """
+
+    def __init__(self, work):
+        self.out = tempfile.TemporaryFile()
+        try:
+            with warnings.catch_warnings():  # Python >= 3.12, numpy's BLAS threads
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                self.pid = os.fork()
+        except OSError:
+            self.out.close()
+            raise
+        if self.pid:
+            return
+        status = 1
+        try:
+            work(self.out)
+            self.out.flush()
+            status = 0
+        finally:
+            os._exit(status)
+
+    def wait(self) -> int:
+        """Reap the child and rewind ``out``: the child's exit code, negative
+        for the signal that ended it."""
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self.out.seek(0)
+        return code
+
+
+@contextmanager
+def _forked(works: list):
+    """A :class:`_Child` per callable of ``works``, or None for one that
+    could not be forked, which the caller then runs itself.  Inside another
+    such block, or in a child forked by one, every entry is None.
+
+    The standard streams are flushed first, so no child holds output of
+    this process.  Leaving the block kills and reaps every child not yet
+    reaped and closes every child's file, also when the block raised or
+    was interrupted.
+    """
+    global _forking
+    if _forking:
+        yield [None] * len(works)
+        return
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    _forking = True
+    try:
+        for work in works:
+            try:
+                children.append(_Child(work))
+            except OSError:  # no process to spare
+                children.append(None)
+        yield children
+    finally:
+        _forking = False
+        for child in children:
+            if child is None:
+                continue
+            if child.pid is not None:
+                import signal
+
+                os.kill(child.pid, signal.SIGKILL)
+                child.wait()
+            child.out.close()
+
+
+# ---------------------------------------------------------------------------
 # writers
 
 
@@ -757,25 +869,57 @@ def _write_timings(outdir: Path, clock: _PhaseClock) -> None:
     (outdir / "timings.json").write_text(json.dumps(timings) + "\n", encoding="utf-8")
 
 
-def _write_rows(fh, fmt: str, columns: list) -> None:
-    """Write ``fmt % row`` for the rows of parallel array columns,
-    converting and formatting a chunk of rows at a time.
+def _format_rows(fmt: str, columns: list, start: int, stop: int) -> bytes:
+    """``fmt % row`` for rows ``start:stop`` of parallel array columns, encoded.
 
-    ``%``-formatting a tuple is cheaper than ``str.format`` and gives the
-    same cells: ``%.17g`` and ``{:.17g}`` render a float alike, and ``%d``
-    and ``%s`` an int and a str or bool as ``{}`` does.
+    One ``%`` formats all the rows, with ``fmt`` repeated once per row,
+    which costs less than a ``%`` per row.  ``%``-formatting is cheaper
+    than ``str.format`` and gives the same cells: ``%.17g`` and
+    ``{:.17g}`` render a float alike, and ``%d`` and ``%s`` an int and a
+    str or bool as ``{}`` does.
     """
-    for start in range(0, len(columns[0]), CSV_CHUNK):
-        chunk = (c[start : start + CSV_CHUNK].tolist() for c in columns)
-        fh.writelines(map(fmt.__mod__, zip(*chunk)))
+    cells = chain.from_iterable(zip(*(c[start:stop].tolist() for c in columns)))
+    return ((fmt * (stop - start)) % tuple(cells)).encode()
+
+
+def _write_share(fh, fmt: str, columns: list, start: int, stop: int) -> None:
+    """Write :func:`_format_rows` of rows ``start:stop`` to the binary file
+    ``fh``, ``CSV_CHUNK`` rows at a time."""
+    for lo in range(start, stop, CSV_CHUNK):
+        fh.write(_format_rows(fmt, columns, lo, min(lo + CSV_CHUNK, stop)))
+
+
+def _write_rows(fh, fmt: str, columns: list) -> None:
+    """Write :func:`_format_rows` of every row to the binary file ``fh``,
+    formatting contiguous shares of the rows in parallel.
+
+    There is one share per usable CPU, each of at least ``CSV_CHUNK`` rows,
+    so a shorter table is one share.  This process writes the first share
+    while a forked child writes each other one into its own file; those
+    files are then copied into ``fh`` in share order, a block at a time.  A
+    share whose child fails, or cannot be forked, is written here in its
+    place.
+    """
+    n = len(columns[0])
+    k = max(1, min(_usable_cpus(), n // CSV_CHUNK))
+    cuts = [n * s // k for s in range(k + 1)]
+    shares = list(zip(cuts, cuts[1:]))
+    works = [partial(_write_share, fmt=fmt, columns=columns, start=start, stop=stop)
+             for start, stop in shares[1:]]
+    with _forked(works) as children:
+        for (start, stop), child in zip(shares, [None, *children]):
+            if child is not None and child.wait() == 0:
+                shutil.copyfileobj(child.out, fh)
+            else:
+                _write_share(fh, fmt, columns, start, stop)
 
 
 def _write_trace_csv(path: Path, trace, ledger) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     cols = trace_columns(trace, ledger)
     n_steps = trace.n_steps
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
         # the last iterate takes no step, so its step cells are empty
         for rows in (slice(0, n_steps), slice(n_steps, n_steps + 1)):
             present = {k: c[rows] for k, c in cols.items() if c is not None and len(c[rows])}
@@ -789,8 +933,8 @@ def _write_bounds_csv(path: Path, trace, ledger, table=None) -> None:
     the trace when no table is given."""
     path.parent.mkdir(parents=True, exist_ok=True)
     t = monitor_rows(trace, ledger) if table is None else table
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("inequality,iter,measured,bound,holds\n")
+    with path.open("wb") as fh:
+        fh.write(b"inequality,iter,measured,bound,holds\n")
         columns = [t.name, t.iteration, t.measured, t.bound, t.holds]
         _write_rows(fh, "%s,%d,%.17g,%.17g,%s\n", columns)
 
@@ -823,7 +967,9 @@ def _run_config(cfg: dict, outdir: Path, prefix: str, do_descent: bool) -> tuple
     report's warnings and numeric failure, or the error that ended it), each
     led by ``prefix``, and its Python warnings.
 
-    A config, library or I/O error leaves a report of exit code 1 only.
+    It first removes the files an earlier run left in ``outdir``, so a
+    config, library or I/O error leaves none of them there and returns a
+    report of exit code 1 only.
     The warnings that pass the filters are recorded, not shown, as
     (message, category, filename, lineno), so that the caller can issue
     them with :func:`_replay` where they belong among its output.
@@ -831,6 +977,7 @@ def _run_config(cfg: dict, outdir: Path, prefix: str, do_descent: bool) -> tuple
     lines = []
     with warnings.catch_warnings(record=True) as caught:
         try:
+            _remove_outputs(outdir)
             cfg = normalize_config(cfg)
             report = execute(build_problem(cfg), cfg, outdir, do_descent=do_descent)
         except PlgdError as exc:
@@ -919,49 +1066,22 @@ def _set_axis(cfg: dict, axis: str, value: float) -> dict:
     return cfg
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, counted on Linux only; elsewhere 1,
-    since a forked child of a process that has loaded numpy is not safe
-    there (macOS's Accelerate) or there is no fork at all."""
-    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+def _run_share(out, share: list) -> None:
+    """Run ``share``, (index, config, directory) triples, as a forked sweep
+    child does, and pickle ``(done, escaped)`` into the binary file
+    ``out``: an (index, :func:`_run_config` result) pair per value and, for
+    an exception that escaped a value, a list of one (index, exception,
+    traceback text)."""
+    done, escaped = [], []
+    for i, cfg, sub in share:
+        try:
+            done.append((i, _run_config(cfg, sub, f"{sub.name}: ", True)))
+        except BaseException as exc:  # the caller raises it again
+            import traceback
 
-
-def _fork_share(share: list) -> tuple:
-    """Run ``share``, (index, config, directory) triples, in a forked child.
-
-    Returns the child's pid and the read end of its pipe.  On success the
-    child writes one pickle, ``(done, escaped)``: an (index,
-    :func:`_run_config` result) pair per value and, for an exception that
-    escaped a value, a list of one (index, exception, traceback text); then
-    it exits 0.  It always leaves by ``os._exit``, never returning here.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-    status = 1
-    try:
-        os.close(r)
-        done, escaped = [], []
-        for i, cfg, sub in share:
-            try:
-                done.append((i, _run_config(cfg, sub, f"{sub.name}: ", True)))
-            except BaseException as exc:  # the caller raises it again
-                import traceback
-
-                escaped.append((i, exc, traceback.format_exc()))
-                break
-        with os.fdopen(w, "wb") as fh:
-            fh.write(pickle.dumps((done, escaped)))
-        status = 0
-    finally:
-        os._exit(status)
+            escaped.append((i, exc, traceback.format_exc()))
+            break
+    pickle.dump((done, escaped), out)
 
 
 def sweep(
@@ -974,7 +1094,8 @@ def sweep(
     """Run one experiment per value, in parallel shares, and write a summary table.
 
     The values are dealt round-robin into one share per usable CPU.  This
-    process runs the first share and a forked child runs each other one.
+    process runs the first share and a forked child runs each other one;
+    as the shares take the CPUs, no value forks its CSV writers' shares.
     Once every share is done, each value's warnings and stderr lines are
     issued in value order, as a sweep of one share issues them.
 
@@ -1002,25 +1123,16 @@ def sweep(
         return EXIT_CONFIG
 
     k = min(len(jobs), _usable_cpus())
-    own, children, results = jobs[::k], [], {}
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for share in (jobs[s::k] for s in range(1, k)):
-            try:
-                children.append((share, *_fork_share(share)))
-            except OSError:  # no process to spare: this one runs the share too
-                own = own + share
-        for i, cfg, sub in own:
-            results[i] = _run_config(cfg, sub, f"{sub.name}: ", True)
-        while children:
-            share, pid, fh = children[0]
-            with fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
+    shares, results = [jobs[s::k] for s in range(k)], {}
+    with _forked([partial(_run_share, share=share) for share in shares[1:]]) as children:
+        for share, child in zip(shares, [None, *children]):
+            if child is None:
+                for i, cfg, sub in share:
+                    results[i] = _run_config(cfg, sub, f"{sub.name}: ", True)
+                continue
+            code = child.wait()
             if code == 0:
-                done, escaped = pickle.loads(data)
+                done, escaped = pickle.load(child.out)
                 results.update(done)
                 for i, exc, tb in escaped:  # raised below, in value order
                     exc.__cause__ = RuntimeError(f"in the sweep worker:\n{tb}")
@@ -1030,14 +1142,6 @@ def sweep(
             for i, _cfg, sub in share:
                 message = f"error: {sub.name}: sweep worker ended by {why}"
                 results[i] = ({"exit_code": EXIT_CONFIG}, [message], [])
-    finally:
-        if children:  # this process failed or was interrupted: end the rest
-            import signal
-
-            for _share, pid, fh in children:
-                fh.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
     lines = ["value,lambda_N,q,iterations,dist_from_init"]
     worst = EXIT_OK

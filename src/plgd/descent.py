@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidConfig, MissingCertificate, NumericFailure, SolverCapExceeded
 from .objective import ScalarObjective
 from .smoothmap import CertValue, MapCertificate, SmoothMap
-from .space import require_dense, symmetrize, weighted_pinv_solve
+from .space import require_dense, symmetrize, weighted_pinv_solve, weighted_solve
 
 #: relative slack granted to every monitored inequality
 REL_TOL = 1e-9
@@ -500,12 +500,19 @@ def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[np.n
     weights = a.codomain.weights
     # A* = D_dom^-1 M^T D_cod, in C order: BLAS rounds ``mat_adj @ y`` by layout
     mat_adj = np.ascontiguousarray(mat_a.T * weights) / a.domain.weights[:, None]
-    y = weighted_pinv_solve(symmetrize(mat_a @ mat_adj, weights), weights, r)
-    delta = mat_adj @ y
-    residual = a.codomain.norm(mat_a @ delta - r)
-    if residual > 1e-8 * (1.0 + a.codomain.norm(r)):
-        return None  # optimum set empty: h* is not attainable by the map
-    return x0c + delta
+    gram = symmetrize(mat_a @ mat_adj, weights)
+    # verify calls this only under a full ledger, whose Gram clears the
+    # rank floor, so one LU solve suffices there; the SVD pseudo-inverse,
+    # far costlier at large d, is the fallback when that solve fails the
+    # residual test, so None means h* is not attainable, never a poor solve
+    for solve in (weighted_solve, weighted_pinv_solve):
+        y = solve(gram, weights, r)
+        if y is None:
+            continue
+        delta = mat_adj @ y
+        if a.codomain.norm(mat_a @ delta - r) <= 1e-8 * (1.0 + a.codomain.norm(r)):
+            return x0c + delta
+    return None  # optimum set empty: h* is not attainable by the map
 
 
 def _at(i: int) -> str:

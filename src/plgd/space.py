@@ -171,6 +171,20 @@ def symmetrize(m, weights, sym_tol: float = IDENTITY_TOL) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
+def weighted_solve(sym: np.ndarray, weights, r):
+    """Solution y of ``M y = r`` from ``sym = symmetrize(M, weights)`` by one
+    LU solve, or None when ``sym`` is singular.
+
+    Returns ``D^-1/2 S^-1 D^1/2 r``.  It is as exact as the conditioning
+    of ``sym`` allows, so callers check its residual.
+    """
+    d = np.sqrt(weights)
+    try:
+        return np.linalg.solve(sym, d * r) / d
+    except np.linalg.LinAlgError:
+        return None
+
+
 def weighted_pinv_solve(sym: np.ndarray, weights, r) -> np.ndarray:
     """Minimum-norm solution y of ``M y = r`` from ``sym = symmetrize(M, weights)``.
 

@@ -39,7 +39,7 @@ from plgd.errors import InvalidConfig, NumericFailure
 from plgd.integrand import least_squares
 from plgd.model import induce
 from plgd.problems import analytic_certificates, check_gradients, supervised
-from plgd.space import symmetrize, weighted_pinv_solve
+from plgd.space import symmetrize, weighted_solve
 
 
 def tight_config(outdir, alpha=0.5):
@@ -508,20 +508,85 @@ def export_cases():
 class TestExports:
     def test_csv_bytes_match_per_cell_reference(self, tmp_path):
         for case, (trace, ledger) in export_cases().items():
-            cli._write_trace_csv(tmp_path / case / "trace.csv", trace, ledger)
-            cli._write_bounds_csv(tmp_path / case / "bounds.csv", trace, ledger)
-            want_trace, want_bounds = reference_csvs(trace, ledger)
-            assert (tmp_path / case / "trace.csv").read_text() == want_trace, case
-            assert (tmp_path / case / "bounds.csv").read_text() == want_bounds, case
+            assert_exports_match(tmp_path / case, trace, ledger)
 
-    def test_rows_span_several_write_chunks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rows_span_several_write_chunks(self, tmp_path, monkeypatch, cpus):
+        # chunks of 7 rows; a table of 7 * cpus rows or more is cut into cpus shares
         monkeypatch.setattr(cli, "CSV_CHUNK", 7)
-        trace, ledger = export_cases()["full"]
-        cli._write_trace_csv(tmp_path / "trace.csv", trace, ledger)
-        cli._write_bounds_csv(tmp_path / "bounds.csv", trace, ledger)
-        want_trace, want_bounds = reference_csvs(trace, ledger)
-        assert (tmp_path / "trace.csv").read_text() == want_trace
-        assert (tmp_path / "bounds.csv").read_text() == want_bounds
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        forks = count_forks(monkeypatch)
+        for case, (trace, ledger) in export_cases().items():
+            assert_exports_match(tmp_path / case, trace, ledger)
+        assert bool(forks) == (cpus > 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "garbage"])
+    def test_a_failed_share_is_formatted_here(self, tmp_path, monkeypatch, failure):
+        # each child raises before it writes, or writes garbage and exits 7;
+        # either way this process formats the child's share in its place
+        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        forks = count_forks(monkeypatch)
+        parent, format_rows, real_exit = os.getpid(), cli._format_rows, os._exit
+
+        def planted(*args):
+            if os.getpid() == parent:
+                return format_rows(*args)
+            if failure == "raises":
+                raise OSError("planted")
+            os._exit = lambda status: real_exit(7)  # in the child only
+            return b"garbage\n" * 10000
+
+        monkeypatch.setattr(cli, "_format_rows", planted)
+        assert_exports_match(tmp_path, *export_cases()["full"])
+        assert len(forks) == 4  # two per file
+        assert_no_child_left()
+
+    def test_a_forked_run_records_no_fork_warning(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns on each fork of a process with BLAS threads
+        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        real_fork = os.fork
+
+        def warning_fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        forks = count_forks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            report, lines, warned = cli._run_config(
+                normalize_config(rf_config(tmp_path, max_iter=30)), tmp_path, "", True)
+        assert (report["exit_code"], lines, warned) == (EXIT_OK, [], [])
+        assert len(forks) == 2  # one per CSV file
+        assert_no_child_left()
+
+
+def count_forks(monkeypatch) -> list:
+    """The pids of the children forked by this process from now on, as the
+    list returned."""
+    forks = []
+
+    class Counted(cli._Child):
+        def __init__(self, work):
+            super().__init__(work)
+            forks.append(self.pid)
+
+    monkeypatch.setattr(cli, "_Child", Counted)
+    return forks
+
+
+def assert_exports_match(outdir, trace, ledger):
+    cli._write_trace_csv(outdir / "trace.csv", trace, ledger)
+    cli._write_bounds_csv(outdir / "bounds.csv", trace, ledger)
+    want_trace, want_bounds = reference_csvs(trace, ledger)
+    assert (outdir / "trace.csv").read_bytes() == want_trace.encode(), outdir
+    assert (outdir / "bounds.csv").read_bytes() == want_bounds.encode(), outdir
 
 
 def test_closest_optimum_adjoint_matches_probed_adjoint():
@@ -533,7 +598,7 @@ def test_closest_optimum_adjoint_matches_probed_adjoint():
     probed = np.stack([a.adjoint_apply(e) for e in np.eye(a.codomain.dim)], axis=1)
     np.testing.assert_allclose((mat_a.T * w) / a.domain.weights[:, None], probed, rtol=0, atol=0)
     x0 = a.domain._coords(prob.theta0)
-    y = weighted_pinv_solve(symmetrize(mat_a @ probed, w), w, prob.f.minimizer - a.apply(x0))
+    y = weighted_solve(symmetrize(mat_a @ probed, w), w, prob.f.minimizer - a.apply(x0))
     x_hat = closest_optimum(prob.F, prob.f, prob.theta0)
     np.testing.assert_allclose(x_hat, x0 + probed @ y, rtol=0, atol=0)
 
@@ -692,6 +757,30 @@ class TestOutputDirectory:
         assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
         assert "error: alpha must lie in (0, 2/L)" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_a_dataset_error_leaves_no_earlier_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.full_run(tmp_path, out)
+        cfg = rf_config(out, max_iter=10)
+        cfg["problem"]["dataset"] = {"path": str(tmp_path / "missing.json")}
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert "error: dataset file not found" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_a_failing_sweep_value_leaves_no_earlier_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        cfg = rf_config(tmp_path / "sweep", max_iter=10)
+        assert sweep(write_config(tmp_path, cfg), "width", [8.0, 16.0]) == EXIT_OK
+        for width in (8, 16):
+            assert sorted(p.name for p in (tmp_path / "sweep" / f"width={width}").iterdir()) == (
+                self.OUTPUTS
+            )
+        # two sigmas for a one-column target: no value's problem can be built
+        cfg["problem"]["integrand"]["sigma"] = [1.0, 1.0]
+        assert sweep(write_config(tmp_path, cfg), "width", [8.0, 16.0]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("integrand.sigma length must match") == 2
+        for width in (8, 16):
+            assert list((tmp_path / "sweep" / f"width={width}").iterdir()) == []
 
     @pytest.mark.parametrize("ending", ["gate", "numeric", "check"])
     def test_a_run_without_descent_leaves_only_its_own_files(
@@ -1187,6 +1276,23 @@ class TestParallelSweep:
             gan_width_sweep(tmp_path, 2, monkeypatch)
         assert_no_child_left()
         assert time.monotonic() - started < 10
+
+    def test_values_write_their_csv_files_in_one_share(self, tmp_path, monkeypatch):
+        # tables of 21 rows, 3 chunks of 7: a run would fork one CSV share per file
+        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        real_fork, log = os.fork, tmp_path / "forks.log"
+
+        def logged_fork():
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        assert gan_width_sweep(tmp_path, 2, monkeypatch) == EXIT_OK
+        assert log.read_text() == f"{os.getpid()}\n"  # the sweep's child, nothing more
+        assert_no_child_left()
+        trace = (tmp_path / "sweep" / "width=8" / "trace.csv").read_text()
+        assert len(trace.splitlines()) == 22
 
     @pytest.mark.parametrize("action, count", [("default", 1), ("always", 2)])
     def test_warnings_as_a_sweep_in_sequence(self, tmp_path, monkeypatch, action, count):

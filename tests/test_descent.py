@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plgd import descent
 from plgd.cli import build_problem, normalize_config
 from plgd.descent import (
     ConstantsLedger,
@@ -390,6 +391,26 @@ class TestClosestOptimum:
         prob, _ = tight_problem()
         x_hat = closest_optimum(prob.F, prob.f, np.array([2.0, 2.0]))
         assert np.allclose(x_hat, [2.0, 2.0], atol=1e-12)
+
+    def test_solved_without_the_pseudo_inverse(self, monkeypatch):
+        def pinv(*args, **kwargs):
+            raise AssertionError("the LU solve of a positive definite Gram is enough")
+
+        monkeypatch.setattr(np.linalg, "pinv", pinv)
+        prob, _ = tight_problem()
+        assert np.allclose(closest_optimum(prob.F, prob.f, prob.theta0), [2.0, 2.0], atol=1e-12)
+
+    def test_poor_solve_falls_back_to_the_pseudo_inverse(self, monkeypatch):
+        # a solve that misses the residual test is not read as "h* unattainable"
+        monkeypatch.setattr(descent, "weighted_solve", lambda sym, w, r: np.zeros_like(r))
+        prob, _ = tight_problem()
+        assert np.allclose(closest_optimum(prob.F, prob.f, prob.theta0), [2.0, 2.0], atol=1e-12)
+
+    def test_singular_gram_with_attainable_target(self):
+        # two copies of one sample: the Gram is singular, h* = (4, 4) is attained
+        data = Dataset([[1.0, 1.0], [1.0, 1.0]], targets=[np.array([4.0]), np.array([4.0])])
+        prob = supervised(linear_model(2, out_dim=1), data, least_squares(k=1))
+        assert np.allclose(closest_optimum(prob.F, prob.f, prob.theta0), [2.0, 2.0], atol=1e-12)
 
     def test_nonlinear_family_unsupported(self):
         data = Dataset(
