@@ -82,8 +82,8 @@ finite number > 0 and ``num0`` a finite number >= 0::
 A numeric ``alpha`` must also lie below 2/L, which the ledger checks;
 ``K_F`` and ``L_F`` must have a finite square; and overrides must keep
 lambda_F <= K_F^2 together with the constants they leave to the
-certificates.  A synthetic dataset too large to allocate is refused with
-numpy's message, which names its size.
+certificates.  A synthetic dataset or a model too large to allocate is
+refused with numpy's message, which names its size.
 
 Dataset schema
 --------------
@@ -540,12 +540,13 @@ def _build_gan(prob: dict) -> PrototypeProblem:
 
 
 def build_problem(cfg: dict) -> PrototypeProblem:
-    family = cfg["problem"]["family"]
-    if family == "supervised":
-        return _build_supervised(cfg["problem"])
-    if family == "vae":
-        return _build_vae(cfg["problem"])
-    return _build_gan(cfg["problem"])
+    """The problem ``cfg`` describes.  A model or dataset too large to
+    allocate is refused with numpy's message, which names its shape."""
+    build = {"supervised": _build_supervised, "vae": _build_vae, "gan": _build_gan}
+    try:
+        return build[cfg["problem"]["family"]](cfg["problem"])
+    except MemoryError as exc:  # a size the schema accepts but memory cannot hold
+        raise InvalidConfig(f"problem: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +589,13 @@ def make_certificates(problem: PrototypeProblem, cfg: dict):
         cert = _apply_overrides(analytic_certificates(problem), overrides)
         return problem, cert, problem.f
 
-    cert = _apply_overrides(
-        sampled_certificates(problem, n=ccfg["n_samples"], seed=ccfg["seed"]), overrides
-    )
-    obj = objective_with_estimated_lg(problem, n_pairs=ccfg["n_samples"], seed=ccfg["seed"])
+    def estimate(problem):
+        """The sampled certificate and objective-with-L on ``problem``'s ball."""
+        n, seed = ccfg["n_samples"], ccfg["seed"]
+        cert = _apply_overrides(sampled_certificates(problem, n=n, seed=seed), overrides)
+        return cert, objective_with_estimated_lg(problem, n_pairs=n, seed=seed)
+
+    cert, obj = estimate(problem)
     if user_radius is None and obj.L is not None:
         try:
             pre = build_ledger(problem.F, obj, problem.theta0, cert, alpha="auto")
@@ -599,13 +603,7 @@ def make_certificates(problem: PrototypeProblem, cfg: dict):
             pre = None
         if pre is not None and pre.dist_bound() is not None:
             problem = problem.with_ball(max(10.0 * pre.dist_bound(), 1e-6))
-            cert = _apply_overrides(
-                sampled_certificates(problem, n=ccfg["n_samples"], seed=ccfg["seed"]),
-                overrides,
-            )
-            obj = objective_with_estimated_lg(
-                problem, n_pairs=ccfg["n_samples"], seed=ccfg["seed"]
-            )
+            cert, obj = estimate(problem)
     return problem, cert, obj
 
 

@@ -287,7 +287,6 @@ class BoundVerdicts:
     :class:`MonitorTable` they were aggregated from (bounds.csv's rows)."""
 
     verdicts: dict = field(default_factory=dict)
-    diverged: bool = False
     table: Optional[MonitorTable] = None
 
     def add(self, v: Verdict):
@@ -295,9 +294,6 @@ class BoundVerdicts:
 
     def get(self, name: str) -> Verdict:
         return self.verdicts[name]
-
-    def all(self) -> list:
-        return list(self.verdicts.values())
 
     def violations(self, analytic_only: bool = False) -> list:
         """Failed verdicts whose hypotheses were met (genuine violations)."""
@@ -496,7 +492,7 @@ def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[np.n
         return None
     x0c = f_map.domain._coords(x0)
     r = obj.minimizer - a.apply(x0c)
-    mat_a = a.matrix()
+    mat_a = a.mat
     weights = a.codomain.weights
     # A* = D_dom^-1 M^T D_cod, in C order: BLAS rounds ``mat_adj @ y`` by layout
     mat_adj = np.ascontiguousarray(mat_a.T * weights) / a.domain.weights[:, None]
@@ -646,7 +642,7 @@ def verify(
     declared_radius: Optional[float] = None,
 ) -> BoundVerdicts:
     """Aggregate per-iteration monitors and final bounds into verdicts."""
-    out = BoundVerdicts(diverged=trace.diverged)
+    out = BoundVerdicts()
     certified = ledger.provenance
 
     # ball hypothesis: the required radius exists, is covered by the

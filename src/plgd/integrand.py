@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidDataset, NumericFailure
 from .objective import ScalarObjective
-from .smoothmap import CertValue, fd_score
+from .smoothmap import FD_STEP, CertValue, fd_score
 from .space import WeightedSpace
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -151,9 +151,8 @@ class Integrand:
     ``lipschitz`` and ``pl`` are the Lipschitz-gradient and PL constants
     of ``iota(x, .)`` valid for every atom, or None.
     ``pointwise_inf(data)`` gives the (d,) values ``inf_z iota(x_i, z)``
-    (None when unknown); ``inf_attained`` records whether that infimum is
-    attained.  ``pointwise_argmin(data)`` gives the (d, out_dim) unique
-    pointwise minimizers when known in closed form.
+    (None when unknown), and ``pointwise_argmin(data)`` the (d, out_dim)
+    unique pointwise minimizers when known in closed form.
     """
 
     out_dim: int
@@ -162,7 +161,6 @@ class Integrand:
     pl: Optional[float] = None
     pointwise_inf: Optional[Callable[[Dataset], np.ndarray]] = None
     pointwise_argmin: Optional[Callable[[Dataset], np.ndarray]] = None
-    inf_attained: bool = True
     name: str = ""
 
     def _block(self, data: Dataset, z) -> np.ndarray:
@@ -188,8 +186,9 @@ def _row_errors(iota: Integrand, data: Dataset, z: np.ndarray, g: np.ndarray, h:
     return norm(fd - g, axis=1), norm(g, axis=1), norm(fd, axis=1)
 
 
-def fd_check_integrand(iota: Integrand, data: Dataset, z, h: float = 1e-6) -> float:
-    """Worst per-row relative mismatch of grad_z against central differences.
+def fd_check_integrand(iota: Integrand, data: Dataset, z) -> float:
+    """Worst per-row relative mismatch of grad_z against central differences
+    of step 1e-6.
 
     The strict per-row oracle for a single integrand: every row is scored
     relative to its own norm (clamped at 1e-8), however small that is next
@@ -198,7 +197,7 @@ def fd_check_integrand(iota: Integrand, data: Dataset, z, h: float = 1e-6) -> fl
     measures rows that vanish (at an optimum, say) against the largest.
     """
     z = iota._block(data, z)
-    err, g_norm, fd_norm = _row_errors(iota, data, z, iota.grad(data, z), h)
+    err, g_norm, fd_norm = _row_errors(iota, data, z, iota.grad(data, z), 1e-6)
     return float(np.max(err / np.maximum(np.maximum(g_norm, fd_norm), 1e-8)))
 
 
@@ -211,20 +210,16 @@ def _float_targets(data: Dataset, k: int) -> np.ndarray:
     return t
 
 
-def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> Integrand:
+def least_squares(sigma=None, k: int = 1) -> Integrand:
     """Gaussian fixed-variance fit; plain least squares when sigma is None.
 
     With a variance vector sigma the loss is
-    ``0.5 sum_i ((t_i - z_i)/sigma_i)^2`` plus a constant normalizer:
-    ``sqrt(2 pi) prod_i sigma_i`` by default ("verbatim"), or the log-scale
-    ``sum_i log sigma_i + k/2 log(2 pi)`` with ``normalization="textbook"``.
-    Without sigma it is the bare ``0.5 ||t - z||^2``.  All variants are
-    1/sigma^2-quadratic in z, so the Lipschitz and PL constants are the
-    extreme inverse variances and the constant shifts nothing but the
-    infimum.
+    ``0.5 sum_i ((t_i - z_i)/sigma_i)^2`` plus the paper's constant
+    normalizer ``sqrt(2 pi) prod_i sigma_i``.  Without sigma it is the bare
+    ``0.5 ||t - z||^2``.  Both are 1/sigma^2-quadratic in z, so the
+    Lipschitz and PL constants are the extreme inverse variances and the
+    constant shifts nothing but the infimum.
     """
-    if normalization not in ("verbatim", "textbook"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     if sigma is None:
         inv2 = None  # unit variances: the gradient is the residual itself
         const = 0.0
@@ -235,10 +230,7 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
             raise ValueError("sigma entries must be positive and finite")
         k = s.size
         inv2 = 1.0 / s**2
-        if normalization == "verbatim":
-            const = SQRT_2PI * float(np.prod(s))
-        else:
-            const = float(np.sum(np.log(s))) + 0.5 * k * math.log(2.0 * math.pi)
+        const = SQRT_2PI * float(np.prod(s))
         name = "gaussian_fixed_var"
 
     def value_and_grad_fn(data, z):
@@ -259,44 +251,35 @@ def least_squares(sigma=None, k: int = 1, normalization: str = "verbatim") -> In
     )
 
 
-def gaussian_nll(k: int = 1, normalization: str = "verbatim") -> Integrand:
+def gaussian_nll(k: int = 1) -> Integrand:
     """Gaussian fit with learned log-variance: z = (mean, log-variance).
 
-    The default ("verbatim") normalizer term is the multiplicative
+    The normalizer term is the paper's multiplicative
     ``sqrt(2 pi) e^{sum_i z_{k+i}}``:
 
         iota(x, z) = 0.5 sum_i ((t_i - z_i) / e^{z_{k+i}})^2
                      + sqrt(2 pi) e^{sum_i z_{k+i}}
 
-    ``normalization="textbook"`` swaps in the additive log-scale form
-    ``sum_i z_{k+i} + k/2 log(2 pi)`` instead.  Neither variant is
-    globally Lipschitz-gradient or PL, and neither attains its infimum
-    (the variances can shrink forever), so no constants are attached.
+    The loss is not globally Lipschitz-gradient or PL, and it does not
+    attain its infimum (the variances can shrink forever), so no constants
+    are attached.
     """
-    if normalization not in ("verbatim", "textbook"):
-        raise ValueError(f"unknown normalization {normalization!r}")
 
     def split(data, z):
         if np.any(np.abs(z[:, k:]) > EXP_DOMAIN):
             raise NumericFailure("log-variance output beyond exp() domain (|s| > 700)")
         return _float_targets(data, k), z[:, :k], z[:, k:]
 
-    def normalizer(logv):
-        """The (d, 1) normalizer term and its derivative in each log-variance."""
-        if normalization == "verbatim":
-            n = SQRT_2PI * np.exp(logv.sum(axis=1, keepdims=True))
-            return n, n
-        return logv.sum(axis=1, keepdims=True) + 0.5 * k * math.log(2.0 * math.pi), 1.0
-
     def value_and_grad_fn(data, z):
         t, mean, logv = split(data, z)
         diff = t - mean
         r = diff * np.exp(-logv)
         inv_var = np.exp(-2.0 * logv)
-        n, n_grad = normalizer(logv)
+        # the (d, 1) normalizer term, also its derivative in each log-variance
+        n = SQRT_2PI * np.exp(logv.sum(axis=1, keepdims=True))
         g = np.empty_like(z)
         g[:, :k] = -diff * inv_var
-        g[:, k:] = -(diff**2) * inv_var + n_grad
+        g[:, k:] = -(diff**2) * inv_var + n
         return 0.5 * np.sum(r * r, axis=1) + n[:, 0], g
 
     return Integrand(2 * k, value_and_grad_fn, name="gaussian_nll")
@@ -336,7 +319,6 @@ def softmax_ce(k: int) -> Integrand:
         value_and_grad_fn,
         lipschitz=1.0,
         pointwise_inf=lambda data: np.zeros(len(data)),
-        inf_attained=False,
         name="softmax_ce",
     )
 
@@ -379,7 +361,6 @@ def vae_integrand(ell: Integrand, beta: float, latent_dim: int) -> Integrand:
         enc + ell.out_dim,
         value_and_grad_fn,
         pointwise_inf=ell.pointwise_inf,
-        inf_attained=ell.inf_attained,
         name=f"vae[{ell.name},beta={beta}]",
     )
 
@@ -538,22 +519,20 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
         L=None if iota.lipschitz is None else CertValue(iota.lipschitz, "analytic"),
         lam=None if iota.pl is None else CertValue(iota.pl, "analytic"),
         minimizer=minimizer,
-        f_star_attained=iota.inf_attained,
         name=f"I[{iota.name}]",
         value_and_grad_fn=value_and_grad_fn,
     )
 
 
-def fd_check_functional(
-    f: ScalarObjective, iota: Integrand, data: Dataset, z, h: float = 1e-5
-) -> float:
+def fd_check_functional(f: ScalarObjective, iota: Integrand, data: Dataset, z) -> float:
     """Gradient check of ``f``, the integral of ``iota`` over ``data``, at
     cost linear in the sample count.
 
     The functional is separable: sample i's outputs enter only its own
     term.  So row i of the gradient ``f.grad_fn(z)`` is compared with
     central differences of the integrand at row i (as in
-    :func:`fd_check_integrand`), and the rows are scored by
+    :func:`fd_check_integrand`, but with the gate's step
+    ``smoothmap.FD_STEP``), and the rows are scored by
     ``smoothmap.fd_score``.  Checking the whole functional column by
     column instead would difference an O(1) sum to find an O(1/d)
     derivative, whose rounding error fails correct gradients once d
@@ -564,8 +543,7 @@ def fd_check_functional(
     the order of the gradient's norm).  Correct functionals score <= 1e-5;
     a gradient off by a factor c scores about |1 - 1/c|.
     """
-    if not (1e-8 <= h <= 1e-2):
-        raise ValueError("fd step h must lie in [1e-8, 1e-2]")
+    h = FD_STEP
     space = f.space
     zc = space._coords(z)
     g = np.asarray(f.grad_fn(zc), dtype=float)

@@ -293,15 +293,15 @@ def random_features(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) ->
     )
 
 
-def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0, scale=None) -> Model:
+def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) -> Model:
     """One-hidden-layer tanh network, both layers trainable.
 
-    ``N(x, theta) = scale * a @ tanh(W x)`` with theta = (W, a) flattened
-    and scale defaulting to ``1/sqrt(width)`` (standard-normal W and a
-    then keep the tangent kernel's range stable as the width grows).
+    ``N(x, theta) = (1/sqrt(width)) a @ tanh(W x)`` with theta = (W, a)
+    flattened (standard-normal W and a then keep the tangent kernel's range
+    stable as the width grows).
     """
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(width) if scale is None else float(scale)
+    scale = 1.0 / np.sqrt(width)
     n_w = width * in_dim
     p = n_w + out_dim * width
 

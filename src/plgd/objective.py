@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MissingCertificate
-from .smoothmap import Ball, CertValue, _sample_pairs, sample_ball
+from .smoothmap import INFLATE, Ball, CertValue, _sample_pairs, sample_ball
 from .space import WeightedSpace, require_dense, symmetrize, weighted_pinv_solve
 
 #: points closer than this to optimal are excluded from PL ratios (0/0 hygiene)
@@ -33,8 +33,7 @@ class ScalarObjective:
     ``grad_fn`` keeps it, so an objective whose math changes replaces all
     three.  Fields beyond the callables are metadata: ``L`` and ``lam``
     are certified Lipschitz-gradient and PL constants (None when unknown),
-    ``f_star`` the infimum over the whole space (None when unknown),
-    ``f_star_attained`` records whether the infimum is attained, and
+    ``f_star`` the infimum over the whole space (None when unknown) and
     ``minimizer`` the unique minimizer's coordinates when available.
     """
 
@@ -45,7 +44,6 @@ class ScalarObjective:
     L: Optional[CertValue] = None
     lam: Optional[CertValue] = None
     minimizer: Optional[np.ndarray] = None
-    f_star_attained: bool = True
     name: str = ""
     value_and_grad_fn: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
@@ -61,7 +59,7 @@ class ScalarObjective:
         return self.value_fn(h), self.grad_fn(h)
 
 
-def quadratic(space: WeightedSpace, a_mat, b=None, name: str = "quadratic") -> ScalarObjective:
+def quadratic(space: WeightedSpace, a_mat, b=None) -> ScalarObjective:
     """The objective ``f(h) = 1/2 <h, A h> - <b, h>`` with exact constants.
 
     A must be self-adjoint positive semidefinite with respect to the
@@ -99,7 +97,7 @@ def quadratic(space: WeightedSpace, a_mat, b=None, name: str = "quadratic") -> S
         L=CertValue(l_const, "analytic"),
         lam=None if lam_const is None else CertValue(lam_const, "analytic"),
         minimizer=h_star,
-        name=name,
+        name="quadratic",
     )
 
 
@@ -108,7 +106,7 @@ def estimate_lg(
     ball: Ball,
     n_pairs: int = 32,
     seed: int = 0,
-    inflate: float = 1.1,
+    inflate: float = INFLATE,
 ) -> float:
     """Sampled upper bound on the gradient Lipschitz constant over the ball."""
     if n_pairs < 1:
@@ -128,23 +126,15 @@ class PLReport:
     """Result of a sampled Polyak-Lojasiewicz check.
 
     ``lambda_hat`` is the smallest sampled ratio ``0.5 ||grad||^2 / gap``
-    (None when no sample had a usable gap); ``violations`` lists the
-    sampled points whose ratio fell below the requested constant.
+    (None when no sample had a usable gap).
     """
 
     lambda_hat: Optional[float]
-    violations: list
     n_valid: int
     n_skipped: int
 
 
-def check_pl(
-    f: ScalarObjective,
-    ball: Ball,
-    n: int = 64,
-    seed: int = 0,
-    requested: Optional[float] = None,
-) -> PLReport:
+def check_pl(f: ScalarObjective, ball: Ball, n: int = 64, seed: int = 0) -> PLReport:
     """Probe ``0.5 ||grad f||^2 >= lam (f - f_star)`` by sampling the ball.
 
     Requires ``f_star``; sampled points with gap below ``PL_GAP_FLOOR``
@@ -155,7 +145,6 @@ def check_pl(
     rng = np.random.default_rng(seed)
     pts = [ball.center] + sample_ball(ball, max(n - 1, 0), rng)
     lam_hat = None
-    violations = []
     n_valid = 0
     n_skipped = 0
     for p in pts:
@@ -167,6 +156,4 @@ def check_pl(
         ratio = 0.5 * f.space.inner(g, g) / gap
         n_valid += 1
         lam_hat = ratio if lam_hat is None else min(lam_hat, ratio)
-        if requested is not None and ratio < requested:
-            violations.append({"point": np.asarray(p), "ratio": float(ratio)})
-    return PLReport(lam_hat, violations, n_valid, n_skipped)
+    return PLReport(lam_hat, n_valid, n_skipped)

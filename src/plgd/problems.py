@@ -31,6 +31,7 @@ from .integrand import (
 from .model import Model, NTKGram, induce, ntk_gram
 from .objective import ScalarObjective
 from .smoothmap import (
+    INFLATE,
     Ball,
     CertValue,
     MapCertificate,
@@ -298,7 +299,7 @@ def objective_with_estimated_lg(
                 worst = max(worst, space.norm(f.grad_fn(ha) - f.grad_fn(hb)) / dh)
             if worst == 0.0:
                 return f
-            return replace(f, L=CertValue(1.1 * worst, "sampled", n_pairs, 1.1))
+            return replace(f, L=CertValue(INFLATE * worst, "sampled", n_pairs, INFLATE))
         except NumericFailure:
             radius /= 10.0
     warnings.warn(
@@ -309,15 +310,14 @@ def objective_with_estimated_lg(
     return f
 
 
-def check_gradients(
-    problem: PrototypeProblem, n_probes: int = 10, seed: int = 0, h: float = 1e-5
-) -> float:
+def check_gradients(problem: PrototypeProblem, n_probes: int = 10, seed: int = 0) -> float:
     """Worst finite-difference error of F and of the objective's gradient.
 
     Probes the initial point and random perturbations of it.  F is checked
     column by column (:func:`fd_check`, 2p forward evaluations made in
     stacked chunks) and the objective one sample block at a time
-    (:func:`fd_check_functional`), so the score does not grow with the
+    (:func:`fd_check_functional`), both with the fixed step
+    ``smoothmap.FD_STEP``, so the score does not grow with the
     sample count d.  Assembled problems score below 1e-5 unless a Jacobian
     or gradient is wrong.
     """
@@ -328,7 +328,7 @@ def check_gradients(
         theta0 + 0.1 * rng.standard_normal(theta0.size) for _ in range(n_probes)
     ]
     for th in probes:
-        worst = max(worst, fd_check(problem.F, th, h=h))
+        worst = max(worst, fd_check(problem.F, th))
         z = problem.F.value(th)
-        worst = max(worst, fd_check_functional(problem.f, problem.iota, problem.data, z, h=h))
+        worst = max(worst, fd_check_functional(problem.f, problem.iota, problem.data, z))
     return worst

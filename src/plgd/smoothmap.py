@@ -10,10 +10,11 @@ over a ball:
 * ``estimate_uc`` -- a lower bound lam > 0 on the coercivity of J(x) J(x)*
   (uniform conditioning), or None when some sample is not coercive.
 
-Sampled upper bounds are inflated by a safety factor (default 1.1), lower
-bounds deflated (default 0.9); pass factor 1.0 to obtain the raw sampled
-value.  Analytic constants can be supplied directly via
-:class:`MapCertificate`.
+Sampled upper bounds are inflated by a safety factor (``INFLATE``, 1.1),
+lower bounds deflated (``DEFLATE``, 0.9); an estimator called with factor
+1.0 returns the raw sampled value.  Analytic constants can be supplied
+directly via :class:`MapCertificate`.  :func:`fd_check`, the gradient
+gate's check of a Jacobian, differences with the fixed step ``FD_STEP``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .space import LinOp, WeightedSpace, coercivity, gram_eigvalsh, op_norm
+
+#: step of the gradient gate's central differences
+FD_STEP = 1e-5
+
+#: safety factors of sampled upper and lower bounds
+INFLATE = 1.1
+DEFLATE = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,13 +213,14 @@ def _fd_chunk(p: int, n_out: int) -> int:
     return max(1, min(p, n_out) // 8)
 
 
-def fd_check(f: SmoothMap, x, h: float = 1e-5) -> float:
+def fd_check(f: SmoothMap, x) -> float:
     """Largest relative mismatch between Jacobian columns and central FD.
 
     The central differences ``(F(x + h e_k) - F(x - h e_k)) / 2h`` of all
-    coordinate directions e_k are stacked into one array and compared
-    with the Jacobian's coordinate matrix column by column in the
-    codomain norm, scored by :func:`fd_score`.  The 2p perturbed points are
+    coordinate directions e_k, with the fixed step h = ``FD_STEP``, are
+    stacked into one array and compared with the Jacobian's coordinate
+    matrix column by column in the codomain norm, scored by
+    :func:`fd_score`.  The 2p perturbed points are
     evaluated a chunk of columns at a time, one :meth:`SmoothMap.value_stack`
     call per sign and chunk; without a ``value_stack_fn`` that is one
     ``value_fn`` call per point.  Correctly implemented maps score <= 1e-5;
@@ -221,19 +230,17 @@ def fd_check(f: SmoothMap, x, h: float = 1e-5) -> float:
     the larger of the two (a correct one scores ~1e-15, a non-finite one
     infinity).
     """
-    if not (1e-8 <= h <= 1e-2):
-        raise ValueError("fd step h must lie in [1e-8, 1e-2]")
     xc = f.domain._coords(x)
     jac = f.jacobian(xc)
-    exact = jac.matrix()
+    exact = jac.mat
     fd = np.empty_like(exact)
     p = f.domain.dim
     chunk = _fd_chunk(p, f.codomain.dim)
     for start in range(0, p, chunk):
         cols = np.arange(start, min(start + chunk, p))
         e = np.zeros((len(cols), p))
-        e[np.arange(len(cols)), cols] = h
-        fd[:, cols] = ((f.value_stack(xc + e) - f.value_stack(xc - e)) / (2.0 * h)).T
+        e[np.arange(len(cols)), cols] = FD_STEP
+        fd[:, cols] = ((f.value_stack(xc + e) - f.value_stack(xc - e)) / (2.0 * FD_STEP)).T
     w = f.codomain.weights
 
     def col_norms(m):
@@ -267,7 +274,7 @@ def estimate_bj(
     ball: Ball,
     n: int = 32,
     seed: int = 0,
-    inflate: float = 1.1,
+    inflate: float = INFLATE,
 ) -> float:
     """Sampled upper bound on ``||J(x)||`` over the ball (center included)."""
     if n < 1:
@@ -312,7 +319,7 @@ def estimate_lj(
     ball: Ball,
     n_pairs: int = 32,
     seed: int = 0,
-    inflate: float = 1.1,
+    inflate: float = INFLATE,
 ) -> float:
     """Sampled upper bound on the Jacobian Lipschitz constant over the ball.
 
@@ -327,7 +334,7 @@ def estimate_lj(
     w_dom, w_cod = f.domain.weights, f.codomain.weights
     worst = 0.0  # the largest squared difference quotient
     for x, y in _sample_pairs(ball, n_pairs, rng):
-        jump = f.jacobian(x).matrix() - f.jacobian(y).matrix()
+        jump = f.jacobian(x).mat - f.jacobian(y).mat
         worst = max(worst, gram_eigvalsh(jump, w_dom, w_cod)[-1] / f.domain.norm(x - y) ** 2)
     return inflate * math.sqrt(worst)
 
@@ -337,7 +344,7 @@ def estimate_uc(
     ball: Ball,
     n: int = 32,
     seed: int = 0,
-    deflate: float = 0.9,
+    deflate: float = DEFLATE,
 ) -> Optional[float]:
     """Sampled lower bound on the coercivity of ``J(x) J(x)*`` over the ball.
 
@@ -358,23 +365,17 @@ def estimate_uc(
     return deflate * worst
 
 
-def certify(
-    f: SmoothMap,
-    ball: Ball,
-    n: int = 32,
-    seed: int = 0,
-    inflate: float = 1.1,
-    deflate: float = 0.9,
-) -> MapCertificate:
-    """Bundle sampled BJ/LJ/UC estimates into a :class:`MapCertificate`."""
-    k = estimate_bj(f, ball, n=n, seed=seed, inflate=inflate)
-    l = estimate_lj(f, ball, n_pairs=n, seed=seed + 1, inflate=inflate)
-    lam = estimate_uc(f, ball, n=n, seed=seed + 2, deflate=deflate)
-    k_cert = CertValue(k, "sampled", n, inflate)
+def certify(f: SmoothMap, ball: Ball, n: int = 32, seed: int = 0) -> MapCertificate:
+    """Bundle sampled BJ/LJ/UC estimates, with their default safety factors,
+    into a :class:`MapCertificate`."""
+    k = estimate_bj(f, ball, n=n, seed=seed)
+    l = estimate_lj(f, ball, n_pairs=n, seed=seed + 1)
+    lam = estimate_uc(f, ball, n=n, seed=seed + 2)
+    k_cert = CertValue(k, "sampled", n, INFLATE)
     l_cert = (
         CertValue(0.0, "analytic")
         if f.linear_op is not None
-        else CertValue(l, "sampled", n, inflate)
+        else CertValue(l, "sampled", n, INFLATE)
     )
-    lam_cert = None if lam is None else CertValue(lam, "sampled", n, deflate)
+    lam_cert = None if lam is None else CertValue(lam, "sampled", n, DEFLATE)
     return MapCertificate(K=k_cert, L=l_cert, lam=lam_cert)

@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, NotSelfAdjoint, SolverCapExceeded
 #: largest dense eigensolve or pseudo-inverse; a weighted Gram is solved on its smaller side
 DENSE_EIG_CAP = 4096
 
-#: default tolerance of exact identities (adjointness, symmetry)
+#: relative asymmetry beyond which :func:`symmetrize` refuses an operator
 IDENTITY_TOL = 1e-10
 
 #: float64 machine epsilon, the unit of the eigensolver's rounding floor
@@ -122,14 +122,11 @@ class LinOp:
     def identity(space: WeightedSpace) -> "LinOp":
         return LinOp(space, space, np.eye(space.dim))
 
-    def matrix(self) -> np.ndarray:
-        """The read-only coordinate matrix, of shape (codomain dim, domain dim)."""
-        return self.mat
 
-
-def adjoint_defect(a: LinOp, n_probes: int = 100, seed: int = 0) -> float:
-    """Worst relative violation of ``<Au, v> == <u, A*v>`` over random probes."""
-    rng = np.random.default_rng(seed)
+def adjoint_defect(a: LinOp, n_probes: int = 100) -> float:
+    """Worst relative violation of ``<Au, v> == <u, A*v>`` over fixed-seed
+    random probes."""
+    rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(n_probes):
         u = rng.standard_normal(a.domain.dim)
@@ -150,23 +147,23 @@ def require_dense(dim: int, cap: int = DENSE_EIG_CAP) -> None:
         raise SolverCapExceeded(f"dense eigensolver supports dim <= {cap}, got {dim}")
 
 
-def symmetrize(m, weights, sym_tol: float = IDENTITY_TOL) -> np.ndarray:
+def symmetrize(m, weights) -> np.ndarray:
     """Coordinate matrix of a self-adjoint operator conjugated into symmetric form.
 
     For a self-adjoint operator with coordinate matrix M on a space with
     weight diagonal D, ``S = D^1/2 M D^-1/2`` is symmetric and has the same
     spectrum.  (When M = G D for a raw kernel G this is ``D^1/2 G D^1/2``.)
-    Raises :class:`NotSelfAdjoint` when S is asymmetric beyond ``sym_tol``
-    relative to its largest entry (at least 1).
+    Raises :class:`NotSelfAdjoint` when S is asymmetric beyond
+    ``IDENTITY_TOL`` relative to its largest entry (at least 1).
     """
     d = np.sqrt(weights)
     s = (m * d[:, None]) / d[None, :]
     scale = max(1.0, float(np.abs(s).max()))
     asym = float(np.abs(s - s.T).max())
-    if asym > sym_tol * scale:
+    if asym > IDENTITY_TOL * scale:
         raise NotSelfAdjoint(
             f"operator is not self-adjoint: symmetrized asymmetry {asym:.3e} "
-            f"exceeds {sym_tol:.1e} * scale"
+            f"exceeds {IDENTITY_TOL:.1e} * scale"
         )
     return 0.5 * (s + s.T)
 
@@ -227,7 +224,7 @@ def gram_eigvalsh(mat, dom_weights, cod_weights, cap: int = DENSE_EIG_CAP) -> np
 def op_norm(a: LinOp) -> float:
     """Operator norm in the weighted metrics: the root of the largest
     eigenvalue of the smaller weighted Gram, exact up to rounding."""
-    top = gram_eigvalsh(a.matrix(), a.domain.weights, a.codomain.weights)[-1]
+    top = gram_eigvalsh(a.mat, a.domain.weights, a.codomain.weights)[-1]
     return float(np.sqrt(max(top, 0.0)))
 
 
@@ -254,6 +251,6 @@ def coercivity(a: LinOp) -> float:
     p, dl = a.domain.dim, a.codomain.dim
     if p < dl:
         return 0.0
-    eigs = gram_eigvalsh(a.matrix(), a.domain.weights, a.codomain.weights)
+    eigs = gram_eigvalsh(a.mat, a.domain.weights, a.codomain.weights)
     lam = float(eigs[0])
     return lam if lam > rank_floor(eigs[-1], p, dl) else 0.0

@@ -594,7 +594,7 @@ def test_closest_optimum_adjoint_matches_probed_adjoint():
     # with unit vectors and solves with the probed matrix
     prob = build_problem(normalize_config(rf_config("unused", width=256)))
     a = prob.F.linear_op
-    mat_a, w = a.matrix(), a.codomain.weights
+    mat_a, w = a.mat, a.codomain.weights
     probed = np.stack([a.adjoint_apply(e) for e in np.eye(a.codomain.dim)], axis=1)
     np.testing.assert_allclose((mat_a.T * w) / a.domain.weights[:, None], probed, rtol=0, atol=0)
     x0 = a.domain._coords(prob.theta0)
@@ -1183,6 +1183,28 @@ class TestSweepChecksEachValue:
         lines = (out / "summary.csv").read_text().splitlines()
         assert lines[1] == "1000000000000,,,,"
         assert lines[2].split(",")[0::3] == ["4", "10"]  # value, its 10 steps
+
+    def test_unallocatable_model_exits_one_naming_its_shape(self, tmp_path, capsys):
+        # numpy refuses 10**12 x 3 random-feature weights without allocating them
+        out = tmp_path / "out"
+        assert run_experiment(write_config(tmp_path, rf_config(out, width=10**12))) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: problem: Unable to allocate .* "
+                            r"shape \(1000000000000, 3\).*\n", err), err
+        assert not (out / "report.json").exists()
+
+    def test_unallocatable_critic_in_a_forked_share_keeps_every_row(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # width 10**12 runs in a child
+        out = tmp_path / "sweep"
+        assert sweep(write_config(tmp_path, gan_config(out)), "width", [4.0, 1e12]) == EXIT_CONFIG
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert "error: width=1e+12: problem: Unable to allocate" in err
+        assert "Traceback" not in err
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[1].split(",")[0::3] == ["4", "20"]  # value, its 20 steps
+        assert lines[2] == "1000000000000,,,,"
 
     def test_seed_override_is_checked_like_the_file(self, tmp_path, capsys):
         path = write_config(tmp_path, tight_config(tmp_path / "out"))

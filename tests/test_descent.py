@@ -346,7 +346,6 @@ class TestRun:
         bad = dataclasses.replace(led, alpha=1.5)  # alpha > 2/L: expansion
         trace, verdicts = run(prob.F, prob.f, prob.theta0, bad, max_iter=500)
         assert trace.diverged
-        assert verdicts.diverged
         assert not verdicts.get("converged").passed
 
     def test_monotone_distance_chain(self):

@@ -146,32 +146,6 @@ class TestGaussianNLL:
         iota = gaussian_nll(2)
         assert iota.lipschitz is None and iota.pl is None and iota.pointwise_inf is None
 
-    def test_textbook_normalization_variant(self):
-        verbatim = gaussian_nll(1)
-        textbook = gaussian_nll(1, normalization="textbook")
-        data = target_data([0.5])
-        z = np.array([[0.2, -0.3]])
-        # same residual term, different normalizer
-        resid = 0.5 * ((0.5 - 0.2) * np.exp(0.3)) ** 2
-        assert verbatim.value(data, z) == pytest.approx([resid + SQRT_2PI * np.exp(-0.3)])
-        assert textbook.value(data, z) == pytest.approx([resid - 0.3 + 0.5 * np.log(2 * np.pi)])
-        rng = np.random.default_rng(0)
-        batch = target_data(*[[0.5]] * 20)
-        assert fd_check_integrand(textbook, batch, rng.standard_normal((20, 2))) <= 1e-5
-
-    def test_variant_flag_validated(self):
-        with pytest.raises(ValueError):
-            gaussian_nll(1, normalization="folklore")
-        with pytest.raises(ValueError):
-            least_squares(sigma=[1.0], normalization="folklore")
-
-    def test_textbook_fixed_variance_constant(self):
-        iota = least_squares(sigma=[2.0], normalization="textbook")
-        data = target_data([1.0])
-        expected_const = np.log(2.0) + 0.5 * np.log(2 * np.pi)
-        assert iota.value(data, [[1.0]]) == pytest.approx([expected_const])
-        assert iota.pointwise_inf(data) == pytest.approx([expected_const])
-
 
 class TestSoftmax:
     def test_uniform_logits(self):
@@ -200,10 +174,9 @@ class TestSoftmax:
         with pytest.raises(InvalidDataset):
             iota.value(target_data([1.0]), [[0.0, 0.0]])
 
-    def test_infimum_flagged_unattained(self):
+    def test_infimum_zero_and_unit_lipschitz(self):
         iota = softmax_ce(2)
         assert iota.pointwise_inf(label_data(1)) == pytest.approx([0.0])
-        assert not iota.inf_attained
         assert iota.lipschitz == 1.0
 
 
@@ -387,23 +360,16 @@ def _ls_separate(sigma):
     )
 
 
-def _nll_separate(normalization):
+def _nll_separate():
     def value(data, z):
         t, mean, logv = data.targets, z[:, :2], z[:, 2:]
         r = (t - mean) * np.exp(-logv)
-        if normalization == "verbatim":
-            norm = SQRT_2PI * np.exp(logv.sum(axis=1))
-        else:
-            norm = logv.sum(axis=1) + 0.5 * 2 * math.log(2.0 * math.pi)
+        norm = SQRT_2PI * np.exp(logv.sum(axis=1))
         return 0.5 * np.sum(r * r, axis=1) + norm
 
     def grad(data, z):
         t, mean, logv = data.targets, z[:, :2], z[:, 2:]
-        norm_grad = (
-            SQRT_2PI * np.exp(logv.sum(axis=1, keepdims=True))
-            if normalization == "verbatim"
-            else 1.0
-        )
+        norm_grad = SQRT_2PI * np.exp(logv.sum(axis=1, keepdims=True))
         g = np.empty_like(z)
         g[:, :2] = (mean - t) * np.exp(-2.0 * logv)
         g[:, 2:] = -((t - mean) ** 2) * np.exp(-2.0 * logv) + norm_grad
@@ -491,10 +457,8 @@ def _family(name, rng, n, scale):
         sigma = [0.7, 1.3] if name.endswith("sigma") else None
         return (least_squares(sigma=sigma, k=2), target_data(*targets), z[:, :2],
                 *_ls_separate(sigma))
-    if name.startswith("gaussian_nll"):
-        normalization = name.split(":")[1]
-        return (gaussian_nll(2, normalization=normalization), target_data(*targets), z[:, :4],
-                *_nll_separate(normalization))
+    if name == "gaussian_nll":
+        return gaussian_nll(2), target_data(*targets), z[:, :4], *_nll_separate()
     if name == "softmax_ce":
         return (softmax_ce(3), label_data(*rng.integers(1, 4, size=n)), z[:, :3],
                 _softmax_value, _softmax_grad)
@@ -515,8 +479,8 @@ def _family(name, rng, n, scale):
             np.column_stack([y, z[:, :2]]), *_r1_separate(5.0))
 
 
-FAMILIES = ("least_squares", "least_squares:sigma", "gaussian_nll:verbatim",
-            "gaussian_nll:textbook", "softmax_ce", "vae", "wgan_gp", "r1", "negate")
+FAMILIES = ("least_squares", "least_squares:sigma", "gaussian_nll", "softmax_ce", "vae",
+            "wgan_gp", "r1", "negate")
 
 
 class TestJointPass:

@@ -192,7 +192,7 @@ def fd_check_by_column(f, x, h=1e-5):
     sign, the oracle of its fallback path."""
     xc = np.asarray(x, dtype=float)
     jac = f.jacobian(xc)
-    exact = jac.matrix()
+    exact = jac.mat
     fd = np.empty_like(exact)
     for k in range(f.domain.dim):
         e = np.zeros(f.domain.dim)
@@ -386,7 +386,7 @@ class TestInduce:
         data = Dataset(rng.standard_normal((d, model.in_dim)), weights=rng.dirichlet(np.ones(d)))
         th = model.init + rng.standard_normal(model.param_dim)
         jac = induce(model, data).jacobian(th)
-        js, w = jac.matrix(), np.repeat(data.weights, model.out_dim)
+        js, w = jac.mat, np.repeat(data.weights, model.out_dim)
         v = rng.standard_normal(js.shape[0])
         assert np.array_equal(jac.adjoint_apply(v), js.T @ (w * v))
 

@@ -72,15 +72,15 @@ class TestEstimateLG:
 class TestCheckPL:
     def test_quadratic_ratio_identically_one(self):
         f = shifted_quadratic(S3, [0.3, 0.3, -1.0])
-        rep = check_pl(f, ball(S3, 3.0), n=64, seed=0, requested=1.0 - 1e-12)
+        rep = check_pl(f, ball(S3, 3.0), n=64, seed=0)
         assert rep.lambda_hat == pytest.approx(1.0, abs=1e-9)
-        assert rep.violations == []
+        assert rep.lambda_hat >= 1.0 - 1e-12
 
     def test_constant_objective_has_no_valid_samples(self):
         f = ScalarObjective(S2, lambda h: 2.0, lambda h: np.zeros(2), f_star=2.0)
         rep = check_pl(f, ball(S2, 1.0), n=16, seed=0)
         assert rep.lambda_hat is None
-        assert rep.n_valid == 0 and rep.violations == []
+        assert rep.n_valid == 0 and rep.n_skipped == 16
 
     def test_requires_f_star(self):
         f = ScalarObjective(S2, lambda h: h[0] ** 2, lambda h: np.array([2 * h[0], 0.0]))

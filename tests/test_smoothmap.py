@@ -55,7 +55,7 @@ class TestFdCheck:
             lambda x: np.array([x[0] ** 2, x[1]]),
             lambda x: LinOp(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
         )
-        assert fd_check(f, [1.0, 1.0], h=1e-5) <= 1e-8
+        assert fd_check(f, [1.0, 1.0]) <= 1e-8
 
     def test_catches_planted_factor_two(self):
         buggy = SmoothMap(
@@ -103,12 +103,6 @@ class TestFdCheck:
         edge = scalar_map(lambda t: t if t <= 1.0 else np.nan, lambda t: 1.0)
         assert fd_check(edge, [0.5]) <= 1e-10
         assert fd_check(edge, [1.0]) == np.inf
-
-    def test_step_range_enforced(self):
-        with pytest.raises(ValueError):
-            fd_check(ROW, [0.0, 0.0], h=1e-9)
-        with pytest.raises(ValueError):
-            fd_check(ROW, [0.0, 0.0], h=0.1)
 
 
 class TestEstimateBJ:

@@ -194,7 +194,7 @@ class TestAdjoint:
         lhs = a.codomain.inner(a.apply(u), v)
         rhs = a.domain.inner(u, a.adjoint_apply(v))
         # bound on the rounding of either sum: the sum of its terms' sizes
-        scale = np.abs(u) @ np.abs(a.matrix()).T @ (a.codomain.weights * np.abs(v))
+        scale = np.abs(u) @ np.abs(a.mat).T @ (a.codomain.weights * np.abs(v))
         assert abs(lhs - rhs) <= 1e-12 * scale
 
     @settings(deadline=None)
@@ -202,15 +202,15 @@ class TestAdjoint:
     def test_carried_matrix_equals_probed(self, case):
         a, _, _ = case
         probed = np.stack([a.apply(e) for e in np.eye(a.domain.dim)], axis=1)
-        np.testing.assert_array_equal(a.matrix(), probed)
-        assert not a.matrix().flags.writeable
+        np.testing.assert_array_equal(a.mat, probed)
+        assert not a.mat.flags.writeable
 
     @pytest.mark.parametrize("shape", [(7, 4), (28,), (4,), (1, 4, 7)])
     def test_wrong_shaped_matrix_refused_at_construction(self, shape):
         dom, cod = WeightedSpace.unit(7), WeightedSpace([0.5] * 4)
         with pytest.raises(DimensionMismatch, match="does not map dim 7 -> 4"):
             LinOp(dom, cod, np.zeros(shape))
-        assert LinOp(dom, cod, np.zeros((4, 7))).matrix().shape == (4, 7)
+        assert LinOp(dom, cod, np.zeros((4, 7))).mat.shape == (4, 7)
 
     def test_identity_holds_on_probes(self):
         rng = np.random.default_rng(3)
