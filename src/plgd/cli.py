@@ -137,6 +137,7 @@ from .descent import (
     build_ledger,
     minimal_ledger,
     monitor_rows,
+    monitor_size,
     run,
     trace_columns,
 )
@@ -656,7 +657,8 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
     is there afterwards belongs to this run.  A run that ends with exit 0
     or 2 from its phases, or 3 for a NumericFailure in any of them, then
     writes ``report.json`` and ``timings.json`` here; any other error
-    escapes and writes nothing.
+    escapes and writes nothing, a MemoryError as an InvalidConfig with
+    numpy's message, which names the shape it could not allocate.
     """
     _remove_outputs(outdir)
     if cfg["certificates"]["mode"] == "analytic":
@@ -671,6 +673,8 @@ def execute(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
     except NumericFailure as exc:
         report["numeric_failure"] = {"message": str(exc), "iteration": exc.iteration}
         report["exit_code"] = EXIT_NUMERIC
+    except MemoryError as exc:  # a problem that builds but whose phases cannot allocate
+        raise InvalidConfig(f"problem: {exc}")
     _write_report(report, cfg, outdir)
     _write_timings(outdir, clock)
     return report
@@ -745,7 +749,7 @@ def _phases(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
 
     if "csv" in cfg["output"]["formats"]:
         _write_trace_csv(outdir / "trace.csv", trace, ledger)
-        _write_bounds_csv(outdir / "bounds.csv", trace, ledger, verdicts.table)
+        _write_bounds_csv(outdir / "bounds.csv", trace, ledger)
     outdir.mkdir(parents=True, exist_ok=True)
     save_theta(outdir / "theta_star.json", trace.iterates[-1], problem.model.param_shapes)
     return EXIT_VIOLATION if verdicts.violations(analytic_only=True) else EXIT_OK
@@ -867,8 +871,8 @@ def _write_timings(outdir: Path, clock: _PhaseClock) -> None:
     (outdir / "timings.json").write_text(json.dumps(timings) + "\n", encoding="utf-8")
 
 
-def _format_rows(fmt: str, columns: list, start: int, stop: int) -> bytes:
-    """``fmt % row`` for rows ``start:stop`` of parallel array columns, encoded.
+def _format_rows(fmt: str, columns: list) -> bytes:
+    """``fmt % row`` for every row of parallel array columns, encoded.
 
     One ``%`` formats all the rows, with ``fmt`` repeated once per row,
     which costs less than a ``%`` per row.  ``%``-formatting is cheaper
@@ -876,40 +880,42 @@ def _format_rows(fmt: str, columns: list, start: int, stop: int) -> bytes:
     ``{:.17g}`` render a float alike, and ``%d`` and ``%s`` an int and a
     str or bool as ``{}`` does.
     """
-    cells = chain.from_iterable(zip(*(c[start:stop].tolist() for c in columns)))
-    return ((fmt * (stop - start)) % tuple(cells)).encode()
+    cells = chain.from_iterable(zip(*(c.tolist() for c in columns)))
+    return ((fmt * len(columns[0])) % tuple(cells)).encode()
 
 
-def _write_share(fh, fmt: str, columns: list, start: int, stop: int) -> None:
+def _write_share(fh, fmt: str, rows, start: int, stop: int) -> None:
     """Write :func:`_format_rows` of rows ``start:stop`` to the binary file
-    ``fh``, ``CSV_CHUNK`` rows at a time."""
+    ``fh``, ``CSV_CHUNK`` rows at a time, each chunk's columns from
+    ``rows(lo, hi)``."""
     for lo in range(start, stop, CSV_CHUNK):
-        fh.write(_format_rows(fmt, columns, lo, min(lo + CSV_CHUNK, stop)))
+        fh.write(_format_rows(fmt, rows(lo, min(lo + CSV_CHUNK, stop))))
 
 
-def _write_rows(fh, fmt: str, columns: list) -> None:
-    """Write :func:`_format_rows` of every row to the binary file ``fh``,
+def _write_rows(fh, fmt: str, n: int, rows) -> None:
+    """Write :func:`_format_rows` of rows 0..n-1 to the binary file ``fh``,
     formatting contiguous shares of the rows in parallel.
 
-    There is one share per usable CPU, each of at least ``CSV_CHUNK`` rows,
-    so a shorter table is one share.  This process writes the first share
-    while a forked child writes each other one into its own file; those
-    files are then copied into ``fh`` in share order, a block at a time.  A
-    share whose child fails, or cannot be forked, is written here in its
-    place.
+    ``rows(start, stop)`` returns the parallel columns of rows
+    ``start:stop``, so each share evaluates only its own rows, a chunk at
+    a time.  There is one share per usable CPU, each of at least
+    ``CSV_CHUNK`` rows, so a shorter table is one share.  This process
+    writes the first share while a forked child writes each other one
+    into its own file; those files are then copied into ``fh`` in share
+    order, a block at a time.  A share whose child fails, or cannot be
+    forked, is written here in its place.
     """
-    n = len(columns[0])
     k = max(1, min(_usable_cpus(), n // CSV_CHUNK))
     cuts = [n * s // k for s in range(k + 1)]
     shares = list(zip(cuts, cuts[1:]))
-    works = [partial(_write_share, fmt=fmt, columns=columns, start=start, stop=stop)
+    works = [partial(_write_share, fmt=fmt, rows=rows, start=start, stop=stop)
              for start, stop in shares[1:]]
     with _forked(works) as children:
         for (start, stop), child in zip(shares, [None, *children]):
             if child is not None and child.wait() == 0:
                 shutil.copyfileobj(child.out, fh)
             else:
-                _write_share(fh, fmt, columns, start, stop)
+                _write_share(fh, fmt, rows, start, stop)
 
 
 def _write_trace_csv(path: Path, trace, ledger) -> None:
@@ -919,22 +925,27 @@ def _write_trace_csv(path: Path, trace, ledger) -> None:
     with path.open("wb") as fh:
         fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
         # the last iterate takes no step, so its step cells are empty
-        for rows in (slice(0, n_steps), slice(n_steps, n_steps + 1)):
-            present = {k: c[rows] for k, c in cols.items() if c is not None and len(c[rows])}
+        for part in (slice(0, n_steps), slice(n_steps, n_steps + 1)):
+            present = {k: c[part] for k, c in cols.items() if c is not None and len(c[part])}
             if present:
                 cells = ("%.17g" if k in present else "" for k in TRACE_COLUMNS[1:])
-                _write_rows(fh, ",".join(("%d", *cells)) + "\n", list(present.values()))
+                columns = list(present.values())
+                _write_rows(fh, ",".join(("%d", *cells)) + "\n", len(columns[0]),
+                            lambda lo, hi: [c[lo:hi] for c in columns])
 
 
-def _write_bounds_csv(path: Path, trace, ledger, table=None) -> None:
-    """bounds.csv from ``table``, the run's :class:`MonitorTable`, or from
-    the trace when no table is given."""
+def _write_bounds_csv(path: Path, trace, ledger) -> None:
+    """bounds.csv, each chunk of rows evaluated by :func:`monitor_rows` as
+    it is written, so no process holds the whole table."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    t = monitor_rows(trace, ledger) if table is None else table
+
+    def rows(start, stop):
+        t = monitor_rows(trace, ledger, start, stop)
+        return [t.name, t.iteration, t.measured, t.bound, t.holds]
+
     with path.open("wb") as fh:
         fh.write(b"inequality,iter,measured,bound,holds\n")
-        columns = [t.name, t.iteration, t.measured, t.bound, t.holds]
-        _write_rows(fh, "%s,%d,%.17g,%.17g,%s\n", columns)
+        _write_rows(fh, "%s,%d,%.17g,%.17g,%s\n", monitor_size(trace, ledger), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ violations.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Optional
 
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import InvalidConfig, MissingCertificate, NumericFailure, SolverCapExceeded
 from .objective import ScalarObjective
 from .smoothmap import CertValue, MapCertificate, SmoothMap
-from .space import require_dense, symmetrize, weighted_pinv_solve, weighted_solve
+from .space import gram_factor, require_dense, weighted_pinv_solve, weighted_solve
 
 #: relative slack granted to every monitored inequality
 REL_TOL = 1e-9
@@ -243,6 +245,26 @@ class DescentTrace:
     def n_steps(self) -> int:
         return len(self.step_norms)
 
+    # The monitored inequalities read these derived series for the verdicts
+    # and again, a chunk of bounds.csv rows at a time, for the export.  Each
+    # is computed once, on first use, and forked CSV shares inherit it; a
+    # chunk could not start the running sum of path_lengths on its own.
+
+    @cached_property
+    def path_lengths(self) -> np.ndarray:
+        """``path_lengths[i]``, the summed norms of steps 0..i."""
+        return np.cumsum(self.step_norms)
+
+    @cached_property
+    def sq_grad_norms(self) -> np.ndarray:
+        """The squared gradient norms, one per iterate."""
+        return _scalar_pow(self.grad_norms.tolist(), repeat(2))
+
+    @cached_property
+    def sq_step_norms(self) -> np.ndarray:
+        """The squared step norms, one per step."""
+        return _scalar_pow(self.step_norms.tolist(), repeat(2))
+
 
 @dataclass
 class Verdict:
@@ -283,11 +305,9 @@ class Verdict:
 
 @dataclass(eq=False)
 class BoundVerdicts:
-    """All verdicts of a run, addressable by name, and the
-    :class:`MonitorTable` they were aggregated from (bounds.csv's rows)."""
+    """All verdicts of a run, addressable by name."""
 
     verdicts: dict = field(default_factory=dict)
-    table: Optional[MonitorTable] = None
 
     def add(self, v: Verdict):
         self.verdicts[v.name] = v
@@ -380,14 +400,14 @@ def _scalar_pow(bases, exponents) -> np.ndarray:
     return np.fromiter(map(pow, bases, exponents), dtype=float)
 
 
-def _q_bound(q: float, gap0: float, n: int) -> np.ndarray:
-    """The gap-decay bounds ``q^i gap0`` of the first n iterates."""
-    return _scalar_pow(repeat(q), range(n)) * gap0
+def _q_bound(q: float, gap0: float, iterations: range) -> np.ndarray:
+    """The gap-decay bounds ``q^i gap0`` of the given iterations."""
+    return _scalar_pow(repeat(q), iterations) * gap0
 
 
-def _step_bound(ledger: ConstantsLedger, n_steps: int) -> np.ndarray:
-    """The step-norm bounds ``alpha sqrt(q)^i K`` of the first n_steps steps."""
-    return ledger.alpha * _scalar_pow(repeat(math.sqrt(ledger.q)), range(n_steps)) * ledger.K
+def _step_bound(ledger: ConstantsLedger, steps: range) -> np.ndarray:
+    """The step-norm bounds ``alpha sqrt(q)^i K`` of the given steps."""
+    return ledger.alpha * _scalar_pow(repeat(math.sqrt(ledger.q)), steps) * ledger.K
 
 
 def predicted_iterations(ledger: ConstantsLedger, gap0: float, stop_gap: float) -> Optional[int]:
@@ -403,73 +423,127 @@ def predicted_iterations(ledger: ConstantsLedger, gap0: float, stop_gap: float) 
     return int(math.ceil(math.log(stop_gap / gap0) / math.log(ledger.q)))
 
 
-def monitor_rows(trace: DescentTrace, ledger: ConstantsLedger) -> MonitorTable:
-    """Evaluate every monitorable inequality along the recorded trajectory.
+def _groups(trace: DescentTrace, ledger: ConstantsLedger) -> list:
+    """The monitorable inequalities of the trajectory, in bounds.csv order.
 
-    This is the single source for both verdict aggregation and the
-    bounds.csv export; nothing downstream recomputes a bound differently.
+    Each group is ``(n, names, evaluate)``: it checks the inequalities
+    ``names`` at iterations 0..n-1, and ``evaluate(lo, hi)`` returns each
+    one's ``(measured, bound, tol)`` at iterations lo..hi-1, a scalar
+    standing for every iteration.  Every entry is computed from its own
+    iteration's values (the running path length is read from the trace),
+    so any range gives the bits of the whole run.  This is the
+    single source for the verdicts and the bounds.csv export; nothing
+    downstream recomputes a bound differently.
     """
+    if ledger.f_star is None:
+        return []
+    f_star, alpha = ledger.f_star, ledger.alpha
+    losses, step_norms = trace.losses, trace.step_norms
+    gap0 = float(losses[0] - f_star)
+    n, n_steps = losses.size, trace.n_steps
+    loss_tol = REL_TOL * max(gap0, 0.0) + ABS_TOL
+
+    def gaps(lo, hi):
+        return losses[lo:hi] - f_star
+
     groups = []
-    if ledger.f_star is not None:
-        gaps = trace.losses - ledger.f_star
-        gap0 = float(gaps[0])
-        n, n_steps = gaps.size, trace.n_steps
-        iters, steps = np.arange(n), np.arange(n_steps)
-        alpha = ledger.alpha
-        loss_tol = REL_TOL * max(gap0, 0.0) + ABS_TOL
+    if ledger.q is not None and ledger.K is not None:
+        q = ledger.q
+        dist_bound = ledger.dist_bound()
+        dist_tol = REL_TOL * dist_bound + ABS_TOL
 
-        if ledger.q is not None and ledger.K is not None:
-            q = ledger.q
-            groups.append((iters, [("q_decay", gaps, _q_bound(q, gap0, n), loss_tol)]))
-            step_bound = _step_bound(ledger, n_steps)
-            step_tol = REL_TOL * step_bound + ABS_TOL
-            path = np.cumsum(trace.step_norms)
-            dist_bound = ledger.dist_bound()
-            dist_tol = REL_TOL * dist_bound + ABS_TOL
-            # bounds.csv lists the three inequalities of each step together
-            per_step = [
-                ("per_step_decay", gaps[1:], q * gaps[:-1], loss_tol),
-                ("step_norm", trace.step_norms, step_bound, step_tol),
-                ("path_length", path, dist_bound, dist_tol),
+        def q_decay(lo, hi):
+            return [(gaps(lo, hi), _q_bound(q, gap0, range(lo, hi)), loss_tol)]
+
+        def per_step(lo, hi):
+            step_bound = _step_bound(ledger, range(lo, hi))
+            return [
+                (gaps(lo + 1, hi + 1), q * gaps(lo, hi), loss_tol),
+                (step_norms[lo:hi], step_bound, REL_TOL * step_bound + ABS_TOL),
+                (trace.path_lengths[lo:hi], dist_bound, dist_tol),
             ]
-            groups.append((steps, per_step))
 
-        sq_grad = _scalar_pow(trace.grad_norms.tolist(), repeat(2))
-        if ledger.lam is not None:
-            pl_tol = REL_TOL * ledger.lam * max(gap0, 0.0) + ABS_TOL
-            pl = ("composition_pl", 0.5 * sq_grad, ledger.lam * gaps, pl_tol)
-            groups.append((iters, [pl]))
-        if ledger.L is not None:
-            lg_tol = REL_TOL * ledger.L * max(gap0, 0.0) + ABS_TOL
-            lg = ("composition_lg_bound", 0.5 * sq_grad, ledger.L * gaps, lg_tol)
-            groups.append((iters, [lg]))
+        groups.append((n, ("q_decay",), q_decay))
+        # bounds.csv lists the three inequalities of each step together
+        groups.append((n_steps, ("per_step_decay", "step_norm", "path_length"), per_step))
+
+    if ledger.lam is not None:
+        pl_tol = REL_TOL * ledger.lam * max(gap0, 0.0) + ABS_TOL
+
+        def pl(lo, hi):
+            return [(0.5 * trace.sq_grad_norms[lo:hi], ledger.lam * gaps(lo, hi), pl_tol)]
+
+        groups.append((n, ("composition_pl",), pl))
+    if ledger.L is not None:
+        lg_tol = REL_TOL * ledger.L * max(gap0, 0.0) + ABS_TOL
+
+        def lg(lo, hi):
+            return [(0.5 * trace.sq_grad_norms[lo:hi], ledger.L * gaps(lo, hi), lg_tol)]
+
+        def taylor(lo, hi):
             # Taylor remainder on consecutive iterates; the descent direction
             # makes <grad_i, x_{i+1} - x_i> = -alpha ||grad_i||^2.
-            remainder = np.abs(trace.losses[1:] - trace.losses[:-1] + alpha * sq_grad[:-1])
-            taylor = 0.5 * ledger.L * _scalar_pow(trace.step_norms.tolist(), repeat(2))
-            groups.append((steps, [("taylor_bound", remainder, taylor, loss_tol)]))
-    return _table(groups)
+            sq_grad = trace.sq_grad_norms[lo:hi]
+            remainder = np.abs(losses[lo + 1:hi + 1] - losses[lo:hi] + alpha * sq_grad)
+            bound = 0.5 * ledger.L * trace.sq_step_norms[lo:hi]
+            return [(remainder, bound, loss_tol)]
+
+        groups.append((n, ("composition_lg_bound",), lg))
+        groups.append((n_steps, ("taylor_bound",), taylor))
+    return groups
 
 
-def _aggregate(table: MonitorTable, name: str) -> Optional[Verdict]:
-    mine = np.flatnonzero(table.name == name)
-    if mine.size == 0:
+def monitor_size(trace: DescentTrace, ledger: ConstantsLedger) -> int:
+    """The number of rows of :func:`monitor_rows`, found without evaluating any."""
+    return sum(n * len(names) for n, names, _ in _groups(trace, ledger))
+
+
+def monitor_rows(
+    trace: DescentTrace, ledger: ConstantsLedger, start: int = 0, stop: Optional[int] = None
+) -> MonitorTable:
+    """Rows ``start:stop`` of the table of every monitorable inequality
+    along the recorded trajectory (all rows by default), in bounds.csv
+    order.  Only the iterations those rows check are evaluated, so a CSV
+    writer holds one chunk of the table at a time.
+    """
+    stop = monitor_size(trace, ledger) if stop is None else stop
+    parts, lead, offset = [], 0, 0
+    for n, names, evaluate in _groups(trace, ledger):
+        k = len(names)
+        lo, hi = max(start - offset, 0), min(stop - offset, n * k)  # rows of this group
+        offset += n * k
+        if lo >= hi:
+            continue
+        first, last = lo // k, -(-hi // k)  # the iterations of those rows
+        if not parts:
+            lead = lo - first * k
+        inequalities = [(name, *ineq) for name, ineq in zip(names, evaluate(first, last))]
+        parts.append((np.arange(first, last), inequalities))
+    t = _table(parts)
+    rows = slice(lead, lead + stop - start)
+    return MonitorTable(**{column: values[rows] for column, values in vars(t).items()})
+
+
+def _aggregate(name: str, measured, bound, tol) -> Optional[Verdict]:
+    """The verdict of inequality ``name`` from its rows, one per iteration
+    as :func:`_groups` evaluates them, or None when it has no rows."""
+    if measured.size == 0:
         return None
-    measured, bound = table.measured[mine], table.bound[mine]
+    bound = np.broadcast_to(bound, measured.shape)
     margin = bound - measured if name in LOWER_BOUNDS else measured - bound
-    violated = ~table.holds[mine]
+    violated = ~_holds(name, measured, bound, tol)
     n_violations = int(violated.sum())
     # the largest violation if any, else the tightest margin; the first on ties
-    candidates = np.flatnonzero(violated) if n_violations else np.arange(mine.size)
-    worst = candidates[np.argmax(margin[candidates])]
+    candidates = np.flatnonzero(violated) if n_violations else np.arange(measured.size)
+    worst = int(candidates[np.argmax(margin[candidates])])
     return Verdict(
         name=name,
         passed=n_violations == 0,
         measured=float(measured[worst]),
         bound=float(bound[worst]),
-        n_checked=int(mine.size),
+        n_checked=measured.size,
         n_violations=n_violations,
-        worst_iter=int(table.iteration[mine[worst]]),
+        worst_iter=worst,
     )
 
 
@@ -496,7 +570,10 @@ def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[np.n
     weights = a.codomain.weights
     # A* = D_dom^-1 M^T D_cod, in C order: BLAS rounds ``mat_adj @ y`` by layout
     mat_adj = np.ascontiguousarray(mat_a.T * weights) / a.domain.weights[:, None]
-    gram = symmetrize(mat_a @ mat_adj, weights)
+    # symmetrize(A A*) as B B^T: numpy forms it with syrk, single-threaded
+    # at these sizes, so OpenBLAS's thread pool stays asleep after the loop
+    b = gram_factor(mat_a, a.domain.weights, weights)
+    gram = b @ b.T
     # verify calls this only under a full ledger, whose Gram clears the
     # rank floor, so one LU solve suffices there; the SVD pseudo-inverse,
     # far costlier at large d, is the fallback when that solve fails the
@@ -534,7 +611,12 @@ def run(
 
     The verdicts need only per-step scalars, so the trace keeps the
     initial and the last iterate; ``keep_every=k`` also keeps iterations
-    k, 2k, ...  Memory is then O(p + steps) by default, not O(p * steps).
+    k, 2k, ...  The loop records its four per-step series as 8-byte
+    floats, which the trace's arrays view without a copy, and
+    :func:`verify` aggregates each inequality from its own arrays, so no
+    whole-run table of monitor rows is built.  Peak memory is then O(p)
+    plus about 130 bytes per step (a random-features run of 10^5 steps,
+    verification and export included), not O(p * steps).
     """
     if max_iter < 1:
         raise InvalidConfig("max_iter must be >= 1")
@@ -578,7 +660,7 @@ def run(
     alpha = ledger.alpha
 
     f_star = ledger.f_star
-    losses, grad_norms, step_norms, dists = [], [], [], []
+    losses, grad_norms, step_norms, dists = (array("d") for _ in range(4))
     kept = [x]  # stacked once after the loop: max_iter may be far above the steps taken
     diverged = False
 
@@ -593,13 +675,13 @@ def run(
 
     for i in range(1, max_iter + 1):
         if gap0 is not None:
-            gap = losses[-1] - f_star
+            gap = loss - f_star
             if gap <= stop_gap:
                 break
             if gap0 > 0 and gap > DIVERGENCE_FACTOR * gap0:
                 diverged = True
                 break
-        elif abs(losses[-1]) > DIVERGENCE_FACTOR * (abs(losses[0]) + 1.0):
+        elif abs(loss) > DIVERGENCE_FACTOR * (abs(losses[0]) + 1.0):
             diverged = True
             break
 
@@ -620,10 +702,10 @@ def run(
     iterates.setflags(write=False)
     trace = DescentTrace(
         iterates=iterates,
-        losses=np.asarray(losses),
-        grad_norms=np.asarray(grad_norms),
-        step_norms=np.asarray(step_norms),
-        dist_from_init=np.asarray(dists),
+        losses=np.frombuffer(losses),
+        grad_norms=np.frombuffer(grad_norms),
+        step_norms=np.frombuffer(step_norms),
+        dist_from_init=np.frombuffer(dists),
         stop_gap=stop_gap,
         predicted_iters=(
             None if gap0 is None else predicted_iterations(ledger, gap0, stop_gap)
@@ -672,11 +754,15 @@ def verify(
         )
     )
 
-    rows = out.table = monitor_rows(trace, ledger)
+    # each inequality is aggregated from its own arrays; _groups gives a
+    # bound rows exactly when the ledger holds its constants
+    found = {}
+    for n, names, evaluate in _groups(trace, ledger):
+        for name, ineq in zip(names, evaluate(0, n)):
+            found[name] = _aggregate(name, *ineq)
     for name in ("q_decay", "per_step_decay", "step_norm", "path_length",
                  "composition_pl", "composition_lg_bound", "taylor_bound"):
-        # monitor_rows gives a bound rows exactly when the ledger holds its constants
-        v = _aggregate(rows, name)
+        v = found.get(name)
         if v is None:
             v = Verdict(name=name, passed=None, detail="constants unavailable")
             v.hypothesis_met = False
@@ -796,10 +882,10 @@ def trace_columns(trace: DescentTrace, ledger: ConstantsLedger) -> dict:
         "iter": np.arange(n),
         "loss": trace.losses,
         "gap": gap,
-        "q_bound": None if q is None or gap is None else _q_bound(q, float(gap[0]), n),
+        "q_bound": None if q is None or gap is None else _q_bound(q, float(gap[0]), range(n)),
         "grad_norm": trace.grad_norms,
         "step_norm": trace.step_norms,
-        "step_bound": _step_bound(ledger, trace.n_steps) if has_steps else None,
+        "step_bound": _step_bound(ledger, range(trace.n_steps)) if has_steps else None,
         "dist_init": trace.dist_from_init,
         "dist_bound": None if dist_bound is None else np.full(n, dist_bound),
     }

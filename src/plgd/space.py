@@ -205,19 +205,27 @@ def require_gram(p: int, dl: int, cap: int = DENSE_EIG_CAP) -> None:
         )
 
 
+def gram_factor(mat, dom_weights, cod_weights) -> np.ndarray:
+    """``B = D_cod^1/2 M D_dom^-1/2`` for the operator A with coordinate
+    matrix M between spaces with weight diagonals D_dom and D_cod.
+
+    B has the singular values of A in the two weighted metrics.  ``B B^T``
+    is ``symmetrize(A A*, cod_weights)``, symmetric by construction, and
+    ``B^T B`` is similar to ``A* A``.
+    """
+    return (np.sqrt(cod_weights)[:, None] * mat) / np.sqrt(dom_weights)[None, :]
+
+
 def gram_eigvalsh(mat, dom_weights, cod_weights, cap: int = DENSE_EIG_CAP) -> np.ndarray:
     """Ascending eigenvalues of the smaller weighted Gram of a coordinate matrix.
 
-    For the operator A with coordinate matrix M between spaces with weight
-    diagonals D_dom and D_cod, ``B = D_cod^1/2 M D_dom^-1/2`` has the
-    singular values of A in the two weighted metrics.  ``B B^T`` is similar
-    to ``A A*`` and ``B^T B`` to ``A* A``; they share their nonzero
-    eigenvalues, and the smaller of the two is solved.  Refused by
+    ``B B^T`` and ``B^T B``, for B the :func:`gram_factor`, share their
+    nonzero eigenvalues, and the smaller of the two is solved.  Refused by
     :func:`require_gram` before any product is formed.
     """
     n_cod, n_dom = mat.shape
     require_gram(n_dom, n_cod, cap)
-    b = (np.sqrt(cod_weights)[:, None] * mat) / np.sqrt(dom_weights)[None, :]
+    b = gram_factor(mat, dom_weights, cod_weights)
     return np.linalg.eigvalsh(b @ b.T if n_cod <= n_dom else b.T @ b)
 
 

@@ -28,14 +28,16 @@ from plgd.cli import (
     sweep,
 )
 from plgd.descent import (
+    LOWER_BOUNDS,
     DescentTrace,
     build_ledger,
     closest_optimum,
     minimal_ledger,
     monitor_rows,
     run,
+    verify,
 )
-from plgd.errors import InvalidConfig, NumericFailure
+from plgd.errors import InvalidConfig, MissingCertificate, NumericFailure
 from plgd.integrand import least_squares
 from plgd.model import induce
 from plgd.problems import analytic_certificates, check_gradients, supervised
@@ -124,6 +126,23 @@ def vae_config(outdir):
         },
         "certificates": {"mode": "sampled", "n_samples": 8, "seed": 0},
         "descent": {"alpha": 0.1, "max_iter": 20},
+        "output": {"dir": str(outdir)},
+    }
+
+
+def gate_too_large_config(outdir):
+    """A shallow net of width 10**6 on 10**5 samples: the problem builds (2·10**6
+    parameters), but the gradient gate's Jacobian, (10**5, 10**6) doubles, is
+    refused by numpy without being allocated."""
+    return {
+        "problem": {
+            "family": "supervised",
+            "model": {"kind": "shallow", "in_dim": 1, "width": 10**6, "seed": 1},
+            "dataset": {"synthetic": {"kind": "gaussian", "d": 10**5, "in_dim": 1,
+                                      "target_dim": 1, "seed": 3}},
+            "integrand": {"kind": "least_squares"},
+        },
+        "descent": {"max_iter": 10},
         "output": {"dir": str(outdir)},
     }
 
@@ -483,32 +502,125 @@ def reference_csvs(trace, ledger) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(bounds) + "\n"
 
 
+def pipeline(cfg):
+    """The trace, ledger and verdicts of a run of ``cfg``, made as ``plgd run``
+    makes them."""
+    cfg = normalize_config(cfg)
+    prob, cert, obj = cli.make_certificates(build_problem(cfg), cfg)
+    alpha = cfg["descent"]["alpha"]
+    try:
+        ledger = build_ledger(prob.F, obj, prob.theta0, cert, alpha=alpha)
+    except MissingCertificate:
+        ledger = minimal_ledger(alpha)
+    declared = None if cfg["certificates"]["mode"] == "analytic" else prob.declared_ball.radius
+    trace, verdicts = run(prob.F, obj, prob.theta0, ledger, max_iter=cfg["descent"]["max_iter"],
+                          declared_radius=declared)
+    return trace, ledger, verdicts
+
+
+def with_k_f(cfg, k_f):
+    cfg["certificates"]["overrides"] = {"K_F": k_f}
+    return cfg
+
+
 def export_cases():
-    """(trace, ledger) pairs covering a full, a no-uc and a minimal ledger,
-    plus a run that stops at its initial point."""
-    cfg = normalize_config(rf_config("unused", max_iter=300))
-    prob = build_problem(cfg)
-    full = build_ledger(prob.F, prob.f, prob.theta0, analytic_certificates(prob), alpha="auto")
-    trace, _ = run(prob.F, prob.f, prob.theta0, full, max_iter=300)
+    """(trace, ledger, verdicts) triples: runs with a full analytic, a full
+    sampled, a no-uc and a minimal ledger, a run that starts at its optimum,
+    one that diverges and one whose lowered K_F breaks its bounds; plus the
+    analytic run's trace under a no-uc and a minimal ledger, and its first
+    iterate alone under the full ledger."""
+    sampled = rf_config("unused", max_iter=300, mode="sampled")
+    sampled["problem"]["model"] = {"kind": "shallow", "in_dim": 3, "width": 16, "seed": 1}
+    at_optimum = tight_config("unused")
+    at_optimum["problem"]["dataset"]["inline"]["targets"] = [[0.0]]  # F(theta0) = 0
+    cases = {
+        "full": pipeline(rf_config("unused", max_iter=300)),
+        "sampled": pipeline(sampled),
+        "no-uc run": pipeline(rf_config("unused", width=2, max_iter=300)),  # p < d·l
+        "critic": pipeline(gan_config("unused")),
+        "at-optimum": pipeline(at_optimum),
+        "diverged": pipeline(with_k_f(rf_config("unused", max_iter=300), 0.4)),
+        "low-K_F": pipeline(with_k_f(rf_config("unused", max_iter=300), 0.45)),
+    }
+    modes = {case: (ledger.mode, ledger.provenance, trace.n_steps, trace.diverged)
+             for case, (trace, ledger, _) in cases.items()}
+    assert modes == {
+        "full": ("full", "analytic", 300, False),
+        "sampled": ("full", "sampled", 300, False),
+        "no-uc run": ("no-uc", "analytic", 300, False),
+        "critic": ("minimal", "analytic", 20, False),
+        "at-optimum": ("full", "analytic", 0, False),
+        "diverged": ("full", "analytic", 6, True),
+        "low-K_F": ("full", "analytic", 300, False),
+    }
+    assert cases["low-K_F"][2].violations()
+
+    trace, full, _ = cases["full"]
+    prob = build_problem(normalize_config(rf_config("unused")))
     no_uc = dataclasses.replace(full, lam_F=None, lam=None, q=None, radius_required=None)
     still = DescentTrace(
         iterates=trace.iterates[:1], losses=trace.losses[:1], grad_norms=trace.grad_norms[:1],
         step_norms=trace.step_norms[:0], dist_from_init=trace.dist_from_init[:1],
         stop_gap=1.0, predicted_iters=0,
     )
-    assert (full.mode, no_uc.mode) == ("full", "no-uc") and trace.n_steps == 300
-    return {
-        "full": (trace, full),
-        "no-uc": (trace, no_uc),
-        "minimal": (trace, minimal_ledger(full.alpha)),
-        "no-steps": (still, full),
-    }
+    swapped = {"no-uc": (trace, no_uc), "minimal": (trace, minimal_ledger(full.alpha)),
+               "no-steps": (still, full)}
+    for case, (t, ledger) in swapped.items():
+        cases[case] = (t, ledger, verify(t, ledger, prob.F, prob.f))
+    return cases
+
+
+MONITORED = ("q_decay", "per_step_decay", "step_norm", "path_length",
+             "composition_pl", "composition_lg_bound", "taylor_bound")
+
+
+def reference_verdict(table, name):
+    """The aggregated fields of inequality ``name`` from the whole-run table,
+    one row at a time: the largest violation if any, else the tightest
+    margin, the first on ties; None for an inequality without rows."""
+    worst = None
+    n_checked = n_violations = 0
+    for row in np.flatnonzero(table.name == name):
+        measured, bound = float(table.measured[row]), float(table.bound[row])
+        margin = bound - measured if name in LOWER_BOUNDS else measured - bound
+        violated = not table.holds[row]
+        n_checked += 1
+        n_violations += violated
+        key = (violated, margin)
+        if worst is None or key > worst[0]:
+            worst = (key, measured, bound, int(table.iteration[row]))
+    if worst is None:
+        return None
+    return {"passed": n_violations == 0, "measured": worst[1], "bound": worst[2],
+            "n_checked": n_checked, "n_violations": n_violations, "worst_iter": worst[3]}
 
 
 class TestExports:
     def test_csv_bytes_match_per_cell_reference(self, tmp_path):
-        for case, (trace, ledger) in export_cases().items():
+        for case, (trace, ledger, _) in export_cases().items():
             assert_exports_match(tmp_path / case, trace, ledger)
+
+    def test_verdicts_match_the_whole_run_table(self):
+        for case, (trace, ledger, verdicts) in export_cases().items():
+            table = monitor_rows(trace, ledger)
+            for name in MONITORED:
+                got, want = verdicts.get(name).as_dict(), reference_verdict(table, name)
+                if want is None:
+                    assert got["passed"] is None, (case, name)
+                    assert got["detail"].startswith("constants unavailable"), (case, name)
+                else:
+                    assert {k: got[k] for k in want} == want, (case, name)
+
+    def test_run_builds_no_whole_run_table(self, monkeypatch):
+        want = {case: v.as_list() for case, (_, _, v) in export_cases().items()}
+
+        def whole_table(*args):
+            raise AssertionError("a whole-run monitor table was built")
+
+        monkeypatch.setattr(descent, "monitor_rows", whole_table)
+        monkeypatch.setattr(descent, "_table", whole_table)
+        got = {case: v.as_list() for case, (_, _, v) in export_cases().items()}
+        assert got == want
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_rows_span_several_write_chunks(self, tmp_path, monkeypatch, cpus):
@@ -516,7 +628,7 @@ class TestExports:
         monkeypatch.setattr(cli, "CSV_CHUNK", 7)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         forks = count_forks(monkeypatch)
-        for case, (trace, ledger) in export_cases().items():
+        for case, (trace, ledger, _) in export_cases().items():
             assert_exports_match(tmp_path / case, trace, ledger)
         assert bool(forks) == (cpus > 1)
         assert_no_child_left()
@@ -539,7 +651,7 @@ class TestExports:
             return b"garbage\n" * 10000
 
         monkeypatch.setattr(cli, "_format_rows", planted)
-        assert_exports_match(tmp_path, *export_cases()["full"])
+        assert_exports_match(tmp_path, *export_cases()["full"][:2])
         assert len(forks) == 4  # two per file
         assert_no_child_left()
 
@@ -591,14 +703,17 @@ def assert_exports_match(outdir, trace, ledger):
 
 def test_closest_optimum_adjoint_matches_probed_adjoint():
     # closest_optimum derives A* from the matrix; the reference probes A*
-    # with unit vectors and solves with the probed matrix
+    # with unit vectors and steps with the probed matrix, after solving with
+    # the Gram symmetrize(A A*) formed as B B^T, B = D_cod^1/2 M D_dom^-1/2
     prob = build_problem(normalize_config(rf_config("unused", width=256)))
     a = prob.F.linear_op
     mat_a, w = a.mat, a.codomain.weights
     probed = np.stack([a.adjoint_apply(e) for e in np.eye(a.codomain.dim)], axis=1)
     np.testing.assert_allclose((mat_a.T * w) / a.domain.weights[:, None], probed, rtol=0, atol=0)
     x0 = a.domain._coords(prob.theta0)
-    y = weighted_solve(symmetrize(mat_a @ probed, w), w, prob.f.minimizer - a.apply(x0))
+    b = (np.sqrt(w)[:, None] * mat_a) / np.sqrt(a.domain.weights)[None, :]
+    np.testing.assert_allclose(b @ b.T, symmetrize(mat_a @ probed, w), rtol=1e-12, atol=0)
+    y = weighted_solve(b @ b.T, w, prob.f.minimizer - a.apply(x0))
     x_hat = closest_optimum(prob.F, prob.f, prob.theta0)
     np.testing.assert_allclose(x_hat, x0 + probed @ y, rtol=0, atol=0)
 
@@ -1205,6 +1320,34 @@ class TestSweepChecksEachValue:
         lines = (out / "summary.csv").read_text().splitlines()
         assert lines[1].split(",")[0::3] == ["4", "20"]  # value, its 20 steps
         assert lines[2] == "1000000000000,,,,"
+
+    def test_problem_whose_gate_cannot_allocate_exits_one_naming_its_shape(self, tmp_path,
+                                                                           capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, gate_too_large_config(out))
+        for command in (run_experiment, check_experiment):
+            assert command(path) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"error: problem: Unable to allocate .* "
+                                r"shape \(100000, 1000000\).*\n", err), err
+            assert not (out / "report.json").exists()
+
+    # width 10**6 first runs in this process, second in a forked child
+    @pytest.mark.parametrize("values", [[1e6, 4.0], [4.0, 1e6]])
+    def test_sweep_value_whose_gate_cannot_allocate_keeps_every_row(self, tmp_path, monkeypatch,
+                                                                    capsys, values):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "sweep"
+        assert sweep(write_config(tmp_path, gate_too_large_config(out)), "width",
+                     values) == EXIT_CONFIG
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: width=1e\+06: problem: Unable to allocate .* "
+                            r"shape \(100000, 1000000\).*\n", err), err
+        rows = {line.split(",")[0]: line for line in
+                (out / "summary.csv").read_text().splitlines()[1:]}
+        assert rows["1000000"] == "1000000,,,,"
+        assert rows["4"].split(",")[0::3] == ["4", "10"]  # value, its 10 steps
 
     def test_seed_override_is_checked_like_the_file(self, tmp_path, capsys):
         path = write_config(tmp_path, tight_config(tmp_path / "out"))

@@ -18,6 +18,7 @@ from plgd.descent import (
     closest_optimum,
     minimal_ledger,
     monitor_rows,
+    monitor_size,
     predicted_iterations,
     run,
     trace_columns,
@@ -502,6 +503,18 @@ class TestMonitorVerdicts:
 
 
 class TestExports:
+    def test_monitor_rows_of_any_range_are_that_slice_of_the_whole_table(self):
+        ledger = ConstantsLedger(alpha=0.25, f_star=0.0, L=4.0, lam=1.0, q=0.5, K=2.0)
+        trace = planted_trace()
+        whole = monitor_rows(trace, ledger)
+        # q_decay, three per-step inequalities, PL, LG, Taylor
+        assert len(whole) == monitor_size(trace, ledger) == 4 + 3 * 3 + 4 + 4 + 3
+        for start in range(len(whole) + 1):
+            for stop in range(start, len(whole) + 1):
+                part = monitor_rows(trace, ledger, start, stop)
+                for column, values in vars(whole).items():
+                    np.testing.assert_array_equal(getattr(part, column), values[start:stop])
+
     def test_trace_columns_and_monitor_rows_consistent(self):
         prob, cert = tight_problem()
         led = build_ledger(prob.F, prob.f, prob.theta0, cert, alpha=0.5)
