@@ -65,6 +65,7 @@ from .problems import (
     analytic_certificates,
     check_gradients,
     gan_discriminator,
+    make_certificates,
     sampled_certificates,
     supervised,
     vae,

@@ -3,14 +3,16 @@
 Commands
 --------
 ``plgd run <config.json>``
-    Build the problem, estimate or compute certificates, run descent and
-    write ``trace.csv``, ``bounds.csv``, ``report.json`` (plus wall-clock
-    ``timings.json``) and ``theta_star.json`` into the output directory,
-    after removing those five files as an earlier run left them there
-    (before the problem is built, so also when building it fails).  Each
-    CSV file is formatted in contiguous row shares, one per usable CPU
-    and each of at least ``CSV_CHUNK`` rows: this process formats the
-    first and a forked child each other, with the bytes of one process.
+    Build the problem, certify it (``problems.make_certificates`` holds
+    the certificate policy, the sampled trust-ball refinement included),
+    run descent and write ``trace.csv``, ``bounds.csv``, ``report.json``
+    (plus wall-clock ``timings.json``) and ``theta_star.json`` into the
+    output directory, after removing those five files as an earlier run
+    left them there (before the problem is built, so also when building
+    it fails).  Each CSV file is formatted in contiguous row shares, one
+    per usable CPU and each of at least ``CSV_CHUNK`` rows: this process
+    formats the first and a forked child each other, with the bytes of
+    one process.
     ``timings.json``'s ``export`` phase is therefore wall time with the
     children's shares overlapped.
 ``plgd check <config.json>``
@@ -82,8 +84,10 @@ finite number > 0 and ``num0`` a finite number >= 0::
 A numeric ``alpha`` must also lie below 2/L, which the ledger checks;
 ``K_F`` and ``L_F`` must have a finite square; and overrides must keep
 lambda_F <= K_F^2 together with the constants they leave to the
-certificates.  A synthetic dataset or a model too large to allocate is
-refused with numpy's message, which names its size.
+certificates.  Sampled certificates refuse a ``ball_radius`` above 0 and
+below ``smoothmap.MIN_PAIR_RADIUS`` (1e-9).  A synthetic dataset or a
+model too large to allocate is refused with numpy's message, which names
+its size.
 
 Dataset schema
 --------------
@@ -153,16 +157,17 @@ from .model import (
 )
 from .problems import (
     PrototypeProblem,
-    analytic_certificates,
     check_gradients,
     gan_discriminator,
-    objective_with_estimated_lg,
+    make_certificates,
     require_analytic,
-    sampled_certificates,
     supervised,
     vae,
+    # not called here: perfbench/spans.py rebinds these three names on this module
+    analytic_certificates,
+    objective_with_estimated_lg,
+    sampled_certificates,
 )
-from .smoothmap import CertValue, MapCertificate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -554,60 +559,6 @@ def build_problem(cfg: dict) -> PrototypeProblem:
 # certificates and execution
 
 
-def _apply_overrides(cert: MapCertificate, overrides: dict) -> MapCertificate:
-    """``cert`` with the user's constants in place of its own; a mix that
-    breaks lam <= K^2 is a config error."""
-    k = cert.K if overrides["K_F"] is None else CertValue(float(overrides["K_F"]), "analytic")
-    l = cert.L if overrides["L_F"] is None else CertValue(float(overrides["L_F"]), "analytic")
-    lam = cert.lam
-    if overrides["lambda_F"] is not None:
-        lam = CertValue(float(overrides["lambda_F"]), "analytic")
-    try:
-        return MapCertificate(K=k, L=l, lam=lam)
-    except ValueError as exc:
-        raise InvalidConfig(f"config.certificates.overrides: {exc}")
-
-
-def make_certificates(problem: PrototypeProblem, cfg: dict):
-    """Certificates plus (for sampled mode) a ball refined from a pre-ledger.
-
-    Sampled mode estimates on the declared ball, builds a provisional
-    ledger and, unless the user pinned a radius, re-declares the ball as
-    ten times the predicted travel distance before the final estimate.
-    Returns (problem, certificate, objective-with-L).  An objective with no
-    infimum (supervised ``gaussian_nll``, every GAN critic) can have no
-    full ledger, so its problem gets no estimate: it is returned with a
-    None certificate and its own objective.
-    """
-
-    ccfg = cfg["certificates"]
-    if problem.f.f_star is None:
-        return problem, None, problem.f
-    overrides = ccfg["overrides"]
-    user_radius = cfg["problem"]["ball_radius"]
-
-    if ccfg["mode"] == "analytic":
-        cert = _apply_overrides(analytic_certificates(problem), overrides)
-        return problem, cert, problem.f
-
-    def estimate(problem):
-        """The sampled certificate and objective-with-L on ``problem``'s ball."""
-        n, seed = ccfg["n_samples"], ccfg["seed"]
-        cert = _apply_overrides(sampled_certificates(problem, n=n, seed=seed), overrides)
-        return cert, objective_with_estimated_lg(problem, n_pairs=n, seed=seed)
-
-    cert, obj = estimate(problem)
-    if user_radius is None and obj.L is not None:
-        try:
-            pre = build_ledger(problem.F, obj, problem.theta0, cert, alpha="auto")
-        except (MissingCertificate, InvalidConfig):
-            pre = None
-        if pre is not None and pre.dist_bound() is not None:
-            problem = problem.with_ball(max(10.0 * pre.dist_bound(), 1e-6))
-            cert, obj = estimate(problem)
-    return problem, cert, obj
-
-
 def _ntk_summary(problem: PrototypeProblem, theta) -> dict:
     g = problem.gram(theta)
     return {"lambda_min": g.lambda_min, "lambda_max": g.lambda_max}
@@ -699,7 +650,8 @@ def _phases(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
         return EXIT_VIOLATION
 
     with clock.phase("certificates"):
-        problem, cert, obj = make_certificates(problem, cfg)
+        problem, cert, obj, radius = make_certificates(
+            problem, **cfg["certificates"], ball_pinned=cfg["problem"]["ball_radius"] is not None)
     report["declared_ball_radius"] = problem.declared_ball.radius
 
     with clock.phase("ledger"):
@@ -716,9 +668,6 @@ def _phases(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
     if not do_descent:
         return EXIT_OK
 
-    declared_radius = (
-        None if cfg["certificates"]["mode"] == "analytic" else problem.declared_ball.radius
-    )
     with clock.phase("descent"):
         trace, verdicts = run(
             problem.F,
@@ -727,7 +676,7 @@ def _phases(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
             ledger,
             max_iter=cfg["descent"]["max_iter"],
             stop_gap=cfg["descent"]["stop_gap"],
-            declared_radius=declared_radius,
+            declared_radius=radius,
         )
         report["ntk"]["theta_star"] = _ntk_summary(problem, trace.iterates[-1])
     f_star = ledger.f_star

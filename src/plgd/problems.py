@@ -18,7 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, InvalidDataset, NumericFailure
+from .descent import build_ledger
+from .errors import (DimensionMismatch, InvalidConfig, InvalidDataset, MissingCertificate,
+                     NumericFailure)
 from .integrand import (
     Dataset,
     Integrand,
@@ -308,6 +310,54 @@ def objective_with_estimated_lg(
         RuntimeWarning,
     )
     return f
+
+
+def _with_overrides(cert: MapCertificate, overrides: dict) -> MapCertificate:
+    """``cert`` with the given constants in place of its own; a mix that
+    breaks lam <= K^2 is a config error."""
+    given = {key: CertValue(float(v), "analytic") for key, v in overrides.items() if v is not None}
+    try:
+        return MapCertificate(K=given.get("K_F", cert.K), L=given.get("L_F", cert.L),
+                              lam=given.get("lambda_F", cert.lam))
+    except ValueError as exc:
+        raise InvalidConfig(f"config.certificates.overrides: {exc}")
+
+
+def make_certificates(problem: PrototypeProblem, mode: str, n_samples: int, seed: int,
+                      overrides: dict, ball_pinned: bool):
+    """A run's certificate policy: ``(problem, certificate, objective with L,
+    radius the trajectory is checked against)``.
+
+    Analytic constants hold on the whole space, so their radius is None.
+    Sampled ones are estimated on the declared ball from ``n_samples``
+    points and pairs drawn with ``seed``; unless ``ball_pinned``, the ball
+    is then re-declared as ten times a provisional ledger's travel
+    distance (at least 1e-6) and estimated again, and the radius is the
+    returned problem's.  Non-None ``overrides`` (``K_F``, ``L_F``,
+    ``lambda_F``) replace the certificate's constants.  An objective with
+    no infimum (supervised ``gaussian_nll``, every GAN critic) can have no
+    full ledger, so it gets no certificate and keeps its own objective.
+    """
+    radius = None if mode == "analytic" else problem.declared_ball.radius
+    if problem.f.f_star is None:
+        return problem, None, problem.f, radius
+    if mode == "analytic":
+        return problem, _with_overrides(analytic_certificates(problem), overrides), problem.f, None
+
+    def estimate(problem):
+        return (_with_overrides(sampled_certificates(problem, n_samples, seed), overrides),
+                objective_with_estimated_lg(problem, n_samples, seed))
+
+    cert, obj = estimate(problem)
+    if not ball_pinned and obj.L is not None:
+        try:
+            travel = build_ledger(problem.F, obj, problem.theta0, cert, alpha="auto").dist_bound()
+        except (MissingCertificate, InvalidConfig):
+            travel = None
+        if travel is not None:
+            problem = problem.with_ball(max(10.0 * travel, 1e-6))
+            cert, obj = estimate(problem)
+    return problem, cert, obj, problem.declared_ball.radius
 
 
 def check_gradients(problem: PrototypeProblem, n_probes: int = 10, seed: int = 0) -> float:

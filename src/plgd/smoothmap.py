@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .space import LinOp, WeightedSpace, coercivity, gram_eigvalsh, op_norm
 
 #: step of the gradient gate's central differences
@@ -33,6 +34,12 @@ FD_STEP = 1e-5
 #: safety factors of sampled upper and lower bounds
 INFLATE = 1.1
 DEFLATE = 0.9
+
+#: the smallest nonzero radius of a ball that yields difference-quotient
+#: pairs: its local pairs lie 1e-3 * radius apart, so below it none clears
+#: the 1e-12 coincidence test, and on a smaller ball around parameters of
+#: unit scale every pair soon falls under it, so sampling would never end
+MIN_PAIR_RADIUS = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,8 +296,12 @@ def _sample_pairs(ball: Ball, n_pairs: int, rng: np.random.Generator):
 
     Local pairs (x, x + eps * dir) probe the differential behaviour of the
     quotient near a point; independent pairs probe the secant behaviour.
-    Coincident pairs are resampled.
+    Coincident pairs are resampled.  A ball whose radius is neither 0
+    nor at least ``MIN_PAIR_RADIUS`` is refused.
     """
+    if 0.0 < ball.radius < MIN_PAIR_RADIUS:
+        raise InvalidConfig(f"sampled certificates need a ball radius of 0 or at least "
+                            f"{MIN_PAIR_RADIUS:g}; got {ball.radius:g}")
     space = ball.space
     eps = 1e-3 * ball.radius if ball.radius > 0 else 1e-3
     pairs = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSelfAdjoint, SolverCapExceeded
+from .errors import DimensionMismatch, NotSelfAdjoint, NumericFailure, SolverCapExceeded
 
 #: largest dense eigensolve or pseudo-inverse; a weighted Gram is solved on its smaller side
 DENSE_EIG_CAP = 4096
@@ -221,12 +221,16 @@ def gram_eigvalsh(mat, dom_weights, cod_weights, cap: int = DENSE_EIG_CAP) -> np
 
     ``B B^T`` and ``B^T B``, for B the :func:`gram_factor`, share their
     nonzero eigenvalues, and the smaller of the two is solved.  Refused by
-    :func:`require_gram` before any product is formed.
+    :func:`require_gram` before any product is formed.  A Gram with a
+    non-finite entry, as from a non-finite ``mat``, raises NumericFailure.
     """
     n_cod, n_dom = mat.shape
     require_gram(n_dom, n_cod, cap)
     b = gram_factor(mat, dom_weights, cod_weights)
-    return np.linalg.eigvalsh(b @ b.T if n_cod <= n_dom else b.T @ b)
+    gram = b @ b.T if n_cod <= n_dom else b.T @ b
+    if not np.isfinite(gram).all():
+        raise NumericFailure(f"non-finite entries in a {len(gram)} x {len(gram)} weighted Gram")
+    return np.linalg.eigvalsh(gram)
 
 
 def op_norm(a: LinOp) -> float:

@@ -40,7 +40,7 @@ from plgd.descent import (
 from plgd.errors import InvalidConfig, MissingCertificate, NumericFailure
 from plgd.integrand import least_squares
 from plgd.model import induce
-from plgd.problems import analytic_certificates, check_gradients, supervised
+from plgd.problems import analytic_certificates, check_gradients, make_certificates, supervised
 from plgd.space import symmetrize, weighted_solve
 
 
@@ -458,7 +458,7 @@ class TestNumericFailure:
         out = tmp_path / "out"
         path = write_config(tmp_path, rf_config(out, max_iter=10))
 
-        def failing(problem, cfg):
+        def failing(*args, **kwargs):
             raise NumericFailure("non-finite certificate")
 
         monkeypatch.setattr(cli, "make_certificates", failing)
@@ -467,6 +467,86 @@ class TestNumericFailure:
         assert report["gradient_check"]["passed"]
         assert report["numeric_failure"] == {"message": "non-finite certificate",
                                              "iteration": None}
+
+
+def shallow_ball_config(outdir, radius):
+    """A shallow net on 4 samples with sampled certificates on a declared ball."""
+    return {
+        "problem": {
+            "family": "supervised",
+            "model": {"kind": "shallow", "in_dim": 2, "width": 4, "seed": 1},
+            "dataset": {
+                "synthetic": {"kind": "gaussian", "d": 4, "in_dim": 2, "target_dim": 1, "seed": 3}
+            },
+            "integrand": {"kind": "least_squares"},
+            "ball_radius": radius,
+        },
+        "certificates": {"mode": "sampled", "n_samples": 4},
+        "output": {"dir": str(outdir)},
+    }
+
+
+def vae_ball_config(outdir, radius):
+    """A two-noise-draw VAE on 4 samples with sampled certificates on a declared ball."""
+    return {
+        "problem": {
+            "family": "vae",
+            "encoder": {"width": 2}, "decoder": {"width": 3}, "latent_dim": 1, "beta": 1,
+            "noise": {"count": 2},
+            "dataset": {
+                "synthetic": {"kind": "gaussian", "d": 4, "in_dim": 2, "target_dim": 0, "seed": 3}
+            },
+            "ball_radius": radius,
+        },
+        "certificates": {"mode": "sampled", "n_samples": 4},
+        "output": {"dir": str(outdir)},
+    }
+
+
+def plgd_process(*args):
+    """``python -m plgd.cli *args`` in a fresh interpreter with its default
+    warning filters, killed after 60 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "plgd.cli", *args], capture_output=True,
+                          text=True, timeout=60, env=env)
+
+
+class TestSampledBallEdges:
+    """Schema-valid declared balls that once hung or ended in a traceback."""
+
+    @pytest.mark.parametrize("make, radius",
+                             [(shallow_ball_config, 1e-13), (vae_ball_config, 1e-300)],
+                             ids=["shallow", "vae"])
+    def test_ball_below_the_pair_floor_exits_one_in_time(self, tmp_path, make, radius):
+        out = tmp_path / "out"
+        proc = plgd_process("check", write_config(tmp_path, make(out, radius)))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == (f"error: sampled certificates need a ball radius of 0 or at "
+                               f"least 1e-09; got {radius:g}\n")
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("radius", [0, 1e-9])
+    def test_ball_at_zero_or_the_floor_still_runs(self, tmp_path, radius):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, shallow_ball_config(out, radius))
+        assert check_experiment(path) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["declared_ball_radius"] == radius
+
+    def test_non_finite_jacobian_on_a_wide_ball_exits_three_with_report(self, tmp_path):
+        # the VAE's exp overflows far from theta0, so 3 of its 4 sampled
+        # Jacobians hold non-finite entries; a fresh interpreter keeps the
+        # overflow warnings from being raised as errors
+        out = tmp_path / "out"
+        proc = plgd_process("check", write_config(tmp_path, vae_ball_config(out, 1e4)))
+        assert proc.returncode == EXIT_NUMERIC
+        assert "Traceback" not in proc.stderr
+        assert "error: non-finite entries in a 17 x 17 weighted Gram\n" in proc.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == EXIT_NUMERIC
+        assert report["numeric_failure"] == {
+            "message": "non-finite entries in a 17 x 17 weighted Gram", "iteration": None}
 
 
 TRACE_HEADER = "iter,loss,gap,q_bound,grad_norm,step_norm,step_bound,dist_init,dist_bound"
@@ -506,15 +586,16 @@ def pipeline(cfg):
     """The trace, ledger and verdicts of a run of ``cfg``, made as ``plgd run``
     makes them."""
     cfg = normalize_config(cfg)
-    prob, cert, obj = cli.make_certificates(build_problem(cfg), cfg)
+    pinned = cfg["problem"]["ball_radius"] is not None
+    prob, cert, obj, radius = make_certificates(build_problem(cfg), **cfg["certificates"],
+                                                ball_pinned=pinned)
     alpha = cfg["descent"]["alpha"]
     try:
         ledger = build_ledger(prob.F, obj, prob.theta0, cert, alpha=alpha)
     except MissingCertificate:
         ledger = minimal_ledger(alpha)
-    declared = None if cfg["certificates"]["mode"] == "analytic" else prob.declared_ball.radius
     trace, verdicts = run(prob.F, obj, prob.theta0, ledger, max_iter=cfg["descent"]["max_iter"],
-                          declared_radius=declared)
+                          declared_radius=radius)
     return trace, ledger, verdicts
 
 

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from plgd.errors import DimensionMismatch
+from plgd.errors import DimensionMismatch, InvalidConfig
 from plgd.smoothmap import (
+    MIN_PAIR_RADIUS,
     Ball,
     CertValue,
     MapCertificate,
@@ -16,6 +17,7 @@ from plgd.smoothmap import (
     estimate_uc,
     fd_check,
     jacobian_norm,
+    _sample_pairs,
     sample_ball,
 )
 from plgd.space import LinOp, WeightedSpace
@@ -156,6 +158,12 @@ class TestEstimateLJ:
         # perturbation pairs still give valid quotients
         est = estimate_lj(HALF_SQUARE, ball1(0.0), n_pairs=4, seed=0, inflate=1.0)
         assert np.isfinite(est)
+
+    def test_ball_below_the_pair_floor_is_refused(self):
+        # smaller balls, on which resampling would never end, are run under
+        # a time limit in test_cli.py
+        with pytest.raises(InvalidConfig, match="0 or at least 1e-09; got 9.99e-10"):
+            _sample_pairs(ball2(0.999 * MIN_PAIR_RADIUS), 4, np.random.default_rng(0))
 
 
 class TestEstimateUC:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plgd.errors import DimensionMismatch, NotSelfAdjoint, SolverCapExceeded
+from plgd.errors import DimensionMismatch, NotSelfAdjoint, NumericFailure, SolverCapExceeded
 from plgd.space import (
     LinOp,
     WeightedSpace,
@@ -108,6 +108,15 @@ class TestOpNorm:
     def test_matches_svd_oracle(self, tall, data):
         a, sv = data.draw(weighted_ops(tall))
         assert op_norm(a) == pytest.approx(sv[0], rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
+    def test_non_finite_gram_is_a_numeric_failure(self, shape, bad):
+        mat = np.ones(shape)
+        mat[1, 1] = bad
+        a = LinOp(WeightedSpace.unit(shape[1]), WeightedSpace.unit(shape[0]), mat)
+        with pytest.raises(NumericFailure, match="non-finite entries in a 2 x 2 weighted Gram"):
+            op_norm(a)
 
 
 class TestCoercivity:
