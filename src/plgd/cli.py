@@ -9,19 +9,15 @@ Commands
     (plus wall-clock ``timings.json``) and ``theta_star.json`` into the
     output directory, after removing those five files as an earlier run
     left them there (before the problem is built, so also when building
-    it fails).  Each CSV file is formatted in contiguous row shares, one
-    per usable CPU and each of at least ``CSV_CHUNK`` rows: this process
-    formats the first and a forked child each other, with the bytes of
-    one process.
-    ``timings.json``'s ``export`` phase is therefore wall time with the
-    children's shares overlapped.
+    it fails).  This process formats each CSV file ``CSV_CHUNK`` rows at
+    a time.
 ``plgd check <config.json>``
     Certificates and ledger only, no descent.
 ``plgd sweep <config.json> --axis width --values 2,8,32``
     One run per value, in parallel shares (one per usable CPU; this
     process runs one, a forked child each other), each in its own
-    subdirectory, plus a ``summary.csv``.  The shares already take the
-    CPUs, so each value writes its CSV files in one share.
+    subdirectory, plus a ``summary.csv``.  Only a sweep forks: ``run``
+    and ``check`` run in this process alone.
 
 ``run``, ``check`` and each sweep value share one runner.  Exit codes: 0
 when every evaluated verdict passes or is hypothesis-unmet; 1 on
@@ -123,7 +119,6 @@ import json
 import math
 import os
 import pickle
-import shutil
 import sys
 import tempfile
 import time
@@ -175,9 +170,8 @@ EXIT_VIOLATION = 2
 EXIT_NUMERIC = 3
 
 FD_GATE = 1e-5
-#: rows formatted per write of the CSV writers, and the fewest rows of a
-#: share formatted in parallel; a chunk of trace.csv holds nine Python
-#: objects per row, so 1024 rows keep it near 0.3 MB
+#: rows formatted per write of the CSV writers; a chunk of trace.csv holds
+#: nine Python objects per row, so 1024 rows keep it near 0.3 MB
 CSV_CHUNK = 1024
 
 
@@ -705,7 +699,7 @@ def _phases(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
 
 
 # ---------------------------------------------------------------------------
-# forked children
+# the sweep's forked children
 
 
 def _usable_cpus() -> int:
@@ -713,11 +707,6 @@ def _usable_cpus() -> int:
     since a forked child of a process that has loaded numpy is not safe
     there (macOS's Accelerate) or there is no fork at all."""
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-
-
-#: True inside a :func:`_forked` block and in the children it forks: the
-#: CPUs are then taken, so a block nested in it forks nothing
-_forking = False
 
 
 class _Child:
@@ -763,22 +752,16 @@ class _Child:
 @contextmanager
 def _forked(works: list):
     """A :class:`_Child` per callable of ``works``, or None for one that
-    could not be forked, which the caller then runs itself.  Inside another
-    such block, or in a child forked by one, every entry is None.
+    could not be forked, which the caller then runs itself.
 
     The standard streams are flushed first, so no child holds output of
     this process.  Leaving the block kills and reaps every child not yet
     reaped and closes every child's file, also when the block raised or
     was interrupted.
     """
-    global _forking
-    if _forking:
-        yield [None] * len(works)
-        return
     sys.stdout.flush()
     sys.stderr.flush()
     children = []
-    _forking = True
     try:
         for work in works:
             try:
@@ -787,7 +770,6 @@ def _forked(works: list):
                 children.append(None)
         yield children
     finally:
-        _forking = False
         for child in children:
             if child is None:
                 continue
@@ -833,59 +815,36 @@ def _format_rows(fmt: str, columns: list) -> bytes:
     return ((fmt * len(columns[0])) % tuple(cells)).encode()
 
 
-def _write_share(fh, fmt: str, rows, start: int, stop: int) -> None:
-    """Write :func:`_format_rows` of rows ``start:stop`` to the binary file
-    ``fh``, ``CSV_CHUNK`` rows at a time, each chunk's columns from
-    ``rows(lo, hi)``."""
-    for lo in range(start, stop, CSV_CHUNK):
-        fh.write(_format_rows(fmt, rows(lo, min(lo + CSV_CHUNK, stop))))
-
-
 def _write_rows(fh, fmt: str, n: int, rows) -> None:
     """Write :func:`_format_rows` of rows 0..n-1 to the binary file ``fh``,
-    formatting contiguous shares of the rows in parallel.
-
-    ``rows(start, stop)`` returns the parallel columns of rows
-    ``start:stop``, so each share evaluates only its own rows, a chunk at
-    a time.  There is one share per usable CPU, each of at least
-    ``CSV_CHUNK`` rows, so a shorter table is one share.  This process
-    writes the first share while a forked child writes each other one
-    into its own file; those files are then copied into ``fh`` in share
-    order, a block at a time.  A share whose child fails, or cannot be
-    forked, is written here in its place.
-    """
-    k = max(1, min(_usable_cpus(), n // CSV_CHUNK))
-    cuts = [n * s // k for s in range(k + 1)]
-    shares = list(zip(cuts, cuts[1:]))
-    works = [partial(_write_share, fmt=fmt, rows=rows, start=start, stop=stop)
-             for start, stop in shares[1:]]
-    with _forked(works) as children:
-        for (start, stop), child in zip(shares, [None, *children]):
-            if child is not None and child.wait() == 0:
-                shutil.copyfileobj(child.out, fh)
-            else:
-                _write_share(fh, fmt, rows, start, stop)
+    ``CSV_CHUNK`` rows at a time, each chunk's columns from ``rows(lo, hi)``,
+    so only one chunk of the table is held at a time."""
+    for lo in range(0, n, CSV_CHUNK):
+        fh.write(_format_rows(fmt, rows(lo, min(lo + CSV_CHUNK, n))))
 
 
 def _write_trace_csv(path: Path, trace, ledger) -> None:
+    """trace.csv, each chunk of step rows evaluated by :func:`trace_columns`
+    as it is written.  The last iterate takes no step, so its step cells
+    are empty."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = trace_columns(trace, ledger)
     n_steps = trace.n_steps
+    last = trace_columns(trace, ledger, n_steps, n_steps + 1)
+    cells = ("%.17g" if c is not None else "" for c in list(last.values())[1:])
+
+    def rows(lo, hi):
+        return [c for c in trace_columns(trace, ledger, lo, hi).values() if c is not None]
+
     with path.open("wb") as fh:
         fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
-        # the last iterate takes no step, so its step cells are empty
-        for part in (slice(0, n_steps), slice(n_steps, n_steps + 1)):
-            present = {k: c[part] for k, c in cols.items() if c is not None and len(c[part])}
-            if present:
-                cells = ("%.17g" if k in present else "" for k in TRACE_COLUMNS[1:])
-                columns = list(present.values())
-                _write_rows(fh, ",".join(("%d", *cells)) + "\n", len(columns[0]),
-                            lambda lo, hi: [c[lo:hi] for c in columns])
+        _write_rows(fh, ",".join(("%d", *cells)) + "\n", n_steps, rows)
+        fh.write((",".join(_fmt(c[0] if c is not None and len(c) else None)
+                           for c in last.values()) + "\n").encode())
 
 
 def _write_bounds_csv(path: Path, trace, ledger) -> None:
     """bounds.csv, each chunk of rows evaluated by :func:`monitor_rows` as
-    it is written, so no process holds the whole table."""
+    it is written."""
     path.parent.mkdir(parents=True, exist_ok=True)
 
     def rows(start, stop):
@@ -1052,8 +1011,7 @@ def sweep(
     """Run one experiment per value, in parallel shares, and write a summary table.
 
     The values are dealt round-robin into one share per usable CPU.  This
-    process runs the first share and a forked child runs each other one;
-    as the shares take the CPUs, no value forks its CSV writers' shares.
+    process runs the first share and a forked child runs each other one.
     Once every share is done, each value's warnings and stderr lines are
     issued in value order, as a sweep of one share issues them.
 

@@ -145,7 +145,8 @@ def build_ledger(
     ``alpha="auto"`` selects 1/L (the optimal contraction).  Raises
     :class:`MissingCertificate` when the objective lacks the Lipschitz
     constant or infimum needed to size a step (pass a numeric alpha and a
-    minimal ledger is produced instead via :func:`minimal_ledger`).
+    minimal ledger is produced instead via :func:`minimal_ledger`).  Raises
+    :class:`NumericFailure` when L or K is not finite.
     """
     x0c = f_map.domain._coords(x0)
     if obj.L is None or obj.f_star is None:
@@ -161,6 +162,9 @@ def build_ledger(
     l_total = cert.K.value**2 * l_f + k_f * cert.L.value
     if l_total <= 0:
         raise InvalidConfig("composite Lipschitz constant is zero; nothing to descend")
+    k_total = math.sqrt(2.0 * l_total * gap0)
+    if not math.isfinite(k_total):  # L, or 2 L times the initial gap, overflowed
+        raise NumericFailure(f"non-finite ledger constants: L = {l_total}, K = {k_total}")
 
     if alpha == "auto":
         alpha_val = 1.0 / l_total
@@ -183,7 +187,6 @@ def build_ledger(
         q = 1.0 + l_total * lam * alpha_val**2 - 2.0 * lam * alpha_val
         q = min(max(q, 0.0), 1.0 - 1e-16)
 
-    k_total = math.sqrt(2.0 * l_total * gap0)
     g0 = composite_gradient(f_map, obj, x0c)
     g0_norm = f_map.domain.norm(g0)
 
@@ -247,7 +250,7 @@ class DescentTrace:
 
     # The monitored inequalities read these derived series for the verdicts
     # and again, a chunk of bounds.csv rows at a time, for the export.  Each
-    # is computed once, on first use, and forked CSV shares inherit it; a
+    # is computed once, on first use, and kept for every later chunk; a
     # chunk could not start the running sum of path_lengths on its own.
 
     @cached_property
@@ -868,24 +871,32 @@ TRACE_COLUMNS = (
 )
 
 
-def trace_columns(trace: DescentTrace, ledger: ConstantsLedger) -> dict:
-    """The trace export as arrays keyed by :data:`TRACE_COLUMNS`.
+def trace_columns(
+    trace: DescentTrace, ledger: ConstantsLedger, start: int = 0, stop: Optional[int] = None
+) -> dict:
+    """Rows ``start:stop`` of the trace export (all rows by default), one
+    row per iterate, as arrays keyed by :data:`TRACE_COLUMNS`.
 
-    ``step_norm`` and ``step_bound`` have one entry per step, every other
-    column one per iterate; a column the ledger cannot fill is None.
+    ``step_norm`` and ``step_bound`` hold the steps among those rows (the
+    last iterate takes none), every other column one entry per row; a
+    column the ledger cannot fill is None.  Only those rows are evaluated,
+    so a CSV writer holds one chunk of the table at a time.
     """
-    n, q = len(trace.losses), ledger.q
-    gap = None if ledger.f_star is None else trace.losses - ledger.f_star
+    stop = len(trace.losses) if stop is None else stop
+    rows, steps = range(start, stop), range(start, min(stop, trace.n_steps))
+    q, losses = ledger.q, trace.losses[start:stop]
+    gap = None if ledger.f_star is None else losses - ledger.f_star
     has_steps = q is not None and ledger.K is not None
     dist_bound = ledger.dist_bound()
     return {
-        "iter": np.arange(n),
-        "loss": trace.losses,
+        "iter": np.arange(start, stop),
+        "loss": losses,
         "gap": gap,
-        "q_bound": None if q is None or gap is None else _q_bound(q, float(gap[0]), range(n)),
-        "grad_norm": trace.grad_norms,
-        "step_norm": trace.step_norms,
-        "step_bound": _step_bound(ledger, range(trace.n_steps)) if has_steps else None,
-        "dist_init": trace.dist_from_init,
-        "dist_bound": None if dist_bound is None else np.full(n, dist_bound),
+        "q_bound": (None if q is None or gap is None
+                    else _q_bound(q, float(trace.losses[0] - ledger.f_star), rows)),
+        "grad_norm": trace.grad_norms[start:stop],
+        "step_norm": trace.step_norms[start:steps.stop],
+        "step_bound": _step_bound(ledger, steps) if has_steps else None,
+        "dist_init": trace.dist_from_init[start:stop],
+        "dist_bound": None if dist_bound is None else np.full(len(rows), dist_bound),
     }

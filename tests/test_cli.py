@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,11 +30,13 @@ from plgd.cli import (
 )
 from plgd.descent import (
     LOWER_BOUNDS,
+    ConstantsLedger,
     DescentTrace,
     build_ledger,
     closest_optimum,
     minimal_ledger,
     monitor_rows,
+    monitor_size,
     run,
     verify,
 )
@@ -703,61 +706,59 @@ class TestExports:
         got = {case: v.as_list() for case, (_, _, v) in export_cases().items()}
         assert got == want
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_rows_span_several_write_chunks(self, tmp_path, monkeypatch, cpus):
-        # chunks of 7 rows; a table of 7 * cpus rows or more is cut into cpus shares
+    def test_rows_span_several_write_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "CSV_CHUNK", 7)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        forks = count_forks(monkeypatch)
         for case, (trace, ledger, _) in export_cases().items():
             assert_exports_match(tmp_path / case, trace, ledger)
-        assert bool(forks) == (cpus > 1)
-        assert_no_child_left()
 
-    @pytest.mark.parametrize("failure", ["raises", "garbage"])
-    def test_a_failed_share_is_formatted_here(self, tmp_path, monkeypatch, failure):
-        # each child raises before it writes, or writes garbage and exits 7;
-        # either way this process formats the child's share in its place
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_traced_monitor_rows_count_every_row(self, tmp_path, monkeypatch, cpus):
+        # perfbench/spans.py wraps cli.monitor_rows and sums len() of its results
         monkeypatch.setattr(cli, "CSV_CHUNK", 7)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        forks = count_forks(monkeypatch)
-        parent, format_rows, real_exit = os.getpid(), cli._format_rows, os._exit
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        counted, monitor = [], cli.monitor_rows
 
-        def planted(*args):
-            if os.getpid() == parent:
-                return format_rows(*args)
-            if failure == "raises":
-                raise OSError("planted")
-            os._exit = lambda status: real_exit(7)  # in the child only
-            return b"garbage\n" * 10000
+        def count_rows(*args, **kwargs):
+            rows = monitor(*args, **kwargs)
+            counted.append(len(rows))
+            return rows
 
-        monkeypatch.setattr(cli, "_format_rows", planted)
-        assert_exports_match(tmp_path, *export_cases()["full"][:2])
-        assert len(forks) == 4  # two per file
-        assert_no_child_left()
+        monkeypatch.setattr(cli, "monitor_rows", count_rows)
+        trace, ledger, _ = export_cases()["full"]
+        cli._write_bounds_csv(tmp_path / "bounds.csv", trace, ledger)
+        assert len(counted) > 1 and sum(counted) == monitor_size(trace, ledger)
 
-    def test_a_forked_run_records_no_fork_warning(self, tmp_path, monkeypatch):
-        # Python >= 3.12 warns on each fork of a process with BLAS threads
+    @pytest.mark.parametrize("do_descent", [True, False], ids=["run", "check"])
+    def test_run_and_check_fork_no_process(self, tmp_path, monkeypatch, do_descent):
+        # tables of several chunks, two usable CPUs
         monkeypatch.setattr(cli, "CSV_CHUNK", 7)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        real_fork = os.fork
-
-        def warning_fork():
-            pid = real_fork()
-            if pid:
-                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
-                              "fork() may lead to deadlocks in the child.", DeprecationWarning)
-            return pid
-
-        monkeypatch.setattr(os, "fork", warning_fork)
         forks = count_forks(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")
-            report, lines, warned = cli._run_config(
-                normalize_config(rf_config(tmp_path, max_iter=30)), tmp_path, "", True)
+        report, lines, warned = cli._run_config(
+            normalize_config(rf_config(tmp_path, max_iter=30)), tmp_path, "", do_descent)
         assert (report["exit_code"], lines, warned) == (EXIT_OK, [], [])
-        assert len(forks) == 2  # one per CSV file
-        assert_no_child_left()
+        assert (tmp_path / "bounds.csv").exists() == do_descent
+        assert forks == []
+
+    def test_trace_writer_holds_one_chunk(self, tmp_path):
+        # a synthetic trace of n steps under a full ledger: the writer's peak
+        # does not grow with n
+        ledger = ConstantsLedger(alpha=0.5, f_star=0.0, L=1.0, lam=0.5, q=0.75, K=1.0)
+
+        def peak(n):
+            series = np.linspace(2.0, 1.0, n + 1)
+            trace = DescentTrace(iterates=np.zeros((2, 1)), losses=series, grad_norms=series,
+                                 step_norms=series[:n], dist_from_init=series,
+                                 stop_gap=0.0, predicted_iters=None)
+            tracemalloc.start()
+            try:
+                cli._write_trace_csv(tmp_path / "trace.csv", trace, ledger)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10**4), peak(10**5)
+        assert large - small < 64 * cli.CSV_CHUNK  # whole-run columns would add ~4 MB
 
 
 def count_forks(monkeypatch) -> list:
@@ -1330,6 +1331,17 @@ class TestOverrideConsistency:
             "must be null or a finite number >= 0 with a finite square; got 1e+308\n"
         )
 
+    def test_override_whose_ledger_overflows_exits_three(self, tmp_path, capsys):
+        # K_F^2 = 1e308 is finite, but K = sqrt(2 L gap0) at gap0 = 8 is not
+        cfg = tight_config(tmp_path / "out", alpha="auto")
+        cfg["certificates"]["overrides"] = {"K_F": 1e154}
+        message = "non-finite ledger constants: L = 1e+308, K = inf"
+        for command in (check_experiment, run_experiment):
+            assert command(write_config(tmp_path, cfg)) == EXIT_NUMERIC
+            assert capsys.readouterr().err == f"error: {message}\n"
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["numeric_failure"] == {"message": message, "iteration": None}
+
     def test_consistent_overrides_still_run(self, tmp_path):
         cfg = tight_config(tmp_path / "out", alpha="auto")
         cfg["certificates"]["overrides"] = {"K_F": 2.0, "lambda_F": 1.0}
@@ -1524,7 +1536,7 @@ class TestParallelSweep:
         assert time.monotonic() - started < 10
 
     def test_values_write_their_csv_files_in_one_share(self, tmp_path, monkeypatch):
-        # tables of 21 rows, 3 chunks of 7: a run would fork one CSV share per file
+        # tables of 21 rows, 3 chunks of 7
         monkeypatch.setattr(cli, "CSV_CHUNK", 7)
         real_fork, log = os.fork, tmp_path / "forks.log"
 
@@ -1539,6 +1551,26 @@ class TestParallelSweep:
         assert_no_child_left()
         trace = (tmp_path / "sweep" / "width=8" / "trace.csv").read_text()
         assert len(trace.splitlines()) == 22
+
+    def test_a_forked_share_records_no_fork_warning(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns on each fork of a process with BLAS threads
+        real_fork = os.fork
+
+        def warning_fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        forks = count_forks(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert gan_width_sweep(tmp_path, 2, monkeypatch) == EXIT_OK
+        assert caught == []
+        assert len(forks) == 1
+        assert_no_child_left()
 
     @pytest.mark.parametrize("action, count", [("default", 1), ("always", 2)])
     def test_warnings_as_a_sweep_in_sequence(self, tmp_path, monkeypatch, action, count):

@@ -100,6 +100,17 @@ class TestBuildLedger:
         with pytest.raises(InvalidConfig):
             build_ledger(prob.F, prob.f, prob.theta0, cert, alpha=1.0)  # 2/L = 1.0
 
+    @pytest.mark.parametrize("k_f, b", [
+        (1e154, [1.0, 0.0]),  # L = K_F^2 L_f overflows
+        (1e150, [1e5, 0.0]),  # L is finite, 2 L gap0 (gap0 = 5e9) overflows
+    ])
+    def test_overflowing_constants_are_a_numeric_failure(self, k_f, b):
+        f = quadratic(S2, np.diag([1.0, 4.0]), b=b)  # L_f = 4
+        cert = MapCertificate(K=CertValue(k_f), L=CertValue(0.0))
+        with pytest.raises(NumericFailure) as info:
+            build_ledger(SmoothMap.identity(S2), f, np.zeros(2), cert, alpha="auto")
+        assert str(info.value) == f"non-finite ledger constants: L = {k_f**2 * 4.0}, K = inf"
+
     def test_missing_objective_constants_raise(self):
         prob, cert = tight_problem()
         bare = ScalarObjective(prob.f.space, prob.f.value_fn, prob.f.grad_fn)
