@@ -10,7 +10,8 @@ Commands
     output directory, after removing those five files as an earlier run
     left them there (before the problem is built, so also when building
     it fails).  This process formats each CSV file ``CSV_CHUNK`` rows at
-    a time.
+    a time, every cell exactly as ``%`` would, from the arrays
+    (:mod:`plgd.rowfmt`).
 ``plgd check <config.json>``
     Certificates and ledger only, no descent.
 ``plgd sweep <config.json> --axis width --values 2,8,32``
@@ -125,12 +126,12 @@ import time
 import warnings
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import descent as descent_mod
+from . import rowfmt
 from .descent import (
     TRACE_COLUMNS,
     build_ledger,
@@ -785,11 +786,27 @@ def _forked(works: list):
 # writers
 
 
+def _json_safe(obj):
+    """``obj`` with each non-finite float as the string "inf", "-inf" or
+    "nan", which strict JSON (RFC 8259) can hold."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return repr(float(obj))
+    return obj
+
+
 def _write_report(report: dict, cfg: dict, outdir: Path) -> None:
     if "json" not in cfg["output"]["formats"]:
         return
     outdir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, indent=2, sort_keys=True, default=_to_py) + "\n"
+    dump = partial(json.dumps, indent=2, sort_keys=True, default=_to_py, allow_nan=False)
+    try:
+        text = dump(report) + "\n"
+    except ValueError:  # a non-finite float
+        text = dump(_json_safe(report)) + "\n"
     (outdir / "report.json").write_text(text, encoding="utf-8")
 
 
@@ -802,17 +819,14 @@ def _write_timings(outdir: Path, clock: _PhaseClock) -> None:
     (outdir / "timings.json").write_text(json.dumps(timings) + "\n", encoding="utf-8")
 
 
-def _format_rows(fmt: str, columns: list) -> bytes:
-    """``fmt % row`` for every row of parallel array columns, encoded.
+def _format_rows(fmt: str, columns: list):
+    """``fmt % row`` for every row of parallel array columns, encoded, as
+    an iterator of byte blocks.
 
-    One ``%`` formats all the rows, with ``fmt`` repeated once per row,
-    which costs less than a ``%`` per row.  ``%``-formatting is cheaper
-    than ``str.format`` and gives the same cells: ``%.17g`` and
-    ``{:.17g}`` render a float alike, and ``%d`` and ``%s`` an int and a
-    str or bool as ``{}`` does.
+    :func:`rowfmt.format_rows` gives the bytes of one ``%`` over all the
+    rows (``fmt`` repeated once per row) from the arrays themselves.
     """
-    cells = chain.from_iterable(zip(*(c.tolist() for c in columns)))
-    return ((fmt * len(columns[0])) % tuple(cells)).encode()
+    return rowfmt.format_rows(fmt, columns)
 
 
 def _write_rows(fh, fmt: str, n: int, rows) -> None:
@@ -820,7 +834,7 @@ def _write_rows(fh, fmt: str, n: int, rows) -> None:
     ``CSV_CHUNK`` rows at a time, each chunk's columns from ``rows(lo, hi)``,
     so only one chunk of the table is held at a time."""
     for lo in range(0, n, CSV_CHUNK):
-        fh.write(_format_rows(fmt, rows(lo, min(lo + CSV_CHUNK, n))))
+        fh.writelines(_format_rows(fmt, rows(lo, min(lo + CSV_CHUNK, n))))
 
 
 def _write_trace_csv(path: Path, trace, ledger) -> None:

@@ -373,8 +373,9 @@ def _table(groups: list) -> MonitorTable:
     an iteration.  Each column is allocated once and filled in place.
     """
     size = sum(len(iteration) * len(inequalities) for iteration, inequalities in groups)
+    width = max((len(ineq[0]) for _, inequalities in groups for ineq in inequalities), default=1)
     t = MonitorTable(
-        name=np.empty(size, dtype=object),
+        name=np.empty(size, dtype=f"U{width}"),
         iteration=np.empty(size, dtype=int),
         measured=np.empty(size),
         bound=np.empty(size),

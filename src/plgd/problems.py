@@ -11,6 +11,7 @@ even real/generated mixture.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -369,7 +370,9 @@ def check_gradients(problem: PrototypeProblem, n_probes: int = 10, seed: int = 0
     (:func:`fd_check_functional`), both with the fixed step
     ``smoothmap.FD_STEP``, so the score does not grow with the
     sample count d.  Assembled problems score below 1e-5 unless a Jacobian
-    or gradient is wrong.
+    or gradient is wrong.  A map or objective whose values or derivatives
+    overflow at a probe gives a non-finite score, which raises
+    NumericFailure.
     """
     rng = np.random.default_rng(seed)
     theta0 = problem.theta0
@@ -377,8 +380,11 @@ def check_gradients(problem: PrototypeProblem, n_probes: int = 10, seed: int = 0
     probes = [theta0] + [
         theta0 + 0.1 * rng.standard_normal(theta0.size) for _ in range(n_probes)
     ]
-    for th in probes:
-        worst = max(worst, fd_check(problem.F, th))
-        z = problem.F.value(th)
-        worst = max(worst, fd_check_functional(problem.f, problem.iota, problem.data, z))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in the check below
+        for th in probes:
+            worst = max(worst, fd_check(problem.F, th))
+            z = problem.F.value(th)
+            worst = max(worst, fd_check_functional(problem.f, problem.iota, problem.data, z))
+    if not math.isfinite(worst):
+        raise NumericFailure(f"gradient gate: non-finite finite-difference score {worst}")
     return worst

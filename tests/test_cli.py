@@ -457,6 +457,23 @@ class TestNumericFailure:
         assert report["numeric_failure"]["iteration"] is None
         assert not (out / "trace.csv").exists()
 
+    def test_objective_overflowing_in_the_gate_exits_three_with_report(self, tmp_path, capsys):
+        # a beta at the float maximum makes the VAE objective's gradient
+        # overflow: a numeric failure, not a gradient scored wrong
+        out = tmp_path / "out"
+        cfg = {"problem": {"family": "vae", "encoder": {"width": 3}, "decoder": {"width": 1},
+                           "latent_dim": 3, "beta": 1.7976931348623157e308, "noise": {"count": 1},
+                           "dataset": {"synthetic": {"kind": "gaussian", "d": 1, "in_dim": 1,
+                                                     "target_dim": 0}}},
+               "output": {"dir": str(out)}}
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_NUMERIC
+        message = "gradient gate: non-finite finite-difference score inf"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == EXIT_NUMERIC
+        assert report["numeric_failure"] == {"message": message, "iteration": None}
+        assert "gradient_check" not in report
+
     def test_certificate_failure_exits_three_with_report(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         path = write_config(tmp_path, rf_config(out, max_iter=10))
@@ -759,6 +776,40 @@ class TestExports:
 
         small, large = peak(10**4), peak(10**5)
         assert large - small < 64 * cli.CSV_CHUNK  # whole-run columns would add ~4 MB
+
+
+    def test_bounds_writer_holds_one_chunk(self, tmp_path):
+        # the same synthetic traces: the bounds.csv writer's peak does not grow with n
+        ledger = ConstantsLedger(alpha=0.5, f_star=0.0, L=1.0, lam=0.5, q=0.75, K=1.0)
+
+        def peak(n):
+            series = np.linspace(2.0, 1.0, n + 1)
+            trace = DescentTrace(iterates=np.zeros((2, 1)), losses=series, grad_norms=series,
+                                 step_norms=series[:n], dist_from_init=series,
+                                 stop_gap=0.0, predicted_iters=None)
+            # the trace's derived series, which the verdicts compute before any export
+            trace.sq_grad_norms, trace.sq_step_norms, trace.path_lengths
+            tracemalloc.start()
+            try:
+                cli._write_bounds_csv(tmp_path / "bounds.csv", trace, ledger)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10**4), peak(10**5)
+        assert large - small < 64 * cli.CSV_CHUNK  # a whole-run table would add ~20 MB
+
+    def test_report_writes_non_finite_numbers_as_strings(self, tmp_path):
+        report = {"a": math.inf, "b": [-math.inf, np.float64("nan"), 1.5],
+                  "c": {"d": np.array([np.inf, 2.0])}, "e": None}
+        cli._write_report(report, {"output": {"formats": ["json"]}}, tmp_path)
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        got = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+        assert got == {"a": "inf", "b": ["-inf", "nan", 1.5], "c": {"d": ["inf", 2.0]},
+                       "e": None}
 
 
 def count_forks(monkeypatch) -> list:
