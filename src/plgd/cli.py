@@ -9,9 +9,9 @@ Commands
     (plus wall-clock ``timings.json``) and ``theta_star.json`` into the
     output directory, after removing those five files as an earlier run
     left them there (before the problem is built, so also when building
-    it fails).  This process formats each CSV file ``CSV_CHUNK`` rows at
-    a time, every cell exactly as ``%`` would, from the arrays
-    (:mod:`plgd.rowfmt`).
+    it fails).  This process formats each CSV file a block of rows at a
+    time, every cell exactly as ``%`` would, from the arrays
+    (:mod:`plgd.rowfmt` sizes the blocks).
 ``plgd check <config.json>``
     Certificates and ledger only, no descent.
 ``plgd sweep <config.json> --axis width --values 2,8,32``
@@ -171,9 +171,6 @@ EXIT_VIOLATION = 2
 EXIT_NUMERIC = 3
 
 FD_GATE = 1e-5
-#: rows formatted per write of the CSV writers; a chunk of trace.csv holds
-#: nine Python objects per row, so 1024 rows keep it near 0.3 MB
-CSV_CHUNK = 1024
 
 
 def _fmt(x) -> str:
@@ -819,45 +816,28 @@ def _write_timings(outdir: Path, clock: _PhaseClock) -> None:
     (outdir / "timings.json").write_text(json.dumps(timings) + "\n", encoding="utf-8")
 
 
-def _format_rows(fmt: str, columns: list):
-    """``fmt % row`` for every row of parallel array columns, encoded, as
-    an iterator of byte blocks.
-
-    :func:`rowfmt.format_rows` gives the bytes of one ``%`` over all the
-    rows (``fmt`` repeated once per row) from the arrays themselves.
-    """
-    return rowfmt.format_rows(fmt, columns)
-
-
-def _write_rows(fh, fmt: str, n: int, rows) -> None:
-    """Write :func:`_format_rows` of rows 0..n-1 to the binary file ``fh``,
-    ``CSV_CHUNK`` rows at a time, each chunk's columns from ``rows(lo, hi)``,
-    so only one chunk of the table is held at a time."""
-    for lo in range(0, n, CSV_CHUNK):
-        fh.writelines(_format_rows(fmt, rows(lo, min(lo + CSV_CHUNK, n))))
-
-
 def _write_trace_csv(path: Path, trace, ledger) -> None:
-    """trace.csv, each chunk of step rows evaluated by :func:`trace_columns`
-    as it is written.  The last iterate takes no step, so its step cells
-    are empty."""
+    """trace.csv, each block of rows evaluated by :func:`trace_columns` as
+    it is written.  The last iterate takes no step, so its step cells are
+    empty."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    n_steps = trace.n_steps
-    last = trace_columns(trace, ledger, n_steps, n_steps + 1)
-    cells = ("%.17g" if c is not None else "" for c in list(last.values())[1:])
+    n = trace.n_steps
+    last = list(trace_columns(trace, ledger, n, n + 1).values())[1:]
+    steps = ",".join(("%d", *("" if c is None else "%.17g" for c in last))) + "\n"
+    final = ",".join(("%d", *("%.17g" if c is not None and len(c) else "" for c in last))) + "\n"
 
     def rows(lo, hi):
-        return [c for c in trace_columns(trace, ledger, lo, hi).values() if c is not None]
+        columns = trace_columns(trace, ledger, lo, hi).values()
+        return [c for c in columns if c is not None and len(c)]
 
     with path.open("wb") as fh:
         fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
-        _write_rows(fh, ",".join(("%d", *cells)) + "\n", n_steps, rows)
-        fh.write((",".join(_fmt(c[0] if c is not None and len(c) else None)
-                           for c in last.values()) + "\n").encode())
+        fh.writelines(rowfmt.format_rows(steps, n, rows))
+        fh.writelines(rowfmt.format_rows(final, 1, lambda lo, hi: rows(n + lo, n + hi)))
 
 
 def _write_bounds_csv(path: Path, trace, ledger) -> None:
-    """bounds.csv, each chunk of rows evaluated by :func:`monitor_rows` as
+    """bounds.csv, each block of rows evaluated by :func:`monitor_rows` as
     it is written."""
     path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -867,7 +847,8 @@ def _write_bounds_csv(path: Path, trace, ledger) -> None:
 
     with path.open("wb") as fh:
         fh.write(b"inequality,iter,measured,bound,holds\n")
-        _write_rows(fh, "%s,%d,%.17g,%.17g,%s\n", monitor_size(trace, ledger), rows)
+        n = monitor_size(trace, ledger)
+        fh.writelines(rowfmt.format_rows("%s,%d,%.17g,%.17g,%s\n", n, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1042,10 +1023,14 @@ def sweep(
         if not values or not all(map(math.isfinite, values)):
             raise InvalidConfig(f"sweep requires at least one value, all finite; got {values}")
         root = Path(base["output"]["dir"])
-        jobs = []
+        jobs, named = [], {}
         for i, v in enumerate(values):
-            cfg = _set_axis(base, axis, v)
             sub = root / f"{axis}={v:g}"
+            if sub.name in named:
+                raise InvalidConfig(f"sweep values {named[sub.name]!r} and {v!r} share the "
+                                    f"output directory {sub.name}")
+            named[sub.name] = v
+            cfg = _set_axis(base, axis, v)
             cfg["output"]["dir"] = str(sub)
             jobs.append((i, cfg, sub))
     except PlgdError as exc:

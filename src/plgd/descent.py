@@ -249,9 +249,9 @@ class DescentTrace:
         return len(self.step_norms)
 
     # The monitored inequalities read these derived series for the verdicts
-    # and again, a chunk of bounds.csv rows at a time, for the export.  Each
-    # is computed once, on first use, and kept for every later chunk; a
-    # chunk could not start the running sum of path_lengths on its own.
+    # and again, a block of bounds.csv rows at a time, for the export.  Each
+    # is computed once, on first use, and kept for every later block; a
+    # block could not start the running sum of path_lengths on its own.
 
     @cached_property
     def path_lengths(self) -> np.ndarray:
@@ -345,7 +345,8 @@ class MonitorTable:
     The columns are parallel arrays.  Row r compares ``measured[r]`` with
     ``bound[r]`` for inequality ``name[r]`` at iteration ``iteration[r]``:
     ``holds[r]`` is ``measured <= bound + tol`` for an upper bound and
-    ``measured >= bound - tol`` for the names in :data:`LOWER_BOUNDS`.
+    ``measured >= bound - tol`` for the names in :data:`LOWER_BOUNDS`, with
+    tol the inequality's tolerance.
     Rows are in bounds.csv order.
     """
 
@@ -353,7 +354,6 @@ class MonitorTable:
     iteration: np.ndarray
     measured: np.ndarray
     bound: np.ndarray
-    tol: np.ndarray
     holds: np.ndarray
 
     def __len__(self) -> int:
@@ -379,7 +379,6 @@ def _table(groups: list) -> MonitorTable:
         iteration=np.empty(size, dtype=int),
         measured=np.empty(size),
         bound=np.empty(size),
-        tol=np.empty(size),
         holds=np.empty(size, dtype=bool),
     )
     start = 0
@@ -388,8 +387,8 @@ def _table(groups: list) -> MonitorTable:
         for j, (name, measured, bound, tol) in enumerate(inequalities):
             rows = slice(start + j, stop, len(inequalities))
             t.name[rows], t.iteration[rows] = name, iteration
-            t.measured[rows], t.bound[rows], t.tol[rows] = measured, bound, tol
-            t.holds[rows] = _holds(name, t.measured[rows], t.bound[rows], t.tol[rows])
+            t.measured[rows], t.bound[rows] = measured, bound
+            t.holds[rows] = _holds(name, t.measured[rows], t.bound[rows], tol)
         start = stop
     return t
 
@@ -508,7 +507,7 @@ def monitor_rows(
     """Rows ``start:stop`` of the table of every monitorable inequality
     along the recorded trajectory (all rows by default), in bounds.csv
     order.  Only the iterations those rows check are evaluated, so a CSV
-    writer holds one chunk of the table at a time.
+    writer holds one block of the table at a time.
     """
     stop = monitor_size(trace, ledger) if stop is None else stop
     parts, lead, offset = [], 0, 0
@@ -881,7 +880,7 @@ def trace_columns(
     ``step_norm`` and ``step_bound`` hold the steps among those rows (the
     last iterate takes none), every other column one entry per row; a
     column the ledger cannot fill is None.  Only those rows are evaluated,
-    so a CSV writer holds one chunk of the table at a time.
+    so a CSV writer holds one block of the table at a time.
     """
     stop = len(trace.losses) if stop is None else stop
     rows, steps = range(start, stop), range(start, min(stop, trace.n_steps))

@@ -1,8 +1,11 @@
 """Exact ``%``-formatted CSV rows from numpy columns.
 
 :func:`format_rows` gives the bytes of ``((fmt * n) % cells).encode()``
-for the n rows of parallel array columns, where ``fmt`` holds ``%.17g``,
-``%d`` and ``%s`` conversions, without a Python object per cell.  Each
+for n rows, a block of about _BLOCK float cells at a time, each block's
+columns pulled from the caller, without a Python object per cell.  A row
+format holds ``%.17g`` for float columns, ``%d`` for non-negative integer
+columns and ``%s`` for bool columns or ASCII str (``U``) columns, and
+literal text without ``%`` or NUL; anything else raises ValueError.  Each
 cell becomes a fixed-width slot of 8-byte words padded with NUL bytes; a
 block of rows is its slots and the format's literal text side by side,
 and one ``bytes.translate`` drops the padding.
@@ -21,11 +24,6 @@ and |x| outside [1e-270, 1e290]: each such cell is formatted on its own by
 shifts and masks on the words, which place the decimal point, the leading
 ``0.000``, the exponent and the sign, and clear the trailing zeros ``%g``
 drops.
-
-A ``%d`` cell holds an integer and a ``%s`` cell a bool or a string; any
-other dtype is formatted by ``%`` cell by cell.  A chunk whose text would
-contain a NUL byte, which the padding cannot tell apart, is formatted by
-``%`` whole.
 """
 
 from __future__ import annotations
@@ -57,87 +55,51 @@ _XOFF = 330
 _SH8, _SH48, _SH56 = np.uint64(8), np.uint64(48), np.uint64(56)
 #: offsets in the digit table, whose first part holds the four digits of
 #: each of 0..9999 as little-endian ASCII: the same with trailing zeros as
-#: NUL, with leading zeros as NUL, then a minus sign and a "0" in a
-#: group's last byte
-_TS, _TL = _E4, 2 * _E4
-_MINUS, _ZERO = 3 * _E4, 3 * _E4 + 1
+#: NUL, with leading zeros as NUL, then a "0" in a group's last byte
+_TS, _TL, _ZERO = _E4, 2 * _E4, 3 * _E4
 
 
-class _NulCell(Exception):
-    """A cell or literal whose text holds a NUL byte."""
-
-
-def format_rows(fmt: str, columns: list):
-    """The bytes of ``((fmt * n) % cells).encode()`` for the n rows of
-    parallel array ``columns``, row after row, as an iterator of blocks of
-    rows; ``fmt`` holds one ``%.17g``, ``%d`` or ``%s`` per column and no
-    other ``%``."""
+def format_rows(fmt: str, n: int, rows):
+    """The bytes of ``((fmt * n) % cells).encode()`` for rows 0..n-1, as an
+    iterator of blocks of rows; ``rows(lo, hi)`` gives the parallel array
+    columns of rows lo..hi-1, one per conversion of ``fmt``, and a block
+    holds about _BLOCK float cells."""
     parts = _SPEC.split(fmt)
-    literals, specs = parts[0::2], parts[1::2]
-    if len(specs) != len(columns) or any("%" in lit for lit in literals):
-        raise ValueError(f"row format {fmt!r} does not match {len(columns)} columns")
-    n = len(columns[0]) if columns else 0
-    if n == 0:
-        return iter(())
-    try:
-        return _slotted(literals, specs, columns, n)
-    except _NulCell:
-        cells = [c.tolist() for c in columns]
-        return iter([((fmt * n) % tuple(cell for row in zip(*cells) for cell in row)).encode()])
+    literals, specs = [lit.encode() for lit in parts[0::2]], parts[1::2]
+    if any(b"%" in lit or b"\0" in lit for lit in literals):
+        raise ValueError(f"row format {fmt!r} holds a literal % or NUL")
+    size = max(1, _BLOCK // max(1, specs.count("%.17g")))
+    for lo in range(0, n, size):
+        yield _block(literals, specs, rows(lo, min(lo + size, n))).translate(None, b"\0")
 
 
-def _slotted(literals: list, specs: list, columns: list, n: int):
-    """:func:`format_rows` through slots: a block of rows at a time, each
-    row its fields of 8-byte words, which a cell fills with its NUL-padded
-    text and a literal with its own, or it joins the cell's last word where
-    that has room.  Raises _NulCell before the first block."""
-    text = [lit.encode() for lit in literals]
-    if any(b"\0" in lit for lit in text):
-        raise _NulCell
-    floats = [j for j, s in enumerate(specs) if s == "%.17g"]
-    # each cell's words (a float's are made a block at a time) and the bytes its text may fill
-    cells = [(None, _FLOAT_TEXT) if s == "%.17g" else _cell_words(s, np.asarray(c))
+def _block(literals: list, specs: list, columns: list) -> bytearray:
+    """The rows of ``columns`` as slots: each row its fields of 8-byte
+    words, which a cell fills with its NUL-padded text and a literal with
+    its own, or it joins the cell's last word where that has room."""
+    if len(columns) != len(specs):
+        raise ValueError(f"{len(specs)} conversions for {len(columns)} columns")
+    m = len(columns[0])
+    x = np.array([c for s, c in zip(specs, columns) if s == "%.17g"], float).reshape(-1, m)
+    slots = iter(_float_words(x.ravel()).reshape(4, len(x), m).transpose(1, 0, 2))
+    # each cell's (k, m) words and the bytes of a row's words its text may fill
+    cells = [(next(slots), _FLOAT_TEXT) if s == "%.17g" else _cell_words(s, np.asarray(c))
              for s, c in zip(specs, columns)]
-    # a literal that fits in the last word of the cell before it joins that word
-    joined = [0] * len(specs)
-    for j, ((words, used), lit) in enumerate(zip(cells, text[1:])):
-        room = (_FLOAT_WIDTH if words is None else 8 * len(words)) - used
-        if 0 < len(lit) <= room:
-            joined[j] = int.from_bytes(lit, "little") << 8 * (8 - room)
-            text[j + 1] = b""
-            if words is not None:
-                words[-1] |= np.uint64(joined[j])
-    # the fields of a row: the literal before the first cell, then each cell and
-    # the literal after it; a literal's words stand for every row, and the
-    # number i for the words of float column i
-    parts = [_words(lit) for lit in text[:1] if lit]
-    for j, ((words, _), lit) in enumerate(zip(cells, text[1:])):
-        parts += [floats.index(j) if words is None else words] + ([_words(lit)] if lit else [])
-    float_joins = np.array([joined[j] for j in floats], _U8)[:, None]
-    rows = max(1, _BLOCK // max(1, len(floats)))
-
-    def blocks():
-        for lo in range(0, n, rows):
-            m = min(rows, n - lo)
-            if floats:
-                x = np.empty((len(floats), m))
-                for i, j in enumerate(floats):
-                    x[i] = columns[j][lo:lo + m]
-                words = _float_words(x.ravel()).reshape(4, len(floats), m)
-                words[3] |= float_joins
-            fields = [words[:, f] if isinstance(f, int) else f if f.ndim == 1 else f[:, lo:lo + m]
-                      for f in parts]
-            width = sum(len(f) for f in fields)
-            block = bytearray(8 * m * width)
-            table = np.frombuffer(block, _U8).reshape(m, width)
-            at = 0
-            for f in fields:
-                table[:, at:at + len(f)] = f.T
-                at += len(f)
-            del table, fields
-            yield block.translate(None, b"\0")
-
-    return blocks()
+    fields = [_words(lit) for lit in literals[:1] if lit]
+    for (words, used), lit in zip(cells, literals[1:]):
+        room = 8 * len(words) - used
+        if 0 < len(lit) <= room:  # the literal joins the cell's last word
+            words[-1] |= np.uint64(int.from_bytes(lit, "little") << 8 * (8 - room))
+            lit = b""
+        fields += [words] + ([_words(lit)] if lit else [])
+    width = sum(len(f) for f in fields)
+    block = bytearray(8 * m * width)
+    table = np.frombuffer(block, _U8).reshape(m, width)
+    at = 0
+    for f in fields:
+        table[:, at:at + len(f)] = f.T
+        at += len(f)
+    return block
 
 
 def _words(text: bytes) -> np.ndarray:
@@ -150,50 +112,29 @@ _BOOLS = np.frombuffer(b"False\0\0\0True\0\0\0\0", _U8)
 
 
 def _cell_words(spec: str, col: np.ndarray) -> tuple:
-    """(k, n) words, the NUL-padded text of a ``%d`` or ``%s`` column, and
+    """(k, m) words, the NUL-padded text of a ``%d`` or ``%s`` column, and
     the bytes of a row's words that text may fill."""
     kind = col.dtype.kind
-    if kind == "b" and spec == "%s":
+    if spec == "%s" and kind == "b":
         return _BOOLS.take(col.view(np.uint8))[None], 5
-    if kind == "i" or kind == "u" and col.dtype.itemsize < 8:
-        return _int_words(col.astype(np.int64))
-    if kind == "U" and spec == "%s":
+    if spec == "%d" and kind in "iu" and not (col < 0).any():
+        return _int_words(col.astype(np.uint64))
+    if spec == "%s" and kind == "U":
         chars = np.ascontiguousarray(col).view(np.uint32).reshape(col.size, -1)
-        if (chars < 128).all():
-            return _padded(chars)
-    cells = col.tolist()
-    text = "\0".join(map(str, cells) if spec == "%s" else [spec % c for c in cells])
-    if text.count("\0") != len(cells) - 1:
-        raise _NulCell
-    return _padded(np.array(text.encode().split(b"\0")).view(np.uint8).reshape(col.size, -1))
+        nul = chars == 0
+        if (chars < 128).all() and not (nul[:, :-1] > nul[:, 1:]).any():  # ASCII, no NUL inside
+            text = np.zeros((len(chars), -(-chars.shape[1] // 8) * 8), np.uint8)
+            text[:, :chars.shape[1]] = chars
+            return text.view(_U8).T, chars.shape[1]
+    raise ValueError(f"no {spec} cells for a {col.dtype} column of these values")
 
 
-def _padded(chars: np.ndarray) -> tuple:
-    """(k, n) words, the n rows of byte values ``chars`` NUL-padded, and
-    the bytes of a row they fill."""
-    text = np.zeros((len(chars), -(-chars.shape[1] // 8) * 8), np.uint8)
-    text[:, :chars.shape[1]] = chars
-    nul = text == 0
-    if (nul[:, :-1] > nul[:, 1:]).any():  # a NUL inside a string
-        raise _NulCell
-    return text.view(_U8).T, chars.shape[1]
-
-
-def _int_words(v: np.ndarray) -> tuple:
-    """(k, n) words, a minus sign where any of int64 ``v`` is negative and
-    then the digits in four-digit groups, leading zeros as NUL, and the
-    bytes of a row they fill."""
-    neg = v < 0
-    signed = int(neg.any())
-    u = v.astype(np.uint64)
-    if signed:
-        np.subtract(np.uint64(0), u, out=u, where=neg)  # |v|, also for -2**63
+def _int_words(u: np.ndarray) -> tuple:
+    """(k, m) words, the digits of uint64 ``u`` in four-digit groups,
+    leading zeros as NUL, and the bytes of a row they fill."""
     g = max(1, -(-len(str(int(u.max()))) // 4))
-    lanes = np.full((-(-(signed + g) // 2), v.size, 2), _TS)  # 4-byte lanes
-    lane = [lanes[i // 2, :, i % 2] for i in range(signed + g)]
-    if signed:
-        lane[0][:] = np.where(neg, _MINUS, _TS)
-    groups = lane[signed:]  # most significant first
+    lanes = np.full((-(-g // 2), u.size, 2), _TS)  # 4-byte lanes
+    groups = [lanes[i // 2, :, i % 2] for i in range(g)]  # most significant first
     for group in groups[:0:-1]:
         q = u // np.uint64(_E4)
         group[:] = u - q * np.uint64(_E4)
@@ -206,8 +147,8 @@ def _int_words(v: np.ndarray) -> tuple:
         zero = group == 0
         np.add(group, _TL, out=group, where=leading)
         leading &= zero
-    groups[-1][leading] = _ZERO  # v == 0
-    return _tables().digits.take(lanes).view(_U8).reshape(len(lanes), v.size), 4 * len(lane)
+    groups[-1][leading] = _ZERO  # u == 0
+    return _tables().digits.take(lanes).view(_U8).reshape(len(lanes), u.size), 4 * g
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +309,12 @@ class _Tables:
         for i in (1, 2, 3):
             leading.append(zero[i] & leading[-1])
         #: digit groups as little-endian ASCII, at the offsets above
-        self.digits = np.zeros(3 * _E4 + 2, _U4)
+        self.digits = np.zeros(_ZERO + 1, _U4)
         for part, dropped in enumerate(([False] * 4, trailing, leading)):
             group = self.digits[part * _E4:(part + 1) * _E4].reshape((10,) * 4)
             for c, z in zip(chars, dropped):
                 group |= c * ~np.asarray(z)
-        self.digits[_MINUS:] = ord("-"), ord("0") << 24
+        self.digits[_ZERO] = ord("0") << 24
 
         # fixed notation from 1, exponents p = 0..16: the point follows tail
         # byte p - 1 (p = 16: no point); bytes 0-15 of words 1-2 as tail bytes

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plgd import cli, descent, problems
+from plgd import cli, descent, problems, rowfmt
 from plgd.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -724,14 +724,14 @@ class TestExports:
         assert got == want
 
     def test_rows_span_several_write_chunks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        monkeypatch.setattr(rowfmt, "_BLOCK", 7)
         for case, (trace, ledger, _) in export_cases().items():
             assert_exports_match(tmp_path / case, trace, ledger)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_traced_monitor_rows_count_every_row(self, tmp_path, monkeypatch, cpus):
         # perfbench/spans.py wraps cli.monitor_rows and sums len() of its results
-        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        monkeypatch.setattr(rowfmt, "_BLOCK", 7)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         counted, monitor = [], cli.monitor_rows
 
@@ -747,8 +747,8 @@ class TestExports:
 
     @pytest.mark.parametrize("do_descent", [True, False], ids=["run", "check"])
     def test_run_and_check_fork_no_process(self, tmp_path, monkeypatch, do_descent):
-        # tables of several chunks, two usable CPUs
-        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        # tables of several blocks, two usable CPUs
+        monkeypatch.setattr(rowfmt, "_BLOCK", 7)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         forks = count_forks(monkeypatch)
         report, lines, warned = cli._run_config(
@@ -775,7 +775,7 @@ class TestExports:
                 tracemalloc.stop()
 
         small, large = peak(10**4), peak(10**5)
-        assert large - small < 64 * cli.CSV_CHUNK  # whole-run columns would add ~4 MB
+        assert large - small < 65536  # whole-run columns would add ~4 MB
 
 
     def test_bounds_writer_holds_one_chunk(self, tmp_path):
@@ -797,7 +797,7 @@ class TestExports:
                 tracemalloc.stop()
 
         small, large = peak(10**4), peak(10**5)
-        assert large - small < 64 * cli.CSV_CHUNK  # a whole-run table would add ~20 MB
+        assert large - small < 65536  # a whole-run table would add ~20 MB
 
     def test_report_writes_non_finite_numbers_as_strings(self, tmp_path):
         report = {"a": math.inf, "b": [-math.inf, np.float64("nan"), 1.5],
@@ -1157,6 +1157,18 @@ class TestSweep:
         ):
             assert main(["sweep", path, "--axis", "width", "--values", values]) == EXIT_CONFIG
             assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_values_sharing_a_directory_are_refused_before_any_run(self, tmp_path, capsys):
+        # directories are named {axis}={v:g}; two runs into one would mix their files
+        path = write_config(tmp_path, rf_config(tmp_path / "x"))
+        for axis, values, message in (
+            ("alpha", "0.1,0.1000001", "sweep values 0.1 and 0.1000001 share the output "
+                                       "directory alpha=0.1"),
+            ("width", "8,2,8", "sweep values 8.0 and 8.0 share the output directory width=8"),
+        ):
+            assert main(["sweep", path, "--axis", axis, "--values", values]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
     def test_one_bad_value_keeps_its_row_and_the_sweep_goes_on(self, tmp_path, capsys):
@@ -1587,8 +1599,8 @@ class TestParallelSweep:
         assert time.monotonic() - started < 10
 
     def test_values_write_their_csv_files_in_one_share(self, tmp_path, monkeypatch):
-        # tables of 21 rows, 3 chunks of 7
-        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        # trace.csv of 21 rows, one per block
+        monkeypatch.setattr(rowfmt, "_BLOCK", 7)
         real_fork, log = os.fork, tmp_path / "forks.log"
 
         def logged_fork():
