@@ -29,7 +29,6 @@ from plgd.cli import (
     sweep,
 )
 from plgd.descent import (
-    LOWER_BOUNDS,
     ConstantsLedger,
     DescentTrace,
     build_ledger,
@@ -45,6 +44,8 @@ from plgd.integrand import least_squares
 from plgd.model import induce
 from plgd.problems import analytic_certificates, check_gradients, make_certificates, supervised
 from plgd.space import symmetrize, weighted_solve
+
+from oracles import MONITORED, reference_verdict
 
 
 def tight_config(outdir, alpha=0.5):
@@ -191,6 +192,22 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["ledger"]["mode"] == "no-uc"
         assert report["ledger"]["lambda_F"] is None
+
+    def test_run_that_takes_no_step_reports_its_step_bounds_unchecked(self, tmp_path):
+        # a stopping gap above the initial one: the full ledger holds q, K and L,
+        # so the step inequalities are unchecked for want of a step, not of constants
+        out = tmp_path / "out"
+        cfg = rf_config(out, max_iter=10)
+        cfg["descent"]["stop_gap"] = 1e6
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["ledger"]["mode"] == "full" and report["iterations"]["actual"] == 0
+        ball = verdict(report, "q_decay")["hypothesis_met"]
+        assert ball is True and verdict(report, "q_decay")["n_checked"] == 1
+        for name in ("per_step_decay", "step_norm", "path_length", "taylor_bound"):
+            v = verdict(report, name)
+            assert (v["passed"], v["hypothesis_met"], v["detail"]) == (None, ball, "no step taken")
+            assert (v["n_checked"], v["worst_iter"]) == (0, None), name
 
     def test_alpha_at_boundary_is_config_error(self, tmp_path):
         cfg = tight_config(tmp_path / "out", alpha=1.0)  # 2/L for this problem
@@ -523,11 +540,11 @@ def vae_ball_config(outdir, radius):
     }
 
 
-def plgd_process(*args):
+def plgd_process(*args, **variables):
     """``python -m plgd.cli *args`` in a fresh interpreter with its default
-    warning filters, killed after 60 s."""
+    warning filters and the environment ``variables`` set, killed after 60 s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"} | variables
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "plgd.cli", *args], capture_output=True,
                           text=True, timeout=60, env=env)
@@ -671,31 +688,6 @@ def export_cases():
     return cases
 
 
-MONITORED = ("q_decay", "per_step_decay", "step_norm", "path_length",
-             "composition_pl", "composition_lg_bound", "taylor_bound")
-
-
-def reference_verdict(table, name):
-    """The aggregated fields of inequality ``name`` from the whole-run table,
-    one row at a time: the largest violation if any, else the tightest
-    margin, the first on ties; None for an inequality without rows."""
-    worst = None
-    n_checked = n_violations = 0
-    for row in np.flatnonzero(table.name == name):
-        measured, bound = float(table.measured[row]), float(table.bound[row])
-        margin = bound - measured if name in LOWER_BOUNDS else measured - bound
-        violated = not table.holds[row]
-        n_checked += 1
-        n_violations += violated
-        key = (violated, margin)
-        if worst is None or key > worst[0]:
-            worst = (key, measured, bound, int(table.iteration[row]))
-    if worst is None:
-        return None
-    return {"passed": n_violations == 0, "measured": worst[1], "bound": worst[2],
-            "n_checked": n_checked, "n_violations": n_violations, "worst_iter": worst[3]}
-
-
 class TestExports:
     def test_csv_bytes_match_per_cell_reference(self, tmp_path):
         for case, (trace, ledger, _) in export_cases().items():
@@ -704,9 +696,13 @@ class TestExports:
     def test_verdicts_match_the_whole_run_table(self):
         for case, (trace, ledger, verdicts) in export_cases().items():
             table = monitor_rows(trace, ledger)
+            # the inequalities whose constants the ledger holds
+            grouped = {name for _, names, _ in descent._groups(trace, ledger) for name in names}
             for name in MONITORED:
                 got, want = verdicts.get(name).as_dict(), reference_verdict(table, name)
-                if want is None:
+                if want is None and name in grouped:
+                    assert (got["passed"], got["detail"]) == (None, "no step taken"), (case, name)
+                elif want is None:
                     assert got["passed"] is None, (case, name)
                     assert got["detail"].startswith("constants unavailable"), (case, name)
                 else:
@@ -1098,6 +1094,31 @@ class TestDeterminism:
         first = (out / "report.json").read_bytes()
         run_experiment(path, seed=1)
         assert (out / "report.json").read_bytes() != first
+
+    @pytest.mark.parametrize("kind, in_dim, width, d, certificates", [
+        ("random_features", 8, 256, 64, {"mode": "analytic"}),
+        ("shallow", 4, 64, 16, {"mode": "sampled", "n_samples": 32, "seed": 0}),
+    ], ids=["rf_certified", "shallow_sampled"])
+    def test_one_and_two_blas_threads_give_the_same_bytes(self, tmp_path, kind, in_dim, width,
+                                                          d, certificates):
+        # the scope README states: at these sizes the BLAS thread count
+        # does not reach the output bytes
+        cfg = rf_config("unused", max_iter=10000)
+        cfg["problem"]["model"].update(kind=kind, in_dim=in_dim, width=width)
+        cfg["problem"]["dataset"]["synthetic"].update(d=d, in_dim=in_dim)
+        cfg["certificates"] = certificates
+        path = write_config(tmp_path, cfg)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads={threads}"
+            proc = plgd_process("run", path, "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            echo = json.dumps(str(out)).encode()  # the report's echo of its output dir
+            report = (out / "report.json").read_bytes().replace(echo, b'"out"')
+            outputs.append([report] + [(out / name).read_bytes()
+                                       for name in ("trace.csv", "bounds.csv", "theta_star.json")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["iterations"]["actual"] > 2048
 
     def test_reported_contraction_factor_traceable(self, tmp_path):
         # q in the report must equal its defining formula bit for bit

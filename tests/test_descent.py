@@ -32,6 +32,8 @@ from plgd.problems import analytic_certificates, supervised
 from plgd.smoothmap import CertValue, MapCertificate, SmoothMap
 from plgd.space import LinOp, WeightedSpace
 
+from oracles import MONITORED, reference_verdict
+
 S2 = WeightedSpace.unit(2)
 S4 = WeightedSpace.unit(4)
 
@@ -511,6 +513,75 @@ class TestMonitorVerdicts:
         holds_lo = _holds(name, measured, bound, lo)
         holds_hi = _holds(name, measured, bound, hi)
         assert (holds_hi | ~holds_lo).all()
+
+
+#: a small pool of series values, so that margins tie
+POOL = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+
+
+@st.composite
+def traces(draw):
+    """A finite trace of 0-60 steps with values from :data:`POOL`."""
+    n = draw(st.integers(0, 60))
+
+    def series(size):
+        return np.array(draw(st.lists(POOL, min_size=size, max_size=size)))
+
+    return DescentTrace(iterates=np.zeros((2, 1)), losses=series(n + 1),
+                        grad_norms=series(n + 1), step_norms=series(n),
+                        dist_from_init=series(n + 1), stop_gap=0.0, predicted_iters=None)
+
+
+@st.composite
+def ledgers(draw):
+    """A ledger whose constants, small or large against the pool, plant violations."""
+    def maybe(*values):
+        return draw(st.one_of(st.none(), st.sampled_from(values)))
+
+    q = maybe(0.0, 0.25, 0.9)
+    return ConstantsLedger(alpha=draw(st.sampled_from([0.25, 1.0])), f_star=0.0,
+                           L=maybe(0.5, 4.0), lam=maybe(0.25, 2.0), q=q,
+                           K=None if q is None else draw(st.sampled_from([0.5, 8.0])))
+
+
+class TestVerifyFold:
+    @pytest.mark.parametrize("block", [1, 3, 2048])
+    @settings(deadline=None, max_examples=150)
+    @given(traces(), ledgers())
+    def test_fold_over_blocks_equals_the_whole_run_table(self, block, trace, ledger):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(descent, "VERIFY_BLOCK", block)
+            verdicts = verify(trace, ledger, None, None)
+        table = monitor_rows(trace, ledger)
+        for name in MONITORED:
+            got, want = verdicts.get(name).as_dict(), reference_verdict(table, name)
+            if want is None:
+                assert got["passed"] is None and got["n_checked"] == 0, name
+            else:
+                assert {k: got[k] for k in want} == want, name
+
+    def test_verify_holds_one_block(self):
+        # a synthetic trace of n steps under a full ledger: verify's peak
+        # does not grow with n
+        ledger = ConstantsLedger(alpha=0.5, f_star=0.0, L=1.0, lam=0.5, q=0.75, K=1.0)
+
+        def peak(n):
+            series = np.linspace(2.0, 1.0, n + 1)
+            trace = DescentTrace(iterates=np.zeros((2, 1)), losses=series, grad_norms=series,
+                                 step_norms=series[:n], dist_from_init=series,
+                                 stop_gap=0.0, predicted_iters=None)
+            # the trace's derived series, kept for the export after verify
+            trace.sq_grad_norms, trace.sq_step_norms, trace.path_lengths
+            tracemalloc.start()
+            try:
+                verdicts = verify(trace, ledger, None, None)
+                assert verdicts.get("taylor_bound").n_checked == n
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10**4), peak(10**5)
+        assert large - small < 65536  # whole-run arrays would add ~5 MB
 
 
 class TestExports:
