@@ -109,8 +109,9 @@ result, the full constants ledger with provenance, the tangent-kernel
 spectral range at the initial and final parameters, predicted vs actual
 iteration counts, every verdict (measured value, bound value, hypothesis
 status, provenance) and collected warnings.  Identical config and seed
-reproduce the file byte for byte; wall-clock timings therefore live in
-the separate ``timings.json``.
+reproduce the file byte for byte on one machine, with one BLAS build and
+one thread count; wall-clock timings, and the thread-count environment
+variables, therefore live in the separate ``timings.json``.
 """
 
 from __future__ import annotations
@@ -585,6 +586,9 @@ class _PhaseClock:
 
 #: the files a run writes into its output directory
 OUTPUTS = ("report.json", "timings.json", "trace.csv", "bounds.csv", "theta_star.json")
+#: the environment variables that set the BLAS and OpenMP thread counts,
+#: which the bytes of report.json can depend on; timings.json records them
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _remove_outputs(outdir: Path) -> None:
@@ -809,9 +813,15 @@ def _write_report(report: dict, cfg: dict, outdir: Path) -> None:
 
 def _write_timings(outdir: Path, clock: _PhaseClock) -> None:
     """timings.json: the run's wall-clock seconds and those of each phase it
-    reached; the time since the last phase closed is the ``export`` phase."""
+    reached, the time since the last phase closed being the ``export``
+    phase, and the value of each :data:`THREAD_ENV` variable (null when
+    unset)."""
     clock.lap("export")
-    timings = {"wall_seconds": clock.last - clock.start, "phase_seconds": clock.seconds}
+    timings = {
+        "wall_seconds": clock.last - clock.start,
+        "phase_seconds": clock.seconds,
+        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
+    }
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "timings.json").write_text(json.dumps(timings) + "\n", encoding="utf-8")
 

@@ -40,6 +40,9 @@ ABS_TOL = 1e-12
 #: iterations per block in which :func:`verify` evaluates each monitored
 #: inequality, so that its memory does not grow with the run
 VERIFY_BLOCK = 2048
+#: bytes of :func:`run`'s buffer of iterates, which stays below glibc's
+#: mmap threshold; it holds at least one row
+STEP_BUFFER_BYTES = 65536
 #: abort when the gap exceeds this multiple of the initial gap
 DIVERGENCE_FACTOR = 10.0
 #: why :func:`build_ledger` refuses an objective without L or f_star
@@ -264,12 +267,12 @@ class DescentTrace:
     @cached_property
     def sq_grad_norms(self) -> np.ndarray:
         """The squared gradient norms, one per iterate."""
-        return _scalar_pow(self.grad_norms.tolist(), repeat(2))
+        return _squares(self.grad_norms)
 
     @cached_property
     def sq_step_norms(self) -> np.ndarray:
         """The squared step norms, one per step."""
-        return _scalar_pow(self.step_norms.tolist(), repeat(2))
+        return _squares(self.step_norms)
 
 
 @dataclass
@@ -404,6 +407,31 @@ def _scalar_pow(bases, exponents) -> np.ndarray:
     the verdicts stable.
     """
     return np.fromiter(map(pow, bases, exponents), dtype=float)
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """``a ** 2`` by :func:`_scalar_pow`, filled :data:`VERIFY_BLOCK`
+    elements at a time, so only one block of Python floats is alive."""
+    out = np.empty_like(a)
+    for lo in range(0, a.size, VERIFY_BLOCK):
+        block = a[lo:lo + VERIFY_BLOCK]
+        out[lo:lo + block.size] = _scalar_pow(block.tolist(), repeat(2))
+    return out
+
+
+def row_norms(m: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """The norms of the rows c of the 2-d array ``m``, bit for bit
+    ``math.sqrt((weights * c).dot(c))``, or ``math.sqrt(c.dot(c))`` without
+    weights.
+
+    One stacked ``np.matmul`` of (1, p) rows by (p, 1) columns makes the
+    same BLAS ddot call per row as ``ndarray.dot`` of two vectors, and
+    ``np.sqrt`` rounds as ``math.sqrt`` does.  (numpy 1.24 has no
+    ``np.vecdot``.)
+    """
+    left = m if weights is None else weights * m
+    sq = np.matmul(left[:, None, :], m[:, :, None]).reshape(-1)
+    return np.sqrt(sq, out=sq)
 
 
 def _q_bound(q: float, gap0: float, iterations: range) -> np.ndarray:
@@ -617,11 +645,20 @@ def run(
     without a known infimum the guard watches the raw loss instead).
 
     The verdicts need only per-step scalars, so the trace keeps the
-    initial and the last iterate; ``keep_every=k`` also keeps iterations
-    k, 2k, ...  The loop records its four per-step series as 8-byte
+    initial and the last iterate; ``keep_every=k`` also keeps copies of
+    iterations k, 2k, ...  Each step writes its iterate ``x - alpha * g``
+    into the next row of a fixed buffer of :data:`STEP_BUFFER_BYTES` (at
+    least one row); the map sees that row, which a later step overwrites,
+    so a map that keeps its argument must copy it.  A step takes only what
+    its checks need: the loss and the squared gradient norm, whose
+    finiteness is the gradient's.  When the buffer is full, and at the
+    end, the block's step norms and distances from the initial point come
+    from one :func:`row_norms` call each; the gradient norms' square
+    roots are taken once, after the loop.  Every value has the bits of a
+    per-step ``math.sqrt(c.dot(c))``.  The four per-step series are 8-byte
     floats, which the trace's arrays view without a copy, and
     :func:`verify` evaluates the monitored inequalities a block of
-    iterations at a time.  Peak memory is then O(p) plus about 100 bytes
+    iterations at a time.  Peak memory is then O(p) plus about 70 bytes
     per step (a random-features run of 10^5 steps, verification and export
     included), not O(p * steps).
     """
@@ -634,52 +671,57 @@ def run(
     # The loop works on raw coordinates: every vector it makes has the
     # domain's shape by construction, so only finiteness is checked.
     weights = f_map.domain.weights
-    value_and_vjp = f_map.value_and_vjp
-    value_and_grad = obj.value_and_grad
-
     if (weights == 1.0).all():
-
-        def norm(c) -> float:
-            return math.sqrt(c.dot(c))  # 1.0 * c == c: the weighted norm, bit for bit
-
-    else:
-
-        def norm(c) -> float:
-            return math.sqrt((weights * c).dot(c))  # WeightedSpace.norm's arithmetic
+        weights = None  # 1.0 * c == c: the weighted norm, bit for bit
+    value_and_vjp = f_map.value_and_vjp_fn or f_map.value_and_vjp
+    value_and_grad = obj.value_and_grad_fn or obj.value_and_grad
 
     def evaluate(x, i):
-        """Loss, gradient and gradient norm at iterate i from one objective
-        call; a failure names the iteration."""
+        """Loss, gradient and squared gradient norm at iterate i from one
+        objective call; a failure names the iteration."""
         try:
             fx, pull = value_and_vjp(x)
             loss, grad_f = value_and_grad(fx)
             g = pull(grad_f)
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} at {_at(i)}", iteration=i) from exc
-        g_norm = norm(g)
+        # WeightedSpace.norm's arithmetic, squared
+        sq_norm = g.dot(g) if weights is None else (weights * g).dot(g)
         # a non-finite entry makes the norm non-finite, so g is scanned only then
-        if not (math.isfinite(loss) and (math.isfinite(g_norm) or np.isfinite(g).all())):
+        if not (math.isfinite(loss) and (math.isfinite(sq_norm) or np.isfinite(g).all())):
             raise NumericFailure(f"non-finite loss or gradient at {_at(i)}", iteration=i)
-        return loss, g, g_norm
+        return loss, g, sq_norm
 
-    x = f_map.domain._coords(x0).copy()
-    x_init = x
+    x_init = f_map.domain._coords(x0).copy()
     alpha = ledger.alpha
+    rows = np.empty((max(1, STEP_BUFFER_BYTES // x_init.nbytes), x_init.size))
+    before = x_init.copy()  # the iterate before the buffer's first row
 
     f_star = ledger.f_star
-    losses, grad_norms, step_norms, dists = (array("d") for _ in range(4))
-    kept = [x]  # stacked once after the loop: max_iter may be far above the steps taken
+    losses, sq_grad_norms, step_norms, dists = (array("d") for _ in range(4))
+    kept = [x_init]  # stacked once after the loop: max_iter may be far above the steps taken
     diverged = False
 
-    loss, g, g_norm = evaluate(x, 0)
+    def flush(n):
+        """Record the distances and step norms of the buffer's first n rows."""
+        block = rows[:n]
+        diffs = block - x_init
+        dists.frombytes(row_norms(diffs, weights).tobytes())
+        np.subtract(block[0], before, out=diffs[0])
+        np.subtract(block[1:], block[:-1], out=diffs[1:])
+        step_norms.frombytes(row_norms(diffs, weights).tobytes())
+        before[:] = block[-1]
+
+    loss, g, sq_norm = evaluate(x_init, 0)
     losses.append(loss)
-    grad_norms.append(g_norm)
+    sq_grad_norms.append(sq_norm)
     dists.append(0.0)
 
     gap0 = None if f_star is None else max(loss - f_star, 0.0)
     if stop_gap is None:
         stop_gap = 1e-10 * gap0 if gap0 is not None else 0.0
 
+    x, j = x_init, 0  # the iterate and its buffer rows in use
     for i in range(1, max_iter + 1):
         if gap0 is not None:
             gap = loss - f_star
@@ -692,25 +734,31 @@ def run(
             diverged = True
             break
 
-        x_next = x - alpha * g
-        step_norms.append(norm(x_next - x))
-        x = x_next
+        x = np.subtract(x, alpha * g, rows[j])
+        j += 1
         if keep_every is not None and i % keep_every == 0:
-            kept.append(x)
-        dists.append(norm(x - x_init))
+            kept.append(x.copy())
 
-        loss, g, g_norm = evaluate(x, i)
+        loss, g, sq_norm = evaluate(x, i)
         losses.append(loss)
-        grad_norms.append(g_norm)
+        sq_grad_norms.append(sq_norm)
+        if j == len(rows):
+            flush(j)
+            j = 0
+    if j:
+        flush(j)
 
-    if kept[-1] is not x:
-        kept.append(x)
+    n_steps = len(step_norms)
+    if n_steps and (keep_every is None or n_steps % keep_every):
+        kept.append(x.copy())
     iterates = np.stack(kept)
     iterates.setflags(write=False)
+    grad_norms = np.frombuffer(sq_grad_norms)
+    np.sqrt(grad_norms, out=grad_norms)
     trace = DescentTrace(
         iterates=iterates,
         losses=np.frombuffer(losses),
-        grad_norms=np.frombuffer(grad_norms),
+        grad_norms=grad_norms,
         step_norms=np.frombuffer(step_norms),
         dist_from_init=np.frombuffer(dists),
         stop_gap=stop_gap,

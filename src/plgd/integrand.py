@@ -236,8 +236,8 @@ def least_squares(sigma=None, k: int = 1) -> Integrand:
     def value_and_grad_fn(data, z):
         r = z - _float_targets(data, k)
         g = r if inv2 is None else inv2 * r
-        # np.sum's own reduction, without its Python-level dispatch
-        half = 0.5 * np.add.reduce(g * r, axis=1)
+        # np.sum's own reduction without its Python-level dispatch; one column is its sum
+        half = 0.5 * ((g * r)[:, 0] if k == 1 else np.add.reduce(g * r, axis=1))
         return (half + const if const else half), g  # half >= +0, so + 0.0 is exact
 
     return Integrand(
@@ -475,7 +475,7 @@ def integral_functional(iota: Integrand, data: Dataset) -> ScalarObjective:
     # A non-finite entry makes the weighted sum (the masses are positive) and
     # the squared norm non-finite, so the rows are scanned only then.
     def total(v) -> float:
-        s = float(w @ v)
+        s = float(w.dot(v))
         if not math.isfinite(s):
             i = _first_bad_row(v)
             if i is not None:

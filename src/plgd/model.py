@@ -135,8 +135,11 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     if linear_op is not None:
         mat_t = linear_op.mat.T
 
+        def pull(f):
+            return mat_t.dot(wrep * f)
+
         def value_and_vjp_fn(theta):
-            return value_fn(theta), lambda f: mat_t @ (wrep * f)
+            return value_fn(theta), pull
 
     elif model.forward_vjp is not None:
 
@@ -268,7 +271,7 @@ def random_features(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) ->
         return tau
 
     def forward(x, theta):
-        return scale * (features(x) @ theta.reshape(-1, width).T)
+        return scale * features(x).dot(theta.reshape(-1, width).T)
 
     def jacobian(x, theta):
         return _readout_jacobian(scale * features(x), out_dim)
@@ -310,13 +313,13 @@ def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) -> Mod
 
     def forward_vjp(x, theta):
         w_mat, a = split(theta)
-        tau = np.tanh(x @ w_mat.T)                              # (d, width)
+        tau = np.tanh(x.dot(w_mat.T))                           # (d, width)
 
         def pull(g):
-            g_wx = scale * (g @ a) * (1.0 - tau**2)             # cotangent of W x
-            return np.concatenate([(g_wx.T @ x).reshape(-1), scale * (g.T @ tau).reshape(-1)])
+            g_wx = scale * g.dot(a) * (1.0 - tau**2)            # cotangent of W x
+            return np.concatenate([g_wx.T.dot(x).reshape(-1), scale * g.T.dot(tau).reshape(-1)])
 
-        return scale * (tau @ a.T), pull
+        return scale * tau.dot(a.T), pull
 
     def forward(x, theta):
         return forward_vjp(x, theta)[0]
@@ -433,11 +436,11 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
         u (d,) and its input gradient grad_x (d, in_dim), the last two
         written into the arrays ``u`` and ``grad_x`` when given."""
         w_mat, a = split(theta)
-        tau = np.tanh(x @ w_mat.T)                              # (d, width)
+        tau = np.tanh(x.dot(w_mat.T))                           # (d, width)
         dtau = 1.0 - tau**2
         a_dtau = a * dtau
-        u = np.multiply(scale, tau @ a, out=u)
-        grad_x = np.multiply(scale, a_dtau @ w_mat, out=grad_x)
+        u = np.multiply(scale, tau.dot(a), out=u)
+        grad_x = np.multiply(scale, a_dtau.dot(w_mat), out=grad_x)
         return (w_mat, a, tau, dtau, a_dtau), u, grad_x
 
     def raw_jacobians(x, theta):
@@ -463,12 +466,13 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
         """``sum_i du_i^T g_u_i + dgrad_i^T g_x_i`` from the same derivatives
         as ``raw_jacobians``, contracted over (d, width) blocks and written
         into one (p,) array: the W block, then the a block."""
-        p_hid = g_x @ w_mat.T                                   # sum_c g_x[c] W_{j,c}
+        p_hid = g_x.dot(w_mat.T)                                # sum_c g_x[c] W_{j,c}
         coef = a_dtau * (g_u[:, None] - 2.0 * tau * p_hid)
         out = np.empty(p)
-        grad_w = coef.T @ x + a[:, None] * (dtau.T @ g_x)
+        # @: at width 1, dot reads the strided g_x by another BLAS route
+        grad_w = coef.T.dot(x) + a[:, None] * (dtau.T @ g_x)
         np.multiply(scale, grad_w, out=out[:n_w].reshape(width, in_dim))
-        np.multiply(scale, tau.T @ g_u + np.add.reduce(dtau * p_hid, axis=0), out=out[n_w:])
+        np.multiply(scale, tau.T.dot(g_u) + np.add.reduce(dtau * p_hid, axis=0), out=out[n_w:])
         return out
 
     if not squash:

@@ -1070,6 +1070,23 @@ class TestTimings:
         assert check_experiment(write_config(tmp_path, rf_config(out))) == EXIT_OK
         assert self.timings(out) == ["gate", "certificates", "ledger", "export"]
 
+    def test_thread_env_is_recorded_in_timings_not_in_the_report(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, rf_config(out, max_iter=100))
+        reports = []
+        for value in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+            monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+            monkeypatch.setenv("MKL_NUM_THREADS", "")
+            assert run_experiment(path) == EXIT_OK
+            t = json.loads((out / "timings.json").read_text())
+            assert t["thread_env"] == {"OPENBLAS_NUM_THREADS": value, "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": ""}
+            assert list(t) == ["wall_seconds", "phase_seconds", "thread_env"]
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert b"NUM_THREADS" not in reports[0]
+
     def test_failed_descent_is_timed_up_to_the_failure(self, tmp_path):
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="outside"):

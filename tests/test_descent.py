@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import hypothesis.extra.numpy as hnp
@@ -32,7 +33,7 @@ from plgd.problems import analytic_certificates, supervised
 from plgd.smoothmap import CertValue, MapCertificate, SmoothMap
 from plgd.space import LinOp, WeightedSpace
 
-from oracles import MONITORED, reference_verdict
+from oracles import MONITORED, reference_run, reference_verdict
 
 S2 = WeightedSpace.unit(2)
 S4 = WeightedSpace.unit(4)
@@ -394,6 +395,80 @@ class TestRun:
         assert not verdicts.get("q_decay").hypothesis_met
 
 
+def buffer_problem(kind):
+    """A problem and step size for :class:`TestStepBuffer`: ``unit`` is an
+    induced random-features map (p = 200), ``weighted`` a linear map from
+    a weighted 37-dimensional domain (an odd p, and the map's and the
+    objective's fallback calls), ``wide`` a linear map from p = 9000, whose
+    buffer holds one row."""
+    rng = np.random.default_rng(7)
+    if kind == "unit":
+        data = Dataset(rng.standard_normal((8, 3)), targets=rng.standard_normal((8, 1)))
+        prob = supervised(random_features(3, 200, seed=2), data, least_squares(k=1))
+        return prob.F, prob.f, prob.theta0, 0.1
+    p = 37 if kind == "weighted" else 9000
+    domain = WeightedSpace(rng.random(p) + 0.5) if kind == "weighted" else WeightedSpace.unit(p)
+    mat = rng.standard_normal((4, p)) / np.sqrt(p)
+    f_map = SmoothMap.linear(LinOp(domain, S4, mat))
+    return f_map, quadratic(S4, np.eye(4), b=np.ones(4)), rng.standard_normal(p), 0.05
+
+
+def buffer_rows(p):
+    return max(1, descent.STEP_BUFFER_BYTES // (8 * p))
+
+
+class TestStepBuffer:
+    @pytest.mark.parametrize("keep_every", [None, 3])
+    @pytest.mark.parametrize("kind", ["unit", "weighted", "wide"])
+    def test_series_and_kept_iterates_match_the_per_step_reference(self, kind, keep_every):
+        f_map, obj, x0, alpha = buffer_problem(kind)
+        b = buffer_rows(f_map.domain.dim)
+        assert b == {"unit": 40, "weighted": 221, "wide": 1}[kind]
+        ledger = ConstantsLedger(alpha=alpha, f_star=obj.f_star)
+        for n in sorted({0, 1, b - 1, b, b + 1, 2 * b + 1}):
+            # an unreachable stop_gap takes max_iter steps, an infinite one none
+            trace, _ = run(f_map, obj, x0, ledger, max_iter=max(n, 1), keep_every=keep_every,
+                           stop_gap=-1.0 if n else float("inf"))
+            want = reference_run(f_map, obj, x0, alpha, n, keep_every)
+            assert trace.n_steps == n
+            for name, series in want.items():
+                got = getattr(trace, name)
+                assert got.shape == series.shape, (n, name)
+                assert got.tobytes() == series.tobytes(), (n, name)
+
+    @pytest.mark.parametrize("kind", ["unit", "weighted"])
+    def test_failure_mid_block_names_its_iteration(self, kind):
+        f_map, obj, x0, alpha = buffer_problem(kind)
+        b = buffer_rows(f_map.domain.dim)
+        planted = b + b // 2  # inside the second block
+        calls = []
+
+        def value_and_vjp_fn(x):
+            fx, pull = f_map.value_and_vjp(x)
+            calls.append(1)
+            if len(calls) == planted + 1:  # call i evaluates iteration i - 1
+                return fx, lambda v: np.full_like(x, np.nan)
+            return fx, pull
+
+        nan_map = dataclasses.replace(f_map, value_and_vjp_fn=value_and_vjp_fn)
+        with pytest.raises(NumericFailure) as info:
+            run(nan_map, obj, x0, minimal_ledger(alpha), max_iter=3 * b, stop_gap=-1.0)
+        assert str(info.value) == f"non-finite loss or gradient at iteration {planted}"
+        assert info.value.iteration == planted
+
+    @settings(deadline=None, max_examples=100)
+    @given(p=st.integers(1, 3000), rows=st.integers(1, 4), exponent=st.floats(-300, 300),
+           weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_row_norms_are_per_row_dot_products(self, p, rows, exponent, weighted, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((rows, p)) * 10.0**exponent
+        weights = rng.random(p) * 10.0 ** rng.uniform(-3, 3, p) if weighted else None
+        with np.errstate(over="ignore", under="ignore"):
+            got = descent.row_norms(m, weights)
+            want = [math.sqrt(c.dot(c) if weights is None else (weights * c).dot(c)) for c in m]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 class TestClosestOptimum:
     def test_tight_case_minimum_norm_solution(self):
         prob, _ = tight_problem()
@@ -582,6 +657,25 @@ class TestVerifyFold:
 
         small, large = peak(10**4), peak(10**5)
         assert large - small < 65536  # whole-run arrays would add ~5 MB
+
+    def test_squared_series_are_filled_a_block_at_a_time(self):
+        # the first sq_grad_norms of a 10^5-step trace holds the cached
+        # array and one block of Python floats, not a whole-run list (3.2 MB)
+        n = 10**5
+        series = np.linspace(2.0, 1.0, n + 1)
+        trace = DescentTrace(iterates=np.zeros((2, 1)), losses=series, grad_norms=series,
+                             step_norms=series[:n], dist_from_init=series,
+                             stop_gap=0.0, predicted_iters=None)
+        tracemalloc.start()
+        try:
+            squares = trace.sq_grad_norms
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - squares.nbytes < 64 * descent.VERIFY_BLOCK  # ~40 B per element of a block
+        # the bits of Python's pow, element by element
+        assert squares.tobytes() == np.array([g**2 for g in series.tolist()]).tobytes()
+        assert trace.sq_step_norms.tobytes() == squares[:n].tobytes()
 
 
 class TestExports:
