@@ -1,10 +1,11 @@
 """Certified fixed-step gradient descent on composite problems.
 
 The library estimates regularity constants (bounded/Lipschitz Jacobians,
-coercive tangent Grams, Lipschitz gradients, Polyak-Lojasiewicz lower
-bounds) for maps and objectives, runs gradient descent on compositions,
-and verifies the quantitative convergence and distance-to-initialization
-guarantees those constants imply against the observed trajectory.
+coercive tangent Grams, Lipschitz gradients) for maps and objectives,
+takes Polyak-Lojasiewicz constants from the integrands, runs gradient
+descent on compositions, and verifies the quantitative convergence and
+distance-to-initialization guarantees those constants imply against the
+observed trajectory.
 """
 
 from .descent import (
@@ -24,7 +25,6 @@ from .errors import (
     InvalidConfig,
     InvalidDataset,
     MissingCertificate,
-    NotSelfAdjoint,
     NumericFailure,
     PlgdError,
     SolverCapExceeded,
@@ -43,7 +43,6 @@ from .integrand import (
 from .model import (
     Model,
     NTKGram,
-    fd_check_model,
     induce,
     linear_disc,
     linear_model,
@@ -53,13 +52,7 @@ from .model import (
     shallow_net,
     vae_model,
 )
-from .objective import (
-    PLReport,
-    ScalarObjective,
-    check_pl,
-    estimate_lg,
-    quadratic,
-)
+from .objective import ScalarObjective
 from .problems import (
     PrototypeProblem,
     analytic_certificates,
@@ -76,18 +69,15 @@ from .smoothmap import (
     MapCertificate,
     SmoothMap,
     certify,
-    conditioning_at,
     estimate_bj,
     estimate_lj,
     estimate_uc,
     fd_check,
-    jacobian_norm,
     sample_ball,
 )
 from .space import (
     LinOp,
     WeightedSpace,
-    adjoint_defect,
     coercivity,
     op_norm,
 )

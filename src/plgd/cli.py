@@ -399,6 +399,8 @@ def load_dataset_file(path: str) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InvalidConfig(f"dataset file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"dataset file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"dataset file {path}: invalid JSON at line {exc.lineno}")
 
@@ -866,10 +868,14 @@ def _write_bounds_csv(path: Path, trace, ledger) -> None:
 
 
 def _load_config(path: str) -> dict:
+    """The checked config at ``path``; a file that cannot be read raises
+    OSError, one that is not UTF-8 JSON :class:`InvalidConfig`."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InvalidConfig(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     return normalize_config(raw)
@@ -948,6 +954,9 @@ def run_experiment(
         cfg = _apply_cli_overrides(_load_config(config_path), out, seed)
     except PlgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return _finish(_run_config(cfg, Path(cfg["output"]["dir"]), "", do_descent))
 
@@ -1045,6 +1054,9 @@ def sweep(
             jobs.append((i, cfg, sub))
     except PlgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     k = min(len(jobs), _usable_cpus())

@@ -135,7 +135,7 @@ class ConstantsLedger:
 
 def composite_gradient(f_map: SmoothMap, obj: ScalarObjective, x) -> np.ndarray:
     """Coordinates of ``grad (obj o f_map)(x) = J(x)* grad obj(F(x))``."""
-    fx, pull = f_map.value_and_vjp(f_map.domain._coords(x))
+    fx, pull = f_map.value_and_vjp_fn(f_map.domain._coords(x))
     return pull(obj.grad_fn(np.asarray(fx, dtype=float)))
 
 
@@ -605,7 +605,7 @@ def closest_optimum(f_map: SmoothMap, obj: ScalarObjective, x0) -> Optional[np.n
     weights = a.codomain.weights
     # A* = D_dom^-1 M^T D_cod, in C order: BLAS rounds ``mat_adj @ y`` by layout
     mat_adj = np.ascontiguousarray(mat_a.T * weights) / a.domain.weights[:, None]
-    # symmetrize(A A*) as B B^T: numpy forms it with syrk, single-threaded
+    # D^1/2 (A A*) D^-1/2 as B B^T: numpy forms it with syrk, single-threaded
     # at these sizes, so OpenBLAS's thread pool stays asleep after the loop
     b = gram_factor(mat_a, a.domain.weights, weights)
     gram = b @ b.T
@@ -673,8 +673,7 @@ def run(
     weights = f_map.domain.weights
     if (weights == 1.0).all():
         weights = None  # 1.0 * c == c: the weighted norm, bit for bit
-    value_and_vjp = f_map.value_and_vjp_fn or f_map.value_and_vjp
-    value_and_grad = obj.value_and_grad_fn or obj.value_and_grad
+    value_and_vjp, value_and_grad = f_map.value_and_vjp_fn, obj.value_and_grad_fn
 
     def evaluate(x, i):
         """Loss, gradient and squared gradient norm at iterate i from one

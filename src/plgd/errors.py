@@ -9,10 +9,6 @@ class DimensionMismatch(PlgdError, ValueError):
     """Operands live in incompatible spaces."""
 
 
-class NotSelfAdjoint(PlgdError, ValueError):
-    """An operator required to be self-adjoint fails the adjoint identity."""
-
-
 class SolverCapExceeded(PlgdError, ValueError):
     """A dense eigensolve was requested above the supported dimension."""
 

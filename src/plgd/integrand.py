@@ -186,21 +186,6 @@ def _row_errors(iota: Integrand, data: Dataset, z: np.ndarray, g: np.ndarray, h:
     return norm(fd - g, axis=1), norm(g, axis=1), norm(fd, axis=1)
 
 
-def fd_check_integrand(iota: Integrand, data: Dataset, z) -> float:
-    """Worst per-row relative mismatch of grad_z against central differences
-    of step 1e-6.
-
-    The strict per-row oracle for a single integrand: every row is scored
-    relative to its own norm (clamped at 1e-8), however small that is next
-    to the other rows.  :func:`fd_check_functional`, the gate on whole
-    problems, scores the same rows by ``fd_check``'s rule instead, which
-    measures rows that vanish (at an optimum, say) against the largest.
-    """
-    z = iota._block(data, z)
-    err, g_norm, fd_norm = _row_errors(iota, data, z, iota.grad(data, z), 1e-6)
-    return float(np.max(err / np.maximum(np.maximum(g_norm, fd_norm), 1e-8)))
-
-
 def _float_targets(data: Dataset, k: int) -> np.ndarray:
     t = data.targets
     if t is None or t.ndim != 2:
@@ -332,11 +317,6 @@ def kl_diag_gaussian_and_grad(z_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * np.sum(m**2 + var - 1.0 - 2.0 * t, axis=-1), np.concatenate(
         [m, var - 1.0], axis=-1
     )
-
-
-def kl_diag_gaussian(z_e: np.ndarray) -> np.ndarray:
-    """The divergence of :func:`kl_diag_gaussian_and_grad` alone."""
-    return kl_diag_gaussian_and_grad(z_e)[0]
 
 
 def vae_integrand(ell: Integrand, beta: float, latent_dim: int) -> Integrand:
@@ -530,10 +510,11 @@ def fd_check_functional(f: ScalarObjective, iota: Integrand, data: Dataset, z) -
 
     The functional is separable: sample i's outputs enter only its own
     term.  So row i of the gradient ``f.grad_fn(z)`` is compared with
-    central differences of the integrand at row i (as in
-    :func:`fd_check_integrand`, but with the gate's step
-    ``smoothmap.FD_STEP``), and the rows are scored by
-    ``smoothmap.fd_score``.  Checking the whole functional column by
+    central differences of the integrand at row i, with the gate's step
+    ``smoothmap.FD_STEP``, and the rows are scored by
+    ``smoothmap.fd_score``: a row is measured relative to the larger of
+    its two versions, and a row that vanishes (at an optimum, say)
+    relative to the largest row.  Checking the whole functional column by
     column instead would difference an O(1) sum to find an O(1/d)
     derivative, whose rounding error fails correct gradients once d
     reaches about a thousand.  The sample masses are covered by one

@@ -71,22 +71,6 @@ class Model:
     name: str = ""
 
 
-def fd_check_model(model: Model, x, theta, h: float = 1e-6) -> float:
-    """Worst per-row relative mismatch of the parameter Jacobians on the
-    rows of x vs central differences."""
-    x = np.asarray(x, float)
-    theta = np.asarray(theta, float)
-    jac = model.jacobian(x, theta)
-    fd = np.empty_like(jac)
-    for k in range(model.param_dim):
-        e = np.zeros(model.param_dim)
-        e[k] = h
-        fd[..., k] = (model.forward(x, theta + e) - model.forward(x, theta - e)) / (2 * h)
-    jac, fd = jac.reshape(len(x), -1), fd.reshape(len(x), -1)
-    scale = np.maximum(np.maximum(np.abs(jac).max(axis=1), np.abs(fd).max(axis=1)), 1e-8)
-    return float(np.max(np.abs(fd - jac).max(axis=1) / scale))
-
-
 def _stacked_jacobian(model: Model, data: Dataset, theta) -> np.ndarray:
     """The (d l, p) Jacobian of the induced map: per-sample blocks stacked."""
     d, l = len(data), model.out_dim
@@ -106,7 +90,8 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
     matrix's ``M^T (w f)`` (its adjoint without the exact divide by unit
     domain weights); for a nonlinear model with a ``forward_vjp``, one
     forward pass, without assembling the Jacobian, which still serves the
-    gradient gate and the certificates.  A model that
+    gradient gate and the certificates; for any other model (the VAE),
+    ``forward`` and the assembled Jacobian's adjoint.  A model that
     ``stacks_theta`` gives the map a ``value_stack_fn``: one ``forward``
     call on the flattened (k, p) stack, its (d, k l) outputs regrouped
     into k rows of the function space.
@@ -148,7 +133,10 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
             return z.reshape(-1), lambda f: pull((wrep * f).reshape(d, l))
 
     else:
-        value_and_vjp_fn = None
+
+        def value_and_vjp_fn(theta):
+            return value_fn(theta), jac_fn(theta).adjoint_apply
+
     return SmoothMap(
         domain=theta_space,
         codomain=fn_space,
@@ -159,17 +147,6 @@ def induce(model: Model, data: Dataset) -> SmoothMap:
         value_stack_fn=value_stack_fn if model.stacks_theta else None,
         name=f"induced[{model.name}]",
     )
-
-
-def aggregated_jacobian_bound(model: Model, data: Dataset, theta) -> float:
-    """Per-sample Jacobian norms aggregated in the weighted L2 metric.
-
-    ``sqrt(sum_i w_i ||J_i||^2)`` upper-bounds the induced map's Jacobian
-    norm at theta; aggregating per sample is tighter than a uniform sup
-    over the dataset.
-    """
-    per = np.linalg.norm(model.jacobian(data.inputs, np.asarray(theta, float)), 2, axis=(1, 2))
-    return float(np.sqrt(np.dot(data.weights, np.square(per))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,10 +11,10 @@ over a ball:
   (uniform conditioning), or None when some sample is not coercive.
 
 Sampled upper bounds are inflated by a safety factor (``INFLATE``, 1.1),
-lower bounds deflated (``DEFLATE``, 0.9); an estimator called with factor
-1.0 returns the raw sampled value.  Analytic constants can be supplied
-directly via :class:`MapCertificate`.  :func:`fd_check`, the gradient
-gate's check of a Jacobian, differences with the fixed step ``FD_STEP``.
+lower bounds deflated (``DEFLATE``, 0.9).  Analytic constants can be
+supplied directly via :class:`MapCertificate`.  :func:`fd_check`, the
+gradient gate's check of a Jacobian and of the map's pull-back,
+differences with the fixed step ``FD_STEP``.
 """
 
 from __future__ import annotations
@@ -46,15 +46,17 @@ MIN_PAIR_RADIUS = 1e-9
 class SmoothMap:
     """A Frechet-differentiable map ``F: domain -> codomain``.
 
-    ``value_fn`` and ``jac_fn`` act on raw coordinates; ``jac_fn`` must
-    return a :class:`LinOp` whose adjoint is taken with respect to both
-    weighted metrics.  ``linear_op`` is set when the map is known to be
+    ``value_fn``, ``jac_fn`` and ``value_and_vjp_fn`` act on raw
+    coordinates; ``jac_fn`` must return a :class:`LinOp` whose adjoint is
+    taken with respect to both weighted metrics.  ``value_and_vjp_fn(x)``
+    returns ``(F(x), pull)`` from one evaluation, where ``pull(v)`` is
+    ``J(x)* v``; the descent loop calls only it, and :func:`fd_check`
+    compares ``pull`` with the Jacobian's adjoint.  ``dataclasses.replace``
+    of ``value_fn`` or ``jac_fn`` keeps it, so a map whose math changes
+    replaces it too.  ``linear_op`` is set when the map is known to be
     linear (it then equals the constant Jacobian), which downstream code
     uses for exact constants and closest-optimum computations.
-    ``value_and_vjp_fn(x)`` (optional) returns ``(F(x), pull)`` from one
-    evaluation, where ``pull(v)`` computes ``J(x)* v`` without assembling
-    the Jacobian; :func:`fd_check` compares ``pull`` with the Jacobian's
-    adjoint.  ``value_stack_fn(xs)`` (optional) maps a (k, domain.dim)
+    ``value_stack_fn(xs)`` (optional) maps a (k, domain.dim)
     stack of points to their (k, codomain.dim) values ``value_fn(xs[j])``
     in one evaluation; :func:`fd_check` takes its differences from it.
     """
@@ -63,11 +65,9 @@ class SmoothMap:
     codomain: WeightedSpace
     value_fn: Callable[[np.ndarray], np.ndarray]
     jac_fn: Callable[[np.ndarray], LinOp]
+    value_and_vjp_fn: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
     linear_op: Optional[LinOp] = None
     name: str = ""
-    value_and_vjp_fn: Optional[
-        Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
-    ] = None
     value_stack_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value(self, x) -> np.ndarray:
@@ -76,14 +76,6 @@ class SmoothMap:
     def jacobian(self, x) -> LinOp:
         return self.jac_fn(self.domain._coords(x))
 
-    def value_and_vjp(self, x: np.ndarray) -> tuple:
-        """``(F(x), pull)`` on raw coordinates with ``pull(v) = J(x)* v``:
-        one call of ``value_and_vjp_fn`` when the map has one, else the
-        value and the Jacobian's adjoint."""
-        if self.value_and_vjp_fn is not None:
-            return self.value_and_vjp_fn(x)
-        return self.value_fn(x), self.jac_fn(x).adjoint_apply
-
     def value_stack(self, xs: np.ndarray) -> np.ndarray:
         """The (k, codomain.dim) values at the rows of the raw coordinate
         stack xs: one call of ``value_stack_fn`` when the map has one, else
@@ -91,21 +83,6 @@ class SmoothMap:
         if self.value_stack_fn is not None:
             return self.value_stack_fn(xs)
         return np.stack([self.value_fn(x) for x in xs])
-
-    @staticmethod
-    def linear(op: LinOp, name: str = "linear") -> "SmoothMap":
-        return SmoothMap(
-            domain=op.domain,
-            codomain=op.codomain,
-            value_fn=op.apply,
-            jac_fn=lambda _x: op,
-            linear_op=op,
-            name=name,
-        )
-
-    @staticmethod
-    def identity(space: WeightedSpace) -> "SmoothMap":
-        return SmoothMap.linear(LinOp.identity(space), name="identity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +208,11 @@ def fd_check(f: SmoothMap, x) -> float:
     evaluated a chunk of columns at a time, one :meth:`SmoothMap.value_stack`
     call per sign and chunk; without a ``value_stack_fn`` that is one
     ``value_fn`` call per point.  Correctly implemented maps score <= 1e-5;
-    a Jacobian off by a factor c scores about |1 - 1/c|.  When the map has
-    a ``value_and_vjp_fn``, its pull-back of a fixed-seed cotangent is also
-    compared with the Jacobian's adjoint, in the domain norm relative to
-    the larger of the two (a correct one scores ~1e-15, a non-finite one
-    infinity).
+    a Jacobian off by a factor c scores about |1 - 1/c|.  The pull-back of
+    ``value_and_vjp_fn`` at a fixed-seed cotangent is also compared with
+    the Jacobian's adjoint, in the domain norm relative to the larger of
+    the two (a correct one scores ~1e-15, one that is the Jacobian's
+    adjoint exactly 0, a non-finite one infinity).
     """
     xc = f.domain._coords(x)
     jac = f.jacobian(xc)
@@ -256,39 +233,22 @@ def fd_check(f: SmoothMap, x) -> float:
     exact_norms, fd_norms = col_norms(exact), col_norms(fd)
     fd -= exact  # in place: the peak stays at the Jacobian plus one array
     worst = fd_score(col_norms(fd), exact_norms, fd_norms)
-    if f.value_and_vjp_fn is not None:
-        r = np.random.default_rng(0).standard_normal(f.codomain.dim)
-        adj, vjp = jac.adjoint_apply(r), f.value_and_vjp_fn(xc)[1](r)
-        dom = f.domain
-        denom = max(dom.norm(adj), dom.norm(vjp))
-        rel = dom.norm(vjp - adj) / denom if denom > 0.0 else 0.0
-        worst = max(worst, rel) if math.isfinite(rel) else math.inf
-    return worst
+    r = np.random.default_rng(0).standard_normal(f.codomain.dim)
+    adj, vjp = jac.adjoint_apply(r), f.value_and_vjp_fn(xc)[1](r)
+    dom = f.domain
+    denom = max(dom.norm(adj), dom.norm(vjp))
+    rel = dom.norm(vjp - adj) / denom if denom > 0.0 else 0.0
+    return max(worst, rel) if math.isfinite(rel) else math.inf
 
 
-def jacobian_norm(f: SmoothMap, x) -> float:
-    """Operator norm of the Jacobian at a single point."""
-    return op_norm(f.jacobian(x))
-
-
-def conditioning_at(f: SmoothMap, x) -> float:
-    """Coercivity of ``J(x) J(x)*`` at a single point (0.0 when not coercive)."""
-    return coercivity(f.jacobian(x))
-
-
-def estimate_bj(
-    f: SmoothMap,
-    ball: Ball,
-    n: int = 32,
-    seed: int = 0,
-    inflate: float = INFLATE,
-) -> float:
-    """Sampled upper bound on ``||J(x)||`` over the ball (center included)."""
+def estimate_bj(f: SmoothMap, ball: Ball, n: int = 32, seed: int = 0) -> float:
+    """Sampled upper bound ``INFLATE * max ||J(x)||`` over the ball (center
+    included)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     pts = [ball.center] + sample_ball(ball, n - 1, rng)
-    return inflate * max(jacobian_norm(f, p) for p in pts)
+    return INFLATE * max(op_norm(f.jacobian(p)) for p in pts)
 
 
 def _sample_pairs(ball: Ball, n_pairs: int, rng: np.random.Generator):
@@ -325,14 +285,9 @@ def _sample_pairs(ball: Ball, n_pairs: int, rng: np.random.Generator):
     return pairs
 
 
-def estimate_lj(
-    f: SmoothMap,
-    ball: Ball,
-    n_pairs: int = 32,
-    seed: int = 0,
-    inflate: float = INFLATE,
-) -> float:
-    """Sampled upper bound on the Jacobian Lipschitz constant over the ball.
+def estimate_lj(f: SmoothMap, ball: Ball, n_pairs: int = 32, seed: int = 0) -> float:
+    """Sampled upper bound on the Jacobian Lipschitz constant over the ball:
+    ``INFLATE`` times the largest difference quotient of sampled pairs.
 
     Exactly zero for linear maps (the Jacobian difference is the zero
     operator at every pair).
@@ -347,17 +302,12 @@ def estimate_lj(
     for x, y in _sample_pairs(ball, n_pairs, rng):
         jump = f.jacobian(x).mat - f.jacobian(y).mat
         worst = max(worst, gram_eigvalsh(jump, w_dom, w_cod)[-1] / f.domain.norm(x - y) ** 2)
-    return inflate * math.sqrt(worst)
+    return INFLATE * math.sqrt(worst)
 
 
-def estimate_uc(
-    f: SmoothMap,
-    ball: Ball,
-    n: int = 32,
-    seed: int = 0,
-    deflate: float = DEFLATE,
-) -> Optional[float]:
-    """Sampled lower bound on the coercivity of ``J(x) J(x)*`` over the ball.
+def estimate_uc(f: SmoothMap, ball: Ball, n: int = 32, seed: int = 0) -> Optional[float]:
+    """Sampled lower bound ``DEFLATE * min`` of the coercivity of ``J(x)
+    J(x)*`` over the ball (center included).
 
     Returns None (not certified) as soon as any sampled point fails to be
     coercive, which in particular happens whenever dim(domain) <
@@ -369,11 +319,11 @@ def estimate_uc(
     pts = [ball.center] + sample_ball(ball, n - 1, rng)
     worst = np.inf
     for p in pts:
-        lam = conditioning_at(f, p)
+        lam = coercivity(f.jacobian(p))
         if lam <= 0.0:
             return None
         worst = min(worst, lam)
-    return deflate * worst
+    return DEFLATE * worst
 
 
 def certify(f: SmoothMap, ball: Ball, n: int = 32, seed: int = 0) -> MapCertificate:

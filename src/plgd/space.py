@@ -19,13 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSelfAdjoint, NumericFailure, SolverCapExceeded
+from .errors import DimensionMismatch, NumericFailure, SolverCapExceeded
 
 #: largest dense eigensolve or pseudo-inverse; a weighted Gram is solved on its smaller side
 DENSE_EIG_CAP = 4096
-
-#: relative asymmetry beyond which :func:`symmetrize` refuses an operator
-IDENTITY_TOL = 1e-10
 
 #: float64 machine epsilon, the unit of the eigensolver's rounding floor
 EPS = float(np.finfo(float).eps)
@@ -93,8 +90,7 @@ class LinOp:
     the basis vectors, and is kept as a read-only view.  ``apply(u)`` is
     ``mat @ u``.  The adjoint with respect to the two weighted inner
     products, ``<A u, v>_codomain == <u, A* v>_domain``, acts as
-    ``v -> D_dom^-1 M^T D_cod v``; :func:`adjoint_defect` probes the
-    identity on random vectors.
+    ``v -> D_dom^-1 M^T D_cod v``.
     """
 
     domain: WeightedSpace
@@ -118,24 +114,6 @@ class LinOp:
         cod = self.codomain
         return (self.mat.T @ (cod.weights * cod._coords(v))) / self.domain.weights
 
-    @staticmethod
-    def identity(space: WeightedSpace) -> "LinOp":
-        return LinOp(space, space, np.eye(space.dim))
-
-
-def adjoint_defect(a: LinOp, n_probes: int = 100) -> float:
-    """Worst relative violation of ``<Au, v> == <u, A*v>`` over fixed-seed
-    random probes."""
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(n_probes):
-        u = rng.standard_normal(a.domain.dim)
-        v = rng.standard_normal(a.codomain.dim)
-        lhs = a.codomain.inner(a.apply(u), v)
-        rhs = a.domain.inner(u, a.adjoint_apply(v))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst
-
 
 def require_dense(dim: int, cap: int = DENSE_EIG_CAP) -> None:
     """Refuse a dense eigensolve or pseudo-inverse above ``cap`` dimensions.
@@ -147,33 +125,14 @@ def require_dense(dim: int, cap: int = DENSE_EIG_CAP) -> None:
         raise SolverCapExceeded(f"dense eigensolver supports dim <= {cap}, got {dim}")
 
 
-def symmetrize(m, weights) -> np.ndarray:
-    """Coordinate matrix of a self-adjoint operator conjugated into symmetric form.
-
-    For a self-adjoint operator with coordinate matrix M on a space with
-    weight diagonal D, ``S = D^1/2 M D^-1/2`` is symmetric and has the same
-    spectrum.  (When M = G D for a raw kernel G this is ``D^1/2 G D^1/2``.)
-    Raises :class:`NotSelfAdjoint` when S is asymmetric beyond
-    ``IDENTITY_TOL`` relative to its largest entry (at least 1).
-    """
-    d = np.sqrt(weights)
-    s = (m * d[:, None]) / d[None, :]
-    scale = max(1.0, float(np.abs(s).max()))
-    asym = float(np.abs(s - s.T).max())
-    if asym > IDENTITY_TOL * scale:
-        raise NotSelfAdjoint(
-            f"operator is not self-adjoint: symmetrized asymmetry {asym:.3e} "
-            f"exceeds {IDENTITY_TOL:.1e} * scale"
-        )
-    return 0.5 * (s + s.T)
-
-
 def weighted_solve(sym: np.ndarray, weights, r):
-    """Solution y of ``M y = r`` from ``sym = symmetrize(M, weights)`` by one
-    LU solve, or None when ``sym`` is singular.
+    """Solution y of ``M y = r`` by one LU solve, or None when ``sym`` is
+    singular.
 
-    Returns ``D^-1/2 S^-1 D^1/2 r``.  It is as exact as the conditioning
-    of ``sym`` allows, so callers check its residual.
+    ``sym`` is ``S = D^1/2 M D^-1/2``, the symmetric form of an operator M
+    self-adjoint on a space with weight diagonal D (``weights``).  Returns
+    ``D^-1/2 S^-1 D^1/2 r``.  It is as exact as the conditioning of ``sym``
+    allows, so callers check its residual.
     """
     d = np.sqrt(weights)
     try:
@@ -183,7 +142,8 @@ def weighted_solve(sym: np.ndarray, weights, r):
 
 
 def weighted_pinv_solve(sym: np.ndarray, weights, r) -> np.ndarray:
-    """Minimum-norm solution y of ``M y = r`` from ``sym = symmetrize(M, weights)``.
+    """Minimum-norm solution y of ``M y = r`` from ``sym`` as in
+    :func:`weighted_solve`.
 
     Returns ``D^-1/2 S^+ D^1/2 r``, the solution of least weighted norm
     when r lies in the range of M.
@@ -210,7 +170,7 @@ def gram_factor(mat, dom_weights, cod_weights) -> np.ndarray:
     matrix M between spaces with weight diagonals D_dom and D_cod.
 
     B has the singular values of A in the two weighted metrics.  ``B B^T``
-    is ``symmetrize(A A*, cod_weights)``, symmetric by construction, and
+    is ``D_cod^1/2 (A A*) D_cod^-1/2``, symmetric by construction, and
     ``B^T B`` is similar to ``A* A``.
     """
     return (np.sqrt(cod_weights)[:, None] * mat) / np.sqrt(dom_weights)[None, :]

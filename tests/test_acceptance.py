@@ -15,7 +15,6 @@ from plgd.cli import EXIT_OK, run_experiment
 from plgd.descent import build_ledger, run
 from plgd.integrand import (
     Dataset,
-    fd_check_integrand,
     gan_integrand,
     gaussian_nll,
     integral_functional,
@@ -24,7 +23,6 @@ from plgd.integrand import (
     vae_integrand,
 )
 from plgd.model import (
-    fd_check_model,
     linear_disc,
     linear_model,
     ntk_gram,
@@ -33,7 +31,6 @@ from plgd.model import (
     shallow_net,
     vae_model,
 )
-from plgd.objective import check_pl, estimate_lg, quadratic
 from plgd.problems import (
     analytic_certificates,
     check_gradients,
@@ -41,8 +38,11 @@ from plgd.problems import (
     supervised,
     vae,
 )
-from plgd.smoothmap import Ball, CertValue, MapCertificate, SmoothMap, estimate_uc
-from plgd.space import WeightedSpace, adjoint_defect
+from plgd.smoothmap import Ball, CertValue, MapCertificate, estimate_uc
+from plgd.space import WeightedSpace
+
+from oracles import (adjoint_defect, check_pl, estimate_lg, fd_check_integrand, fd_check_model,
+                     identity_map, quadratic)
 
 
 def timed(budget_s):
@@ -101,7 +101,7 @@ def test_criterion_2_exact_geometric_decay():
     with timed(1.0):
         space = WeightedSpace.unit(2)
         f = quadratic(space, np.diag([1.0, 4.0]))
-        ident = SmoothMap.identity(space)
+        ident = identity_map(space)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
         x0 = np.array([1.0, 1.0])
         ledger = build_ledger(ident, f, x0, cert, alpha="auto")

@@ -43,9 +43,9 @@ from plgd.errors import InvalidConfig, MissingCertificate, NumericFailure
 from plgd.integrand import least_squares
 from plgd.model import induce
 from plgd.problems import analytic_certificates, check_gradients, make_certificates, supervised
-from plgd.space import symmetrize, weighted_solve
+from plgd.space import weighted_solve
 
-from oracles import MONITORED, reference_verdict
+from oracles import MONITORED, reference_verdict, symmetrize
 
 
 def tight_config(outdir, alpha=0.5):
@@ -1049,6 +1049,53 @@ class TestOutputDirectory:
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "timings.json"]
 
 
+class TestUnreadableFiles:
+    """A config or dataset file that is not readable UTF-8 text ends in one
+    error line and exit 1, never a traceback."""
+
+    NOT_UTF8 = b"\xff\xfe{}"
+    DECODE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("command", ["run", "check", "sweep"])
+    def test_config_exits_one_with_one_error_line(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(self.NOT_UTF8)
+        axis = ["--axis", "width", "--values", "4,8"] if command == "sweep" else []
+        assert main([command, str(path), "--out", str(tmp_path / "out"), *axis]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        if kind == "directory":
+            assert err.startswith("io error: ") and str(path) in err, err
+        else:
+            assert err.startswith(f"error: config {path}: {self.DECODE}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def dataset_config(self, tmp_path, out):
+        data = tmp_path / "data.json"
+        data.write_bytes(self.NOT_UTF8)
+        cfg = rf_config(out, max_iter=10)
+        cfg["problem"]["dataset"] = {"path": str(data)}
+        return write_config(tmp_path, cfg), data
+
+    def test_dataset_in_a_run_exits_one(self, tmp_path, capsys):
+        path, data = self.dataset_config(tmp_path, tmp_path / "out")
+        assert run_experiment(path) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: dataset file {data}: {self.DECODE}\n"
+
+    def test_dataset_in_a_sweep_keeps_every_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        path, data = self.dataset_config(tmp_path, out)
+        assert sweep(path, "width", [4.0, 8.0]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "".join(f"error: width={v}: dataset file {data}: {self.DECODE}\n"
+                              for v in (4, 8))
+        assert (out / "summary.csv").read_text().splitlines()[1:] == ["4,,,,", "8,,,,"]
+
+
 class TestTimings:
     PHASES = ["gate", "certificates", "ledger", "descent", "export"]
 
@@ -1136,6 +1183,48 @@ class TestDeterminism:
                                        for name in ("trace.csv", "bounds.csv", "theta_star.json")])
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][0])["iterations"]["actual"] > 2048
+
+    @staticmethod
+    def written_bytes(out):
+        """Every file a run or sweep wrote under ``out`` but timings.json, each
+        report's echo of its output directory normalized."""
+        files = {}
+        for f in sorted(out.rglob("*")):
+            if f.is_file() and f.name != "timings.json":
+                data = f.read_bytes()
+                if f.name == "report.json":
+                    data = data.replace(json.dumps(str(f.parent)).encode(), b'"out"')
+                files[str(f.relative_to(out))] = data
+        return files
+
+    @pytest.mark.parametrize("workload", ["gate_wide", "gan_sweep"])
+    def test_a_wide_gate_and_a_sweep_give_the_same_bytes_under_two_blas_threads(self, tmp_path,
+                                                                                 workload):
+        if workload == "gate_wide":  # p = 16 < d = 400, ten steps
+            cfg = rf_config("unused", max_iter=10)
+            cfg["problem"]["model"].update(in_dim=4, width=16)
+            cfg["problem"]["dataset"]["synthetic"].update(d=400, in_dim=4)
+            args = ["run"]
+        else:  # the benchmark's wgan_gp critic sweep, 1000 steps per value
+            cfg = gan_config("unused")
+            cfg["problem"].update(gan_kind="wgan_gp", beta=1.0)
+            cfg["problem"]["disc"].update(width=16, squash=False)
+            cfg["problem"]["dataset"]["synthetic"].update(n_real=16, n_gen=16)
+            cfg["certificates"]["n_samples"] = 32
+            cfg["descent"] = {"alpha": 0.01, "max_iter": 1000}
+            args = ["sweep", "--axis", "width", "--values", "8,16"]
+        path = write_config(tmp_path, cfg)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads={threads}"
+            proc = plgd_process(*args, path, "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append(self.written_bytes(out))
+        names = {"trace.csv", "bounds.csv", "theta_star.json", "report.json"}
+        if workload == "gan_sweep":
+            names = {f"width={w}/{n}" for w in (8, 16) for n in names} | {"summary.csv"}
+        assert set(outputs[0]) == names
+        assert outputs[0] == outputs[1]
 
     def test_reported_contraction_factor_traceable(self, tmp_path):
         # q in the report must equal its defining formula bit for bit
@@ -1736,10 +1825,31 @@ def test_wrong_leaf_values_exit_cleanly(tmp_path, monkeypatch, capsys, make, lea
             assert err and all(line.startswith("error: ") for line in err.splitlines()), err
 
 
-def test_benchmark_hooks_find_every_name_they_rebind():
-    """perfbench/spans.py rebinds plgd functions by name; renaming one fails here."""
+def test_benchmark_hooks_find_every_name_they_rebind(tmp_path):
+    """perfbench/spans.py rebinds plgd functions by name; renaming one fails
+    here.  A random-features run and a one-value gan sweep then go through
+    the rebound names and the problem's traced map and objective callables."""
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "perfbench"), str(root / "src")]
-    code = f"import sys; sys.path[:0] = {paths!r}; import spans; spans.install(spans.Recorder())"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    commands = [
+        ["run", write_config(tmp_path, rf_config(tmp_path / "rf", max_iter=50), "rf.json")],
+        ["sweep", write_config(tmp_path, gan_config(tmp_path / "gan"), "gan.json"),
+         "--axis", "width", "--values", "6"],
+    ]
+    code = (f"import sys; sys.path[:0] = {paths!r}; import json, spans; from plgd import cli\n"
+            "rec = spans.Recorder(); spans.install(rec)\n"
+            f"for argv in {commands!r}:\n"
+            "    code = cli.main(argv)\n"
+            "    print(json.dumps([code, rec.summary()['totals']]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+    before = {}
+    for line in proc.stdout.splitlines():
+        code, totals = json.loads(line)
+        assert code == EXIT_OK, proc.stderr
+        for name in ("model.forward", "integrand.grad", "descent.run"):
+            calls = totals[name][0]
+            assert calls > before.get(name, 0), (name, totals)
+            before[name] = calls
+    assert len(before) == 3 and proc.stdout.count("\n") == len(commands)

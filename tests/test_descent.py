@@ -28,12 +28,13 @@ from plgd.descent import (
 from plgd.errors import InvalidConfig, MissingCertificate, NumericFailure
 from plgd.integrand import Dataset, Integrand, integral_functional, least_squares
 from plgd.model import induce, linear_model, random_features, shallow_net
-from plgd.objective import ScalarObjective, quadratic
+from plgd.objective import ScalarObjective
 from plgd.problems import analytic_certificates, supervised
-from plgd.smoothmap import CertValue, MapCertificate, SmoothMap
+from plgd.smoothmap import CertValue, MapCertificate
 from plgd.space import LinOp, WeightedSpace
 
-from oracles import MONITORED, reference_run, reference_verdict
+from oracles import (MONITORED, adjoint_pull, identity_map, linear_map, objective, quadratic,
+                     reference_run, reference_verdict)
 
 S2 = WeightedSpace.unit(2)
 S4 = WeightedSpace.unit(4)
@@ -83,7 +84,7 @@ class TestBuildLedger:
 
     def test_identity_map_reduces_to_plain_case(self):
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[1.0, 2.0])
-        ident = SmoothMap.identity(S2)
+        ident = identity_map(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
         x0 = np.array([3.0, 3.0])
         led = build_ledger(ident, f, x0, cert, alpha="auto")
@@ -93,7 +94,7 @@ class TestBuildLedger:
     def test_perfect_conditioning_gives_one_step_rate(self):
         # lam_F = K_F^2 and lam_f = L_f makes q = 0 at alpha = 1/L
         f = quadratic(S2, np.eye(2), b=[1.0, -1.0])
-        ident = SmoothMap.identity(S2)
+        ident = identity_map(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
         led = build_ledger(ident, f, np.zeros(2), cert, alpha="auto")
         assert led.q == pytest.approx(0.0, abs=1e-15)
@@ -111,12 +112,13 @@ class TestBuildLedger:
         f = quadratic(S2, np.diag([1.0, 4.0]), b=b)  # L_f = 4
         cert = MapCertificate(K=CertValue(k_f), L=CertValue(0.0))
         with pytest.raises(NumericFailure) as info:
-            build_ledger(SmoothMap.identity(S2), f, np.zeros(2), cert, alpha="auto")
+            build_ledger(identity_map(S2), f, np.zeros(2), cert, alpha="auto")
         assert str(info.value) == f"non-finite ledger constants: L = {k_f**2 * 4.0}, K = inf"
 
     def test_missing_objective_constants_raise(self):
         prob, cert = tight_problem()
-        bare = ScalarObjective(prob.f.space, prob.f.value_fn, prob.f.grad_fn)
+        f = prob.f
+        bare = ScalarObjective(f.space, f.value_fn, f.grad_fn, f.value_and_grad_fn)
         with pytest.raises(MissingCertificate):
             build_ledger(prob.F, bare, prob.theta0, cert, alpha=0.1)
 
@@ -146,7 +148,7 @@ class TestRun:
         # the ledger holds every constant of the closest_opt bound, but a map
         # not known to be linear has no computable optimum set
         f = quadratic(S2, np.diag([1.0, 4.0]))
-        opaque = dataclasses.replace(SmoothMap.identity(S2), linear_op=None)
+        opaque = dataclasses.replace(identity_map(S2), linear_op=None)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
         x0 = np.array([1.0, 1.0])
         led = build_ledger(opaque, f, x0, cert, alpha="auto")
@@ -158,7 +160,7 @@ class TestRun:
 
     def test_quadratic_exact_geometric_decay(self):
         f = quadratic(S2, np.diag([1.0, 4.0]))
-        ident = SmoothMap.identity(S2)
+        ident = identity_map(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
         x0 = np.array([1.0, 1.0])
         led = build_ledger(ident, f, x0, cert, alpha="auto")
@@ -181,7 +183,7 @@ class TestRun:
     def test_iterates_are_distinct_arrays(self):
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[0.5, -0.5])
         x0 = np.array([1.0, 1.0])
-        trace, _ = run(SmoothMap.identity(S2), f, x0, minimal_ledger(0.1), max_iter=5,
+        trace, _ = run(identity_map(S2), f, x0, minimal_ledger(0.1), max_iter=5,
                        keep_every=1)
         its = trace.iterates
         assert its.shape == (6, 2)
@@ -212,9 +214,9 @@ class TestRun:
     def test_keep_every_keeps_multiples_and_the_last(self, k, rows):
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[0.5, -0.5])
         x0 = np.array([1.0, 1.0])
-        every, _ = run(SmoothMap.identity(S2), f, x0, minimal_ledger(0.1), max_iter=23,
+        every, _ = run(identity_map(S2), f, x0, minimal_ledger(0.1), max_iter=23,
                        keep_every=1)
-        kept, _ = run(SmoothMap.identity(S2), f, x0, minimal_ledger(0.1), max_iter=23,
+        kept, _ = run(identity_map(S2), f, x0, minimal_ledger(0.1), max_iter=23,
                       keep_every=k)
         assert every.n_steps == kept.n_steps == 23
         np.testing.assert_array_equal(kept.iterates, every.iterates[rows])
@@ -223,13 +225,13 @@ class TestRun:
     def test_keep_every_must_be_a_positive_integer(self, k):
         f = quadratic(S2, np.eye(2))
         with pytest.raises(InvalidConfig, match="keep_every"):
-            run(SmoothMap.identity(S2), f, np.ones(2), minimal_ledger(0.1), keep_every=k)
+            run(identity_map(S2), f, np.ones(2), minimal_ledger(0.1), keep_every=k)
 
     def test_run_memory_does_not_grow_with_the_steps(self):
         # 2000 steps at p = 256 into R^4: a list of every iterate holds >= 4 MB
         p = 256
         mat = np.random.default_rng(0).standard_normal((4, p)) / 16.0
-        f_map = SmoothMap.linear(LinOp(WeightedSpace.unit(p), S4, mat))
+        f_map = linear_map(LinOp(WeightedSpace.unit(p), S4, mat))
         f = quadratic(S4, np.eye(4), b=np.ones(4))
         x0 = np.zeros(p)
 
@@ -255,7 +257,10 @@ class TestRun:
             calls.append(1)
             return np.full(2, np.nan) if len(calls) == 3 else x
 
-        nan_map = dataclasses.replace(SmoothMap.identity(S2), value_fn=value_fn)
+        ident = identity_map(S2)
+        # the loop calls the fused callable, so the fault is planted there too
+        nan_map = dataclasses.replace(ident, value_fn=value_fn,
+                                      value_and_vjp_fn=adjoint_pull(value_fn, ident.jac_fn))
         f = quadratic(S2, np.eye(2), b=[1.0, -1.0])
         with pytest.raises(NumericFailure) as info:
             run(nan_map, f, np.array([3.0, 3.0]), minimal_ledger(0.1), max_iter=10)
@@ -335,8 +340,9 @@ class TestRun:
         assert prob.F.value_and_vjp_fn is not None
         led = build_ledger(prob.F, prob.f, prob.theta0, analytic_certificates(prob), alpha="auto")
         fast, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=100000, keep_every=1)
-        slow, _ = run(dataclasses.replace(prob.F, value_and_vjp_fn=None), prob.f, prob.theta0,
-                      led, max_iter=100000, keep_every=1)
+        assembled = dataclasses.replace(
+            prob.F, value_and_vjp_fn=adjoint_pull(prob.F.value_fn, prob.F.jac_fn))
+        slow, _ = run(assembled, prob.f, prob.theta0, led, max_iter=100000, keep_every=1)
         assert fast.n_steps == slow.n_steps == 4182
         for name in ("iterates", "losses", "grad_norms", "step_norms", "dist_from_init"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
@@ -347,8 +353,9 @@ class TestRun:
         assert prob.F.value_and_vjp_fn is not None
         led = minimal_ledger(0.01)
         fast, _ = run(prob.F, prob.f, prob.theta0, led, max_iter=1000, keep_every=1)
-        slow, _ = run(dataclasses.replace(prob.F, value_and_vjp_fn=None), prob.f, prob.theta0,
-                      led, max_iter=1000, keep_every=1)
+        assembled = dataclasses.replace(
+            prob.F, value_and_vjp_fn=adjoint_pull(prob.F.value_fn, prob.F.jac_fn))
+        slow, _ = run(assembled, prob.f, prob.theta0, led, max_iter=1000, keep_every=1)
         assert fast.n_steps == slow.n_steps == 1000
         assert fast.iterates.shape == (1001, prob.model.param_dim)
         scale = 1.0 + np.abs(slow.iterates).max()
@@ -365,7 +372,7 @@ class TestRun:
 
     def test_monotone_distance_chain(self):
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[0.5, -0.5])
-        ident = SmoothMap.identity(S2)
+        ident = identity_map(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
         x0 = np.array([2.0, -1.0])
         led = build_ledger(ident, f, x0, cert, alpha="auto")
@@ -377,7 +384,7 @@ class TestRun:
 
     def test_predicted_iterations_cover_actual(self):
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[1.0, 1.0])
-        ident = SmoothMap.identity(S2)
+        ident = identity_map(S2)
         cert = MapCertificate(K=CertValue(1.0), L=CertValue(0.0), lam=CertValue(1.0))
         x0 = np.array([3.0, 2.0])
         led = build_ledger(ident, f, x0, cert, alpha="auto")
@@ -388,7 +395,8 @@ class TestRun:
     def test_minimal_ledger_runs_without_verdicts(self):
         prob, _ = tight_problem()
         led = minimal_ledger(0.25)
-        bare = ScalarObjective(prob.f.space, prob.f.value_fn, prob.f.grad_fn)
+        f = prob.f
+        bare = ScalarObjective(f.space, f.value_fn, f.grad_fn, f.value_and_grad_fn)
         trace, verdicts = run(prob.F, bare, prob.theta0, led, max_iter=100)
         assert trace.n_steps == 100  # no stopping gap without f_star
         assert verdicts.violations() == []
@@ -398,9 +406,9 @@ class TestRun:
 def buffer_problem(kind):
     """A problem and step size for :class:`TestStepBuffer`: ``unit`` is an
     induced random-features map (p = 200), ``weighted`` a linear map from
-    a weighted 37-dimensional domain (an odd p, and the map's and the
-    objective's fallback calls), ``wide`` a linear map from p = 9000, whose
-    buffer holds one row."""
+    a weighted 37-dimensional domain (an odd p, and a map and an objective
+    fused from their separate callables), ``wide`` a linear map from
+    p = 9000, whose buffer holds one row."""
     rng = np.random.default_rng(7)
     if kind == "unit":
         data = Dataset(rng.standard_normal((8, 3)), targets=rng.standard_normal((8, 1)))
@@ -409,7 +417,7 @@ def buffer_problem(kind):
     p = 37 if kind == "weighted" else 9000
     domain = WeightedSpace(rng.random(p) + 0.5) if kind == "weighted" else WeightedSpace.unit(p)
     mat = rng.standard_normal((4, p)) / np.sqrt(p)
-    f_map = SmoothMap.linear(LinOp(domain, S4, mat))
+    f_map = linear_map(LinOp(domain, S4, mat))
     return f_map, quadratic(S4, np.eye(4), b=np.ones(4)), rng.standard_normal(p), 0.05
 
 
@@ -444,7 +452,7 @@ class TestStepBuffer:
         calls = []
 
         def value_and_vjp_fn(x):
-            fx, pull = f_map.value_and_vjp(x)
+            fx, pull = f_map.value_and_vjp_fn(x)
             calls.append(1)
             if len(calls) == planted + 1:  # call i evaluates iteration i - 1
                 return fx, lambda v: np.full_like(x, np.nan)
@@ -553,8 +561,8 @@ class TestMonitorVerdicts:
     def test_planted_violations_and_ties(self):
         # lam = 1, L = 4, alpha = 1/4; half squared gradient norms 2, 0, 2, 8
         ledger = ConstantsLedger(alpha=0.25, f_star=0.0, L=4.0, lam=1.0)
-        obj = ScalarObjective(S1, lambda h: 0.5 * float(h @ h), lambda h: h)
-        verdicts = verify(planted_trace(), ledger, SmoothMap.identity(S1), obj)
+        obj = objective(S1, lambda h: 0.5 * float(h @ h), lambda h: h)
+        verdicts = verify(planted_trace(), ledger, identity_map(S1), obj)
 
         # lower bound 0.5 g^2 >= lam gap: iterates 0 and 1 both miss by 2
         pl = verdicts.get("composition_pl")

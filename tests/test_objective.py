@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from plgd.errors import MissingCertificate
-from plgd.objective import (
-    ScalarObjective,
-    check_pl,
-    estimate_lg,
-    quadratic,
-)
 from plgd.smoothmap import Ball, CertValue
 from plgd.space import WeightedSpace
+
+from oracles import check_pl, estimate_lg, objective, quadratic
 
 S2 = WeightedSpace.unit(2)
 S3 = WeightedSpace.unit(3)
@@ -17,7 +13,7 @@ S3 = WeightedSpace.unit(3)
 
 def shifted_quadratic(space, target):
     t = np.asarray(target, dtype=float)
-    return ScalarObjective(
+    return objective(
         space,
         lambda h: 0.5 * space.inner(h - t, h - t),
         lambda h: h - t,
@@ -55,11 +51,11 @@ class TestEstimateLG:
         assert raw == pytest.approx(1.0, abs=1e-9)
 
     def test_affine_gives_zero(self):
-        f = ScalarObjective(S2, lambda h: h[0] - 2 * h[1] + 3, lambda h: np.array([1.0, -2.0]))
+        f = objective(S2, lambda h: h[0] - 2 * h[1] + 3, lambda h: np.array([1.0, -2.0]))
         assert estimate_lg(f, ball(S2, 1.0), n_pairs=16, seed=0) == 0.0
 
     def test_quartic_on_unit_ball(self):
-        f = ScalarObjective(
+        f = objective(
             S2,
             lambda h: 0.25 * float(np.dot(h, h)) ** 2,
             lambda h: float(np.dot(h, h)) * h,
@@ -77,19 +73,19 @@ class TestCheckPL:
         assert rep.lambda_hat >= 1.0 - 1e-12
 
     def test_constant_objective_has_no_valid_samples(self):
-        f = ScalarObjective(S2, lambda h: 2.0, lambda h: np.zeros(2), f_star=2.0)
+        f = objective(S2, lambda h: 2.0, lambda h: np.zeros(2), f_star=2.0)
         rep = check_pl(f, ball(S2, 1.0), n=16, seed=0)
         assert rep.lambda_hat is None
         assert rep.n_valid == 0 and rep.n_skipped == 16
 
     def test_requires_f_star(self):
-        f = ScalarObjective(S2, lambda h: h[0] ** 2, lambda h: np.array([2 * h[0], 0.0]))
+        f = objective(S2, lambda h: h[0] ** 2, lambda h: np.array([2 * h[0], 0.0]))
         with pytest.raises(MissingCertificate):
             check_pl(f, ball(S2, 1.0))
 
     def test_flat_tails_degrade_with_radius(self):
         # gradient vanishing at infinity: the sampled PL constant decays
-        f = ScalarObjective(
+        f = objective(
             S2,
             lambda h: float(np.log(1.0 + np.exp(-h[0]))),
             lambda h: np.array([-1.0 / (1.0 + np.exp(h[0])), 0.0]),
@@ -104,7 +100,7 @@ class TestCheckPL:
 class TestGradientOracle:
     def test_fd_check_on_shipped_objectives(self):
         rng = np.random.default_rng(0)
-        quart = ScalarObjective(
+        quart = objective(
             S3,
             lambda h: 0.25 * float(np.dot(h, h)) ** 2,
             lambda h: float(np.dot(h, h)) * h,

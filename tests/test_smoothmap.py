@@ -3,38 +3,39 @@ import dataclasses
 import numpy as np
 import pytest
 
+from plgd.descent import composite_gradient
 from plgd.errors import DimensionMismatch, InvalidConfig
 from plgd.smoothmap import (
+    INFLATE,
     MIN_PAIR_RADIUS,
     Ball,
     CertValue,
     MapCertificate,
-    SmoothMap,
     certify,
-    conditioning_at,
     estimate_bj,
     estimate_lj,
     estimate_uc,
     fd_check,
-    jacobian_norm,
     _sample_pairs,
     sample_ball,
 )
-from plgd.space import LinOp, WeightedSpace
+from plgd.space import LinOp, WeightedSpace, coercivity, op_norm
+
+from oracles import identity_map, linear_map, objective, smooth_map
 
 S1 = WeightedSpace.unit(1)
 S2 = WeightedSpace.unit(2)
 
 
 def scalar_map(value, deriv):
-    return SmoothMap(
+    return smooth_map(
         S1, S1,
         lambda x: np.array([value(x[0])]),
         lambda x: LinOp(S1, S1, [[deriv(x[0])]]),
     )
 
 
-ROW = SmoothMap.linear(LinOp(S2, S1, [[1.0, 1.0]]))
+ROW = linear_map(LinOp(S2, S1, [[1.0, 1.0]]))
 SIN = scalar_map(np.sin, np.cos)
 HALF_SQUARE = scalar_map(lambda t: 0.5 * t * t, lambda t: t)
 
@@ -52,7 +53,7 @@ class TestFdCheck:
         assert fd_check(ROW, [0.3, -0.7]) <= 1e-10
 
     def test_square_coordinate(self):
-        f = SmoothMap(
+        f = smooth_map(
             S2, S2,
             lambda x: np.array([x[0] ** 2, x[1]]),
             lambda x: LinOp(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
@@ -60,7 +61,7 @@ class TestFdCheck:
         assert fd_check(f, [1.0, 1.0]) <= 1e-8
 
     def test_catches_planted_factor_two(self):
-        buggy = SmoothMap(
+        buggy = smooth_map(
             S2, S2,
             lambda x: np.array([x[0] ** 2, x[1]]),
             lambda x: LinOp(S2, S2, [[4 * x[0], 0.0], [0.0, 2.0]]),
@@ -68,7 +69,7 @@ class TestFdCheck:
         assert fd_check(buggy, [1.0, 1.0]) == pytest.approx(0.5, abs=0.05)
 
     def test_checks_vjp_against_adjoint(self):
-        square = SmoothMap(
+        square = smooth_map(
             S2, S2,
             lambda x: np.array([x[0] ** 2, x[1]]),
             lambda x: LinOp(S2, S2, [[2 * x[0], 0.0], [0.0, 1.0]]),
@@ -114,7 +115,7 @@ class TestEstimateBJ:
         )
 
     def test_constant_map(self):
-        const = SmoothMap(
+        const = smooth_map(
             S2, S1,
             lambda x: np.array([3.0]),
             lambda x: LinOp(S2, S1, [[0.0, 0.0]]),
@@ -136,18 +137,18 @@ class TestEstimateLJ:
         assert estimate_lj(ROW, ball2(3.0), n_pairs=8, seed=0) == 0.0
 
     def test_half_square_ratio_is_one(self):
-        raw = estimate_lj(HALF_SQUARE, ball1(1.0), n_pairs=16, seed=0, inflate=1.0)
+        raw = estimate_lj(HALF_SQUARE, ball1(1.0), n_pairs=16, seed=0) / INFLATE
         assert raw == pytest.approx(1.0, rel=1e-9)
         inflated = estimate_lj(HALF_SQUARE, ball1(1.0), n_pairs=16, seed=0)
         assert 1.0 - 1e-9 <= inflated <= 1.1 + 1e-9
 
     def test_bilinear_form_against_hessian_oracle(self):
-        f = SmoothMap(
+        f = smooth_map(
             S2, S1,
             lambda x: np.array([x[0] * x[1]]),
             lambda x: LinOp(S2, S1, [[x[1], x[0]]]),
         )
-        raw = estimate_lj(f, ball2(1.0), n_pairs=32, seed=0, inflate=1.0)
+        raw = estimate_lj(f, ball2(1.0), n_pairs=32, seed=0) / INFLATE
         # Frobenius norm of the constant Hessian [[0,1],[1,0]] bounds the
         # operator-norm Lipschitz constant from above
         assert raw <= np.sqrt(2.0) + 1e-9
@@ -156,7 +157,7 @@ class TestEstimateLJ:
     def test_coincident_pairs_resampled_not_fatal(self):
         # zero-radius ball makes every independent pair coincide; the local
         # perturbation pairs still give valid quotients
-        est = estimate_lj(HALF_SQUARE, ball1(0.0), n_pairs=4, seed=0, inflate=1.0)
+        est = estimate_lj(HALF_SQUARE, ball1(0.0), n_pairs=4, seed=0) / INFLATE
         assert np.isfinite(est)
 
     def test_ball_below_the_pair_floor_is_refused(self):
@@ -171,11 +172,11 @@ class TestEstimateUC:
         assert estimate_uc(ROW, ball2(1.0), n=8, seed=0) == pytest.approx(1.8, rel=1e-9)
 
     def test_underparameterized_returns_absent(self):
-        tall = SmoothMap.linear(LinOp(S1, S2, [[1.0], [0.0]]))
+        tall = linear_map(LinOp(S1, S2, [[1.0], [0.0]]))
         assert estimate_uc(tall, ball1(1.0), n=4, seed=0) is None
 
     def test_identity(self):
-        ident = SmoothMap.identity(S2)
+        ident = identity_map(S2)
         assert estimate_uc(ident, ball2(1.0), n=4, seed=0) == pytest.approx(0.9)
 
 
@@ -223,7 +224,7 @@ class TestSampledBoundsHold:
             d = 1.0 - np.tanh(w @ x) ** 2
             return LinOp(s3, s2, d[:, None] * w)
 
-        return SmoothMap(s3, s2, lambda x: np.tanh(w @ x), jac), s3
+        return smooth_map(s3, s2, lambda x: np.tanh(w @ x), jac), s3
 
     def test_bj_upper_bounds_fresh_probes(self):
         f, s3 = self.tanh_map()
@@ -231,7 +232,7 @@ class TestSampledBoundsHold:
         k = estimate_bj(f, ball, n=64, seed=0)
         rng = np.random.default_rng(99)
         violations = sum(
-            1 for p in sample_ball(ball, 1000, rng) if jacobian_norm(f, p) > k
+            1 for p in sample_ball(ball, 1000, rng) if op_norm(f.jacobian(p)) > k
         )
         assert violations <= 1  # <= 0.1% of 1000
 
@@ -240,8 +241,8 @@ class TestSampledBoundsHold:
         ball = Ball(s3, np.zeros(3), 1.5)
         rng = np.random.default_rng(5)
         for p in sample_ball(ball, 20, rng):
-            lam = conditioning_at(f, p)
-            k = jacobian_norm(f, p)
+            lam = coercivity(f.jacobian(p))
+            k = op_norm(f.jacobian(p))
             assert lam <= k**2 * (1 + 1e-9)
 
     def test_segment_fundamental_theorem_quadrature(self):
@@ -261,7 +262,7 @@ class TestSampledBoundsHold:
 
 
 class TestVJP:
-    def test_without_vjp_fn_is_the_jacobian_adjoint_bit_for_bit(self):
+    def test_adjoint_pull_is_the_jacobian_adjoint_bit_for_bit(self):
         rng = np.random.default_rng(3)
         w = np.tanh(rng.standard_normal((3, 2)))
         cod = WeightedSpace(np.array([0.2, 0.5, 0.3]))
@@ -270,19 +271,21 @@ class TestVJP:
             d = 1.0 - np.tanh(w @ x) ** 2
             return LinOp(S2, cod, d[:, None] * w)
 
-        f = SmoothMap(S2, cod, lambda x: np.tanh(w @ x), jac)
+        f = smooth_map(S2, cod, lambda x: np.tanh(w @ x), jac)
         for _ in range(5):
             x, v = rng.standard_normal(2), rng.standard_normal(3)
-            fx, pull = f.value_and_vjp(x)
+            fx, pull = f.value_and_vjp_fn(x)
             np.testing.assert_array_equal(fx, f.value_fn(x))
             np.testing.assert_array_equal(pull(v), jac(x).adjoint_apply(v))
 
-    def test_with_vjp_fn_calls_it(self):
+    def test_composite_gradient_calls_the_vjp_fn_once(self):
         calls = []
-        f = dataclasses.replace(
-            ROW, value_and_vjp_fn=lambda x: calls.append(x) or (np.ones(1), lambda v: np.zeros(2))
-        )
-        fx, pull = f.value_and_vjp(np.ones(2))
-        np.testing.assert_array_equal(fx, np.ones(1))
-        np.testing.assert_array_equal(pull(np.ones(1)), np.zeros(2))
+
+        def value_and_vjp_fn(x):
+            calls.append(x)
+            return np.ones(1), lambda v: np.array([2.0, -1.0]) * v[0]
+
+        f = dataclasses.replace(ROW, value_and_vjp_fn=value_and_vjp_fn)
+        obj = objective(S1, lambda h: float(h @ h), lambda h: 3.0 * h)
+        np.testing.assert_array_equal(composite_gradient(f, obj, np.zeros(2)), [6.0, -3.0])
         assert len(calls) == 1
