@@ -10,6 +10,7 @@ import numpy as np
 from plgd.descent import LOWER_BOUNDS
 from plgd.errors import MissingCertificate
 from plgd.integrand import Dataset, Integrand, _row_errors
+from plgd import model as model_module
 from plgd.model import Model
 from plgd.objective import ScalarObjective
 from plgd.smoothmap import (FD_STEP, INFLATE, Ball, CertValue, SmoothMap, _sample_pairs, fd_score,
@@ -295,3 +296,15 @@ def fd_columns_score(f: SmoothMap, x) -> float:
         return np.sqrt(np.einsum("i,ik,ik->k", w, m, m))
 
     return fd_score(col_norms(fd - exact), col_norms(exact), col_norms(fd))
+
+
+def assembles_jacobian(f: SmoothMap, theta) -> bool:
+    """Whether an induced map's ``value_and_vjp_fn(theta)`` and its pull-back
+    build the stacked model Jacobian (as the VAE's do)."""
+    stacked, calls = model_module._stacked_jacobian, []
+    model_module._stacked_jacobian = lambda *args: calls.append(args) or stacked(*args)
+    try:
+        f.value_and_vjp_fn(np.asarray(theta, dtype=float))[1](np.ones(f.codomain.dim))
+    finally:
+        model_module._stacked_jacobian = stacked
+    return bool(calls)

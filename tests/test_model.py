@@ -25,7 +25,8 @@ from plgd.model import (
 from plgd.smoothmap import INFLATE, Ball, certify, estimate_bj, fd_check, fd_score
 from plgd.space import LinOp, WeightedSpace, coercivity
 
-from oracles import adjoint_defect, aggregated_jacobian_bound, fd_check_model, fd_columns_score
+from oracles import (adjoint_defect, aggregated_jacobian_bound, assembles_jacobian, fd_check_model,
+                     fd_columns_score)
 
 
 def zoo(rng):
@@ -187,30 +188,17 @@ class TestRandomFeaturesCache:
         assert len(computed) == 4
 
 
-def fd_check_by_column(f, x, h=1e-5):
+def fd_check_by_column(f, x):
     """``fd_check`` with one ``value_fn`` call per coordinate direction and
-    sign, the oracle of its fallback path."""
+    sign: the column score, then the pull-back against the Jacobian's
+    adjoint."""
     xc = np.asarray(x, dtype=float)
-    jac = f.jacobian(xc)
-    exact = jac.mat
-    fd = np.empty_like(exact)
-    for k in range(f.domain.dim):
-        e = np.zeros(f.domain.dim)
-        e[k] = h
-        fd[:, k] = (f.value_fn(xc + e) - f.value_fn(xc - e)) / (2.0 * h)
-    w = f.codomain.weights
-
-    def col_norms(m):
-        return np.sqrt(np.einsum("i,ik,ik->k", w, m, m))
-
-    worst = fd_score(col_norms(fd - exact), col_norms(exact), col_norms(fd))
-    if f.value_and_vjp_fn is not None:
-        r = np.random.default_rng(0).standard_normal(f.codomain.dim)
-        adj, vjp = jac.adjoint_apply(r), f.value_and_vjp_fn(xc)[1](r)
-        denom = max(f.domain.norm(adj), f.domain.norm(vjp))
-        rel = f.domain.norm(vjp - adj) / denom if denom > 0.0 else 0.0
-        worst = max(worst, rel) if math.isfinite(rel) else math.inf
-    return worst
+    worst = fd_columns_score(f, xc)
+    r = np.random.default_rng(0).standard_normal(f.codomain.dim)
+    adj, vjp = f.jacobian(xc).adjoint_apply(r), f.value_and_vjp_fn(xc)[1](r)
+    denom = max(f.domain.norm(adj), f.domain.norm(vjp))
+    rel = f.domain.norm(vjp - adj) / denom if denom > 0.0 else 0.0
+    return max(worst, rel) if math.isfinite(rel) else math.inf
 
 
 class TestStackedForward:
@@ -345,6 +333,8 @@ class TestInduce:
         linear_with_vjp = dataclasses.replace(linear_model(3), forward_vjp=unused)
         models = zoo(rng) + [linear_with_vjp]
         maps = [induce(m, Dataset(rng.standard_normal((3, m.in_dim)))) for m in models]
+        assembling = [m.name for m, f in zip(models, maps) if assembles_jacobian(f, m.init)]
+        assert assembling == ["vae[shallow[m=4]|shallow[m=4]]"]
         _, pull = maps[-1].value_and_vjp_fn(np.ones(3))
         assert np.array_equal(pull(np.ones(3)), maps[-1].linear_op.adjoint_apply(np.ones(3)))
 
@@ -354,7 +344,7 @@ class TestInduce:
         rng = np.random.default_rng(8)
         weights = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
         f_map = induce(model, Dataset(rng.standard_normal((5, 3)), weights=weights))
-        assert f_map.value_and_vjp_fn is not None
+        assert not assembles_jacobian(f_map, model.init)
         for _ in range(5):
             th = rng.standard_normal(model.param_dim)
             v = rng.standard_normal(f_map.codomain.dim)
