@@ -40,7 +40,8 @@ is done.  Width and datasize values must be integers >= 1.
 
 Config schema (JSON; unknown keys are rejected)
 -----------------------------------------------
-The table ``CONFIG`` states each key's rule and default once.  A value
+The table ``CONFIG`` states each key's rule and default once, and ``KIND_KEYS``
+which kinds take the keys commented below; other kinds refuse them.  A value
 that breaks its rule prints ``error: config.<key>: must be ...; got ...``
 (``dataset.<key>`` for a dataset's own keys) and exits 1.  Below, ``int``
 is an integer >= 1 (not a bool), ``seed`` an integer >= 0, ``pos`` a
@@ -51,10 +52,10 @@ finite number > 0 and ``num0`` a finite number >= 0::
         "family": "supervised" | "vae" | "gan",
         "ball_radius": num0 | null,          # optional declared trust radius
         # supervised
-        "model": {"kind": "linear"|"random_features"|"shallow",
+        "model": {"kind": "linear"|"random_features"|"shallow",  # width: not linear
                   "in_dim": int, "out_dim": int, "width": int, "seed": seed},
         "dataset": {...},                    # see below
-        "integrand": {"kind": "least_squares", "sigma": [pos, ...]}
+        "integrand": {"kind": "least_squares", "sigma": [pos, ...]}  # keys per kind
                    | {"kind": "gaussian_nll"}
                    | {"kind": "softmax", "classes": int},
         # vae
@@ -65,7 +66,7 @@ finite number > 0 and ``num0`` a finite number >= 0::
         "recon_sigma": [pos, ...],           # optional fixed variances
         # gan
         "disc": {"kind": "shallow"|"linear", "width": int, "seed": seed,
-                 "squash": true | false},
+                 "squash": true | false},      # width and squash: shallow only
         "gan_kind": "wgan_gp" | "r1", "beta": pos,
         "direction": "max" | "min"
       },
@@ -385,9 +386,33 @@ SYNTHETIC = tagged(
 )
 
 
+#: section -> key -> the kinds that take it, of which each requires ``width``
+#: and ``classes``; every other kind would ignore the key
+KIND_KEYS = {
+    "model": {"width": ("random_features", "shallow")},
+    "integrand": {"sigma": ("least_squares",), "classes": ("softmax",)},
+    "disc": {"width": ("shallow",), "squash": ("shallow",)},
+}
+
+
+def _check_kind_keys(cfg: dict) -> dict:
+    """``cfg``, refusing a :data:`KIND_KEYS` key left null where its section's
+    kind requires it, or set (to neither null nor false) where it ignores it."""
+    prob = cfg["problem"]
+    for name in [name for name in KIND_KEYS if name in prob]:
+        kind = prob[name]["kind"]
+        for key, kinds in KIND_KEYS[name].items():
+            value, path = prob[name][key], f"config.problem.{name}.{key}"
+            if kind in kinds and value is None and key in ("width", "classes"):
+                raise InvalidConfig(f"{path}: required key missing for kind {kind!r}")
+            if kind not in kinds and value not in (None, False):
+                raise InvalidConfig(f"{path}: kind {kind!r} takes none; got {value!r}")
+    return cfg
+
+
 def normalize_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in documented defaults."""
-    return CONFIG(raw, "config")
+    return _check_kind_keys(CONFIG(raw, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +501,6 @@ def _build_supervised(prob: dict) -> PrototypeProblem:
         iota = gaussian_nll(k=k)
         out_dim = 2 * k
     else:  # softmax
-        if icfg["classes"] is None:
-            raise InvalidConfig("integrand.classes is required for softmax")
         iota = softmax_ce(icfg["classes"])
         out_dim = icfg["classes"]
 
@@ -485,14 +508,9 @@ def _build_supervised(prob: dict) -> PrototypeProblem:
     in_dim = mcfg["in_dim"]
     if mcfg["kind"] == "linear":
         model = linear_model(in_dim, out_dim=out_dim)
-    elif mcfg["kind"] == "random_features":
-        if mcfg["width"] is None:
-            raise InvalidConfig("model.width is required for random_features")
-        model = random_features(in_dim, mcfg["width"], out_dim=out_dim, seed=mcfg["seed"])
     else:
-        if mcfg["width"] is None:
-            raise InvalidConfig("model.width is required for shallow")
-        model = shallow_net(in_dim, mcfg["width"], out_dim=out_dim, seed=mcfg["seed"])
+        make = random_features if mcfg["kind"] == "random_features" else shallow_net
+        model = make(in_dim, mcfg["width"], out_dim=out_dim, seed=mcfg["seed"])
     if mcfg["out_dim"] not in (1, out_dim):
         raise InvalidConfig(
             f"model.out_dim {mcfg['out_dim']} conflicts with integrand dimension {out_dim}"
@@ -526,8 +544,6 @@ def _build_gan(prob: dict) -> PrototypeProblem:
     if dcfg["kind"] == "linear":
         disc = linear_disc(in_dim)
     else:
-        if dcfg["width"] is None:
-            raise InvalidConfig("disc.width is required for shallow critics")
         disc = shallow_disc(in_dim, dcfg["width"], seed=dcfg["seed"], squash=dcfg["squash"])
     return gan_discriminator(
         disc,
@@ -805,12 +821,8 @@ def _write_report(report: dict, cfg: dict, outdir: Path) -> None:
     if "json" not in cfg["output"]["formats"]:
         return
     outdir.mkdir(parents=True, exist_ok=True)
-    dump = partial(json.dumps, indent=2, sort_keys=True, default=_to_py, allow_nan=False)
-    try:
-        text = dump(report) + "\n"
-    except ValueError:  # a non-finite float
-        text = dump(_json_safe(report)) + "\n"
-    (outdir / "report.json").write_text(text, encoding="utf-8")
+    text = json.dumps(_json_safe(report), indent=2, sort_keys=True, default=_to_py, allow_nan=False)
+    (outdir / "report.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _write_timings(outdir: Path, clock: _PhaseClock) -> None:
@@ -890,6 +902,11 @@ def _apply_cli_overrides(cfg: dict, out: str | None, seed: int | None) -> dict:
     return normalize_config(cfg)
 
 
+def _error_line(exc: Exception, prefix: str = "") -> str:
+    """The stderr line of a config, library or I/O error, which exits 1."""
+    return f"{'io error' if isinstance(exc, OSError) else 'error'}: {prefix}{exc}"
+
+
 def _run_config(cfg: dict, outdir: Path, prefix: str, do_descent: bool) -> tuple:
     """One run of ``cfg`` into ``outdir``: its report, its stderr lines (the
     report's warnings and numeric failure, or the error that ended it), each
@@ -908,10 +925,8 @@ def _run_config(cfg: dict, outdir: Path, prefix: str, do_descent: bool) -> tuple
             _remove_outputs(outdir)
             cfg = normalize_config(cfg)
             report = execute(build_problem(cfg), cfg, outdir, do_descent=do_descent)
-        except PlgdError as exc:
-            lines, report = [f"error: {prefix}{exc}"], {"exit_code": EXIT_CONFIG}
-        except OSError as exc:
-            lines, report = [f"io error: {prefix}{exc}"], {"exit_code": EXIT_CONFIG}
+        except (PlgdError, OSError) as exc:
+            lines, report = [_error_line(exc, prefix)], {"exit_code": EXIT_CONFIG}
     warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
     lines += [f"warning: {prefix}{w}" for w in report.get("warnings", [])]
     if "numeric_failure" in report:
@@ -952,11 +967,8 @@ def run_experiment(
     """
     try:
         cfg = _apply_cli_overrides(_load_config(config_path), out, seed)
-    except PlgdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+    except (PlgdError, OSError) as exc:
+        print(_error_line(exc), file=sys.stderr)
         return EXIT_CONFIG
     return _finish(_run_config(cfg, Path(cfg["output"]["dir"]), "", do_descent))
 
@@ -981,13 +993,10 @@ def _set_axis(cfg: dict, axis: str, value: float) -> dict:
             raise InvalidConfig(f"family {prob['family']} has no beta to sweep")
         prob["beta"] = float(value)
     elif axis == "width":
-        if prob["family"] == "supervised":
-            prob["model"]["width"] = int(value)
-        elif prob["family"] == "gan":
-            prob["disc"]["width"] = int(value)
-        else:
-            prob["encoder"]["width"] = int(value)
-            prob["decoder"]["width"] = int(value)
+        for name in ("model", "disc", "encoder", "decoder"):
+            if name in prob:  # the sections of the config's family
+                prob[name]["width"] = int(value)
+        _check_kind_keys(cfg)  # before any run: a linear model or critic has no width
     else:  # datasize
         ds = prob["dataset"]
         if ds.get("synthetic") is None:
@@ -1052,11 +1061,8 @@ def sweep(
             cfg = _set_axis(base, axis, v)
             cfg["output"]["dir"] = str(sub)
             jobs.append((i, cfg, sub))
-    except PlgdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+    except (PlgdError, OSError) as exc:
+        print(_error_line(exc), file=sys.stderr)
         return EXIT_CONFIG
 
     k = min(len(jobs), _usable_cpus())

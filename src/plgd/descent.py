@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import Optional
@@ -298,18 +298,7 @@ class Verdict:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "bound": self.bound,
-            "hypothesis_met": self.hypothesis_met,
-            "certified": self.certified,
-            "n_checked": self.n_checked,
-            "n_violations": self.n_violations,
-            "worst_iter": self.worst_iter,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)

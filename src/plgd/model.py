@@ -39,25 +39,25 @@ class Model:
 
     ``forward(X, theta)`` returns the (d, out_dim) outputs of the (d,
     in_dim) input rows X; ``jacobian(X, theta)`` the (d, out_dim,
-    param_dim) parameter Jacobians; ``jac_x`` (optional) the (d, out_dim,
-    in_dim) input Jacobians; ``forward_vjp`` (optional) returns the
-    outputs together with ``pull``, which maps a (d, out_dim) cotangent
-    block G to the (param_dim,) vector ``sum_i J_i^T G_i`` from the
-    forward pass's intermediate values, equal to ``einsum("ilp,il->p",
-    jacobian(X, theta), G)``, which stays its oracle.  ``stacks_theta``
-    marks a ``forward`` that also takes k parameter vectors concatenated
-    into one flat theta and returns their (d, k * out_dim) outputs side by
-    side, column block j for the j-th vector, from one matrix product; the
+    param_dim) parameter Jacobians; ``jac_x`` (optional, read by
+    :func:`vae_model` from its decoder) the (d, out_dim, in_dim) input
+    Jacobians; ``forward_vjp`` (optional) returns the outputs together
+    with ``pull``, which maps a (d, out_dim) cotangent block G to the
+    (param_dim,) vector ``sum_i J_i^T G_i`` from the forward pass's
+    intermediate values, equal to ``einsum("ilp,il->p", jacobian(X,
+    theta), G)``, which stays its oracle.  ``stacks_theta`` marks a
+    ``forward`` that also takes k parameter vectors concatenated into one
+    flat theta and returns their (d, k * out_dim) outputs side by side,
+    column block j for the j-th vector, from one matrix product; the
     gradient gate evaluates its perturbed parameters through it a chunk at
-    a time.  ``init`` is the seeded initial parameter vector;
-    ``param_shapes`` documents how the flat vector splits into arrays.
-    ``linear_in_params`` marks models whose output is exactly linear in
-    theta.
+    a time.  ``init`` is the seeded initial parameter vector, and the
+    read-only ``param_dim`` its size; ``param_shapes`` documents how the
+    flat vector splits into arrays.  ``linear_in_params`` marks models
+    whose output is exactly linear in theta.
     """
 
     in_dim: int
     out_dim: int
-    param_dim: int
     forward: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     init: np.ndarray
@@ -69,6 +69,11 @@ class Model:
     param_shapes: tuple = ()
     linear_in_params: bool = False
     name: str = ""
+
+    @property
+    def param_dim(self) -> int:
+        """The parameter count, ``init.size``."""
+        return self.init.size
 
 
 def _stacked_jacobian(model: Model, data: Dataset, theta) -> np.ndarray:
@@ -202,16 +207,11 @@ def linear_model(in_dim: int, out_dim: int = 1) -> Model:
     def jacobian(x, theta):
         return _readout_jacobian(x, out_dim)
 
-    def jac_x(x, theta):
-        return np.broadcast_to(theta.reshape(out_dim, in_dim), (len(x), out_dim, in_dim))
-
     return Model(
         in_dim=in_dim,
         out_dim=out_dim,
-        param_dim=p,
         forward=forward,
         jacobian=jacobian,
-        jac_x=jac_x,
         init=np.zeros(p),
         param_shapes=((out_dim, in_dim),),
         linear_in_params=True,
@@ -253,18 +253,12 @@ def random_features(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) ->
     def jacobian(x, theta):
         return _readout_jacobian(scale * features(x), out_dim)
 
-    def jac_x(x, theta):
-        dtau = 1.0 - features(x) ** 2
-        return scale * ((theta.reshape(out_dim, width)[None] * dtau[:, None, :]) @ w_mat)
-
     init = rng.standard_normal(p)
     return Model(
         in_dim=in_dim,
         out_dim=out_dim,
-        param_dim=p,
         forward=forward,
         jacobian=jacobian,
-        jac_x=jac_x,
         init=init,
         param_shapes=((out_dim, width),),
         linear_in_params=True,
@@ -319,7 +313,6 @@ def shallow_net(in_dim: int, width: int, out_dim: int = 1, seed: int = 0) -> Mod
     return Model(
         in_dim=in_dim,
         out_dim=out_dim,
-        param_dim=p,
         forward=forward,
         jacobian=jacobian,
         jac_x=jac_x,
@@ -338,7 +331,9 @@ def vae_model(encoder: Model, decoder: Model) -> Model:
     ``m + e^{log s} * w`` and the composite output stacks the encoder
     output and the decoder output at that latent.  The Jacobian chains the
     decoder's input Jacobian through the reparameterization into the
-    encoder block.
+    encoder block.  Encoder outputs that are not (mean, log std) pairs of
+    the decoder's inputs, or a decoder without ``jac_x``, raise
+    :class:`DimensionMismatch`.
     """
     if encoder.out_dim % 2 != 0:
         raise DimensionMismatch("encoder output must stack (mean, log std) pairs")
@@ -378,7 +373,6 @@ def vae_model(encoder: Model, decoder: Model) -> Model:
     return Model(
         in_dim=y_dim + l_z,
         out_dim=out_dim,
-        param_dim=p_e + p_d,
         forward=forward,
         jacobian=jacobian,
         init=np.concatenate([encoder.init, decoder.init]),
@@ -497,7 +491,6 @@ def shallow_disc(in_dim: int, width: int, seed: int = 0, squash: bool = False) -
     return Model(
         in_dim=in_dim,
         out_dim=1 + in_dim,
-        param_dim=p,
         forward=forward,
         jacobian=jacobian,
         forward_vjp=forward_vjp,
@@ -521,7 +514,6 @@ def linear_disc(in_dim: int) -> Model:
     return Model(
         in_dim=in_dim,
         out_dim=out,
-        param_dim=in_dim,
         forward=forward,
         jacobian=jacobian,
         init=np.zeros(in_dim),

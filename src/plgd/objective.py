@@ -44,6 +44,3 @@ class ScalarObjective:
     lam: Optional[CertValue] = None
     minimizer: Optional[np.ndarray] = None
     name: str = ""
-
-    def value(self, h) -> float:
-        return float(self.value_fn(self.space._coords(h)))

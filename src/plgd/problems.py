@@ -31,7 +31,7 @@ from .integrand import (
     negate,
     vae_integrand,
 )
-from .model import Model, NTKGram, induce, ntk_gram
+from .model import Model, NTKGram, induce, ntk_gram, vae_model
 from .objective import ScalarObjective
 from .smoothmap import (
     INFLATE,
@@ -153,12 +153,6 @@ def vae(
     product weights; each input row is the concatenation (y, w) and the
     reconstruction target is y itself.
     """
-    if encoder.out_dim % 2 != 0 or decoder.in_dim != encoder.out_dim // 2:
-        raise InvalidConfig(
-            "encoder must output (mean, log std) pairs of the decoder's latent dim"
-        )
-    from .model import vae_model  # local import keeps module load order simple
-
     composite = vae_model(encoder, decoder)
     l_z = decoder.in_dim
     ys = np.asarray(data_y, dtype=float)

@@ -164,13 +164,6 @@ class MapCertificate:
                     f"inconsistent certificate: lam={self.lam.value} exceeds K^2={self.K.value**2}"
                 )
 
-    @property
-    def provenance(self) -> str:
-        tags = [self.K.provenance, self.L.provenance]
-        if self.lam is not None:
-            tags.append(self.lam.provenance)
-        return "analytic" if all(t == "analytic" for t in tags) else "sampled"
-
 
 def fd_score(err, norm_a, norm_b) -> float:
     """Worst relative error of a set of columns, by :func:`fd_check`'s rule.

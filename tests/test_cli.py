@@ -78,6 +78,14 @@ def rf_config(outdir, width=32, max_iter=100000, mode="analytic"):
     }
 
 
+def classes_config(outdir):
+    cfg = rf_config(outdir)
+    cfg["problem"]["dataset"]["synthetic"] = {"kind": "classes", "d": 4, "in_dim": 3,
+                                              "classes": 2, "seed": 3}
+    cfg["problem"]["integrand"] = {"kind": "softmax", "classes": 2}
+    return cfg
+
+
 def r1_unsquashed_config(outdir, alpha=3.0):
     """An unsquashed r1 critic whose initial scores lie in the r1 domain
     (real-side y > 0, generated-side y < 1); at alpha 3 the second step
@@ -897,6 +905,21 @@ class TestSkippedWork:
         assert report["warnings"] == [MINIMAL_WARNING]
         assert f"warning: {MINIMAL_WARNING}" in capsys.readouterr().err
 
+    def test_supervised_gaussian_nll_runs_on_a_minimal_ledger(self, tmp_path, monkeypatch):
+        # gaussian_nll has no infimum either: no constant is estimated, and
+        # the run descends with the given alpha and exits 0
+        for name in ("sampled_certificates", "objective_with_estimated_lg"):
+            monkeypatch.setattr(cli, name, forbidden)
+        out = tmp_path / "out"
+        cfg = self.gaussian_nll_config(out)
+        cfg["certificates"]["mode"] = "sampled"
+        cfg["descent"]["max_iter"] = 50
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["ledger"]["mode"] == "minimal"
+        assert report["warnings"] == [MINIMAL_WARNING]
+        assert report["iterations"]["actual"] == 50
+
     def test_gan_with_auto_alpha_is_still_refused(self, tmp_path, capsys):
         cfg = gan_config(tmp_path / "out")
         cfg["descent"]["alpha"] = "auto"
@@ -1317,6 +1340,32 @@ class TestSweep:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("make, name, keys", [
+        (tight_config, "model", {"kind": "linear", "in_dim": 2}),
+        (gan_config, "disc", {"kind": "linear"}),
+    ])
+    def test_width_sweep_of_a_linear_model_or_critic_is_refused_before_any_run(
+        self, tmp_path, capsys, make, name, keys
+    ):
+        cfg = make(tmp_path / "x")
+        cfg["problem"][name] = keys
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", path, "--axis", "width", "--values", "2,4"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: config.problem.{name}.width: kind 'linear' takes none; got 2\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_width_sweep_of_a_vae_sets_the_encoder_and_the_decoder(self, tmp_path):
+        out = tmp_path / "sweep"
+        cfg = vae_config(out)
+        cfg["descent"]["alpha"] = "auto"  # alpha 0.1 is above 2/L at width 3
+        assert sweep(write_config(tmp_path, cfg), "width", [3]) == EXIT_OK
+        report = json.loads((out / "width=3" / "report.json").read_text())
+        problem = report["config"]["problem"]
+        assert problem["encoder"]["width"] == problem["decoder"]["width"] == 3
+        # encoder 2 -> 3 -> 2 and decoder 1 -> 3 -> 2 shallow nets
+        assert report["problem"]["param_dim"] == (3 * 2 + 2 * 3) + (3 * 1 + 2 * 3)
+
     def test_unknown_axis_rejected(self, tmp_path):
         path = write_config(tmp_path, rf_config(tmp_path / "x"))
         assert sweep(path, "depth", [1.0]) == EXIT_CONFIG
@@ -1482,6 +1531,53 @@ class TestConfigValidation:
         assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"error: dataset.synthetic.{key}: {rule}; got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "make, name, keys, key",
+        [
+            (rf_config, "integrand", {"kind": "gaussian_nll", "sigma": [1.0]}, "sigma"),
+            (classes_config, "integrand", {"kind": "softmax", "classes": 2, "sigma": [1.0]},
+             "sigma"),
+            (rf_config, "integrand", {"kind": "least_squares", "classes": 2}, "classes"),
+            (tight_config, "model", {"kind": "linear", "in_dim": 2, "width": 4}, "width"),
+            (gan_config, "disc", {"kind": "linear", "width": 6}, "width"),
+            (gan_config, "disc", {"kind": "linear", "squash": True}, "squash"),
+        ],
+    )
+    def test_keys_the_kind_ignores_are_refused(self, tmp_path, capsys, make, name, keys, key):
+        cfg = make(tmp_path / "out")
+        cfg["problem"][name] = keys
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: config.problem.{name}.{key}: kind {keys['kind']!r} takes none; "
+                       f"got {keys[key]!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "make, name, keys, key",
+        [
+            (rf_config, "model", {"kind": "shallow", "in_dim": 3}, "width"),
+            (classes_config, "integrand", {"kind": "softmax"}, "classes"),
+            (gan_config, "disc", {"kind": "shallow"}, "width"),
+        ],
+    )
+    def test_keys_the_kind_requires_are_refused_when_null(self, tmp_path, capsys, make, name,
+                                                          keys, key):
+        cfg = make(tmp_path / "out")
+        cfg["problem"][name] = keys
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: config.problem.{name}.{key}: required key missing for kind "
+                       f"{keys['kind']!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_model_out_dim_conflicting_with_the_integrand_exits_one(self, tmp_path, capsys):
+        cfg = rf_config(tmp_path / "out")
+        cfg["problem"]["model"]["out_dim"] = 2
+        assert run_experiment(write_config(tmp_path, cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: model.out_dim 2 conflicts with integrand dimension 1\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestOverrideConsistency:
@@ -1775,14 +1871,6 @@ class TestParallelSweep:
             [(RuntimeWarning, R1_WARNING, "problems.py")] * count
         )
         assert_no_child_left()
-
-
-def classes_config(outdir):
-    cfg = rf_config(outdir)
-    cfg["problem"]["dataset"]["synthetic"] = {"kind": "classes", "d": 4, "in_dim": 3,
-                                              "classes": 2, "seed": 3}
-    cfg["problem"]["integrand"] = {"kind": "softmax", "classes": 2}
-    return cfg
 
 
 def orthonormal_config(outdir):

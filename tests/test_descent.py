@@ -370,6 +370,15 @@ class TestRun:
         assert trace.diverged
         assert not verdicts.get("converged").passed
 
+    def test_divergence_guard_without_an_infimum_watches_the_loss(self):
+        # a minimal ledger has no f_star: the guard stops at the first loss
+        # above 10 (|loss_0| + 1) = 90; at alpha 1.5 the residual x_1 + x_2 - 4
+        # doubles each step, so the loss (its square over 2) quadruples
+        prob, _ = tight_problem()
+        trace, _ = run(prob.F, prob.f, prob.theta0, minimal_ledger(1.5), max_iter=500)
+        assert trace.diverged
+        assert trace.losses.tolist() == [8.0, 32.0, 128.0]
+
     def test_monotone_distance_chain(self):
         f = quadratic(S2, np.diag([1.0, 4.0]), b=[0.5, -0.5])
         ident = identity_map(S2)

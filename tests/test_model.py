@@ -68,10 +68,20 @@ class TestJacobians:
                         err_msg=model.name,
                     )
 
+    def test_param_dim_is_the_size_of_init(self):
+        for model in zoo(np.random.default_rng(0)):
+            assert model.param_dim == model.init.size, model.name
+        base = linear_model(2)
+        with pytest.raises(TypeError, match="param_dim"):
+            Model(in_dim=2, out_dim=1, param_dim=3, forward=base.forward,
+                  jacobian=base.jacobian, init=base.init)
+        with pytest.raises(AttributeError):
+            base.param_dim = 3
+
     def test_planted_bug_is_caught(self):
         base = shallow_net(2, 3, seed=0)
         buggy = Model(
-            in_dim=2, out_dim=1, param_dim=base.param_dim,
+            in_dim=2, out_dim=1,
             forward=base.forward,
             jacobian=lambda x, th: 2.0 * base.jacobian(x, th),
             init=base.init,
@@ -89,8 +99,7 @@ class TestJacobians:
 
     def test_input_jacobians_pass_fd(self):
         rng = np.random.default_rng(3)
-        for model in (linear_model(3, out_dim=2), random_features(3, 8, out_dim=2, seed=1),
-                      shallow_net(3, 5, out_dim=2, seed=1)):
+        for model in (shallow_net(3, 5, out_dim=2, seed=1),):  # the VAE decoder's kind
             th = rng.standard_normal(model.param_dim)
             x = rng.standard_normal((4, 3))
             jx = model.jac_x(x, th)
@@ -117,11 +126,10 @@ class TestRandomFeaturesCache:
         jac = np.zeros((len(x), self.OUT, self.OUT * self.WIDTH))
         for c in range(self.OUT):
             jac[:, c, c * self.WIDTH : (c + 1) * self.WIDTH] = scale * tau
-        jac_x = scale * ((a[None] * (1.0 - tau**2)[:, None, :]) @ w)
-        return forward, jac, jac_x
+        return forward, jac
 
     def assert_uncached(self, model, x, theta):
-        got = (model.forward(x, theta), model.jacobian(x, theta), model.jac_x(x, theta))
+        got = (model.forward(x, theta), model.jacobian(x, theta))
         for g, want in zip(got, self.uncached(x, theta)):
             np.testing.assert_array_equal(g, want)  # rtol 0
 
@@ -157,9 +165,9 @@ class TestRandomFeaturesCache:
         self.assert_uncached(model, x, theta)
         assert len(computed) == 1
         self.assert_uncached(model, x.copy(), theta)  # writable: recomputed on every call
-        assert len(computed) == 4
+        assert len(computed) == 3
         self.assert_uncached(model, x, theta)
-        assert len(computed) == 5  # the copy was the last batch
+        assert len(computed) == 4  # the copy was the last batch
 
     def test_read_only_view_of_a_mutated_base_is_recomputed(self, computed):
         rng = np.random.default_rng(4)
@@ -171,7 +179,7 @@ class TestRandomFeaturesCache:
         self.assert_uncached(model, view, theta)
         base[1, 2] += 0.5
         self.assert_uncached(model, view, theta)
-        assert len(computed) == 6
+        assert len(computed) == 4
 
     def test_array_made_writable_again_is_recomputed(self, computed):
         rng = np.random.default_rng(5)
@@ -185,7 +193,7 @@ class TestRandomFeaturesCache:
         x.setflags(write=True)
         x[0, 0] -= 1.0
         self.assert_uncached(model, x, theta)
-        assert len(computed) == 4
+        assert len(computed) == 3
 
 
 def fd_check_by_column(f, x):
@@ -296,7 +304,7 @@ class TestInduce:
 
     def test_constant_model_zero_jacobian(self):
         const = Model(
-            in_dim=2, out_dim=1, param_dim=3,
+            in_dim=2, out_dim=1,
             forward=lambda x, th: np.ones((len(x), 1)),
             jacobian=lambda x, th: np.zeros((len(x), 1, 3)),
             init=np.zeros(3),

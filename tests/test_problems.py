@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from plgd import problems
 from plgd.descent import build_ledger, run
-from plgd.errors import InvalidConfig, InvalidDataset
+from plgd.errors import DimensionMismatch, InvalidConfig, InvalidDataset, NumericFailure
 from plgd.integrand import Dataset, gaussian_nll, least_squares, softmax_ce
 from plgd.model import (
     linear_disc,
@@ -17,6 +21,7 @@ from plgd.problems import (
     analytic_certificates,
     check_gradients,
     gan_discriminator,
+    objective_with_estimated_lg,
     sampled_certificates,
     supervised,
     vae,
@@ -101,7 +106,7 @@ class TestVAE:
     def test_dimension_validation(self):
         enc = shallow_net(2, 4, out_dim=3, seed=0)  # odd output: not (mean, log s)
         dec = shallow_net(1, 4, out_dim=2, seed=1)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DimensionMismatch):
             vae(enc, dec, [np.zeros(2)], [np.zeros(1)], least_squares(k=2), beta=1.0)
 
     def test_assembled_jacobian_passes_fd(self):
@@ -211,8 +216,39 @@ class TestCertificateModes:
         prob = supervised(shallow_net(2, 4, seed=0), data, least_squares(k=1),
                           ball_radius=2.0)
         cert = sampled_certificates(prob, n=8, seed=0)
-        assert cert.provenance == "sampled"
+        assert cert.K.provenance == "sampled"
         assert cert.L.value > 0  # tanh net is genuinely nonlinear
+
+    @staticmethod
+    def estimated_lg(monkeypatch, failures):
+        """``objective_with_estimated_lg`` of a problem whose objective
+        gradient raises NumericFailure on its first ``failures`` calls: the
+        objective it was given, the one it returned and the radii it sampled."""
+        prob = rf_least_squares(d=3, width=8)
+        calls = []
+
+        def grad_fn(h, grad=prob.f.grad_fn):
+            calls.append(1)
+            if len(calls) <= failures:
+                raise NumericFailure("planted")
+            return grad(h)
+
+        f = dataclasses.replace(prob.f, L=None, grad_fn=grad_fn)
+        radii, pairs = [], problems._sample_pairs
+        monkeypatch.setattr(problems, "_sample_pairs",
+                            lambda ball, n, rng: radii.append(ball.radius) or pairs(ball, n, rng))
+        return f, objective_with_estimated_lg(dataclasses.replace(prob, f=f), n_pairs=4), radii
+
+    def test_estimated_lg_shrinks_its_radius_on_numeric_failure(self, monkeypatch):
+        _, got, radii = self.estimated_lg(monkeypatch, failures=1)
+        assert radii == [1.0, 0.1]
+        assert got.L.provenance == "sampled" and got.L.value > 0
+
+    def test_estimated_lg_warns_when_it_gives_up(self, monkeypatch):
+        with pytest.warns(RuntimeWarning, match="Lipschitz constant left unset"):
+            f, got, radii = self.estimated_lg(monkeypatch, failures=math.inf)
+        assert got is f
+        assert radii == pytest.approx([10.0**-k for k in range(6)])
 
     def test_gradient_gate_catches_planted_bug(self):
         import dataclasses

@@ -211,7 +211,6 @@ class TestCertificate:
         assert cert.L.provenance == "analytic"  # linear map: exactly zero
         assert cert.L.value == 0.0
         assert cert.lam is not None and cert.lam.value == pytest.approx(1.8)
-        assert cert.provenance == "sampled"
 
 
 class TestSampledBoundsHold:
