@@ -50,9 +50,9 @@ finite number > 0 and ``num0`` a finite number >= 0::
     {
       "problem": {
         "family": "supervised" | "vae" | "gan",
-        "ball_radius": num0 | null,          # optional declared trust radius
+        "ball_radius": num0 | null,          # trust radius; null: 1e3, then refined
         # supervised
-        "model": {"kind": "linear"|"random_features"|"shallow",  # width: not linear
+        "model": {"kind": "linear"|"random_features"|"shallow",  # width, seed: not linear
                   "in_dim": int, "out_dim": int, "width": int, "seed": seed},
         "dataset": {...},                    # see below
         "integrand": {"kind": "least_squares", "sigma": [pos, ...]}  # keys per kind
@@ -66,7 +66,7 @@ finite number > 0 and ``num0`` a finite number >= 0::
         "recon_sigma": [pos, ...],           # optional fixed variances
         # gan
         "disc": {"kind": "shallow"|"linear", "width": int, "seed": seed,
-                 "squash": true | false},      # width and squash: shallow only
+                 "squash": true | false},      # width, seed, squash: shallow only
         "gan_kind": "wgan_gp" | "r1", "beta": pos,
         "direction": "max" | "min"
       },
@@ -82,10 +82,13 @@ finite number > 0 and ``num0`` a finite number >= 0::
 A numeric ``alpha`` must also lie below 2/L, which the ledger checks;
 ``K_F`` and ``L_F`` must have a finite square; and overrides must keep
 lambda_F <= K_F^2 together with the constants they leave to the
-certificates.  Sampled certificates refuse a ``ball_radius`` above 0 and
-below ``smoothmap.MIN_PAIR_RADIUS`` (1e-9).  A synthetic dataset or a
-model too large to allocate is refused with numpy's message, which names
-its size.
+certificates.  A model or critic ``seed`` defaults to 0 where the kind
+takes one; a linear kind refuses any, 0 included, and echoes null.
+``ball_radius`` goes to ``problems.make_certificates``, which owns the
+trust ball: only sampled certificates refine a null one, and they refuse
+one above 0 and below ``smoothmap.MIN_PAIR_RADIUS`` (1e-9).  A synthetic
+dataset or a model too large to allocate is refused with numpy's
+message, which names its size.
 
 Dataset schema
 --------------
@@ -243,9 +246,6 @@ _BOUNDS = {
     # the ledger squares a certificate constant, so its square must be finite too
     ">=0 squared": ("a finite number >= 0 with a finite square",
                     lambda v: v >= 0 and math.isfinite(v * float(v))),
-    # a step size's range (0, 2/L) needs L: build_ledger and minimal_ledger
-    # refuse a number outside it, a swept one included
-    "(0,2/L)": ("a finite positive number", lambda v: True),
 }
 
 
@@ -337,7 +337,7 @@ CONFIG = section(
         supervised=dict(
             model=(section(kind=(choice("linear", "random_features", "shallow"), ...),
                            in_dim=(SIZE, ...), out_dim=(SIZE, 1), width=(SIZE, None),
-                           seed=(SEED, 0)), ...),
+                           seed=(SEED, None)), ...),
             dataset=DATASET,
             integrand=(section(kind=(choice("least_squares", "gaussian_nll", "softmax"), ...),
                                sigma=SIGMA, classes=(SIZE, None)), ...),
@@ -352,7 +352,7 @@ CONFIG = section(
         ),
         gan=dict(
             disc=(section(kind=(choice("shallow", "linear"), ...), width=(SIZE, None),
-                          seed=(SEED, 0), squash=(choice(True, False), False)), ...),
+                          seed=(SEED, None), squash=(choice(True, False), False)), ...),
             gan_kind=(choice("wgan_gp", "r1"), ...), beta=(number(">0"), ...),
             direction=(choice("max", "min"), "max"), dataset=DATASET, ball_radius=RADIUS,
         ),
@@ -363,7 +363,7 @@ CONFIG = section(
                            L_F=(number(">=0 squared", None), None),
                            lambda_F=(number(">0", None), None)), {}),
     ), {}),
-    descent=(section(alpha=(number("(0,2/L)", "auto"), "auto"), max_iter=(SIZE, 10000),
+    descent=(section(alpha=(number(">0", "auto"), "auto"), max_iter=(SIZE, 10000),
                      stop_gap=(number(">=0", None), None)), {}),
     output=(section(dir=(_string, "out"),
                     formats=(list_of(choice("csv", "json")), ["csv", "json"])), {}),
@@ -387,11 +387,12 @@ SYNTHETIC = tagged(
 
 
 #: section -> key -> the kinds that take it, of which each requires ``width``
-#: and ``classes``; every other kind would ignore the key
+#: and ``classes`` and fills in a null ``seed`` with 0; every other kind
+#: would ignore the key
 KIND_KEYS = {
-    "model": {"width": ("random_features", "shallow")},
+    "model": {"width": ("random_features", "shallow"), "seed": ("random_features", "shallow")},
     "integrand": {"sigma": ("least_squares",), "classes": ("softmax",)},
-    "disc": {"width": ("shallow",), "squash": ("shallow",)},
+    "disc": {"width": ("shallow",), "seed": ("shallow",), "squash": ("shallow",)},
 }
 
 
@@ -403,10 +404,12 @@ def _check_kind_keys(cfg: dict) -> dict:
         kind = prob[name]["kind"]
         for key, kinds in KIND_KEYS[name].items():
             value, path = prob[name][key], f"config.problem.{name}.{key}"
-            if kind in kinds and value is None and key in ("width", "classes"):
-                raise InvalidConfig(f"{path}: required key missing for kind {kind!r}")
-            if kind not in kinds and value not in (None, False):
+            if kind not in kinds and value is not None and value is not False:
                 raise InvalidConfig(f"{path}: kind {kind!r} takes none; got {value!r}")
+            if kind in kinds and value is None and key == "seed":
+                prob[name][key] = 0
+            elif kind in kinds and value is None and key in ("width", "classes"):
+                raise InvalidConfig(f"{path}: required key missing for kind {kind!r}")
     return cfg
 
 
@@ -515,7 +518,7 @@ def _build_supervised(prob: dict) -> PrototypeProblem:
         raise InvalidConfig(
             f"model.out_dim {mcfg['out_dim']} conflicts with integrand dimension {out_dim}"
         )
-    return supervised(model, data, iota, ball_radius=prob["ball_radius"])
+    return supervised(model, data, iota)
 
 
 def _build_vae(prob: dict) -> PrototypeProblem:
@@ -528,7 +531,7 @@ def _build_vae(prob: dict) -> PrototypeProblem:
     rng = np.random.default_rng(prob["noise"]["seed"])
     noise = rng.standard_normal((prob["noise"]["count"], l_z))
     ell = _least_squares(prob["recon_sigma"], y_dim, "recon_sigma")
-    return vae(encoder, decoder, ys, noise, ell, prob["beta"], ball_radius=prob["ball_radius"])
+    return vae(encoder, decoder, ys, noise, ell, prob["beta"])
 
 
 def _build_gan(prob: dict) -> PrototypeProblem:
@@ -552,7 +555,6 @@ def _build_gan(prob: dict) -> PrototypeProblem:
         prob["gan_kind"],
         prob["beta"],
         direction=prob["direction"],
-        ball_radius=prob["ball_radius"],
     )
 
 
@@ -664,9 +666,8 @@ def _phases(problem: PrototypeProblem, cfg: dict, outdir: Path, do_descent: bool
         return EXIT_VIOLATION
 
     with clock.phase("certificates"):
-        problem, cert, obj, radius = make_certificates(
-            problem, **cfg["certificates"], ball_pinned=cfg["problem"]["ball_radius"] is not None)
-    report["declared_ball_radius"] = problem.declared_ball.radius
+        cert, obj, report["declared_ball_radius"], radius = make_certificates(
+            problem, **cfg["certificates"], ball_radius=cfg["problem"]["ball_radius"])
 
     with clock.phase("ledger"):
         alpha = cfg["descent"]["alpha"]

@@ -15,7 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -54,7 +53,9 @@ class PrototypeProblem:
     """An assembled instance of the composite learning problem.
 
     ``f`` is the integral of the integrand ``iota`` over ``data``, and
-    ``theta0`` a read-only copy of the model's initial parameters.
+    ``theta0`` a read-only copy of the model's initial parameters.  The
+    trust ball the constants are certified on is not part of the problem:
+    :func:`make_certificates` takes its radius and returns it.
     """
 
     name: str
@@ -62,7 +63,6 @@ class PrototypeProblem:
     F: SmoothMap
     f: ScalarObjective
     theta0: np.ndarray
-    declared_ball: Ball
     model: Model
     data: Dataset
     iota: Integrand
@@ -72,9 +72,6 @@ class PrototypeProblem:
             raise DimensionMismatch(
                 "map codomain and objective space must coincide"
             )
-
-    def with_ball(self, radius: float) -> "PrototypeProblem":
-        return replace(self, declared_ball=Ball(self.F.domain, self.theta0, radius))
 
     @cached_property
     def _gram0(self) -> NTKGram:
@@ -91,18 +88,15 @@ class PrototypeProblem:
         return ntk_gram(self.model, self.data, theta)
 
 
-def _make_problem(name, family, model, data, iota, ball_radius) -> PrototypeProblem:
-    f_map = induce(model, data)
+def _make_problem(name, family, model, data, iota) -> PrototypeProblem:
     theta0 = np.array(model.init, dtype=float)
     theta0.setflags(write=False)
-    radius = DEFAULT_BALL_RADIUS if ball_radius is None else float(ball_radius)
     return PrototypeProblem(
         name=name,
         family=family,
-        F=f_map,
+        F=induce(model, data),
         f=integral_functional(iota, data),
         theta0=theta0,
-        declared_ball=Ball(f_map.domain, theta0, radius),
         model=model,
         data=data,
         iota=iota,
@@ -113,7 +107,6 @@ def supervised(
     model: Model,
     data: Dataset,
     iota: Integrand,
-    ball_radius: Optional[float] = None,
 ) -> PrototypeProblem:
     """Supervised fitting: every input carries exactly one target.
 
@@ -134,7 +127,6 @@ def supervised(
         model,
         data,
         iota,
-        ball_radius,
     )
 
 
@@ -145,7 +137,6 @@ def vae(
     noise_w,
     ell: Integrand,
     beta: float,
-    ball_radius: Optional[float] = None,
 ) -> PrototypeProblem:
     """Encoder/decoder training over the product of data and noise draws.
 
@@ -170,7 +161,6 @@ def vae(
         composite,
         data,
         iota,
-        ball_radius,
     )
 
 
@@ -181,7 +171,6 @@ def gan_discriminator(
     kind: str,
     beta: float,
     direction: str = "max",
-    ball_radius: Optional[float] = None,
 ) -> PrototypeProblem:
     """Gradient-penalized critic on the even real/generated mixture.
 
@@ -211,7 +200,6 @@ def gan_discriminator(
         disc,
         data,
         negate(iota) if direction == "max" else iota,
-        ball_radius,
     )
     if kind == "r1":
         y = disc.forward(data.inputs, disc.init)[:, 0]
@@ -258,30 +246,31 @@ def analytic_certificates(problem: PrototypeProblem) -> MapCertificate:
 
 
 def sampled_certificates(
-    problem: PrototypeProblem, n: int = 32, seed: int = 0
+    problem: PrototypeProblem, radius: float, n: int = 32, seed: int = 0
 ) -> MapCertificate:
-    """Seeded sampling estimates of the map constants on the declared ball."""
-    return certify(problem.F, problem.declared_ball, n=n, seed=seed)
+    """Seeded sampling estimates of the map constants on B(theta0, radius)."""
+    return certify(problem.F, Ball(problem.F.domain, problem.theta0, radius), n=n, seed=seed)
 
 
 def objective_with_estimated_lg(
-    problem: PrototypeProblem, n_pairs: int = 32, seed: int = 0
+    problem: PrototypeProblem, radius: float, n_pairs: int = 32, seed: int = 0
 ) -> ScalarObjective:
     """The problem's objective, with a sampled L attached when none is known.
 
     The composition theory needs the gradient Lipschitz constant on the
-    image of the trust region, so pairs are drawn in parameter space and
-    pushed through the map before taking difference quotients.  Sampling
-    is local (parameter radius capped at 1): log-scale outputs rarely
-    admit the constant on very large regions, and a local sampled value
-    is reported as such.  If even local evaluation overflows, the radius
-    is shrunk; as a last resort the objective is returned unchanged.
+    image of the trust region B(theta0, radius), so pairs are drawn in
+    parameter space and pushed through the map before taking difference
+    quotients.  Sampling is local (parameter radius capped at 1):
+    log-scale outputs rarely admit the constant on very large regions, and
+    a local sampled value is reported as such.  If even local evaluation
+    overflows, the radius is shrunk; as a last resort the objective is
+    returned unchanged.
     """
     f = problem.f
     if f.L is not None:
         return f
     rng = np.random.default_rng(seed)
-    radius = min(problem.declared_ball.radius, 1.0)
+    radius = min(radius, 1.0)
     space = f.space
     for _ in range(6):
         try:
@@ -319,40 +308,45 @@ def _with_overrides(cert: MapCertificate, overrides: dict) -> MapCertificate:
 
 
 def make_certificates(problem: PrototypeProblem, mode: str, n_samples: int, seed: int,
-                      overrides: dict, ball_pinned: bool):
-    """A run's certificate policy: ``(problem, certificate, objective with L,
-    radius the trajectory is checked against)``.
+                      overrides: dict, ball_radius):
+    """A run's certificate policy and the owner of its trust ball:
+    ``(certificate, objective with L, declared radius, radius the
+    trajectory is checked against)``.
 
-    Analytic constants hold on the whole space, so their radius is None.
-    Sampled ones are estimated on the declared ball from ``n_samples``
-    points and pairs drawn with ``seed``; unless ``ball_pinned``, the ball
-    is then re-declared as ten times a provisional ledger's travel
-    distance (at least 1e-6) and estimated again, and the radius is the
-    returned problem's.  Non-None ``overrides`` (``K_F``, ``L_F``,
-    ``lambda_F``) replace the certificate's constants.  An objective with
-    no infimum (supervised ``gaussian_nll``, every GAN critic) can have no
-    full ledger, so it gets no certificate and keeps its own objective.
+    The ball is B(theta0, R), with R the given ``ball_radius``, or
+    ``DEFAULT_BALL_RADIUS`` when it is None.  Analytic constants hold on
+    the whole space, so their checked radius is None.  Sampled ones are
+    estimated on the ball from ``n_samples`` points and pairs drawn with
+    ``seed``; when ``ball_radius`` is None, R is then re-declared as ten
+    times a provisional ledger's travel distance (at least 1e-6) and the
+    constants estimated again, and the checked radius is R.  Non-None
+    ``overrides`` (``K_F``, ``L_F``, ``lambda_F``) replace the
+    certificate's constants.  An objective with no infimum (supervised
+    ``gaussian_nll``, every GAN critic) can have no full ledger, so it gets
+    no certificate and keeps its own objective.
     """
-    radius = None if mode == "analytic" else problem.declared_ball.radius
+    declared = DEFAULT_BALL_RADIUS if ball_radius is None else float(ball_radius)
+    radius = None if mode == "analytic" else declared
     if problem.f.f_star is None:
-        return problem, None, problem.f, radius
+        return None, problem.f, declared, radius
     if mode == "analytic":
-        return problem, _with_overrides(analytic_certificates(problem), overrides), problem.f, None
+        cert = _with_overrides(analytic_certificates(problem), overrides)
+        return cert, problem.f, declared, None
 
-    def estimate(problem):
-        return (_with_overrides(sampled_certificates(problem, n_samples, seed), overrides),
-                objective_with_estimated_lg(problem, n_samples, seed))
+    def estimate(radius):
+        return (_with_overrides(sampled_certificates(problem, radius, n_samples, seed), overrides),
+                objective_with_estimated_lg(problem, radius, n_samples, seed))
 
-    cert, obj = estimate(problem)
-    if not ball_pinned and obj.L is not None:
+    cert, obj = estimate(declared)
+    if ball_radius is None and obj.L is not None:
         try:
             travel = build_ledger(problem.F, obj, problem.theta0, cert, alpha="auto").dist_bound()
         except (MissingCertificate, InvalidConfig):
             travel = None
         if travel is not None:
-            problem = problem.with_ball(max(10.0 * travel, 1e-6))
-            cert, obj = estimate(problem)
-    return problem, cert, obj, problem.declared_ball.radius
+            declared = max(10.0 * travel, 1e-6)
+            cert, obj = estimate(declared)
+    return cert, obj, declared, declared
 
 
 def check_gradients(problem: PrototypeProblem, n_probes: int = 10, seed: int = 0) -> float:

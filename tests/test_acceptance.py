@@ -32,6 +32,7 @@ from plgd.model import (
     vae_model,
 )
 from plgd.problems import (
+    DEFAULT_BALL_RADIUS,
     analytic_certificates,
     check_gradients,
     gan_discriminator,
@@ -279,7 +280,7 @@ def test_criterion_7_underparameterization_detector():
         g = prob.gram()
         assert g.lambda_min <= 1e-10
 
-        absent = estimate_uc(prob.F, prob.declared_ball, n=8, seed=0)
+        absent = estimate_uc(prob.F, Ball(prob.F.domain, prob.theta0, DEFAULT_BALL_RADIUS), n=8, seed=0)
         assert absent is None
 
         cert = analytic_certificates(prob)  # drops the coercivity bound

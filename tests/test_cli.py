@@ -631,9 +631,9 @@ def pipeline(cfg):
     """The trace, ledger and verdicts of a run of ``cfg``, made as ``plgd run``
     makes them."""
     cfg = normalize_config(cfg)
-    pinned = cfg["problem"]["ball_radius"] is not None
-    prob, cert, obj, radius = make_certificates(build_problem(cfg), **cfg["certificates"],
-                                                ball_pinned=pinned)
+    prob = build_problem(cfg)
+    cert, obj, _, radius = make_certificates(prob, **cfg["certificates"],
+                                             ball_radius=cfg["problem"]["ball_radius"])
     alpha = cfg["descent"]["alpha"]
     try:
         ledger = build_ledger(prob.F, obj, prob.theta0, cert, alpha=alpha)
@@ -1325,7 +1325,8 @@ class TestSweep:
         out = tmp_path / "sweep"
         path = write_config(tmp_path, tight_config(out))
         assert sweep(path, "alpha", [-1.0, 0.5]) == EXIT_CONFIG
-        assert "error: alpha=-1: alpha must lie in (0, 2/L)" in capsys.readouterr().err
+        assert ("error: alpha=-1: config.descent.alpha: must be 'auto' or a finite positive "
+                "number; got -1.0") in capsys.readouterr().err
         lines = (out / "summary.csv").read_text().splitlines()
         assert lines[0] == "value,lambda_N,q,iterations,dist_from_init"
         assert lines[1] == "-1,,,,"
@@ -1542,6 +1543,10 @@ class TestConfigValidation:
             (tight_config, "model", {"kind": "linear", "in_dim": 2, "width": 4}, "width"),
             (gan_config, "disc", {"kind": "linear", "width": 6}, "width"),
             (gan_config, "disc", {"kind": "linear", "squash": True}, "squash"),
+            (tight_config, "model", {"kind": "linear", "in_dim": 2, "seed": 5}, "seed"),
+            (tight_config, "model", {"kind": "linear", "in_dim": 2, "seed": 0}, "seed"),
+            (gan_config, "disc", {"kind": "linear", "seed": 7}, "seed"),
+            (gan_config, "disc", {"kind": "linear", "seed": 0}, "seed"),
         ],
     )
     def test_keys_the_kind_ignores_are_refused(self, tmp_path, capsys, make, name, keys, key):
@@ -1552,6 +1557,25 @@ class TestConfigValidation:
         assert err == (f"error: config.problem.{name}.{key}: kind {keys['kind']!r} takes none; "
                        f"got {keys[key]!r}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "make, name, keys, seed",
+        [
+            (tight_config, "model", {"kind": "linear", "in_dim": 2}, None),
+            (rf_config, "model", {"kind": "random_features", "in_dim": 3, "width": 8}, 0),
+            (rf_config, "model", {"kind": "shallow", "in_dim": 3, "width": 8, "seed": 5}, 5),
+            (gan_config, "disc", {"kind": "linear"}, None),
+            (gan_config, "disc", {"kind": "shallow", "width": 6}, 0),
+        ],
+    )
+    def test_seed_is_echoed_null_for_a_linear_kind_and_defaults_to_zero(self, tmp_path, make,
+                                                                         name, keys, seed):
+        cfg = make(tmp_path / "out")
+        cfg["problem"][name] = keys
+        echo = normalize_config(cfg)
+        got = echo["problem"][name]["seed"]
+        assert (got, type(got)) == (seed, type(seed))
+        assert normalize_config(echo) == echo  # a run checks its echo again
 
     @pytest.mark.parametrize(
         "make, name, keys, key",

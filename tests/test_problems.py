@@ -43,7 +43,7 @@ class TestSupervised:
         data = Dataset([[1.0, 1.0]], targets=[np.array([4.0])])
         prob = supervised(linear_model(2, out_dim=1), data, least_squares(k=1))
         assert prob.F.codomain.dim == 1
-        assert prob.declared_ball.radius == DEFAULT_BALL_RADIUS
+        assert not hasattr(prob, "declared_ball")  # make_certificates owns the ball
         assert prob.f.f_star == 0.0
 
     def test_conflicting_targets_rejected_with_input_named(self):
@@ -213,9 +213,8 @@ class TestCertificateModes:
         data = Dataset(
             list(rng.standard_normal((3, 2))), targets=list(rng.standard_normal((3, 1)))
         )
-        prob = supervised(shallow_net(2, 4, seed=0), data, least_squares(k=1),
-                          ball_radius=2.0)
-        cert = sampled_certificates(prob, n=8, seed=0)
+        prob = supervised(shallow_net(2, 4, seed=0), data, least_squares(k=1))
+        cert = sampled_certificates(prob, 2.0, n=8, seed=0)
         assert cert.K.provenance == "sampled"
         assert cert.L.value > 0  # tanh net is genuinely nonlinear
 
@@ -237,7 +236,9 @@ class TestCertificateModes:
         radii, pairs = [], problems._sample_pairs
         monkeypatch.setattr(problems, "_sample_pairs",
                             lambda ball, n, rng: radii.append(ball.radius) or pairs(ball, n, rng))
-        return f, objective_with_estimated_lg(dataclasses.replace(prob, f=f), n_pairs=4), radii
+        got = objective_with_estimated_lg(dataclasses.replace(prob, f=f), DEFAULT_BALL_RADIUS,
+                                          n_pairs=4)
+        return f, got, radii
 
     def test_estimated_lg_shrinks_its_radius_on_numeric_failure(self, monkeypatch):
         _, got, radii = self.estimated_lg(monkeypatch, failures=1)
@@ -305,7 +306,7 @@ class TestCertificateModes:
             x, t = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
             data = Dataset(np.vstack([x, x[:1]]), targets=np.vstack([t, t[:1]]))
             prob = supervised(random_features(3, 16, seed=seed), data, least_squares(k=1))
-            assert sampled_certificates(prob, n=8).lam is None, seed
+            assert sampled_certificates(prob, DEFAULT_BALL_RADIUS, n=8).lam is None, seed
 
     @pytest.mark.parametrize("d", [1000, 2000, 5000])
     def test_gradient_gate_passes_correct_problem_at_large_d(self, d):
@@ -316,3 +317,41 @@ class TestCertificateModes:
         data = Dataset(rng.standard_normal((d, 4)), targets=rng.standard_normal((d, 1)))
         prob = supervised(random_features(4, 16, seed=1), data, least_squares(k=1))
         assert check_gradients(prob, n_probes=3, seed=0) <= 1e-5
+
+
+class TestBallPolicy:
+    """``make_certificates`` owns the trust ball: the radius it declares,
+    the radius the trajectory is checked against and whether it refined
+    the ball, over mode x given radius x objective."""
+
+    @staticmethod
+    def problem(objective):
+        if objective == "infimum":
+            return rf_least_squares()
+        real, gen = TestGan().points()
+        return gan_discriminator(linear_disc(2), real, gen, "wgan_gp", beta=10.0)
+
+    @pytest.mark.parametrize("objective", ["infimum", "critic"])
+    @pytest.mark.parametrize("ball_radius", [None, 2.0])
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_declared_and_checked_radius(self, monkeypatch, mode, ball_radius, objective):
+        prob = self.problem(objective)
+        sampled_on, sample = [], problems.sampled_certificates
+        monkeypatch.setattr(problems, "sampled_certificates",
+                            lambda p, r, *a: sampled_on.append(r) or sample(p, r, *a))
+        cert, obj, declared, radius = problems.make_certificates(
+            prob, mode, 8, 0, {}, ball_radius)
+        given = DEFAULT_BALL_RADIUS if ball_radius is None else ball_radius
+        refined = mode == "sampled" and ball_radius is None and objective == "infimum"
+        if objective == "critic":  # no infimum: no certificate, the objective as it is
+            assert cert is None and obj is prob.f
+        else:
+            assert cert.K.provenance == mode
+        if refined:
+            assert sampled_on == [DEFAULT_BALL_RADIUS, declared]
+            assert declared != DEFAULT_BALL_RADIUS
+        else:
+            assert declared == given
+            want = [given] if mode == "sampled" and objective == "infimum" else []
+            assert sampled_on == want
+        assert radius == (None if mode == "analytic" else declared)
